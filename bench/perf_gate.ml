@@ -393,20 +393,31 @@ let sb7 ~threads ~duration_cycles =
    simulated threads — the measurement behind EXPERIMENTS.md's "−34 % on
    the read mix" quiescence figure.  Epoch announcements are plain
    (uncharged) atomics and [Heap.free]'s deferral happens off the
-   simulated clock, so the +epochs engine must track plain swisstm here
-   while +quiescence keeps paying the commit-time barrier.  Simulated
-   cycles are deterministic: these ktps never move between runs, so the
-   epoch-penalty bound can be tight without any retry machinery. *)
+   simulated clock, so swisstm with the reclaimer armed (+epochs) must
+   track it unarmed here while +quiescence keeps paying the commit-time
+   barrier.  Simulated cycles are deterministic: these ktps never move
+   between runs, so the epoch-penalty bound can be tight without any
+   retry machinery. *)
 let sim_priv ~duration_cycles =
+  let threads = 8 in
   let run spec =
     Bench_common.ktps
       (Stmbench7.Sb7_bench.run ~spec
-         ~workload:Stmbench7.Sb7_bench.Read_dominated ~threads:8
+         ~workload:Stmbench7.Sb7_bench.Read_dominated ~threads
          ~duration_cycles ())
   in
-  ( run Engines.swisstm,
-    run Engines.swisstm_priv_safe,
-    run Engines.swisstm_priv_epoch )
+  let armed spec =
+    Memory.Epoch.arm ();
+    let r = run spec in
+    (* the simulated threads went online at their first announcement;
+       take them off so they hold no later grace period open *)
+    for tid = 0 to threads - 1 do
+      Memory.Epoch.offline ~tid
+    done;
+    Memory.Epoch.disarm ();
+    r
+  in
+  (run Engines.swisstm, run Engines.swisstm_priv_safe, armed Engines.swisstm)
 
 (* Wall-clock, real [Domain]s: each of 4 domains runs a read-mix loop
    over its own 16-word block (16 reads + 2 writes per transaction) and
@@ -416,8 +427,9 @@ let sim_priv ~duration_cycles =
    purely the safety mechanism: plain swisstm commits immediately
    (privatization-UNSAFE — acceptable here because no domain ever reads
    another's block), +quiescence pays the §6 commit-time barrier, and
-   +epochs pays one announcement per boundary while [Heap.free] defers
-   the block to the limbo list.  Returns transactions per second. *)
+   +epochs (the same engine with the reclaimer armed) pays one
+   announcement per boundary while [Heap.free] defers the block to the
+   limbo list.  Returns transactions per second. *)
 let native_priv_tps ~spec ~epochs ~txs =
   let n_domains = 4 in
   let block_words = 16 in
@@ -484,7 +496,7 @@ let native_priv ~txs =
       native_priv_tps ~spec:Engines.swisstm_priv_safe ~epochs:false ~txs
     in
     let epoch =
-      native_priv_tps ~spec:Engines.swisstm_priv_epoch ~epochs:true ~txs
+      native_priv_tps ~spec:Engines.swisstm ~epochs:true ~txs
     in
     (base, quiesce, epoch)
   in

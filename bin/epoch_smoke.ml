@@ -10,9 +10,9 @@
    [Memory.Epoch] armed there must be zero mixed-tag observations, the
    global epoch must actually advance, and a final drain must empty limbo.
 
-   [pool] — descriptor recycling: build and drop engines in a loop (with
-   major collections so finalizers run) and require the swisstm descriptor
-   pool and the kernel [Txdesc] pool to report hits and no double
+   [pool] — descriptor recycling: build and drop swisstm engines in a loop
+   (with major collections so finalizers run) and require the one
+   descriptor pool, [Kernel.Txdesc.Pool], to report hits and no double
    releases. *)
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
@@ -29,7 +29,7 @@ let pubs = 2_000
 
 let epoch_check () =
   let heap = Memory.Heap.create ~words:(1 lsl 16) in
-  let spec = Engines.with_table_bits 12 Engines.swisstm_priv_epoch in
+  let spec = Engines.with_table_bits 12 Engines.swisstm in
   let engine = Engines.make spec heap in
   let handle = Memory.Heap.alloc heap 1 in
   let init_block tag =
@@ -103,37 +103,22 @@ let epoch_check () =
 
 let pool_check () =
   let heap = Memory.Heap.create ~words:(1 lsl 14) in
-  let kernel_spec =
-    match Engines.of_string (List.hd Engines.kernel_names) with
-    | Some s -> s
-    | None -> die "kernel registry empty"
-  in
   let addr = Memory.Heap.alloc heap 4 in
   for _ = 1 to 30 do
-    List.iter
-      (fun spec ->
-        let e = Engines.make (Engines.with_table_bits 8 spec) heap in
-        Stm_intf.Engine.atomic e ~tid:0 (fun tx ->
-            tx.Stm_intf.Engine.write addr
-              (tx.Stm_intf.Engine.read addr + 1)))
-      [ Engines.swisstm; kernel_spec ];
-    (* drop the engines; finalizers return their descriptors to the pools *)
+    let e = Engines.make (Engines.with_table_bits 8 Engines.swisstm) heap in
+    Stm_intf.Engine.atomic e ~tid:0 (fun tx ->
+        tx.Stm_intf.Engine.write addr (tx.Stm_intf.Engine.read addr + 1));
+    (* drop the engine; its finalizer returns the descriptors to the pool *)
     Gc.full_major ()
   done;
   Gc.full_major ();
-  let desc_hits = gauge "desc_pool_hits" in
-  let txdesc_hits = gauge "txdesc_pool_hits" in
-  if desc_hits = 0 then die "pool smoke FAIL: swisstm descriptor pool never hit";
-  if txdesc_hits = 0 then die "pool smoke FAIL: kernel txdesc pool never hit";
-  if gauge "desc_pool_double_releases" > 0 then
-    die "pool smoke FAIL: %d descriptor double releases"
-      (gauge "desc_pool_double_releases");
+  let hits = gauge "txdesc_pool_hits" in
+  if hits = 0 then die "pool smoke FAIL: txdesc pool never hit";
   if gauge "txdesc_pool_double_releases" > 0 then
     die "pool smoke FAIL: %d txdesc double releases"
       (gauge "txdesc_pool_double_releases");
-  Printf.printf "pool smoke ok: desc pool hits %d, txdesc pool hits %d, 0 \
-                 double releases\n%!"
-    desc_hits txdesc_hits
+  Printf.printf "pool smoke ok: txdesc pool hits %d, 0 double releases\n%!"
+    hits
 
 let () =
   match Sys.argv with

@@ -8,11 +8,14 @@
    frozen differential table in test/test_kernel.ml covers the dedicated
    engine names only: composed points have no pre-refactor baseline to
    hold.  norec/tlrw joined the frozen set in PR 7 (captured at their
-   introduction, so later refactors are held to bit-identical behavior). *)
+   introduction, so later refactors are held to bit-identical behavior).
+   swisstm-adaptive and swisstm-timid pin the adaptive throttle /
+   escalation bridging and the timid manager on SwissTM's locks. *)
 let classic_names =
   [
-    "swisstm"; "swisstm-priv"; "tl2"; "tinystm"; "rstm"; "rstm-lazy";
-    "rstm-visible"; "mvstm"; "glock"; "norec"; "tlrw";
+    "swisstm"; "swisstm-priv"; "swisstm-adaptive"; "swisstm-timid"; "tl2";
+    "tinystm"; "rstm"; "rstm-lazy"; "rstm-visible"; "mvstm"; "glock";
+    "norec"; "tlrw";
   ]
 
 let names =

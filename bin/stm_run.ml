@@ -355,14 +355,11 @@ let obs_check_cmd =
       [
         "heap_frees"; "heap_free_reuses"; "heap_leaked_frees";
         "heap_double_frees"; "epoch_advances"; "epoch_deferred";
-        "epoch_reclaimed"; "epoch_limbo_depth"; "desc_pool_hits";
-        "desc_pool_misses"; "desc_pool_double_releases"; "txdesc_pool_hits";
+        "epoch_reclaimed"; "epoch_limbo_depth"; "txdesc_pool_hits";
         "txdesc_pool_misses"; "txdesc_pool_double_releases";
       ];
-    if gauge "desc_pool_hits" + gauge "desc_pool_misses" = 0 then
-      fail "gauges: descriptor pool shows no traffic after engine runs";
     if gauge "txdesc_pool_hits" + gauge "txdesc_pool_misses" = 0 then
-      fail "gauges: kernel txdesc pool shows no traffic after engine runs";
+      fail "gauges: txdesc pool shows no traffic after engine runs";
     if gauge "heap_double_frees" <> 0 then
       fail "gauges: heap_double_frees = %d (guard tripped)"
         (gauge "heap_double_frees");

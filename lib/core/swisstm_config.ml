@@ -22,11 +22,6 @@ type t = {
           transaction waits until all transactions that started before its
           commit have validated, committed or aborted, making the
           privatization idiom safe at a measurable cost *)
-  privatization_epochs : bool;
-      (** epoch alternative to [privatization_safe] (DESIGN.md §12): no
-          commit-time barrier; transaction boundaries announce quiescent
-          states to [Memory.Epoch] (when armed) and [Heap.free] defers
-          privatized blocks until a grace period passes *)
   debug_no_validation : bool;
       (** DEBUG ONLY: make read-set validation vacuously succeed, so stale
           reads survive extension and commit.  Deliberately breaks opacity;
@@ -42,7 +37,6 @@ let default =
     seed = 0xC0FFEE;
     quiesce_slots = 64;
     privatization_safe = false;
-    privatization_epochs = false;
     debug_no_validation = false;
   }
 

@@ -11,14 +11,16 @@
 
    In kernel axes: the mixed + invisible + incremental + redo point; the
    composed twin [k-mixed+inv+incr+redo] realizes the same policies on
-   [Kernel.Compose].  This file is the wall-clock-gated exemption to the
-   kernel refactor (DESIGN.md §10): it keeps a private descriptor and
-   hand-rolled begin/commit/abort sequences, because routing them through
-   [Kernel.Hooks]/[Kernel.Driver] — or the kernel's [Txdesc] — measurably
-   slows its gated rw benchmark (non-flambda).  [test/test_kernel.ml]
-   pins this file to its frozen behavioral snapshot. *)
+   [Kernel.Compose].  Like every other engine, this file holds only the
+   policy — the two-lock table, read/write/validate/extend, the §6
+   quiescence slots and closed nesting — over the kernel's [Txdesc],
+   [Driver], [Hooks] and [Package].  Where SwissTM orders a cycle charge or
+   [Tmatomic] operation differently from a hook, the engine keeps its own
+   order around the hook; [test/test_kernel.ml] pins it to its frozen
+   behavioral snapshot. *)
 
 open Stm_intf
+open Kernel
 
 type t = {
   heap : Memory.Heap.t;
@@ -29,12 +31,10 @@ type t = {
   imask : int;  (** lock-table index mask *)
   commit_ts : Runtime.Tmatomic.t;
   cm : Cm.Cm_intf.t;
-  descs : Descriptor.t array;
+  descs : Txdesc.t array;
   stats : Stats.t;
   eid : int;  (** metrics-registry engine id *)
   privatization_safe : bool;
-  privatization_epochs : bool;
-      (** boundaries announce to [Memory.Epoch]; commit never waits *)
   debug_no_validation : bool;
   active : Runtime.Tmatomic.t array;
       (** snapshot ts while in a tx, [max_int] idle — quiescence table §6 *)
@@ -61,11 +61,10 @@ let create ?(config = Swisstm_config.default) heap =
     imask = Memory.Stripe.index_mask stripe;
     commit_ts = Runtime.Tmatomic.make 0;
     cm = Cm.Factory.make config.cm;
-    descs = Descriptor.make_descs ~seed:config.seed ();
+    descs = Driver.make_descs ~seed:config.seed ();
     stats = Stats.create ();
     eid = Obs.Metrics.register_engine name;
     privatization_safe = config.privatization_safe;
-    privatization_epochs = config.privatization_epochs;
     debug_no_validation = config.debug_no_validation;
     active = Array.init config.quiesce_slots (fun _ -> Runtime.Tmatomic.make max_int);
     ser = Serial.create ();
@@ -73,7 +72,7 @@ let create ?(config = Swisstm_config.default) heap =
 
 (* --- rollback ------------------------------------------------------- *)
 
-let release_w_locks t (d : Descriptor.t) =
+let release_w_locks t (d : Txdesc.t) =
   let n = Ivec.length d.acq_stripes in
   for i = 0 to n - 1 do
     Runtime.Tmatomic.set
@@ -81,24 +80,19 @@ let release_w_locks t (d : Descriptor.t) =
       Lock_table.w_unlocked
   done
 
-(* The CM may back off inside [on_rollback]/[resolve]; harvest the txinfo
-   counter delta into [Stats] so [s_backoffs] reflects this engine. *)
-let cm_rollback t (d : Descriptor.t) =
-  let b0 = d.info.Cm.Cm_intf.backoffs in
-  t.cm.on_rollback d.info;
-  let db = d.info.Cm.Cm_intf.backoffs - b0 in
-  if db > 0 then Stats.backoff t.stats ~tid:d.tid ~n:db
+(* Withdraw our snapshot from the §6 quiescence table. *)
+let leave_quiescence_slot t (d : Txdesc.t) =
+  if t.privatization_safe then Runtime.Tmatomic.set t.active.(d.tid) max_int
 
-(** Roll back: release held w-locks, record the abort, let the CM back
-    off, and unwind to the retry loop.  R-locks are only held inside
+(** Roll back: release held w-locks, withdraw the published snapshot and
+    unwind through [Hooks.rollback].  R-locks are only held inside
     [commit], which restores them itself first.  Closed nesting (§6): a
     w/w conflict inside an active nested scope only concerns state
     acquired there, so logs roll back to the savepoint and just the scope
     retries; validation failures and kills condemn the whole transaction
     (the stale read may predate the scope). *)
-let rollback t (d : Descriptor.t) reason =
-  if !Runtime.Exec.prof_on then
-    Runtime.Exec.set_phase d.tid Runtime.Exec.ph_commit;
+let rollback t (d : Txdesc.t) reason =
+  Hooks.phase_commit d.tid;
   match (d.savepoint, reason) with
   | Some sp, Tx_signal.Ww_conflict ->
       (* release only the w-locks acquired inside the scope *)
@@ -116,89 +110,61 @@ let rollback t (d : Descriptor.t) reason =
           Wlog.replace d.wset addr (Ivec.unsafe_get d.sp_undo_vals i)
         else Wlog.remove d.wset addr
       done;
-      Descriptor.clear_sp_undo d;
+      Txdesc.clear_sp_undo d;
       if !Trace.enabled then Trace.on_scope_abort ~tid:d.tid;
       Stats.abort t.stats ~tid:d.tid reason;
       Runtime.Exec.tick (Runtime.Costs.get ()).tx_end;
-      cm_rollback t d;
+      Hooks.cm_on_rollback ~stats:t.stats ~cm:t.cm d;
       raise Tx_signal.Inner_abort
   | _ ->
       release_w_locks t d;
-      Serial.exit_commit t.ser ~tid:d.tid;
-      if t.privatization_safe then
-        Runtime.Tmatomic.set t.active.(d.tid) max_int;
-      if !Trace.enabled then Trace.on_abort ~tid:d.tid ~reason;
-      Stats.abort t.stats ~tid:d.tid reason;
-      Stats.wasted t.stats ~tid:d.tid
-        ~cycles:(max 0 (Runtime.Exec.now () - d.start_cycles));
-      if !Obs.Metrics.on then Obs.Metrics.on_tx_abort ~tid:d.tid ~reason;
-      Descriptor.clear_logs d;
-      Tx_signal.cleanup ~tid:d.tid;
-      Runtime.Exec.tick (Runtime.Costs.get ()).tx_end;
-      cm_rollback t d;
-      if t.privatization_epochs && !Memory.Heap.epoch_on then
-        Memory.Epoch.quiescent ~tid:d.tid;
-      Tx_signal.abort ()
+      leave_quiescence_slot t d;
+      Hooks.rollback ~stats:t.stats ~cm:t.cm ~ser:t.ser d ~reason
 
-(* The token holder ignores kill requests (it must win every conflict);
-   [Serial.mine] is consulted only behind the kill flag, keeping the
-   no-kill fast path unchanged.  The fault injector piggybacks here: its
-   disarmed cost is the single [!Inject.on] load. *)
-let check_kill t (d : Descriptor.t) =
-  if Cm.Cm_intf.kill_requested d.info && not (Serial.mine t.ser ~tid:d.tid)
-  then rollback t d Tx_signal.Killed;
-  if !Runtime.Inject.on && Runtime.Inject.spurious_abort ~tid:d.tid then
-    rollback t d Tx_signal.Killed
+let check_kill t (d : Txdesc.t) =
+  if Hooks.kill_due ~ser:t.ser d then rollback t d Tx_signal.Killed
 
 (* --- validation ----------------------------------------------------- *)
 
 (** Re-check every read-log entry: the stripe's r-lock must still hold the
     version observed at read, or be [d]'s own commit-time r-lock. *)
-let validate t (d : Descriptor.t) =
+let validate t (d : Txdesc.t) =
   if t.debug_no_validation then true
   else begin
-  (* attribute validation cycles to their own phase, whoever triggered it *)
-  let prof_prev =
-    if !Runtime.Exec.prof_on then begin
-      let p = Runtime.Exec.get_phase d.tid in
-      Runtime.Exec.set_phase d.tid Runtime.Exec.ph_validate;
-      p
-    end
-    else 0
-  in
-  let costs = Runtime.Costs.get () in
-  (* hot loop, in-engine by design (wall-clock exemption): walk the [Rset]
-     journal directly, stride 2 over the interleaved pairs *)
-  let rs = d.rset in
-  let n = rs.Rset.len lsl 1 in
-  let data = rs.Rset.data in
-  let ok = ref true in
-  let j = ref 0 in
-  while !ok && !j < n do
-    Runtime.Exec.tick costs.validate_entry;
-    let idx = Array.unsafe_get data !j in
-    let logged = Array.unsafe_get data (!j + 1) in
-    let cur = Runtime.Tmatomic.get (Array.unsafe_get t.r_locks idx) in
-    if cur <> Lock_table.encode_version logged then begin
-      (* A mismatch is fine only when the r-lock is commit-locked by *us*
-         (we hold the stripe's w-lock and froze it).  Merely owning the
-         w-lock is NOT enough: the version may have moved between our read
-         and our acquisition, making this read stale. *)
-      if
-        not
-          (cur = Lock_table.r_locked
-          && Runtime.Tmatomic.get (Array.unsafe_get t.w_locks idx)
-             = Lock_table.encode_w_owner d.tid)
-      then ok := false
-    end;
-    j := !j + 2
-  done;
-  if !Runtime.Exec.prof_on then Runtime.Exec.set_phase d.tid prof_prev;
-  !ok
+    let prof_prev = Hooks.phase_enter_validate d.tid in
+    let costs = Runtime.Costs.get () in
+    (* walk the [Rset] journal directly, stride 2 over the interleaved
+       (stripe, version) pairs: no per-entry cross-module call *)
+    let rs = d.rset in
+    let n = rs.Rset.len lsl 1 in
+    let data = rs.Rset.data in
+    let ok = ref true in
+    let j = ref 0 in
+    while !ok && !j < n do
+      Runtime.Exec.tick costs.validate_entry;
+      let idx = Array.unsafe_get data !j in
+      let cur = Runtime.Tmatomic.get (Array.unsafe_get t.r_locks idx) in
+      if cur <> Lock_table.encode_version (Array.unsafe_get data (!j + 1))
+      then begin
+        (* A mismatch is fine only when the r-lock is commit-locked by *us*
+           (we hold the stripe's w-lock and froze it).  Merely owning the
+           w-lock is NOT enough: the version may have moved between our
+           read and our acquisition, making this read stale. *)
+        if
+          not
+            (cur = Lock_table.r_locked
+            && Runtime.Tmatomic.get (Array.unsafe_get t.w_locks idx)
+               = Lock_table.encode_w_owner d.tid)
+        then ok := false
+      end;
+      j := !j + 2
+    done;
+    Hooks.phase_restore d.tid prof_prev;
+    !ok
   end
 
 (** Paper's extend: if the read set is still valid, advance valid-ts. *)
-let extend t (d : Descriptor.t) =
+let extend t (d : Txdesc.t) =
   let ts = Runtime.Tmatomic.get t.commit_ts in
   if validate t d then begin
     d.valid_ts <- ts;
@@ -211,7 +177,7 @@ let extend t (d : Descriptor.t) =
 (* Quiescence barrier (paper §6): wait until no in-flight transaction has
    a snapshot older than [ts]; after that, memory we made private can
    never be read through stale transactional snapshots. *)
-let quiesce t (d : Descriptor.t) ~ts =
+let quiesce t (d : Txdesc.t) ~ts =
   if t.privatization_safe then
     Array.iteri
       (fun u cell ->
@@ -229,7 +195,7 @@ let quiesce t (d : Descriptor.t) ~ts =
    another transaction does not stop us — the lazy r/w side of mixed
    invalidation).  Module-level recursion keeps the fast path
    allocation-free. *)
-let rec read_fresh t (d : Descriptor.t) r_lock idx addr
+let rec read_fresh t (d : Txdesc.t) r_lock idx addr
     (costs : Runtime.Costs.t) =
   let rv = Runtime.Tmatomic.get r_lock in
   if Lock_table.is_r_locked rv then begin
@@ -246,7 +212,7 @@ let rec read_fresh t (d : Descriptor.t) r_lock idx addr
     else begin
       let version = Lock_table.version_of rv in
       Runtime.Exec.tick costs.log_append;
-      (* in-engine append fast path; [Rset.push] only on the growth step *)
+      (* in-engine append; [Rset.push] only on the growth step *)
       let rs = d.rset in
       let len = rs.Rset.len in
       let data = rs.Rset.data in
@@ -264,7 +230,7 @@ let rec read_fresh t (d : Descriptor.t) r_lock idx addr
     end
   end
 
-let read_word t (d : Descriptor.t) addr =
+let read_word t (d : Txdesc.t) addr =
   let costs = Runtime.Costs.get () in
   Stats.read t.stats ~tid:d.tid;
   check_kill t d;
@@ -289,7 +255,7 @@ let read_word t (d : Descriptor.t) addr =
 (* Closed nesting: remember what the redo log held for [addr] before the
    inner scope shadows it, so a partial rollback can restore it.  The Wlog
    mark stamp makes the "already shadow-logged this scope?" check O(1). *)
-let record_undo (d : Descriptor.t) addr =
+let record_undo (d : Txdesc.t) addr =
   match d.savepoint with
   | None -> ()
   | Some _ -> (
@@ -304,7 +270,7 @@ let record_undo (d : Descriptor.t) addr =
           Ivec.push d.sp_undo_vals (Wlog.slot_value d.wset s);
           Ivec.push d.sp_undo_present 1)
 
-let write_word t (d : Descriptor.t) addr value =
+let write_word t (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
   Stats.write t.stats ~tid:d.tid;
   check_kill t d;
@@ -322,23 +288,9 @@ let write_word t (d : Descriptor.t) addr value =
     let rec acquire wv =
       if wv <> Lock_table.w_unlocked then begin
         check_kill t d;
-        if !Obs.Metrics.on then
-          Obs.Metrics.on_stripe_conflict ~eid:t.eid ~stripe:idx;
+        Hooks.stripe_conflict ~eid:t.eid ~stripe:idx;
         let victim = (t.descs.(Lock_table.w_owner_of wv)).info in
-        let b0 = d.info.Cm.Cm_intf.backoffs in
-        (* The irrevocable transaction wins every conflict: under
-           timid-style managers Abort_self would deadlock against a victim
-           parked at the commit gate on this very lock. *)
-        let decision =
-          if Serial.mine t.ser ~tid:d.tid then begin
-            Cm.Cm_intf.request_kill victim;
-            Cm.Cm_intf.Killed_victim
-          end
-          else t.cm.resolve ~attacker:d.info ~victim
-        in
-        let db = d.info.Cm.Cm_intf.backoffs - b0 in
-        if db > 0 then Stats.backoff t.stats ~tid:d.tid ~n:db;
-        match decision with
+        match Hooks.cm_resolve ~stats:t.stats ~ser:t.ser ~cm:t.cm d ~victim with
         | Cm.Cm_intf.Abort_self -> rollback t d Tx_signal.Ww_conflict
         | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim ->
             Stats.wait t.stats ~tid:d.tid;
@@ -350,7 +302,7 @@ let write_word t (d : Descriptor.t) addr value =
       then acquire (Runtime.Tmatomic.get w_lock)
     in
     acquire wv;
-    if !Runtime.Inject.on then Runtime.Inject.stall ~tid:d.tid;
+    Hooks.inject_stall d;
     Ivec.push d.acq_stripes idx;
     Runtime.Exec.tick costs.log_append;
     record_undo d addr;
@@ -368,33 +320,20 @@ let write_word t (d : Descriptor.t) addr value =
 
 (* --- commit ------------------------------------------------------------ *)
 
-let commit t (d : Descriptor.t) =
-  if !Runtime.Exec.prof_on then
-    Runtime.Exec.set_phase d.tid Runtime.Exec.ph_commit;
-  let costs = Runtime.Costs.get () in
-  Runtime.Exec.tick costs.tx_end;
-  if Descriptor.is_read_only d then begin
-    if t.privatization_safe then
-      Runtime.Tmatomic.set t.active.(d.tid) max_int;
-    if !Trace.enabled then Trace.on_commit ~tid:d.tid;
-    Stats.commit t.stats ~tid:d.tid;
-    if !Obs.Metrics.on then Obs.Metrics.on_tx_commit ~tid:d.tid;
-    Descriptor.flush_frees ~heap:t.heap d;
-    Descriptor.clear_logs d;
-    t.cm.on_commit d.info;
-    Serial.release t.ser ~tid:d.tid;
-    if t.privatization_epochs && !Memory.Heap.epoch_on then
-      Memory.Epoch.quiescent ~tid:d.tid
+let commit t (d : Txdesc.t) =
+  Hooks.commit_entry d;
+  if Txdesc.is_read_only d then begin
+    leave_quiescence_slot t d;
+    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
   else begin
     (* Commit gate: while an irrevocable transaction runs, update commits
        must not advance [commit_ts].  The waiter still holds w-locks, so
        it polls its kill flag (the token holder can abort it out). *)
-    if Serial.held_by_other t.ser ~tid:d.tid then
-      Serial.gate t.ser ~tid:d.tid ~check:(fun () -> check_kill t d);
-    Serial.enter_commit t.ser ~tid:d.tid;
+    Hooks.enter_update_commit ~stats:t.stats ~cm:t.cm ~ser:t.ser
+      ~gate_check:(fun () -> check_kill t d)
+      d;
     check_kill t d;
-    if !Obs.Metrics.on then Obs.Metrics.on_commit_start ~tid:d.tid;
     (* Lock the r-locks of every written stripe to freeze readers. *)
     let n_acq = Ivec.length d.acq_stripes in
     for i = 0 to n_acq - 1 do
@@ -404,7 +343,7 @@ let commit t (d : Descriptor.t) =
       Ivec.push d.acq_saved (Runtime.Tmatomic.get r_lock);
       Runtime.Tmatomic.set r_lock Lock_table.r_locked
     done;
-    if !Runtime.Inject.on then Runtime.Inject.stretch ~tid:d.tid;
+    Hooks.inject_stretch d;
     let ts = Runtime.Tmatomic.incr_get t.commit_ts in
     if ts > d.valid_ts + 1 && not (validate t d) then begin
       (* Failed commit-time validation: restore r-locks, then roll back. *)
@@ -416,6 +355,7 @@ let commit t (d : Descriptor.t) =
       rollback t d Tx_signal.Rw_validation
     end;
     (* Write back the redo log while all written stripes are frozen... *)
+    let costs = Runtime.Costs.get () in
     Wlog.iter
       (fun addr value ->
         Runtime.Exec.tick costs.mem;
@@ -428,137 +368,79 @@ let commit t (d : Descriptor.t) =
       Runtime.Tmatomic.set (Array.unsafe_get t.r_locks idx) ver;
       Runtime.Tmatomic.set (Array.unsafe_get t.w_locks idx) Lock_table.w_unlocked
     done;
-    if t.privatization_safe then
-      Runtime.Tmatomic.set t.active.(d.tid) max_int;
-    if !Trace.enabled then Trace.on_commit ~tid:d.tid;
-    Stats.commit t.stats ~tid:d.tid;
-    if !Obs.Metrics.on then Obs.Metrics.on_tx_commit ~tid:d.tid;
-    Descriptor.flush_frees ~heap:t.heap d;
-    Descriptor.clear_logs d;
-    t.cm.on_commit d.info;
-    (* Drop the token before quiescing: gated threads are idle
-       (active = max_int) so quiesce cannot hang on them. *)
-    Serial.exit_commit t.ser ~tid:d.tid;
-    Serial.release t.ser ~tid:d.tid;
-    (* an update commit may have privatized data: wait out older readers —
-       or, under epochs, merely announce (no waiting on any path) *)
-    quiesce t d ~ts;
-    if t.privatization_epochs && !Memory.Heap.epoch_on then
-      Memory.Epoch.quiescent ~tid:d.tid
+    leave_quiescence_slot t d;
+    (* The token drops inside [commit_done], before quiescing: gated
+       threads are idle (active = max_int) so quiesce cannot hang on them. *)
+    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d;
+    (* an update commit may have privatized data: wait out older readers *)
+    quiesce t d ~ts
   end
 
 (* --- transaction driver ------------------------------------------------ *)
 
-let start t (d : Descriptor.t) ~restart =
-  (* Begin is recorded BEFORE the snapshot is taken (Trace contract). *)
-  if !Trace.enabled then Trace.on_begin ~tid:d.tid;
-  if !Runtime.Exec.prof_on then
-    Runtime.Exec.set_phase d.tid Runtime.Exec.ph_commit;
-  d.start_cycles <- Runtime.Exec.now ();
-  if !Obs.Metrics.on then Obs.Metrics.on_tx_begin ~eid:t.eid ~tid:d.tid;
-  Runtime.Exec.tick (Runtime.Costs.get ()).tx_begin;
-  Descriptor.clear_logs d;
-  Cm.Cm_intf.set_current d.info;
-  (* epoch privatization: a begin is a quiescent point (no snapshot yet) *)
-  if t.privatization_epochs && !Memory.Heap.epoch_on then
-    Memory.Epoch.quiescent ~tid:d.tid;
+(* SwissTM samples its snapshot (and publishes it in the quiescence table)
+   before the manager's [on_start]. *)
+let start t (d : Txdesc.t) ~restart =
+  Hooks.tx_begin ~eid:t.eid d;
   d.valid_ts <- Runtime.Tmatomic.get t.commit_ts;
   if t.privatization_safe then
     Runtime.Tmatomic.set t.active.(d.tid) d.valid_ts;
   t.cm.on_start d.info ~restart;
-  if !Runtime.Exec.prof_on then
-    Runtime.Exec.set_phase d.tid Runtime.Exec.ph_other
+  Hooks.phase_other d.tid
 
 (** Release everything on a non-[Abort] exception escaping the body, so a
-    user bug cannot wedge locks, the token or the CM throttle. *)
-let emergency_release t (d : Descriptor.t) =
+    user bug cannot wedge locks, the token, the CM throttle — or, through
+    a still-published snapshot, every later committer's quiescence wait. *)
+let emergency_release t (d : Txdesc.t) =
   release_w_locks t d;
-  Serial.exit_commit t.ser ~tid:d.tid;
-  Serial.release t.ser ~tid:d.tid;
-  t.cm.on_quit d.info;
-  Descriptor.clear_logs d;
-  d.depth <- 0
+  leave_quiescence_slot t d;
+  Hooks.emergency ~cm:t.cm ~ser:t.ser d
 
-(* The retry driver.  Graceful degradation happens here, before each
-   attempt and outside any snapshot or lock: once [succ_aborts] reaches
-   the manager's budget (or the caller asked for irrevocability), acquire
-   the token, drain in-flight commits, and run with [cm_ts = 0] so every
-   w/w conflict resolves our way; otherwise let the manager throttle us
-   ([pre_attempt] may block) and defer to any irrevocable transaction at
-   the start gate.  A thread parked there is idle — no locks, no published
-   snapshot — so the gate needs no kill polling. *)
-let run t ~tid ~irrevocable f =
-  (* The quiescence table is a hard per-engine thread cap. *)
+let driver_ops t : Driver.ops =
+  {
+    Driver.ser = t.ser;
+    cm = t.cm;
+    descs = t.descs;
+    start = (fun d ~restart -> start t d ~restart);
+    commit = (fun d -> commit t d);
+    emergency = (fun d -> emergency_release t d);
+    user_abort =
+      (fun d ->
+        d.savepoint <- None;
+        rollback t d Tx_signal.Killed);
+  }
+
+(* The quiescence table is a hard per-engine thread cap. *)
+let check_tid t tid =
   if t.privatization_safe then
     Engine.check_tid_limit ~engine:"swisstm-priv"
-      ~limit:(Array.length t.active) tid;
-  let d = t.descs.(tid) in
-  if d.depth > 0 then begin
-    (* Flat nesting: an inner atomic block joins the enclosing one. *)
-    d.depth <- d.depth + 1;
-    Fun.protect ~finally:(fun () -> d.depth <- d.depth - 1) (fun () -> f d)
-  end
-  else begin
-    let rec attempt ~restart =
-      if
-        (irrevocable
-        || d.info.Cm.Cm_intf.succ_aborts >= t.cm.Cm.Cm_intf.escalate_after)
-        && not (Serial.mine t.ser ~tid)
-      then begin
-        if !Obs.Metrics.on then Obs.Metrics.on_escalation ~tid;
-        Serial.acquire t.ser ~tid;
-        Serial.drain t.ser ~tid
-      end;
-      let escalated = Serial.mine t.ser ~tid in
-      t.cm.pre_attempt d.info ~escalated;
-      if (not escalated) && Serial.held_by_other t.ser ~tid then
-        Serial.gate t.ser ~tid ~check:(fun () -> ());
-      start t d ~restart;
-      if escalated then d.info.Cm.Cm_intf.cm_ts <- 0;
-      d.depth <- 1;
-      match f d with
-      | v ->
-          d.depth <- 0;
-          (try
-             commit t d;
-             v
-           with Tx_signal.Abort -> attempt ~restart:true)
-      | exception Tx_signal.Abort ->
-          d.depth <- 0;
-          attempt ~restart:true
-      | exception Tx_signal.Retry ->
-          (* body-raised abort request: route through our own rollback *)
-          d.depth <- 0;
-          d.savepoint <- None;
-          (try rollback t d Tx_signal.Killed with Tx_signal.Abort -> ());
-          attempt ~restart:true
-      | exception e ->
-          emergency_release t d;
-          raise e
-    in
-    attempt ~restart:false
-  end
+      ~limit:(Array.length t.active) tid
 
-let atomic t ~tid f = run t ~tid ~irrevocable:false f
-let atomic_irrevocable t ~tid f = run t ~tid ~irrevocable:true f
+let atomic t ~tid f =
+  check_tid t tid;
+  Driver.run (driver_ops t) ~tid ~irrevocable:false f
+
+let atomic_irrevocable t ~tid f =
+  check_tid t tid;
+  Driver.run (driver_ops t) ~tid ~irrevocable:true f
 
 (* --- closed nesting (paper §6 extension) -------------------------------- *)
 
 (** [atomic_closed d f] runs [f] as a closed-nested scope of descriptor
     [d]'s transaction: a w/w conflict inside the scope rolls back and
     retries only the scope.  Call from inside [atomic]; one level deep. *)
-let atomic_closed (d : Descriptor.t) f =
+let atomic_closed (d : Txdesc.t) f =
   if d.depth = 0 then invalid_arg "atomic_closed: no enclosing transaction";
   match d.savepoint with
   | Some _ -> f d (* already inside a scope: flatten *)
   | None ->
       let rec attempt () =
         Wlog.bump_mark d.wset;
-        Descriptor.clear_sp_undo d;
+        Txdesc.clear_sp_undo d;
         d.savepoint <-
           Some
             {
-              Descriptor.sp_read_len = Rset.length d.rset;
+              Txdesc.sp_read_len = Rset.length d.rset;
               sp_acq_len = Ivec.length d.acq_stripes;
             };
         match f d with
@@ -576,45 +458,21 @@ let atomic_closed (d : Descriptor.t) f =
 
 let engine ?config heap : Engine.t =
   let t = create ?config heap in
-  (* one [tx_ops] per descriptor, built up front: no per-tx closures *)
+  let dops = driver_ops t in
+  (* Full-arity closures: each access calls [read_word]/[write_word]
+     directly instead of going through a partial application's curry
+     stub, measurable on SwissTM's per-access path. *)
   let ops =
-    Array.init Stats.max_threads (fun tid ->
-        let d = t.descs.(tid) in
-        {
-          Engine.read =
-            (fun addr ->
-              (* one combined check on the everything-off fast path *)
-              if !Runtime.Exec.hooks_on then begin
-                if !Runtime.Exec.prof_on then
-                  Runtime.Exec.set_phase tid Runtime.Exec.ph_read;
-                let v = read_word t d addr in
-                if !Runtime.Exec.prof_on then
-                  Runtime.Exec.set_phase tid Runtime.Exec.ph_other;
-                if !Trace.enabled then Trace.on_read ~tid ~addr ~value:v;
-                v
-              end
-              else read_word t d addr);
-          write =
-            (fun addr v ->
-              if !Runtime.Exec.hooks_on then begin
-                if !Runtime.Exec.prof_on then
-                  Runtime.Exec.set_phase tid Runtime.Exec.ph_write;
-                write_word t d addr v;
-                if !Runtime.Exec.prof_on then
-                  Runtime.Exec.set_phase tid Runtime.Exec.ph_other;
-                if !Trace.enabled then Trace.on_write ~tid ~addr ~value:v
-              end
-              else write_word t d addr v);
-          alloc = (fun n -> Memory.Heap.alloc heap n);
-          free = (fun addr n -> Descriptor.buffer_free d addr n);
-        })
+    Package.ops_array ~heap ~descs:t.descs
+      ~read:(fun d addr -> read_word t d addr)
+      ~write:(fun d addr v -> write_word t d addr v)
+      ~free:Txdesc.buffer_free
   in
-  {
-    Engine.name;
-    heap;
-    atomic = (fun ~tid f -> atomic t ~tid (fun _ -> f ops.(tid)));
-    atomic_irrevocable =
-      (fun ~tid f -> atomic_irrevocable t ~tid (fun _ -> f ops.(tid)));
-    stats = (fun () -> Stats.snapshot t.stats);
-    reset_stats = (fun () -> Stats.reset t.stats);
-  }
+  Package.make ~name ~heap ~stats:t.stats ~ops
+    ~runner:
+      {
+        Package.run =
+          (fun ~tid ~irrevocable f ->
+            check_tid t tid;
+            Driver.run dops ~tid ~irrevocable f);
+      }

@@ -37,13 +37,6 @@ let tlrw = Tlrw Kernel.Tlrw.default_config
 let swisstm_priv_safe =
   Swisstm { Swisstm.Swisstm_config.default with privatization_safe = true }
 
-(* Epoch-based privatization (DESIGN.md §12): no commit-time barrier;
-   transaction boundaries announce quiescent states and [Heap.free]
-   defers privatized blocks until a grace period passes.  Only does
-   anything once [Memory.Epoch.arm] ran. *)
-let swisstm_priv_epoch =
-  Swisstm { Swisstm.Swisstm_config.default with privatization_epochs = true }
-
 (* Deliberately broken debug variant (validation disabled): exists so the
    fuzzer can prove its opacity checker catches a buggy engine.  Hidden
    from [known_names] so no benchmark picks it up by accident. *)
@@ -94,8 +87,7 @@ let name = function
         else Printf.sprintf "swisstm(%s)" (Cm.Cm_intf.spec_name c.cm)
       in
       let base = if c.debug_no_validation then base ^ "!noval" else base in
-      let base = if c.privatization_safe then base ^ "+quiescence" else base in
-      if c.privatization_epochs then base ^ "+epochs" else base
+      if c.privatization_safe then base ^ "+quiescence" else base
   | Tl2 c ->
       if c.Tl2.Tl2_engine.cm = Tl2.Tl2_engine.default_config.cm then "tl2"
       else Printf.sprintf "tl2(%s)" (Cm.Cm_intf.spec_name c.cm)
@@ -207,7 +199,6 @@ let of_string = function
   | "swisstm-timid" -> Some (swisstm_with ~cm:Cm.Cm_intf.Timid ())
   | "swisstm-greedy" -> Some (swisstm_with ~cm:Cm.Cm_intf.Greedy ())
   | "swisstm-priv" -> Some swisstm_priv_safe
-  | "swisstm-priv-epoch" -> Some swisstm_priv_epoch
   | "swisstm-broken" -> Some swisstm_broken
   | "mvstm" -> Some mvstm
   | "rstm-karma" -> Some (rstm_with ~cm:Cm.Cm_intf.Karma ())
@@ -234,8 +225,7 @@ let known_names =
   [
     "swisstm"; "tl2"; "tinystm"; "rstm"; "rstm-lazy"; "rstm-visible";
     "rstm-serializer"; "rstm-greedy"; "rstm-karma"; "rstm-timestamp";
-    "swisstm-timid"; "swisstm-greedy"; "swisstm-priv"; "swisstm-priv-epoch";
-    "mvstm";
+    "swisstm-timid"; "swisstm-greedy"; "swisstm-priv"; "mvstm";
     "swisstm-adaptive"; "tl2-adaptive"; "tinystm-adaptive"; "rstm-adaptive";
     "mvstm-adaptive"; "glock";
     "norec"; "tlrw"; "norec-adaptive"; "tlrw-adaptive";

@@ -48,12 +48,6 @@ val tlrw : spec
 val swisstm_priv_safe : spec
 (** SwissTM with the §6 quiescence barrier (privatization-safe commits). *)
 
-val swisstm_priv_epoch : spec
-(** SwissTM with epoch-based privatization (DESIGN.md §12): no commit-time
-    barrier; transaction boundaries announce quiescent states to
-    [Memory.Epoch] and [Heap.free] defers privatized blocks until a grace
-    period passes.  Only does anything once [Memory.Epoch.arm] ran. *)
-
 val swisstm_broken : spec
 (** DEBUG ONLY: SwissTM with read-set validation disabled
     ([debug_no_validation]).  Breaks opacity on purpose; the fuzzer uses it

@@ -481,14 +481,11 @@ let emergency_release t (d : Txdesc.t) =
   retract_visible t d;
   Hooks.emergency ~cm:t.cm ~ser:t.ser d
 
-let driver_ops t : Txdesc.t Driver.ops =
+let driver_ops t : Driver.ops =
   {
     Driver.ser = t.ser;
     cm = t.cm;
     descs = t.descs;
-    info = (fun (d : Txdesc.t) -> d.info);
-    get_depth = (fun (d : Txdesc.t) -> d.depth);
-    set_depth = (fun (d : Txdesc.t) n -> d.depth <- n);
     start = (fun d ~restart -> start t d ~restart);
     commit = (fun d -> commit t d);
     emergency = (fun d -> emergency_release t d);

@@ -13,23 +13,22 @@
      parked there is idle — no locks, no published snapshot, kill flag
      cleared on the next [start] — so the gate needs no kill polling.
 
-   Engines register their policy entry points in an ['d ops] record once
-   at creation, so running a transaction allocates no closures beyond
-   the [attempt] loop every engine already allocated. *)
+   Engines register their policy entry points in an [ops] record once at
+   creation, so running a transaction allocates no closures beyond the
+   [attempt] loop every engine already allocated.  Every engine runs on
+   the one [Txdesc.t], so depth and manager state are plain field
+   accesses here. *)
 
 open Stm_intf
 
-type 'd ops = {
+type ops = {
   ser : Serial.t;
   cm : Cm.Cm_intf.t;
-  descs : 'd array;
-  info : 'd -> Cm.Cm_intf.txinfo;
-  get_depth : 'd -> int;
-  set_depth : 'd -> int -> unit;
-  start : 'd -> restart:bool -> unit;
-  commit : 'd -> unit;
-  emergency : 'd -> unit;  (** release everything on a foreign exception *)
-  user_abort : 'd -> unit;
+  descs : Txdesc.t array;
+  start : Txdesc.t -> restart:bool -> unit;
+  commit : Txdesc.t -> unit;
+  emergency : Txdesc.t -> unit;  (** release everything on a foreign exception *)
+  user_abort : Txdesc.t -> unit;
       (** route a body-raised {!Tx_signal.Retry} through the engine's own
           rollback (reason [Killed]): locks release, the CM backs off and
           [succ_aborts] advances, so semantic conflicts feed the same
@@ -49,17 +48,15 @@ let make_descs ~seed () =
   Gc.finalise (Array.iter Txdesc.Pool.release) descs;
   descs
 
-let run (o : 'd ops) ~tid ~irrevocable f =
+let run (o : ops) ~tid ~irrevocable f =
   let d = o.descs.(tid) in
-  if o.get_depth d > 0 then begin
+  if d.depth > 0 then begin
     (* Flat nesting: an inner atomic block joins the enclosing one. *)
-    o.set_depth d (o.get_depth d + 1);
-    Fun.protect
-      ~finally:(fun () -> o.set_depth d (o.get_depth d - 1))
-      (fun () -> f d)
+    d.depth <- d.depth + 1;
+    Fun.protect ~finally:(fun () -> d.depth <- d.depth - 1) (fun () -> f d)
   end
   else
-    let info = o.info d in
+    let info = d.info in
     let rec attempt ~restart =
       if
         (irrevocable
@@ -76,21 +73,21 @@ let run (o : 'd ops) ~tid ~irrevocable f =
         Serial.gate o.ser ~tid ~check:nop_gate_check;
       o.start d ~restart;
       if escalated then info.Cm.Cm_intf.cm_ts <- 0;
-      o.set_depth d 1;
+      d.depth <- 1;
       match f d with
       | v ->
-          o.set_depth d 0;
+          d.depth <- 0;
           (try
              o.commit d;
              v
            with Tx_signal.Abort -> attempt ~restart:true)
       | exception Tx_signal.Abort ->
-          o.set_depth d 0;
+          d.depth <- 0;
           attempt ~restart:true
       | exception Tx_signal.Retry ->
           (* User-level abort request (boosting's semantic conflicts):
              unlike [Abort], the engine's rollback has NOT run yet. *)
-          o.set_depth d 0;
+          d.depth <- 0;
           (try o.user_abort d with Tx_signal.Abort -> ());
           attempt ~restart:true
       | exception e ->

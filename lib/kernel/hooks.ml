@@ -52,9 +52,12 @@ let[@inline] inject_stretch (d : Txdesc.t) =
 (* A kill is due when a contention manager requested one (the
    irrevocability-token holder is exempt: it must win every conflict) or
    the fault injector rolled one.  [Serial.mine] is only consulted behind
-   the kill flag, so the no-kill fast path is two flag loads. *)
+   the kill flag, so the no-kill fast path is two flag loads.  Called on
+   every read and write: the kill flag is read in place rather than
+   through [Cm_intf.kill_requested], one call fewer under [-opaque]. *)
 let[@inline] kill_due ~ser (d : Txdesc.t) =
-  (Cm.Cm_intf.kill_requested d.info && not (Serial.mine ser ~tid:d.tid))
+  (Runtime.Tmatomic.unsafe_get d.info.Cm.Cm_intf.kill <> 0
+  && not (Serial.mine ser ~tid:d.tid))
   || inject_abort d
 
 (* --- stripe conflicts ------------------------------------------------- *)
@@ -121,9 +124,11 @@ let[@inline] commit_entry (d : Txdesc.t) =
   Runtime.Exec.tick (Runtime.Costs.get ()).tx_end
 
 (* Shared epilogue of every successful commit (read-only and update):
-   trace, stats, metrics, log reset, manager notification, token-state
-   cleanup.  [exit_commit] is an idempotent plain store, so calling it on
-   paths that never entered the commit section is free and harmless.
+   trace, stats, metrics, buffered frees, manager notification,
+   token-state cleanup.  The logs are left as they are: nothing reads a
+   committed descriptor's logs, and the next [tx_begin] resets them.
+   [exit_commit] is an idempotent plain store, so calling it on paths that
+   never entered the commit section is free and harmless.
    [allow_snapshot] is MVSTM's "may serve old versions again" latch;
    setting it is a dead store for every other engine. *)
 let commit_done ~stats ~(cm : Cm.Cm_intf.t) ~ser ~heap (d : Txdesc.t) =
@@ -134,7 +139,6 @@ let commit_done ~stats ~(cm : Cm.Cm_intf.t) ~ser ~heap (d : Txdesc.t) =
      (epoch limbo when the reclaimer is armed, immediate recycling
      otherwise).  Cycle-free; the free-less case is one length check. *)
   Txdesc.flush_frees ~heap d;
-  Txdesc.clear_logs d;
   d.allow_snapshot <- true;
   cm.on_commit d.info;
   Serial.exit_commit ser ~tid:d.tid;

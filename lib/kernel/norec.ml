@@ -172,14 +172,11 @@ let start t (d : Txdesc.t) ~restart =
         Stats.wait t.stats ~tid:d.tid);
   Hooks.phase_other d.tid
 
-let driver_ops t : Txdesc.t Driver.ops =
+let driver_ops t : Driver.ops =
   {
     Driver.ser = t.ser;
     cm = t.cm;
     descs = t.descs;
-    info = (fun (d : Txdesc.t) -> d.info);
-    get_depth = (fun (d : Txdesc.t) -> d.depth);
-    set_depth = (fun (d : Txdesc.t) n -> d.depth <- n);
     start = (fun d ~restart -> start t d ~restart);
     commit = (fun d -> commit t d);
     emergency = (fun d -> Hooks.emergency ~cm:t.cm ~ser:t.ser d);

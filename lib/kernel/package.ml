@@ -3,11 +3,8 @@
    [ops_array] builds one [tx_ops] per descriptor up front, so the
    per-transaction fast path allocates no closures; each op keeps one
    combined [hooks_on] check on the everything-off fast path, with the
-   individual collector flags only consulted behind it.
-
-   SwissTM (the engine the wall-clock perf gate pins) hand-rolls its own
-   ops array with direct calls instead of going through the [read]/
-   [write] function parameters here; every other engine uses this. *)
+   individual collector flags only consulted behind it.  Every engine
+   packages itself through here. *)
 
 open Stm_intf
 

@@ -71,7 +71,7 @@ let entries =
       "SwissTM's locking under RSTM's commit-counter heuristic";
     composed
       (k Axes.Mixed Axes.Invisible Axes.Incremental)
-      "SwissTM's own point on the kernel (the classic engine hand-rolls it)";
+      "SwissTM's own point on the composed kernel engine";
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) entries

@@ -1,5 +1,5 @@
 (* The one transaction descriptor shared by every engine (the union of
-   the five per-engine descriptors the kernel refactor replaced).
+   the per-engine descriptors the kernel refactor replaced).
 
    Engines use the subset of fields their policies need; unused sets
    stay empty and their [clear] is O(1), so the union costs nothing on
@@ -22,9 +22,6 @@
 type savepoint = { sp_read_len : int; sp_acq_len : int }
 
 type t = {
-  (* Field order is part of the perf contract: the leading fields sit at
-     the offsets the wall-clock-gated SwissTM engine's descriptor always
-     had; kernel-only additions append after them. *)
   tid : int;
   info : Cm.Cm_intf.txinfo;
   mutable valid_ts : int;
@@ -103,10 +100,11 @@ let clear_sp_undo d =
   Stm_intf.Ivec.clear d.sp_undo_present
 
 (* Clears every log (all O(1)); [allow_snapshot] survives — MVSTM uses it
-   to carry "this restart may not re-enter snapshot mode" across aborts. *)
+   to carry "this restart may not re-enter snapshot mode" across aborts.
+   The savepoint shadow log is left alone: it is only read inside a
+   closed-nested scope, and opening a scope clears it. *)
 let clear_logs d =
   d.savepoint <- None;
-  clear_sp_undo d;
   Stm_intf.Rset.clear d.rset;
   Stm_intf.Ivec.clear d.acq_stripes;
   Stm_intf.Ivec.clear d.acq_saved;

@@ -45,7 +45,9 @@ val name : t -> string
 val heap : t -> Memory.Heap.t
 
 val atomic : t -> tid:int -> (tx_ops -> 'a) -> 'a
-(** Run a transaction from logical thread [tid] (0 .. 61). *)
+(** Run a transaction from logical thread [tid]
+    (0 .. [Stats.max_threads - 1]; some engines refuse earlier, see
+    {!Unsupported_thread_count}). *)
 
 val atomic_irrevocable : t -> tid:int -> (tx_ops -> 'a) -> 'a
 (** Like {!atomic}, but the transaction acquires the engine's

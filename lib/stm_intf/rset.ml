@@ -28,9 +28,9 @@
    ([add_unique]/[mem], duplicates rejected).  Mixing modes on one value
    would desynchronize journal and index.
 
-   The record is exposed concretely: swisstm's measured wall-clock
-   exemption keeps its validation loop in-engine with direct array access
-   instead of cross-module calls (see DESIGN.md §12). *)
+   The record is exposed concretely: dev builds compile with [-opaque], so
+   an engine whose per-read append and validation walk must not pay a
+   cross-module call each (swisstm) accesses the journal directly. *)
 
 type t = {
   mutable data : int array;  (* interleaved (key, value) journal *)

@@ -10,10 +10,11 @@
     {e index mode} ({!add_unique}/{!mem}; duplicates rejected).  Mixing
     modes on one value desynchronizes journal and index.
 
-    The representation is exposed concretely so swisstm's measured
-    wall-clock exemption can keep its validation loop in-engine with
-    direct array access (see DESIGN.md §12); every other client goes
-    through the functions below. *)
+    The representation is exposed concretely so an engine's per-read
+    append and validation walk can touch the journal without a
+    cross-module call (dev builds compile with [-opaque], which disables
+    cross-module inlining); other clients go through the functions
+    below. *)
 
 type t = {
   mutable data : int array;  (** interleaved (key, value) journal *)

@@ -292,14 +292,11 @@ let start t (d : Txdesc.t) ~restart =
 (* Retry driver with graceful degradation: see [Kernel.Driver] for the
    escalation protocol.  Like TL2, the commit gate freezes the clock under
    the token, so an escalated attempt cannot fail in a simulated run. *)
-let driver_ops t : Txdesc.t Driver.ops =
+let driver_ops t : Driver.ops =
   {
     Driver.ser = t.ser;
     cm = t.cm;
     descs = t.descs;
-    info = (fun (d : Txdesc.t) -> d.info);
-    get_depth = (fun (d : Txdesc.t) -> d.depth);
-    set_depth = (fun (d : Txdesc.t) n -> d.depth <- n);
     start = (fun d ~restart -> start t d ~restart);
     commit = (fun d -> commit t d);
     emergency = (fun d -> Hooks.emergency ~cm:t.cm ~ser:t.ser d);

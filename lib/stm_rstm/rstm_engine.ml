@@ -419,14 +419,11 @@ let emergency_release t (d : Txdesc.t) =
 (* Retry driver with graceful degradation: see [Kernel.Driver] for the
    escalation protocol.  RSTM's managers can kill, so the token holder
    runs with [cm_ts = 0] and wins every encounter. *)
-let driver_ops t : Txdesc.t Driver.ops =
+let driver_ops t : Driver.ops =
   {
     Driver.ser = t.ser;
     cm = t.cm;
     descs = t.descs;
-    info = (fun (d : Txdesc.t) -> d.info);
-    get_depth = (fun (d : Txdesc.t) -> d.depth);
-    set_depth = (fun (d : Txdesc.t) n -> d.depth <- n);
     start = (fun d ~restart -> start t d ~restart);
     commit = (fun d -> commit t d);
     emergency = (fun d -> emergency_release t d);

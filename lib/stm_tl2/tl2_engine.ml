@@ -155,14 +155,11 @@ let start t (d : Txdesc.t) ~restart =
    cannot fail in a simulated run — the commit gate freezes the clock, so
    no read validation can observe a newer version and no commit-time lock
    can be held by anyone else once in-flight commits drained. *)
-let driver_ops t : Txdesc.t Driver.ops =
+let driver_ops t : Driver.ops =
   {
     Driver.ser = t.ser;
     cm = t.cm;
     descs = t.descs;
-    info = (fun (d : Txdesc.t) -> d.info);
-    get_depth = (fun (d : Txdesc.t) -> d.depth);
-    set_depth = (fun (d : Txdesc.t) n -> d.depth <- n);
     start = (fun d ~restart -> start t d ~restart);
     commit = (fun d -> commit t d);
     emergency = (fun d -> Hooks.emergency ~cm:t.cm ~ser:t.ser d);

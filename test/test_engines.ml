@@ -114,6 +114,27 @@ let test_user_exception_releases spec () =
         true
         (v = 6 || v = 7))
 
+(* A user exception must also withdraw the §6 quiescence slot: otherwise
+   the failed transaction's snapshot stays published and every later
+   update commit from another thread waits on it forever.  The per-engine
+   case above reuses tid 0, whose next begin overwrites the slot, so it
+   cannot see this; here tid 1 commits after tid 0's failure. *)
+let test_priv_user_exception_unblocks () =
+  with_engine Engines.swisstm_priv_safe (fun heap e ->
+      let a = Memory.Heap.alloc heap 4 in
+      ignore
+        (Runtime.Sim.run ~cap_cycles:10_000_000
+           [|
+             (fun () ->
+               (try
+                  Stm_intf.Engine.atomic e ~tid:0 (fun tx ->
+                      tx.write a 6;
+                      failwith "user bug")
+                with Failure _ -> ());
+               Stm_intf.Engine.atomic e ~tid:1 (fun tx -> tx.write a 7));
+           |]);
+      check Alcotest.int "tid 1 committed" 7 (Memory.Heap.read heap a))
+
 let test_stats_accounting spec () =
   with_engine spec (fun heap e ->
       let a = Memory.Heap.alloc heap 4 in
@@ -302,6 +323,11 @@ let suite =
           Alcotest.test_case "swisstm" `Quick test_swisstm_lock_encoding;
           Alcotest.test_case "tl2" `Quick test_tl2_lock_encoding;
           Alcotest.test_case "tinystm" `Quick test_tinystm_lock_encoding;
+        ] );
+      ( "quiescence-slots",
+        [
+          Alcotest.test_case "swisstm-priv user exception unblocks committers"
+            `Quick test_priv_user_exception_unblocks;
         ] );
       ( "irrevocability",
         List.concat_map

@@ -46,6 +46,19 @@ let frozen =
         ~reads:2910 ~writes:1812 ~wasted:406369 ~elapsed:869304,
       [| 270; 405; 421; 556; 833; 844; 1240; 1255; 9005; 9069; 9100; 9327;
          9461; 9525; 9556 |] );
+    (* Captured on the tree just before SwissTM moved onto the kernel's
+       descriptor, driver and hooks: they hold the throttle/escalation and
+       timid-manager paths that move into [Kernel.Driver]/[Kernel.Hooks]. *)
+    ( "swisstm-adaptive",
+      summary ~commits:480 ~ww:216 ~rw:26 ~killed:0 ~waits:4464 ~backoffs:242
+        ~reads:3002 ~writes:1905 ~wasted:438347 ~elapsed:698005,
+      [| 150; 285; 301; 436; 713; 724; 1120; 1135; 1324; 1387; 1417; 1643;
+         1713; 1776; 1806 |] );
+    ( "swisstm-timid",
+      summary ~commits:480 ~ww:252 ~rw:26 ~killed:0 ~waits:4441 ~backoffs:278
+        ~reads:3082 ~writes:2000 ~wasted:544778 ~elapsed:722020,
+      [| 150; 285; 301; 436; 713; 724; 1120; 1135; 1324; 1387; 1417; 1643;
+         1713; 1776; 1806 |] );
     ( "tl2",
       summary ~commits:480 ~ww:9 ~rw:41 ~killed:0 ~waits:0 ~backoffs:50
         ~reads:2565 ~writes:1503 ~wasted:55387 ~elapsed:234742,
@@ -167,8 +180,8 @@ let test_registry_coverage () =
         true
         (List.mem e.name Engines.known_names))
     composed;
-  (* swisstm's own point is listed twice: the classic hand-rolled engine
-     and its composed twin (the hot-path exemption, DESIGN.md §10). *)
+  (* swisstm's own point is listed twice: the dedicated engine (with its
+     quiescence slots and closed nesting) and its composed twin. *)
   Alcotest.(check bool)
     "composed twin at swisstm's point" true
     (List.exists
