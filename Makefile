@@ -39,12 +39,14 @@ check: build
 # cycles), every composed design point run + fuzzed under its contract,
 # one composed point exercised end-to-end through the CLI, and the
 # line-budget guard: the five engines, all expressed over lib/kernel, stay
-# within their current line counts (the pre-kernel total was 2576), so
-# code the kernel absorbed cannot quietly grow back.
+# within their current line counts (the pre-kernel total was 2576), and
+# so do the other engine files, the composed engine and the shared
+# visible-reader set, so code the kernel absorbed cannot quietly grow
+# back.
 ENGINE_FILES = lib/core/swisstm_engine.ml lib/stm_tl2/tl2_engine.ml \
                lib/stm_tiny/tinystm_engine.ml lib/stm_rstm/rstm_engine.ml \
                lib/stm_mv/mvstm_engine.ml
-ENGINE_BUDGET = 1649
+ENGINE_BUDGET = 1478
 
 kernel-smoke: build
 	dune exec test/test_main.exe -- test kernel-differential
@@ -58,10 +60,11 @@ kernel-smoke: build
 	   echo "LoC budget ok: engine files total $$total lines (<= $(ENGINE_BUDGET))"; \
 	 fi
 	@fail=0; \
-	 for spec in lib/core/swisstm_engine.ml:478 lib/stm_tl2/tl2_engine.ml:189 \
-	             lib/stm_tiny/tinystm_engine.ml:218 lib/stm_rstm/rstm_engine.ml:469 \
-	             lib/stm_mv/mvstm_engine.ml:327 \
-	             lib/kernel/norec.ml:240 lib/kernel/tlrw.ml:320 \
+	 for spec in lib/core/swisstm_engine.ml:476 lib/stm_tl2/tl2_engine.ml:157 \
+	             lib/stm_tiny/tinystm_engine.ml:188 lib/stm_rstm/rstm_engine.ml:362 \
+	             lib/stm_mv/mvstm_engine.ml:295 \
+	             lib/kernel/norec.ml:183 lib/kernel/tlrw.ml:185 \
+	             lib/kernel/compose.ml:431 lib/kernel/readers.ml:98 \
 	             lib/kernel/seqlock.ml:60 lib/stm_intf/vset.ml:40; do \
 	   f=$${spec%%:*}; cap=$${spec##*:}; n=$$(wc -l < $$f); \
 	   if [ $$n -gt $$cap ]; then \

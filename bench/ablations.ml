@@ -20,7 +20,12 @@ let nesting_workload ~nested ~threads =
   let heap = Memory.Heap.create ~words:(1 lsl 18) in
   let private_base = Memory.Heap.alloc heap (64 * 64) in
   let hot = Memory.Heap.alloc heap 8 in
-  let t = Swisstm.Swisstm_engine.create heap in
+  let t =
+    let s = Engines.swisstm in
+    Swisstm.Swisstm_engine.create ~cm:s.cm
+      ~granularity_words:s.granularity_words ~table_bits:s.table_bits
+      ~privatization_safe:false ~debug_no_validation:false heap
+  in
   let ops = 400 in
   let body tid () =
     let rng = Runtime.Rng.for_thread ~seed:21 ~tid in

@@ -12,7 +12,7 @@ let engines =
     ("tl2", Engines.tl2);
     ("tinystm", Engines.tinystm);
     ("rstm", Engines.rstm);
-    ("glock", Engines.Glock);
+    ("glock", Engines.glock);
   ]
 
 (* One committed transaction doing [reads] reads + [writes] writes over a

@@ -1,8 +1,8 @@
 (* Perf regression gate: a fixed micro + Figure-2-style workload matrix,
-   emitted as JSON (default [BENCH_PR1.json]) so successive PRs can be
+   emitted as JSON (default [BENCH_PR10.json]) so successive PRs can be
    diffed mechanically.
 
-   Three sections:
+   Sections, in output order:
 
    - "wlog_fastpath": the redo-log access pattern of one 8-write /
      8-read-after-write transaction run directly against [Stm_intf.Wlog]
@@ -12,7 +12,12 @@
    - "micro_ns_per_tx": wall-clock ns per committed transaction for each
      engine over the ro / rw / wo / raw shapes (manual monotonic timing,
      best of 3 batches), plus improvement of swisstm rw against the frozen
-     seed baseline measured with the Hashtbl write log.
+     seed baseline measured with the Hashtbl write log
+     ("swisstm_rw_vs_seed") and against the [pr5_swisstm_rw_ns] floor
+     ("swisstm_rw_vs_pr5").
+   - "observability": the observability-off swisstm rw ns/tx against
+     [pr2_swisstm_rw_ns] (overhead %), and whether the smoke sb7 matrix
+     stayed bit-identical to [pr4_sb7_smoke_cycles].
    - "sb7": simulated STMBench7 matrix (engine x workload x threads) with
      ktps, simulated elapsed cycles and abort rate — cycle numbers are
      deterministic, so any diff against a previous BENCH_PR*.json flags a
@@ -25,6 +30,10 @@
    - "crossover" (PR 7): the NOrec-vs-TL2 matrix (bench/crossover.ml) —
      deterministic simulated ktps per thread count plus the three named
      shape checks (NOrec ahead at 1 and 2 threads, behind at the top).
+   - "service": the open-system SLO ramp — per-engine offered /
+     completed load, p50 / p99.9 latency, tail amplification and retries
+     — with the SLO checks, frozen against [pr8_service_smoke] in smoke
+     mode.
    - "boost" (PR 9): the boosted-vs-word collections matrix
      (bench/boost_bench.ml) — deterministic simulated makespans for the
      contended update mix over the boosted map/pqueue and their
@@ -282,7 +291,7 @@ let engines =
     ("tl2", Engines.tl2);
     ("tinystm", Engines.tinystm);
     ("rstm", Engines.rstm);
-    ("glock", Engines.Glock);
+    ("glock", Engines.glock);
   ]
 
 let micro_shapes = [ "ro"; "rw"; "wo"; "raw"; "raw-16r2w" ]

@@ -106,7 +106,7 @@ let () =
      and-retry (counted as killed aborts), stalls and stretches lengthen
      the critical section.  Assert it completes and that each fault class
      actually fired through its hooks. *)
-  let r, injected = storm_run Engines.Glock in
+  let r, injected = storm_run Engines.glock in
   let killed = r.Harness.Workload.stats.s_aborts_killed in
   let stretches = Runtime.Inject.injected_stretches () in
   let ok =

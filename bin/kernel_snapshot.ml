@@ -4,23 +4,32 @@
    output over the frozen table.  The test suite replays the same probes
    and compares, so no separate `--check` mode is needed. *)
 
-(* Composed kernel points are printed too when asked ([--all]), but the
-   frozen differential table in test/test_kernel.ml covers the dedicated
-   engine names only: composed points have no pre-refactor baseline to
-   hold.  norec/tlrw joined the frozen set in PR 7 (captured at their
-   introduction, so later refactors are held to bit-identical behavior).
-   swisstm-adaptive and swisstm-timid pin the adaptive throttle /
-   escalation bridging and the timid manager on SwissTM's locks. *)
+(* [classic_names] is exactly the frozen differential table in
+   test/test_kernel.ml; [--all] adds any registered composed point that
+   has no frozen row yet.  norec/tlrw were captured at their
+   introduction, so later refactors are held to bit-identical
+   behavior.  swisstm-adaptive and swisstm-timid pin the
+   adaptive throttle / escalation bridging and the timid manager on
+   SwissTM's locks; tl2-adaptive pins the [with_cm] path of the benchmark
+   engine.  The six composed [k-...] points were captured on the tree just
+   before the flat [Engines.spec] and the shared visible-reader set
+   rewrote [Kernel.Compose]. *)
 let classic_names =
   [
     "swisstm"; "swisstm-priv"; "swisstm-adaptive"; "swisstm-timid"; "tl2";
-    "tinystm"; "rstm"; "rstm-lazy"; "rstm-visible"; "mvstm"; "glock";
-    "norec"; "tlrw";
+    "tl2-adaptive"; "tinystm"; "rstm"; "rstm-lazy"; "rstm-visible"; "mvstm";
+    "glock"; "norec"; "tlrw"; "k-eager+inv+commit+redo";
+    "k-lazy+inv+incr+redo"; "k-mixed+inv+commit+redo";
+    "k-eager+vis+commit+redo"; "k-mixed+inv+counter+redo";
+    "k-mixed+inv+incr+redo";
   ]
 
 let names =
   if Array.exists (( = ) "--all") Sys.argv then
-    classic_names @ Engines.kernel_names
+    classic_names
+    @ List.filter
+        (fun n -> not (List.mem n classic_names))
+        Engines.kernel_names
   else classic_names
 
 let () =

@@ -58,7 +58,7 @@ let () =
   List.iter
     (fun threads ->
       let tm = run Engines.swisstm threads in
-      let gl = run Engines.Glock threads in
+      let gl = run Engines.glock threads in
       Printf.printf "%8d  %14.0f  %14.0f\n%!" threads tm gl)
     [ 1; 2; 4; 8 ];
   print_endline "OK (red-black invariants verified after every run)"

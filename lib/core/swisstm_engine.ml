@@ -35,7 +35,15 @@ type t = {
   stats : Stats.t;
   eid : int;  (** metrics-registry engine id *)
   privatization_safe : bool;
+      (** §6 extension: quiescence at commit — every committing update
+          transaction waits until all transactions that started before its
+          commit have validated, committed or aborted, making the
+          privatization idiom safe at a measurable cost *)
   debug_no_validation : bool;
+      (** DEBUG ONLY: make read-set validation vacuously succeed, so stale
+          reads survive extension and commit.  Deliberately breaks opacity;
+          exists so the fuzzer's checker can prove it catches a broken
+          engine ([stm_fuzz --self-check]). *)
   active : Runtime.Tmatomic.t array;
       (** snapshot ts while in a tx, [max_int] idle — quiescence table §6 *)
   ser : Serial.t;
@@ -46,11 +54,14 @@ type t = {
 
 let name = "swisstm"
 
-let create ?(config = Swisstm_config.default) heap =
-  let stripe =
-    Memory.Stripe.create ~granularity_words:config.Swisstm_config.granularity_words
-      ~table_bits:config.table_bits ()
-  in
+(* Size of the §6 quiescence table — the engine's thread cap when
+   [privatization_safe] is set: a committer scans (and is charged for)
+   every slot, so the table stays as small as the runs need. *)
+let quiesce_slots = 64
+
+let create ~cm ~granularity_words ~table_bits ~privatization_safe
+    ~debug_no_validation heap =
+  let stripe = Memory.Stripe.create ~granularity_words ~table_bits () in
   let locks = Lock_table.create stripe in
   {
     heap;
@@ -60,13 +71,13 @@ let create ?(config = Swisstm_config.default) heap =
     shift = Memory.Stripe.log2_granularity stripe;
     imask = Memory.Stripe.index_mask stripe;
     commit_ts = Runtime.Tmatomic.make 0;
-    cm = Cm.Factory.make config.cm;
-    descs = Driver.make_descs ~seed:config.seed ();
+    cm = Cm.Factory.make cm;
+    descs = Driver.make_descs ();
     stats = Stats.create ();
     eid = Obs.Metrics.register_engine name;
-    privatization_safe = config.privatization_safe;
-    debug_no_validation = config.debug_no_validation;
-    active = Array.init config.quiesce_slots (fun _ -> Runtime.Tmatomic.make max_int);
+    privatization_safe;
+    debug_no_validation;
+    active = Array.init quiesce_slots (fun _ -> Runtime.Tmatomic.make max_int);
     ser = Serial.create ();
   }
 
@@ -410,19 +421,9 @@ let driver_ops t : Driver.ops =
         rollback t d Tx_signal.Killed);
   }
 
-(* The quiescence table is a hard per-engine thread cap. *)
-let check_tid t tid =
-  if t.privatization_safe then
-    Engine.check_tid_limit ~engine:"swisstm-priv"
-      ~limit:(Array.length t.active) tid
-
-let atomic t ~tid f =
-  check_tid t tid;
-  Driver.run (driver_ops t) ~tid ~irrevocable:false f
-
-let atomic_irrevocable t ~tid f =
-  check_tid t tid;
-  Driver.run (driver_ops t) ~tid ~irrevocable:true f
+(* Direct entry for callers that drive [read_word]/[write_word] and
+   [atomic_closed] themselves (closed-nesting tests and ablations). *)
+let atomic t ~tid f = Driver.run (driver_ops t) ~tid ~irrevocable:false f
 
 (* --- closed nesting (paper §6 extension) -------------------------------- *)
 
@@ -456,23 +457,20 @@ let atomic_closed (d : Txdesc.t) f =
 
 (* --- packaging as a uniform engine ------------------------------------- *)
 
-let engine ?config heap : Engine.t =
-  let t = create ?config heap in
-  let dops = driver_ops t in
-  (* Full-arity closures: each access calls [read_word]/[write_word]
-     directly instead of going through a partial application's curry
-     stub, measurable on SwissTM's per-access path. *)
-  let ops =
-    Package.ops_array ~heap ~descs:t.descs
-      ~read:(fun d addr -> read_word t d addr)
-      ~write:(fun d addr v -> write_word t d addr v)
-      ~free:Txdesc.buffer_free
+let engine ~cm ~granularity_words ~table_bits ~privatization_safe
+    ~debug_no_validation heap : Engine.t =
+  let t =
+    create ~cm ~granularity_words ~table_bits ~privatization_safe
+      ~debug_no_validation heap
   in
-  Package.make ~name ~heap ~stats:t.stats ~ops
-    ~runner:
-      {
-        Package.run =
-          (fun ~tid ~irrevocable f ->
-            check_tid t tid;
-            Driver.run dops ~tid ~irrevocable f);
-      }
+  (* The quiescence table is a hard thread cap when it is in use.  Full-
+     arity closures: each access calls [read_word]/[write_word] directly
+     instead of going through a partial application's curry stub,
+     measurable on SwissTM's per-access path. *)
+  Package.make ~name ~heap ~stats:t.stats
+    ?cap:
+      (if privatization_safe then Some ("swisstm-priv", quiesce_slots)
+       else None)
+    (driver_ops t)
+    ~read:(fun d addr -> read_word t d addr)
+    ~write:(fun d addr v -> write_word t d addr v)

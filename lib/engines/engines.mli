@@ -3,19 +3,43 @@
     Every experiment in the paper is a choice of
     (benchmark, spec list, thread counts). *)
 
-type spec =
-  | Swisstm of Swisstm.Swisstm_config.t
-  | Tl2 of Tl2.Tl2_engine.config
-  | Tinystm of Tinystm.Tinystm_engine.config
-  | Rstm of Rstm.Rstm_engine.config
-  | Mvstm of Mvstm.Mvstm_engine.config
+type family =
+  | Swisstm of { privatization_safe : bool; debug_no_validation : bool }
+      (** [privatization_safe]: the §6 quiescence barrier.
+          [debug_no_validation]: DEBUG ONLY, validation disabled. *)
+  | Tl2
+  | Tinystm
+  | Rstm of {
+      acquire : Rstm.Rstm_engine.acquire;
+      visibility : Rstm.Rstm_engine.visibility;
+    }
+  | Mvstm of { max_chain : int }
+      (** version records kept per stripe before truncation *)
   | Glock
-  | Norec of Kernel.Norec.config
-  | Tlrw of Kernel.Tlrw.config
-  | Kernel of Kernel.Compose.config
+  | Norec
+  | Tlrw
+  | Kernel of Kernel.Axes.point
       (** A composed design point from {!Kernel.Registry}: an axis
           combination (acquisition × visibility × validation) that none of
           the dedicated engines implements, run by {!Kernel.Compose}. *)
+
+type spec = {
+  family : family;
+  cm : Cm.Cm_intf.spec;
+      (** Contention manager.  For TL2/TinySTM/MVSTM/NOrec it governs
+          rollback back-off, the adaptive throttle and the escalation
+          budget only — conflict resolution at acquisition stays timid.
+          Ignored by [Glock]. *)
+  granularity_words : int;  (** stripe size (Figure 13 / Table 2) *)
+  table_bits : int;  (** log2 of the lock/version-table size *)
+}
+(** An engine: its family plus the knobs the paper sweeps across every
+    family alike.  NOrec and [Glock] have no stripes and ignore
+    [granularity_words]/[table_bits]. *)
+
+val of_family : family -> spec
+(** The family with its default manager (paper §4), 4-word stripes and
+    a 2^18-entry table. *)
 
 val swisstm : spec
 (** The paper's SwissTM: mixed invalidation, two-phase CM, 4-word stripes. *)
@@ -33,6 +57,9 @@ val rstm : spec
 val mvstm : spec
 (** Multi-version extension (paper §6): TL2-style updates plus version
     chains serving consistent old snapshots to read-only transactions. *)
+
+val glock : spec
+(** Single global lock, no speculation: the serial control. *)
 
 val norec : spec
 (** NOrec ({!Kernel.Norec}): no per-location metadata — one global
@@ -69,12 +96,13 @@ val swisstm_with :
   spec
 
 val with_cm : Cm.Cm_intf.spec -> spec -> spec
-(** Swap the contention manager of any spec ([Glock] is unchanged).  For
-    TL2/TinySTM/MVSTM the manager governs rollback back-off, the adaptive
-    throttle and the escalation budget only — conflict resolution at
-    acquisition stays timid. *)
+(** [{ spec with cm }]. *)
 
 val name : spec -> string
+(** The family's label, with ["(cm)"] appended when the manager is not
+    the family's default; RSTM's label always names its manager,
+    [Glock]'s never does.  Keys [Obs.Metrics] and every bench table. *)
+
 val make : spec -> Memory.Heap.t -> Stm_intf.Engine.t
 
 type contract = Opaque | Serializable
@@ -88,11 +116,11 @@ val contract : spec -> contract
     designs). *)
 
 val with_granularity : int -> spec -> spec
-(** Override the stripe size (Figure 13 / Table 2 sweeps). *)
+(** [{ spec with granularity_words }] (Figure 13 / Table 2 sweeps). *)
 
 val with_table_bits : int -> spec -> spec
-(** Override the lock/version-table size.  The fuzzer uses small tables
-    so per-run engine construction stays cheap; collisions only add false
+(** [{ spec with table_bits }].  The fuzzer uses small tables so per-run
+    engine construction stays cheap; collisions only add false
     conflicts. *)
 
 val of_string : string -> spec option

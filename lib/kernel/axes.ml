@@ -33,7 +33,12 @@
      consistent with one memory snapshot).
    - [versioning]: [Redo] keeps a single version plus a redo log;
      [Multi] additionally maintains per-stripe version chains so
-     read-only transactions can be served old values (MVSTM). *)
+     read-only transactions can be served old values (MVSTM).
+
+   The contention manager, stripe granularity and table size are not
+   axes of a point: the paper sweeps them across every engine alike
+   (§5, Figures 10–13), so they sit on the flat [Engines.spec] next to
+   the engine family, and every engine takes them the same way. *)
 
 type acquisition = Eager | Mixed | Lazy | Seqlock | Bytelock
 type visibility = Invisible | Visible

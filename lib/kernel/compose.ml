@@ -12,7 +12,8 @@
      freezes at encounter (TinySTM-style: a writer blocks readers for its
      whole duration), Mixed and Lazy only for the commit write-back
      (SwissTM-style);
-   - [readers] : visible-reader bitmap (Visible mode only).
+   - [readers] : the shared visible-reader set ([Readers]; Visible mode
+     only — its 62-tid cap is then the engine's thread cap).
 
    Readers that meet a long-lived freeze (Eager) or an owned stripe
    (Visible) arbitrate through the contention manager, so no composition
@@ -31,6 +32,11 @@
    Visible compositions need no read log at all: every write to a stripe
    we read must drain our reader bit first, so reads stay valid by
    construction.
+
+   The point is the whole configuration this file owns: the manager,
+   stripe granularity and table size arrive as the same three arguments
+   every engine takes (the flat [Engines.spec]), and [engine] packages
+   the policy with one [Package.make] call.
 
    Versioning is Redo only; Multi remains classic MVSTM's (the chain
    walk is not worth generalizing — paper §6 found no advantage).  The
@@ -51,29 +57,12 @@ let unreachable point why =
        (Printf.sprintf "Kernel.Compose cannot run %s: %s"
           (Axes.point_name point) why))
 
-type config = {
-  point : Axes.point;
-  cm : Cm.Cm_intf.spec;
-  granularity_words : int;
-  table_bits : int;
-  seed : int;
-}
-
-let default_config point =
-  {
-    point;
-    cm = Cm.Cm_intf.Polka;
-    granularity_words = 4;
-    table_bits = 18;
-    seed = 0xC0FFEE;
-  }
-
 type t = {
   heap : Memory.Heap.t;
   stripe : Memory.Stripe.t;
   w_locks : Runtime.Tmatomic.t array;
   r_locks : Runtime.Tmatomic.t array;
-  readers : Runtime.Tmatomic.t array;
+  readers : Readers.t;
   clock : Runtime.Tmatomic.t;
   point : Axes.point;
   cm : Cm.Cm_intf.t;
@@ -90,8 +79,7 @@ let is_frozen rv = rv land 1 = 1
 let encode_version v = v lsl 1
 let version_of rv = rv lsr 1
 
-let create ?config point heap =
-  let config = match config with Some c -> c | None -> default_config point in
+let create ~cm ~granularity_words ~table_bits point heap =
   if point.Axes.versioning = Axes.Multi then
     unreachable point "Multi versioning is the dedicated mvstm engine only";
   (match point.Axes.acquisition with
@@ -105,10 +93,7 @@ let create ?config point heap =
   if point.Axes.validation = Axes.Value then
     unreachable point
       "value-based validation needs the global sequence lock (norec only)";
-  let stripe =
-    Memory.Stripe.create ~granularity_words:config.granularity_words
-      ~table_bits:config.table_bits ()
-  in
+  let stripe = Memory.Stripe.create ~granularity_words ~table_bits () in
   let n = Memory.Stripe.table_size stripe in
   let lines = Array.init n (fun _ -> Runtime.Tmatomic.fresh_line ()) in
   {
@@ -116,31 +101,17 @@ let create ?config point heap =
     stripe;
     w_locks = Array.init n (fun i -> Runtime.Tmatomic.make_shared lines.(i) 0);
     r_locks = Array.init n (fun i -> Runtime.Tmatomic.make_shared lines.(i) 0);
-    readers = Array.init n (fun i -> Runtime.Tmatomic.make_shared lines.(i) 0);
+    readers = Readers.create lines;
     clock = Runtime.Tmatomic.make 0;
     point;
-    cm = Cm.Factory.make config.cm;
-    descs = Driver.make_descs ~seed:config.seed ();
+    cm = Cm.Factory.make cm;
+    descs = Driver.make_descs ();
     stats = Stats.create ();
     eid = Obs.Metrics.register_engine (name_of_point point);
     ser = Serial.create ();
   }
 
 (* --- rollback --------------------------------------------------------- *)
-
-let retract_visible t (d : Txdesc.t) =
-  Rset.iter
-    (fun idx _ ->
-      let r = t.readers.(idx) in
-      let bit = 1 lsl d.tid in
-      let rec clear () =
-        let cur = Runtime.Tmatomic.get r in
-        if cur land bit <> 0 then
-          if not (Runtime.Tmatomic.cas r ~expect:cur ~replace:(cur land lnot bit))
-          then clear ()
-      in
-      clear ())
-    d.vreads
 
 (* [acq_saved] holds the pre-freeze r-lock values, aligned with the
    frozen prefix of [acq_stripes] (all of it for Eager, none of it before
@@ -157,7 +128,7 @@ let release_locks t (d : Txdesc.t) =
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
   release_locks t d;
-  retract_visible t d;
+  Readers.retract_all t.readers d;
   Hooks.rollback ~stats:t.stats ~cm:t.cm ~ser:t.ser d ~reason
 
 let check_kill t d =
@@ -221,15 +192,9 @@ let settle_version t (d : Txdesc.t) version =
 
 (* CM-arbitrated wait on the owner of [idx] (long-lived conflicts:
    Eager freeze, Visible read of an owned stripe, w/w encounters). *)
-let cm_wait t (d : Txdesc.t) idx ~owner ~reason =
-  check_kill t d;
-  Hooks.stripe_conflict ~eid:t.eid ~stripe:idx;
-  let victim = (t.descs.(owner - 1)).info in
-  match Hooks.cm_resolve ~stats:t.stats ~ser:t.ser ~cm:t.cm d ~victim with
-  | Cm.Cm_intf.Abort_self -> rollback t d reason
-  | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim ->
-      Stats.wait t.stats ~tid:d.tid;
-      Runtime.Exec.pause ()
+let cm_wait t d idx ~owner ~reason =
+  Readers.cm_wait ~eid:t.eid ~stats:t.stats ~ser:t.ser ~cm:t.cm ~descs:t.descs
+    ~rollback:(rollback t) d idx ~owner ~reason
 
 let rec read_invisible t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
   let rv = Runtime.Tmatomic.get t.r_locks.(idx) in
@@ -271,18 +236,7 @@ let rec read_invisible t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
 let rec read_visible t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
   (* Announce BEFORE reading: a writer acquiring afterwards must drain our
      bit; writers that acquired before are caught by the ownership check. *)
-  if not (Rset.mem d.vreads idx) then begin
-    let r = t.readers.(idx) in
-    let bit = 1 lsl d.tid in
-    let rec announce () =
-      let cur = Runtime.Tmatomic.get r in
-      if cur land bit = 0 then
-        if not (Runtime.Tmatomic.cas r ~expect:cur ~replace:(cur lor bit)) then
-          announce ()
-    in
-    announce ();
-    ignore (Rset.add_unique d.vreads idx 0 : bool)
-  end;
+  Readers.announce t.readers d idx;
   let wv = Runtime.Tmatomic.get t.w_locks.(idx) in
   if wv <> 0 && wv <> d.tid + 1 then begin
     cm_wait t d idx ~owner:wv ~reason:Tx_signal.Rw_validation;
@@ -342,31 +296,6 @@ let read_word t (d : Txdesc.t) addr =
 
 (* --- write ------------------------------------------------------------- *)
 
-(* Abort or wait out every visible reader of [idx] other than ourselves. *)
-let drain_readers t (d : Txdesc.t) idx =
-  let r = t.readers.(idx) in
-  let mine = 1 lsl d.tid in
-  let rec go () =
-    let cur = Runtime.Tmatomic.get r in
-    let others = cur land lnot mine in
-    if others <> 0 then begin
-      check_kill t d;
-      let victim_tid =
-        let b = others land -others in
-        let rec log2 n acc = if n = 1 then acc else log2 (n lsr 1) (acc + 1) in
-        log2 b 0
-      in
-      let victim = (t.descs.(victim_tid)).info in
-      (match Hooks.cm_resolve ~stats:t.stats ~ser:t.ser ~cm:t.cm d ~victim with
-      | Cm.Cm_intf.Abort_self -> rollback t d Tx_signal.Rw_validation
-      | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim ->
-          Stats.wait t.stats ~tid:d.tid;
-          Runtime.Exec.pause ());
-      go ()
-    end
-  in
-  go ()
-
 (* Freeze [idx]'s r-lock (we hold its w-lock), saving the pre-freeze value
    for abort restoration and the version for self-validation. *)
 let freeze_stripe t (d : Txdesc.t) idx =
@@ -374,7 +303,9 @@ let freeze_stripe t (d : Txdesc.t) idx =
   Ivec.push d.acq_saved rv;
   Wlog.replace d.acq_version idx (version_of rv);
   Runtime.Tmatomic.set t.r_locks.(idx) r_frozen;
-  if t.point.Axes.visibility = Axes.Visible then drain_readers t d idx;
+  if t.point.Axes.visibility = Axes.Visible then
+    Readers.drain t.readers ~stats:t.stats ~ser:t.ser ~cm:t.cm ~descs:t.descs
+      ~rollback:(rollback t) d idx;
   version_of rv
 
 (* CM-arbitrated w-lock acquisition (Eager/Mixed at encounter, Lazy at
@@ -431,7 +362,7 @@ let commit t (d : Txdesc.t) =
     | Axes.Eager | Axes.Mixed -> Txdesc.is_read_only d
   in
   if ro then begin
-    retract_visible t d;
+    Readers.retract_all t.readers d;
     Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
   else begin
@@ -466,7 +397,7 @@ let commit t (d : Txdesc.t) =
         Runtime.Tmatomic.set t.r_locks.(idx) (encode_version ts);
         Runtime.Tmatomic.set t.w_locks.(idx) 0)
       d.acq_stripes;
-    retract_visible t d;
+    Readers.retract_all t.readers d;
     Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
 
@@ -478,44 +409,23 @@ let start t (d : Txdesc.t) ~restart =
 
 let emergency_release t (d : Txdesc.t) =
   release_locks t d;
-  retract_visible t d;
+  Readers.retract_all t.readers d;
   Hooks.emergency ~cm:t.cm ~ser:t.ser d
 
-let driver_ops t : Driver.ops =
-  {
-    Driver.ser = t.ser;
-    cm = t.cm;
-    descs = t.descs;
-    start = (fun d ~restart -> start t d ~restart);
-    commit = (fun d -> commit t d);
-    emergency = (fun d -> emergency_release t d);
-    user_abort = (fun d -> rollback t d Tx_signal.Killed);
-  }
-
-let check_tid t tid =
-  if t.point.Axes.visibility = Axes.Visible then
-    Engine.check_tid_limit ~engine:"kernel-compose-visible" ~limit:62 tid
-
-let atomic t ~tid f =
-  check_tid t tid;
-  Driver.run (driver_ops t) ~tid ~irrevocable:false f
-
-let atomic_irrevocable t ~tid f =
-  check_tid t tid;
-  Driver.run (driver_ops t) ~tid ~irrevocable:true f
-
-let engine ?config point heap : Engine.t =
-  let t = create ?config point heap in
-  let dops = driver_ops t in
-  let ops =
-    Package.ops_array ~heap ~descs:t.descs ~read:(read_word t)
-      ~write:(write_word t) ~free:Txdesc.buffer_free
-  in
-  Package.make ~name:(name_of_point t.point) ~heap ~stats:t.stats ~ops
-    ~runner:
-      {
-        Package.run =
-          (fun ~tid ~irrevocable f ->
-            check_tid t tid;
-            Driver.run dops ~tid ~irrevocable f);
-      }
+let engine ~cm ~granularity_words ~table_bits point heap : Engine.t =
+  let t = create ~cm ~granularity_words ~table_bits point heap in
+  Package.make ~name:(name_of_point point) ~heap ~stats:t.stats
+    ?cap:
+      (if point.Axes.visibility = Axes.Visible then
+         Some ("kernel-compose-visible", Readers.cap)
+       else None)
+    {
+      Driver.ser = t.ser;
+      cm = t.cm;
+      descs = t.descs;
+      start = (fun d ~restart -> start t d ~restart);
+      commit = (fun d -> commit t d);
+      emergency = (fun d -> emergency_release t d);
+      user_abort = (fun d -> rollback t d Tx_signal.Killed);
+    }
+    ~read:(read_word t) ~write:(write_word t)

@@ -37,11 +37,15 @@ type ops = {
 
 let nop_gate_check () = ()
 
+(* Seed of every descriptor's contention-manager randomness (back-off
+   jitter); one constant for all engines, so runs replay exactly. *)
+let seed = 0xC0FFEE
+
 (** Pool-backed descriptor table: one descriptor per logical thread,
     acquired from {!Txdesc.Pool} (recycled across engine instances) and
     returned when the table is collected — engines have no explicit
     close, so the finaliser is the release point. *)
-let make_descs ~seed () =
+let make_descs () =
   let descs =
     Array.init Stats.max_threads (fun tid -> Txdesc.Pool.acquire ~tid ~seed)
   in

@@ -28,17 +28,13 @@
 
 open Stm_intf
 
-type config = { cm : Cm.Cm_intf.spec; seed : int }
-
-(* Timid by default, like TL2: NOrec has no lock conflicts to arbitrate
-   (validation failures are self-aborts), so the manager only governs
-   rollback back-off, the adaptive throttle and the escalation budget. *)
-let default_config = { cm = Cm.Cm_intf.Timid; seed = 0xC0FFEE }
-
 type t = {
   heap : Memory.Heap.t;
   seqlock : Seqlock.t;
   cm : Cm.Cm_intf.t;
+      (* NOrec has no lock conflicts to arbitrate (validation failures are
+         self-aborts), so the manager only governs rollback back-off, the
+         adaptive throttle and the escalation budget *)
   descs : Txdesc.t array;
   stats : Stats.t;
   eid : int;
@@ -47,12 +43,12 @@ type t = {
 
 let name = "norec"
 
-let create ?(config = default_config) heap =
+let create ~cm heap =
   {
     heap;
     seqlock = Seqlock.create ();
-    cm = Cm.Factory.make config.cm;
-    descs = Driver.make_descs ~seed:config.seed ();
+    cm = Cm.Factory.make cm;
+    descs = Driver.make_descs ();
     stats = Stats.create ();
     eid = Obs.Metrics.register_engine name;
     ser = Serial.create ();
@@ -172,27 +168,16 @@ let start t (d : Txdesc.t) ~restart =
         Stats.wait t.stats ~tid:d.tid);
   Hooks.phase_other d.tid
 
-let driver_ops t : Driver.ops =
-  {
-    Driver.ser = t.ser;
-    cm = t.cm;
-    descs = t.descs;
-    start = (fun d ~restart -> start t d ~restart);
-    commit = (fun d -> commit t d);
-    emergency = (fun d -> Hooks.emergency ~cm:t.cm ~ser:t.ser d);
-    user_abort = (fun d -> rollback t d Tx_signal.Killed);
-  }
-
-let engine ?config heap : Engine.t =
-  let t = create ?config heap in
-  let dops = driver_ops t in
-  let ops =
-    Package.ops_array ~heap ~descs:t.descs ~read:(read_word t)
-      ~write:(write_word t) ~free:Txdesc.buffer_free
-  in
-  Package.make ~name ~heap ~stats:t.stats ~ops
-    ~runner:
-      {
-        Package.run =
-          (fun ~tid ~irrevocable f -> Driver.run dops ~tid ~irrevocable f);
-      }
+let engine ~cm heap : Engine.t =
+  let t = create ~cm heap in
+  Package.make ~name ~heap ~stats:t.stats
+    {
+      Driver.ser = t.ser;
+      cm = t.cm;
+      descs = t.descs;
+      start = (fun d ~restart -> start t d ~restart);
+      commit = (fun d -> commit t d);
+      emergency = (fun d -> Hooks.emergency ~cm:t.cm ~ser:t.ser d);
+      user_abort = (fun d -> rollback t d Tx_signal.Killed);
+    }
+    ~read:(read_word t) ~write:(write_word t)

@@ -47,21 +47,23 @@ let local =
 let limbo : record list array = Array.make max_threads []
 let calls = Array.make max_threads 0
 
-(* Counters (diagnostics; plain increments, surfaced as metrics gauges). *)
-let n_advances = ref 0
-let n_deferred = ref 0
-let n_reclaimed = ref 0
+(* Counters (diagnostics, surfaced as metrics gauges).  Deferrals and
+   reclamations are per-thread rows, each written only by its own thread
+   (or by [drain] under global quiescence) and summed on read, so
+   concurrent domains lose no increments and the announce path gains no
+   shared write.  Advances happen on a successful CAS of [global], which
+   is a shared write already. *)
+let n_advances = Atomic.make 0
+let n_deferred = Array.make max_threads 0
+let n_reclaimed = Array.make max_threads 0
+let sum = Array.fold_left ( + ) 0
 
-let advances () = !n_advances
-let deferred () = !n_deferred
-let reclaimed () = !n_reclaimed
-let limbo_depth () = !n_deferred - !n_reclaimed
+let advances () = Atomic.get n_advances
+let deferred () = sum n_deferred
+let reclaimed () = sum n_reclaimed
+let limbo_depth () = deferred () - reclaimed ()
 
 let current () = Atomic.get global
-
-let free_record r =
-  Heap.free_now r.h r.addr r.n;
-  incr n_reclaimed
 
 (* Reclaim every limbo record of [tid] whose grace period has passed.
    The list is newest-first with non-increasing stamps (the global epoch
@@ -70,6 +72,10 @@ let reclaim tid ~upto =
   match limbo.(tid) with
   | [] -> ()
   | rs ->
+      let free_record r =
+        Heap.free_now r.h r.addr r.n;
+        n_reclaimed.(tid) <- n_reclaimed.(tid) + 1
+      in
       let rec split = function
         | r :: tl when r.ep > upto -> r :: split tl
         | expired ->
@@ -86,7 +92,7 @@ let try_advance g =
     let l = Atomic.get local.(t) in
     if l >= 0 && l < g then all := false
   done;
-  if !all && Atomic.compare_and_set global g (g + 1) then incr n_advances
+  if !all && Atomic.compare_and_set global g (g + 1) then Atomic.incr n_advances
 
 (** Announce a quiescent state: thread [tid] holds no transactional
     snapshot right now.  Engines call this at transaction boundaries; the
@@ -116,7 +122,7 @@ let offline ~tid = Atomic.set local.(tid) offline_epoch
 let defer h addr n =
   let tid = Runtime.Exec.self () land (max_threads - 1) in
   limbo.(tid) <- { ep = Atomic.get global; h; addr; n } :: limbo.(tid);
-  incr n_deferred
+  n_deferred.(tid) <- n_deferred.(tid) + 1
 
 (** Reclaim every limbo block unconditionally.  Caller asserts global
     quiescence (all participating threads joined / stopped). *)

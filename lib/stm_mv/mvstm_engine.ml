@@ -36,26 +36,6 @@
 open Stm_intf
 open Kernel
 
-type config = {
-  granularity_words : int;
-  table_bits : int;
-  max_chain : int;
-  seed : int;
-  cm : Cm.Cm_intf.spec;
-      (* rollback/throttle policy only: conflicts stay timid at commit-time
-         acquisition, but the manager owns the retry back-off, the adaptive
-         throttle and the escalation budget *)
-}
-
-let default_config =
-  {
-    granularity_words = 4;
-    table_bits = 18;
-    max_chain = 8;
-    seed = 0xC0FFEE;
-    cm = Cm.Cm_intf.Timid;
-  }
-
 (* version record layout *)
 let vr_version = 0
 let vr_prev = 1
@@ -73,6 +53,9 @@ type t = {
   stats : Stats.t;
   eid : int;  (* metrics-registry engine id *)
   cm : Cm.Cm_intf.t;
+      (* rollback/throttle policy only: conflicts stay timid at commit-time
+         acquisition, but the manager owns the retry back-off, the adaptive
+         throttle and the escalation budget *)
   ser : Serial.t;  (* irrevocability token (escalation / explicit) *)
   max_chain : int;
   snapshot_reads : Runtime.Tmatomic.t;  (** telemetry: old-version serves *)
@@ -80,11 +63,8 @@ type t = {
 
 let name = "mvstm"
 
-let create ?(config = default_config) heap =
-  let stripe =
-    Memory.Stripe.create ~granularity_words:config.granularity_words
-      ~table_bits:config.table_bits ()
-  in
+let create ~cm ~granularity_words ~table_bits ~max_chain heap =
+  let stripe = Memory.Stripe.create ~granularity_words ~table_bits () in
   let n = Memory.Stripe.table_size stripe in
   {
     heap;
@@ -93,12 +73,12 @@ let create ?(config = default_config) heap =
     hist = Array.make n 0;
     chain_len = Array.make n 0;
     clock = Runtime.Tmatomic.make 0;
-    descs = Driver.make_descs ~seed:config.seed ();
+    descs = Driver.make_descs ();
     stats = Stats.create ();
     eid = Obs.Metrics.register_engine name;
-    cm = Cm.Factory.make config.cm;
+    cm = Cm.Factory.make cm;
     ser = Serial.create ();
-    max_chain = config.max_chain;
+    max_chain;
     snapshot_reads = Runtime.Tmatomic.make 0;
   }
 
@@ -309,13 +289,7 @@ let atomic_irrevocable t ~tid f = Driver.run (driver_ops t) ~tid ~irrevocable:tr
 (** Old-version reads served so far (ablation telemetry). *)
 let snapshot_reads t = Runtime.Tmatomic.unsafe_get t.snapshot_reads
 
-let engine ?config heap : Engine.t =
-  let t = create ?config heap in
-  let dops = driver_ops t in
-  let ops =
-    Package.ops_array ~heap ~descs:t.descs ~read:(read_word t)
-      ~write:(write_word t) ~free:Txdesc.buffer_free
-  in
-  Package.make ~name ~heap ~stats:t.stats ~ops
-    ~runner:
-      { Package.run = (fun ~tid ~irrevocable f -> Driver.run dops ~tid ~irrevocable f) }
+let engine ~cm ~granularity_words ~table_bits ~max_chain heap : Engine.t =
+  let t = create ~cm ~granularity_words ~table_bits ~max_chain heap in
+  Package.make ~name ~heap ~stats:t.stats (driver_ops t) ~read:(read_word t)
+    ~write:(write_word t)

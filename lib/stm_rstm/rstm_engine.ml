@@ -12,7 +12,10 @@
                  first write, lazy mode at commit;
    - [version] : (counter value << 1) | busy-bit; busy while the committing
                  owner writes back;
-   - [readers] : bitmask of visible readers.
+   - [readers] : bitmask of visible readers — the shared [Kernel.Readers]
+                 set, which also arbitrates owner conflicts; its 62-tid
+                 cap is this engine's thread cap in both visibility
+                 modes.
 
    Per-access overheads are deliberately RSTM-like and higher than the
    word-based engines': every access walks a three-word ownership record,
@@ -28,7 +31,9 @@
 
    In kernel axes this engine owns the {eager,lazy} x {visible,invisible}
    quadrant with counter-heuristic validation and redo versioning; the
-   bookkeeping lives in [Kernel.Hooks] / [Kernel.Driver]. *)
+   bookkeeping lives in [Kernel.Hooks] / [Kernel.Driver], the visible
+   readers in [Kernel.Readers], and [engine] is one [Kernel.Package.make]
+   call. *)
 
 open Stm_intf
 open Kernel
@@ -36,55 +41,35 @@ open Kernel
 type acquire = Eager | Lazy
 type visibility = Visible | Invisible
 
-type config = {
-  acquire : acquire;
-  visibility : visibility;
-  cm : Cm.Cm_intf.spec;
-  granularity_words : int;
-  table_bits : int;
-  seed : int;
-}
-
-let default_config =
-  {
-    acquire = Eager;
-    visibility = Invisible;
-    cm = Cm.Cm_intf.Polka;
-    granularity_words = 4;
-    table_bits = 18;
-    seed = 0xC0FFEE;
-  }
-
 type t = {
   heap : Memory.Heap.t;
   stripe : Memory.Stripe.t;
   owners : Runtime.Tmatomic.t array;
   versions : Runtime.Tmatomic.t array;
-  readers : Runtime.Tmatomic.t array;
+  readers : Readers.t;
   counter : Runtime.Tmatomic.t;  (* global commit counter *)
   cm : Cm.Cm_intf.t;
-  config : config;
+  acquire : acquire;
+  visibility : visibility;
   descs : Txdesc.t array;
   stats : Stats.t;
   eid : int;  (* observability engine id *)
   ser : Serial.t;  (* irrevocability token (escalation / explicit) *)
 }
 
-let name_of_config c =
+(* RSTM's label always names its manager: the paper sweeps RSTM's CMs. *)
+let name ~acquire ~visibility cm =
   Printf.sprintf "rstm(%s,%s,%s)"
-    (match c.acquire with Eager -> "eager" | Lazy -> "lazy")
-    (match c.visibility with Visible -> "vis" | Invisible -> "inv")
-    (Cm.Cm_intf.spec_name c.cm)
+    (match acquire with Eager -> "eager" | Lazy -> "lazy")
+    (match visibility with Visible -> "vis" | Invisible -> "inv")
+    (Cm.Cm_intf.spec_name cm)
 
 let busy lv = lv land 1 = 1
 let version_of lv = lv lsr 1
 let encode_version v = v lsl 1
 
-let create ?(config = default_config) heap =
-  let stripe =
-    Memory.Stripe.create ~granularity_words:config.granularity_words
-      ~table_bits:config.table_bits ()
-  in
+let create ~acquire ~visibility ~cm ~granularity_words ~table_bits heap =
+  let stripe = Memory.Stripe.create ~granularity_words ~table_bits () in
   let n = Memory.Stripe.table_size stripe in
   (* owner/version/readers form one RSTM object header: one cache line. *)
   let lines = Array.init n (fun _ -> Runtime.Tmatomic.fresh_line ()) in
@@ -93,30 +78,16 @@ let create ?(config = default_config) heap =
     stripe;
     owners = Array.init n (fun i -> Runtime.Tmatomic.make_shared lines.(i) 0);
     versions = Array.init n (fun i -> Runtime.Tmatomic.make_shared lines.(i) 0);
-    readers = Array.init n (fun i -> Runtime.Tmatomic.make_shared lines.(i) 0);
+    readers = Readers.create lines;
     counter = Runtime.Tmatomic.make 0;
-    cm = Cm.Factory.make config.cm;
-    config;
-    descs = Driver.make_descs ~seed:config.seed ();
+    cm = Cm.Factory.make cm;
+    acquire;
+    visibility;
+    descs = Driver.make_descs ();
     stats = Stats.create ();
-    eid = Obs.Metrics.register_engine (name_of_config config);
+    eid = Obs.Metrics.register_engine (name ~acquire ~visibility cm);
     ser = Serial.create ();
   }
-
-(* Clear our visible-reader bits (commit and abort paths). *)
-let retract_visible t (d : Txdesc.t) =
-  Rset.iter
-    (fun idx _ ->
-      let r = t.readers.(idx) in
-      let bit = 1 lsl d.tid in
-      let rec clear () =
-        let cur = Runtime.Tmatomic.get r in
-        if cur land bit <> 0 then
-          if not (Runtime.Tmatomic.cas r ~expect:cur ~replace:(cur land lnot bit))
-          then clear ()
-      in
-      clear ())
-    d.vreads
 
 let release_owned t (d : Txdesc.t) =
   Ivec.iter
@@ -133,7 +104,7 @@ let release_owned t (d : Txdesc.t) =
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
   release_owned t d;
-  retract_visible t d;
+  Readers.retract_all t.readers d;
   Hooks.rollback ~stats:t.stats ~cm:t.cm ~ser:t.ser d ~reason
 
 let check_kill t d =
@@ -200,7 +171,7 @@ let validate t (d : Txdesc.t) =
 (* Commit-counter heuristic: revalidate the read set only when some update
    transaction committed since we last looked. *)
 let maybe_validate t (d : Txdesc.t) =
-  if t.config.visibility = Invisible then begin
+  if t.visibility = Invisible then begin
     let cc = Runtime.Tmatomic.get t.counter in
     if cc <> d.valid_ts then begin
       if not (validate t d) then rollback t d Tx_signal.Rw_validation;
@@ -213,15 +184,9 @@ let maybe_validate t (d : Txdesc.t) =
 let rec contend t (d : Txdesc.t) idx ~reason =
   let ov = Runtime.Tmatomic.get t.owners.(idx) in
   if ov <> 0 && ov <> d.tid + 1 then begin
-    check_kill t d;
-    Hooks.stripe_conflict ~eid:t.eid ~stripe:idx;
-    let victim = (t.descs.(ov - 1)).info in
-    match Hooks.cm_resolve ~stats:t.stats ~ser:t.ser ~cm:t.cm d ~victim with
-    | Cm.Cm_intf.Abort_self -> rollback t d reason
-    | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim ->
-        Stats.wait t.stats ~tid:d.tid;
-        Runtime.Exec.pause ();
-        contend t d idx ~reason
+    Readers.cm_wait ~eid:t.eid ~stats:t.stats ~ser:t.ser ~cm:t.cm
+      ~descs:t.descs ~rollback:(rollback t) d idx ~owner:ov ~reason;
+    contend t d idx ~reason
   end
 
 let read_word t (d : Txdesc.t) addr =
@@ -242,7 +207,7 @@ let read_word t (d : Txdesc.t) addr =
   else begin
     (* Lazy mode may have buffered a write without owning the object. *)
     let s =
-      match t.config.acquire with
+      match t.acquire with
       | Lazy when not (Wlog.is_empty d.wset) ->
           Runtime.Exec.tick costs.log_lookup;
           Wlog.probe d.wset addr
@@ -254,23 +219,7 @@ let read_word t (d : Txdesc.t) addr =
            object afterwards is guaranteed to see the bit and drain us;
            writers that already drained are caught by the ownership check
            below.  Either side of the race is covered. *)
-        (match t.config.visibility with
-        | Visible ->
-            if not (Rset.mem d.vreads idx) then begin
-              let r = t.readers.(idx) in
-              let bit = 1 lsl d.tid in
-              let rec announce () =
-                let cur = Runtime.Tmatomic.get r in
-                if cur land bit = 0 then
-                  if
-                    not
-                      (Runtime.Tmatomic.cas r ~expect:cur ~replace:(cur lor bit))
-                  then announce ()
-              in
-              announce ();
-              ignore (Rset.add_unique d.vreads idx 0 : bool)
-            end
-        | Invisible -> ());
+        if t.visibility = Visible then Readers.announce t.readers d idx;
         (* Eager conflict detection on the read/write axis: an owned object
            sends the reader to the contention manager. *)
         contend t d idx ~reason:Tx_signal.Rw_validation;
@@ -283,7 +232,7 @@ let read_word t (d : Txdesc.t) addr =
         in
         let version, value = snapshot () in
         d.info.accesses <- d.info.accesses + 1;
-        (match t.config.visibility with
+        (match t.visibility with
         | Invisible ->
             Runtime.Exec.tick costs.log_append;
             Rset.push d.rset idx version;
@@ -292,32 +241,6 @@ let read_word t (d : Txdesc.t) addr =
         value
     end
   end
-
-(* Abort or wait out every visible reader of [idx] other than ourselves. *)
-let drain_readers t (d : Txdesc.t) idx =
-  let r = t.readers.(idx) in
-  let mine = 1 lsl d.tid in
-  let rec go () =
-    let cur = Runtime.Tmatomic.get r in
-    let others = cur land lnot mine in
-    if others <> 0 then begin
-      check_kill t d;
-      let victim_tid =
-        (* lowest set bit *)
-        let b = others land -others in
-        let rec log2 n acc = if n = 1 then acc else log2 (n lsr 1) (acc + 1) in
-        log2 b 0
-      in
-      let victim = (t.descs.(victim_tid)).info in
-      (match Hooks.cm_resolve ~stats:t.stats ~ser:t.ser ~cm:t.cm d ~victim with
-      | Cm.Cm_intf.Abort_self -> rollback t d Tx_signal.Rw_validation
-      | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim ->
-          Stats.wait t.stats ~tid:d.tid;
-          Runtime.Exec.pause ());
-      go ()
-    end
-  in
-  go ()
 
 (* Acquire ownership of [idx]; pays the RSTM object-clone cost. *)
 let acquire_stripe t (d : Txdesc.t) idx =
@@ -332,7 +255,9 @@ let acquire_stripe t (d : Txdesc.t) idx =
   Ivec.push d.acq_stripes idx;
   (* Clone the object into the speculative copy. *)
   Runtime.Exec.tick (costs.mem * Memory.Stripe.granularity_words t.stripe);
-  if t.config.visibility = Visible then drain_readers t d idx;
+  if t.visibility = Visible then
+    Readers.drain t.readers ~stats:t.stats ~ser:t.ser ~cm:t.cm ~descs:t.descs
+      ~rollback:(rollback t) d idx;
   d.info.accesses <- d.info.accesses + 1;
   t.cm.on_write d.info ~writes:(Ivec.length d.acq_stripes)
 
@@ -341,7 +266,7 @@ let write_word t (d : Txdesc.t) addr value =
   Stats.write t.stats ~tid:d.tid;
   check_kill t d;
   let idx = Memory.Stripe.index t.stripe addr in
-  (match t.config.acquire with
+  (match t.acquire with
   | Eager ->
       if Runtime.Tmatomic.get t.owners.(idx) <> d.tid + 1 then
         acquire_stripe t d idx
@@ -355,7 +280,7 @@ let commit t (d : Txdesc.t) =
   if Wlog.is_empty d.wset then begin
     (* Read-only commit: every read was validated by the counter heuristic;
        retract visible-reader bits and finish. *)
-    retract_visible t d;
+    Readers.retract_all t.readers d;
     Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
   else begin
@@ -368,7 +293,7 @@ let commit t (d : Txdesc.t) =
       d;
     Hooks.inject_stretch d;
     (* Lazy mode acquires its whole write set now. *)
-    if t.config.acquire = Lazy then
+    if t.acquire = Lazy then
       Rset.iter
         (fun idx _ ->
           if Runtime.Tmatomic.get t.owners.(idx) <> d.tid + 1 then
@@ -381,7 +306,7 @@ let commit t (d : Txdesc.t) =
         Runtime.Tmatomic.set v (Runtime.Tmatomic.get v lor 1))
       d.acq_stripes;
     let cc = Runtime.Tmatomic.incr_get t.counter in
-    (if t.config.visibility = Invisible && not (validate t d) then begin
+    (if t.visibility = Invisible && not (validate t d) then begin
        (* Unfreeze with the old version, release, abort. *)
        Ivec.iter
          (fun idx ->
@@ -401,7 +326,7 @@ let commit t (d : Txdesc.t) =
         Runtime.Tmatomic.set t.versions.(idx) (encode_version cc);
         Runtime.Tmatomic.set t.owners.(idx) 0)
       d.acq_stripes;
-    retract_visible t d;
+    Readers.retract_all t.readers d;
     Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
 
@@ -413,45 +338,25 @@ let start t (d : Txdesc.t) ~restart =
 
 let emergency_release t (d : Txdesc.t) =
   release_owned t d;
-  retract_visible t d;
+  Readers.retract_all t.readers d;
   Hooks.emergency ~cm:t.cm ~ser:t.ser d
 
 (* Retry driver with graceful degradation: see [Kernel.Driver] for the
    escalation protocol.  RSTM's managers can kill, so the token holder
-   runs with [cm_ts = 0] and wins every encounter. *)
-let driver_ops t : Driver.ops =
-  {
-    Driver.ser = t.ser;
-    cm = t.cm;
-    descs = t.descs;
-    start = (fun d ~restart -> start t d ~restart);
-    commit = (fun d -> commit t d);
-    emergency = (fun d -> emergency_release t d);
-    user_abort = (fun d -> rollback t d Tx_signal.Killed);
-  }
-
-let check_tid tid = Engine.check_tid_limit ~engine:"rstm" ~limit:62 tid
-
-let atomic t ~tid f =
-  check_tid tid;
-  Driver.run (driver_ops t) ~tid ~irrevocable:false f
-
-let atomic_irrevocable t ~tid f =
-  check_tid tid;
-  Driver.run (driver_ops t) ~tid ~irrevocable:true f
-
-let engine ?config heap : Engine.t =
-  let t = create ?config heap in
-  let dops = driver_ops t in
-  let ops =
-    Package.ops_array ~heap ~descs:t.descs ~read:(read_word t)
-      ~write:(write_word t) ~free:Txdesc.buffer_free
-  in
-  Package.make ~name:(name_of_config t.config) ~heap ~stats:t.stats ~ops
-    ~runner:
-      {
-        Package.run =
-          (fun ~tid ~irrevocable f ->
-            check_tid tid;
-            Driver.run dops ~tid ~irrevocable f);
-      }
+   runs with [cm_ts = 0] and wins every encounter.  The reader bitmap
+   exists in both visibility modes, so both refuse tids past its cap. *)
+let engine ~acquire ~visibility ~cm ~granularity_words ~table_bits heap :
+    Engine.t =
+  let t = create ~acquire ~visibility ~cm ~granularity_words ~table_bits heap in
+  Package.make ~name:(name ~acquire ~visibility cm) ~heap ~stats:t.stats
+    ~cap:("rstm", Readers.cap)
+    {
+      Driver.ser = t.ser;
+      cm = t.cm;
+      descs = t.descs;
+      start = (fun d ~restart -> start t d ~restart);
+      commit = (fun d -> commit t d);
+      emergency = (fun d -> emergency_release t d);
+      user_abort = (fun d -> rollback t d Tx_signal.Killed);
+    }
+    ~read:(read_word t) ~write:(write_word t)

@@ -25,19 +25,6 @@
 open Stm_intf
 open Kernel
 
-type config = {
-  granularity_words : int;
-  table_bits : int;
-  seed : int;
-  cm : Cm.Cm_intf.spec;
-      (* rollback/throttle policy only: TL2 stays timid at commit-time
-         acquisition (it never kills), but the manager owns the retry
-         back-off, the adaptive throttle and the escalation budget *)
-}
-
-let default_config =
-  { granularity_words = 4; table_bits = 18; seed = 0xC0FFEE; cm = Cm.Cm_intf.Timid }
-
 type t = {
   heap : Memory.Heap.t;
   stripe : Memory.Stripe.t;
@@ -47,16 +34,16 @@ type t = {
   stats : Stats.t;
   eid : int;  (* metrics-registry engine id *)
   cm : Cm.Cm_intf.t;
+      (* rollback/throttle policy only: TL2 stays timid at commit-time
+         acquisition (it never kills), but the manager owns the retry
+         back-off, the adaptive throttle and the escalation budget *)
   ser : Serial.t;  (* irrevocability token (escalation / explicit) *)
 }
 
 let name = "tl2"
 
-let create ?(config = default_config) heap =
-  let stripe =
-    Memory.Stripe.create ~granularity_words:config.granularity_words
-      ~table_bits:config.table_bits ()
-  in
+let create ~cm ~granularity_words ~table_bits heap =
+  let stripe = Memory.Stripe.create ~granularity_words ~table_bits () in
   {
     heap;
     stripe;
@@ -64,10 +51,10 @@ let create ?(config = default_config) heap =
       Array.init (Memory.Stripe.table_size stripe) (fun _ ->
           Runtime.Tmatomic.make 0);
     clock = Runtime.Tmatomic.make 0;
-    descs = Driver.make_descs ~seed:config.seed ();
+    descs = Driver.make_descs ();
     stats = Stats.create ();
     eid = Obs.Metrics.register_engine name;
-    cm = Cm.Factory.make config.cm;
+    cm = Cm.Factory.make cm;
     ser = Serial.create ();
   }
 
@@ -155,27 +142,16 @@ let start t (d : Txdesc.t) ~restart =
    cannot fail in a simulated run — the commit gate freezes the clock, so
    no read validation can observe a newer version and no commit-time lock
    can be held by anyone else once in-flight commits drained. *)
-let driver_ops t : Driver.ops =
-  {
-    Driver.ser = t.ser;
-    cm = t.cm;
-    descs = t.descs;
-    start = (fun d ~restart -> start t d ~restart);
-    commit = (fun d -> commit t d);
-    emergency = (fun d -> Hooks.emergency ~cm:t.cm ~ser:t.ser d);
-    user_abort = (fun d -> rollback t d Tx_signal.Killed);
-  }
-
-let atomic t ~tid f = Driver.run (driver_ops t) ~tid ~irrevocable:false f
-let atomic_irrevocable t ~tid f = Driver.run (driver_ops t) ~tid ~irrevocable:true f
-
-let engine ?config heap : Engine.t =
-  let t = create ?config heap in
-  let dops = driver_ops t in
-  let ops =
-    Package.ops_array ~heap ~descs:t.descs ~read:(read_word t)
-      ~write:(write_word t) ~free:Txdesc.buffer_free
-  in
-  Package.make ~name ~heap ~stats:t.stats ~ops
-    ~runner:
-      { Package.run = (fun ~tid ~irrevocable f -> Driver.run dops ~tid ~irrevocable f) }
+let engine ~cm ~granularity_words ~table_bits heap : Engine.t =
+  let t = create ~cm ~granularity_words ~table_bits heap in
+  Package.make ~name ~heap ~stats:t.stats
+    {
+      Driver.ser = t.ser;
+      cm = t.cm;
+      descs = t.descs;
+      start = (fun d ~restart -> start t d ~restart);
+      commit = (fun d -> commit t d);
+      emergency = (fun d -> Hooks.emergency ~cm:t.cm ~ser:t.ser d);
+      user_abort = (fun d -> rollback t d Tx_signal.Killed);
+    }
+    ~read:(read_word t) ~write:(write_word t)

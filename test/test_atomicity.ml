@@ -25,7 +25,7 @@ let all_specs =
     ("swisstm-priv", Engines.swisstm_priv_safe);
     ("norec", Engines.norec);
     ("tlrw", Engines.tlrw);
-    ("glock", Engines.Glock);
+    ("glock", Engines.glock);
   ]
 
 (* --- bank conservation + opacity probe ------------------------------------- *)
@@ -174,7 +174,7 @@ let sched_specs =
     ("mvstm", Engines.mvstm);
     ("norec", Engines.norec);
     ("tlrw", Engines.tlrw);
-    ("glock", Engines.Glock);
+    ("glock", Engines.glock);
   ]
 
 let per_engine_schedules (name, spec) =

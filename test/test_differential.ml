@@ -74,7 +74,7 @@ let differential (name, spec) =
     ~name:(Printf.sprintf "%s = glock on random sequential programs" name)
     ~count:50
     (QCheck.make ~print:print_program program_gen)
-    (fun p -> run_program spec p = run_program Engines.Glock p)
+    (fun p -> run_program spec p = run_program Engines.glock p)
 
 (* Concurrent determinism: a commutative program (each thread increments a
    disjoint counter and a shared accumulator) must produce the same final

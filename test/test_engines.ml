@@ -26,7 +26,7 @@ let all_specs =
     ("tinystm-adaptive", Engines.with_cm Cm.Cm_intf.default_adaptive Engines.tinystm);
     ("rstm-adaptive", Engines.with_cm Cm.Cm_intf.default_adaptive Engines.rstm);
     ("mvstm-adaptive", Engines.with_cm Cm.Cm_intf.default_adaptive Engines.mvstm);
-    ("glock", Engines.Glock);
+    ("glock", Engines.glock);
   ]
 
 let with_engine spec f =
@@ -315,6 +315,81 @@ let test_escalation_bounds_storm () =
     (Printf.sprintf "timid worst run %d > K=%d" unbounded k)
     true (unbounded > k)
 
+(* Every engine label, pinned to the values captured on the tree just
+   before the flat [Engines.spec]: [Engines.name] keys
+   [Obs.Metrics.register_engine] and every bench table, and
+   [Engine.name] is what an instantiated engine reports.  Each row is
+   (registry name or spec, [Engines.name], [Engine.name]). *)
+let pinned_labels =
+  let named n =
+    match Engines.of_string n with
+    | Some s -> (n, s)
+    | None -> Alcotest.failf "unknown engine %s" n
+  in
+  let adaptive n s = (n ^ " with_cm adaptive", Engines.with_cm Cm.Cm_intf.default_adaptive s) in
+  let gran1 n s = (n ^ " with_granularity 1", Engines.with_granularity 1 s) in
+  [
+    (named "swisstm", "swisstm", "swisstm");
+    (named "tl2", "tl2", "tl2");
+    (named "tinystm", "tinystm", "tinystm");
+    (named "rstm", "rstm(eager,inv,polka)", "rstm(eager,inv,polka)");
+    (named "rstm-lazy", "rstm(lazy,inv,polka)", "rstm(lazy,inv,polka)");
+    (named "rstm-visible", "rstm(eager,vis,polka)", "rstm(eager,vis,polka)");
+    (named "rstm-serializer", "rstm(eager,inv,serializer)", "rstm(eager,inv,serializer)");
+    (named "rstm-greedy", "rstm(eager,inv,greedy)", "rstm(eager,inv,greedy)");
+    (named "rstm-karma", "rstm(eager,inv,karma)", "rstm(eager,inv,karma)");
+    (named "rstm-timestamp", "rstm(eager,inv,timestamp)", "rstm(eager,inv,timestamp)");
+    (named "swisstm-timid", "swisstm(timid)", "swisstm");
+    (named "swisstm-greedy", "swisstm(greedy)", "swisstm");
+    (named "swisstm-priv", "swisstm+quiescence", "swisstm");
+    (named "mvstm", "mvstm", "mvstm");
+    (named "swisstm-adaptive", "swisstm(adaptive(wn=10,thr=512,k=8))", "swisstm");
+    (named "tl2-adaptive", "tl2(adaptive(wn=10,thr=512,k=8))", "tl2");
+    (named "tinystm-adaptive", "tinystm(adaptive(wn=10,thr=512,k=8))", "tinystm");
+    (named "rstm-adaptive", "rstm(eager,inv,adaptive(wn=10,thr=512,k=8))", "rstm(eager,inv,adaptive(wn=10,thr=512,k=8))");
+    (named "mvstm-adaptive", "mvstm(adaptive(wn=10,thr=512,k=8))", "mvstm");
+    (named "glock", "glock", "glock");
+    (named "norec", "norec", "norec");
+    (named "tlrw", "tlrw", "tlrw");
+    (named "norec-adaptive", "norec(adaptive(wn=10,thr=512,k=8))", "norec");
+    (named "tlrw-adaptive", "tlrw(adaptive(wn=10,thr=512,k=8))", "tlrw");
+    (named "k-eager+inv+commit+redo", "k-eager+inv+commit+redo", "k-eager+inv+commit+redo");
+    (named "k-lazy+inv+incr+redo", "k-lazy+inv+incr+redo", "k-lazy+inv+incr+redo");
+    (named "k-mixed+inv+commit+redo", "k-mixed+inv+commit+redo", "k-mixed+inv+commit+redo");
+    (named "k-eager+vis+commit+redo", "k-eager+vis+commit+redo", "k-eager+vis+commit+redo");
+    (named "k-mixed+inv+counter+redo", "k-mixed+inv+counter+redo", "k-mixed+inv+counter+redo");
+    (named "k-mixed+inv+incr+redo", "k-mixed+inv+incr+redo", "k-mixed+inv+incr+redo");
+    (named "swisstm-broken", "swisstm!noval", "swisstm");
+    (adaptive "tl2" Engines.tl2, "tl2(adaptive(wn=10,thr=512,k=8))", "tl2");
+    (adaptive "tinystm" Engines.tinystm, "tinystm(adaptive(wn=10,thr=512,k=8))", "tinystm");
+    (adaptive "rstm" Engines.rstm, "rstm(eager,inv,adaptive(wn=10,thr=512,k=8))", "rstm(eager,inv,adaptive(wn=10,thr=512,k=8))");
+    (adaptive "mvstm" Engines.mvstm, "mvstm(adaptive(wn=10,thr=512,k=8))", "mvstm");
+    (gran1 "swisstm" Engines.swisstm, "swisstm", "swisstm");
+    (gran1 "tl2" Engines.tl2, "tl2", "tl2");
+  ]
+
+let test_labels_pinned () =
+  (* every registry name is pinned, so a new engine must add its row *)
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (n ^ " has a pinned label")
+        true
+        (List.exists (fun ((m, _), _, _) -> m = n) pinned_labels))
+    Engines.known_names;
+  List.iter
+    (fun ((what, spec), spec_name, engine_name) ->
+      Alcotest.(check string) (what ^ ": Engines.name") spec_name
+        (Engines.name spec);
+      let e =
+        Engines.make (Engines.with_table_bits 4 spec)
+          (Memory.Heap.create ~words:64)
+      in
+      Alcotest.(check string) (what ^ ": Engine.name") engine_name
+        (Stm_intf.Engine.name e))
+    pinned_labels
+
+
 let suite =
   List.map per_engine_cases all_specs
   @ [
@@ -324,6 +399,8 @@ let suite =
           Alcotest.test_case "tl2" `Quick test_tl2_lock_encoding;
           Alcotest.test_case "tinystm" `Quick test_tinystm_lock_encoding;
         ] );
+      ( "engine-labels",
+        [ Alcotest.test_case "names pinned" `Quick test_labels_pinned ] );
       ( "quiescence-slots",
         [
           Alcotest.test_case "swisstm-priv user exception unblocks committers"

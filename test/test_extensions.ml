@@ -4,12 +4,25 @@
 
 let check = Alcotest.check
 
+(* Engine handles for what [Engine.t] does not expose (closed nesting,
+   MVSTM's snapshot telemetry), built from the default specs. *)
+let swisstm_create heap =
+  let s = Engines.swisstm in
+  Swisstm.Swisstm_engine.create ~cm:s.cm ~granularity_words:s.granularity_words
+    ~table_bits:s.table_bits ~privatization_safe:false
+    ~debug_no_validation:false heap
+
+let mvstm_create heap =
+  let s = Engines.mvstm in
+  Mvstm.Mvstm_engine.create ~cm:s.cm ~granularity_words:s.granularity_words
+    ~table_bits:s.table_bits ~max_chain:8 heap
+
 (* --- closed nesting -------------------------------------------------- *)
 
 let test_nesting_commit_together () =
   let heap = Memory.Heap.create ~words:4096 in
   let a = Memory.Heap.alloc heap 1 and b = Memory.Heap.alloc heap 8 in
-  let t = Swisstm.Swisstm_engine.create heap in
+  let t = swisstm_create heap in
   Swisstm.Swisstm_engine.atomic t ~tid:0 (fun d ->
       Swisstm.Swisstm_engine.write_word t d a 1;
       Swisstm.Swisstm_engine.atomic_closed d (fun d ->
@@ -27,7 +40,7 @@ let test_nesting_inner_retry_preserves_outer () =
   let heap = Memory.Heap.create ~words:(1 lsl 14) in
   let a = Memory.Heap.alloc heap 1 in
   let hot = Memory.Heap.alloc heap 1 in
-  let t = Swisstm.Swisstm_engine.create heap in
+  let t = swisstm_create heap in
   let outer_bodies = ref 0 in
   let body tid () =
     for _ = 1 to 100 do
@@ -51,7 +64,7 @@ let test_nesting_undo_restores_redo_log () =
      write for an address the inner scope overwrote. *)
   let heap = Memory.Heap.create ~words:4096 in
   let a = Memory.Heap.alloc heap 1 in
-  let t = Swisstm.Swisstm_engine.create heap in
+  let t = swisstm_create heap in
   Swisstm.Swisstm_engine.atomic t ~tid:0 (fun d ->
       Swisstm.Swisstm_engine.write_word t d a 10;
       (try
@@ -68,8 +81,8 @@ let test_nesting_undo_restores_redo_log () =
 
 let test_nesting_outside_tx_rejected () =
   let heap = Memory.Heap.create ~words:1024 in
-  let t = Swisstm.Swisstm_engine.create heap in
-  let d = (Swisstm.Swisstm_engine.create heap).descs.(0) in
+  let t = swisstm_create heap in
+  let d = (swisstm_create heap).descs.(0) in
   ignore t;
   Alcotest.(check bool) "rejected outside atomic" true
     (try
@@ -97,7 +110,7 @@ let test_mvstm_snapshot_serves_old_values () =
   for i = 0 to accounts - 1 do
     Memory.Heap.write heap (base + i) 100
   done;
-  let t = Mvstm.Mvstm_engine.create heap in
+  let t = mvstm_create heap in
   let e =
     {
       Stm_intf.Engine.name = "mv";
@@ -165,8 +178,9 @@ let test_mvstm_chain_truncation_aborts_old_snapshots () =
      must abort rather than fabricate values (and eventually succeed). *)
   let heap = Memory.Heap.create ~words:(1 lsl 14) in
   let a = Memory.Heap.alloc heap 1 in
-  let config = { Mvstm.Mvstm_engine.default_config with max_chain = 1 } in
-  let e = Engines.make (Engines.Mvstm config) heap in
+  let e =
+    Engines.make { Engines.mvstm with family = Engines.Mvstm { max_chain = 1 } } heap
+  in
   let body tid () =
     for i = 1 to 200 do
       if tid = 0 then Stm_intf.Engine.atomic e ~tid (fun tx -> tx.write a i)

@@ -13,9 +13,10 @@
    itself the point of the PR (then re-run `bin/kernel_snapshot.exe` on
    the parent commit and paste).
 
-   The second half covers what has no pre-refactor baseline: the composed
-   design points of [Kernel.Registry] must run, commit all their work,
-   and survive the schedule fuzzer under their declared contracts. *)
+   Rows added later were captured on the parent of the change they guard
+   (each says which).  The second half holds the composed design points
+   of [Kernel.Registry] to their contracts: each must run, commit all its
+   work, and survive the schedule fuzzer. *)
 
 let summary ~commits ~ww ~rw ~killed ~waits ~backoffs ~reads ~writes ~wasted
     ~elapsed =
@@ -64,6 +65,13 @@ let frozen =
         ~reads:2565 ~writes:1503 ~wasted:55387 ~elapsed:234742,
       [| 150; 284; 299; 433; 443; 453; 463; 477; 1312; 1373; 1403; 1454;
          1692; 1753; 1783 |] );
+    (* Captured on the tree just before the flat [Engines.spec] replaced
+       the per-engine config records: [with_cm] on the benchmark's TL2. *)
+    ( "tl2-adaptive",
+      summary ~commits:480 ~ww:13 ~rw:59 ~killed:0 ~waits:0 ~backoffs:72
+        ~reads:2629 ~writes:1546 ~wasted:75863 ~elapsed:286969,
+      [| 150; 284; 299; 433; 443; 453; 463; 477; 1312; 1373; 1403; 1454;
+         1692; 1753; 1783 |] );
     ( "tinystm",
       summary ~commits:480 ~ww:0 ~rw:140 ~killed:0 ~waits:0 ~backoffs:140
         ~reads:2801 ~writes:1552 ~wasted:127844 ~elapsed:358597,
@@ -106,6 +114,38 @@ let frozen =
         ~reads:3132 ~writes:1836 ~wasted:2087261 ~elapsed:1415960,
       [| 30; 420; 425; 815; 854; 865; 1262; 1277; 1369; 1463; 1547; 1655;
          1693; 1760; 1817 |] );
+    (* The composed points, captured on the same tree: the shared
+       visible-reader set and the flat spec both rewrote [Kernel.Compose]. *)
+    ( "k-eager+inv+commit+redo",
+      summary ~commits:480 ~ww:0 ~rw:92 ~killed:35 ~waits:1309 ~backoffs:258
+        ~reads:2726 ~writes:1610 ~wasted:500175 ~elapsed:700937,
+      [| 150; 285; 301; 436; 715; 726; 1124; 1139; 1324; 1387; 1417; 1647;
+         1713; 1776; 1806 |] );
+    ( "k-lazy+inv+incr+redo",
+      summary ~commits:480 ~ww:0 ~rw:184 ~killed:71 ~waits:15519 ~backoffs:274
+        ~reads:3408 ~writes:2299 ~wasted:1824078 ~elapsed:1114606,
+      [| 150; 285; 301; 436; 446; 456; 466; 481; 1323; 1386; 1416; 1467;
+         1712; 1775; 1805 |] );
+    ( "k-mixed+inv+commit+redo",
+      summary ~commits:480 ~ww:0 ~rw:168 ~killed:40 ~waits:3962 ~backoffs:375
+        ~reads:2979 ~writes:1801 ~wasted:825781 ~elapsed:606578,
+      [| 150; 285; 301; 436; 714; 725; 1122; 1137; 1326; 1389; 1419; 1647;
+         1717; 1780; 1810 |] );
+    ( "k-eager+vis+commit+redo",
+      summary ~commits:480 ~ww:0 ~rw:0 ~killed:260 ~waits:20490 ~backoffs:900
+        ~reads:3072 ~writes:1783 ~wasted:2458323 ~elapsed:1530605,
+      [| 150; 542; 549; 941; 982; 993; 1392; 1407; 1646; 1745; 1829; 1942;
+         2008; 2080; 2137 |] );
+    ( "k-mixed+inv+counter+redo",
+      summary ~commits:480 ~ww:0 ~rw:125 ~killed:82 ~waits:6848 ~backoffs:504
+        ~reads:2950 ~writes:1844 ~wasted:1113368 ~elapsed:774702,
+      [| 150; 286; 303; 439; 717; 728; 1125; 1140; 1329; 1394; 1424; 1652;
+         1722; 1787; 1817 |] );
+    ( "k-mixed+inv+incr+redo",
+      summary ~commits:480 ~ww:0 ~rw:109 ~killed:82 ~waits:7209 ~backoffs:471
+        ~reads:2897 ~writes:1799 ~wasted:1098954 ~elapsed:714014,
+      [| 150; 285; 301; 436; 714; 725; 1122; 1137; 1326; 1389; 1419; 1647;
+         1717; 1780; 1810 |] );
   ]
 
 let spec_of name =
@@ -200,7 +240,10 @@ let test_unreachable_points () =
             (Kernel.Axes.point_name point)
             why))
       (fun () ->
-        ignore (Kernel.Compose.engine point (Memory.Heap.create ~words:1024)))
+        ignore
+          (Engines.make
+             (Engines.of_family (Engines.Kernel point))
+             (Memory.Heap.create ~words:1024)))
   in
   check_refused "Multi versioning rejected"
     { Kernel.Axes.tl2_point with Kernel.Axes.versioning = Kernel.Axes.Multi }

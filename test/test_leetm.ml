@@ -47,7 +47,7 @@ let test_memory_board_is_bus_shaped () =
 let test_serial_routing_valid () =
   List.iter
     (fun board ->
-      let _, t = Leetm.Router.run ~spec:Engines.Glock ~threads:1 board in
+      let _, t = Leetm.Router.run ~spec:Engines.glock ~threads:1 board in
       Alcotest.(check bool) "connected" true (Leetm.Router.verify t);
       Alcotest.(check bool) "routes most connections" true
         (Leetm.Router.total_routed t * 10 >= Array.length (t.board.routes) * 7))

@@ -175,6 +175,34 @@ let test_fixedpoint_int_conversion () =
   Alcotest.(check int) "round" 3
     (Memory.Fixedpoint.to_int_round (Memory.Fixedpoint.of_float 2.6))
 
+(* --- Epoch reclaimer --------------------------------------------------- *)
+
+(* Native domains free concurrently under an armed reclaimer, announcing
+   quiescent states as they go, so deferrals and reclamations race across
+   domains.  Every deferral must be counted and matched by exactly one
+   reclamation once the reclaimer is disarmed and drained. *)
+let test_epoch_counters_concurrent () =
+  let domains = 4 and frees = 20_000 and words = 4 in
+  let h = Memory.Heap.create ~words:(1 lsl 18) in
+  Memory.Epoch.arm ();
+  let worker tid () =
+    Runtime.Exec.set_native_tid tid;
+    Memory.Epoch.online ~tid;
+    for _ = 1 to frees do
+      Memory.Heap.free h (Memory.Heap.alloc h words) words;
+      Memory.Epoch.quiescent ~tid
+    done;
+    Memory.Epoch.offline ~tid
+  in
+  let ds = List.init domains (fun tid -> Domain.spawn (worker tid)) in
+  List.iter Domain.join ds;
+  Memory.Epoch.disarm ();
+  check Alcotest.int "deferred = reclaimed" (Memory.Epoch.deferred ())
+    (Memory.Epoch.reclaimed ());
+  check Alcotest.int "limbo empty" 0 (Memory.Epoch.limbo_depth ());
+  Alcotest.(check bool) "frees were deferred" true
+    (Memory.Epoch.deferred () >= domains * frees)
+
 let suite =
   [
     ( "heap",
@@ -189,6 +217,11 @@ let suite =
         Alcotest.test_case "large blocks" `Quick test_heap_large_block;
         Alcotest.test_case "per-thread sharding" `Quick
           test_heap_alloc_per_thread_sharded;
+      ] );
+    ( "epoch",
+      [
+        Alcotest.test_case "counters exact across domains" `Quick
+          test_epoch_counters_concurrent;
       ] );
     ( "stripe",
       [

@@ -13,7 +13,7 @@ let engines =
     ("tl2", Engines.tl2);
     ("tinystm", Engines.tinystm);
     ("rstm", Engines.rstm);
-    ("glock", Engines.Glock);
+    ("glock", Engines.glock);
   ]
 
 let native_bank (name, spec) () =
