@@ -40,13 +40,13 @@ check: build
 # one composed point exercised end-to-end through the CLI, and the
 # line-budget guard: the five engines, all expressed over lib/kernel, stay
 # within their current line counts (the pre-kernel total was 2576), and
-# so do the other engine files, the composed engine and the shared
-# visible-reader set, so code the kernel absorbed cannot quietly grow
-# back.
+# so do the other engine files, the composed engine, the shared
+# visible-reader set and the stripe table, so code the kernel absorbed
+# cannot quietly grow back.
 ENGINE_FILES = lib/core/swisstm_engine.ml lib/stm_tl2/tl2_engine.ml \
                lib/stm_tiny/tinystm_engine.ml lib/stm_rstm/rstm_engine.ml \
                lib/stm_mv/mvstm_engine.ml
-ENGINE_BUDGET = 1478
+ENGINE_BUDGET = 1495
 
 kernel-smoke: build
 	dune exec test/test_main.exe -- test kernel-differential
@@ -60,12 +60,13 @@ kernel-smoke: build
 	   echo "LoC budget ok: engine files total $$total lines (<= $(ENGINE_BUDGET))"; \
 	 fi
 	@fail=0; \
-	 for spec in lib/core/swisstm_engine.ml:476 lib/stm_tl2/tl2_engine.ml:157 \
-	             lib/stm_tiny/tinystm_engine.ml:188 lib/stm_rstm/rstm_engine.ml:362 \
-	             lib/stm_mv/mvstm_engine.ml:295 \
-	             lib/kernel/norec.ml:183 lib/kernel/tlrw.ml:185 \
-	             lib/kernel/compose.ml:431 lib/kernel/readers.ml:98 \
-	             lib/kernel/seqlock.ml:60 lib/stm_intf/vset.ml:40; do \
+	 for spec in lib/core/swisstm_engine.ml:485 lib/stm_tl2/tl2_engine.ml:160 \
+	             lib/stm_tiny/tinystm_engine.ml:186 lib/stm_rstm/rstm_engine.ml:363 \
+	             lib/stm_mv/mvstm_engine.ml:301 \
+	             lib/kernel/norec.ml:183 lib/kernel/tlrw.ml:187 \
+	             lib/kernel/compose.ml:432 lib/kernel/readers.ml:101 \
+	             lib/kernel/seqlock.ml:40 lib/stm_intf/vset.ml:21 \
+	             lib/runtime/line_table.ml:58; do \
 	   f=$${spec%%:*}; cap=$${spec##*:}; n=$$(wc -l < $$f); \
 	   if [ $$n -gt $$cap ]; then \
 	     echo "LoC budget FAIL: $$f is $$n lines (> its cap $$cap)"; fail=1; \

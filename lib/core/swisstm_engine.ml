@@ -24,9 +24,8 @@ open Kernel
 
 type t = {
   heap : Memory.Heap.t;
-  locks : Lock_table.t;
-  r_locks : Runtime.Tmatomic.t array;  (** = [locks.r_locks], cached *)
-  w_locks : Runtime.Tmatomic.t array;  (** = [locks.w_locks], cached *)
+  locks : Runtime.Line_table.t;  (** one (r-lock, w-lock) line per stripe *)
+  slots : Runtime.Tmatomic.t array array;  (** = [locks.slots], for [entry] *)
   shift : int;  (** log2 stripe granularity: [index = (addr lsr shift) land imask] *)
   imask : int;  (** lock-table index mask *)
   commit_ts : Runtime.Tmatomic.t;
@@ -66,8 +65,7 @@ let create ~cm ~granularity_words ~table_bits ~privatization_safe
   {
     heap;
     locks;
-    r_locks = locks.Lock_table.r_locks;
-    w_locks = locks.Lock_table.w_locks;
+    slots = locks.Runtime.Line_table.slots;
     shift = Memory.Stripe.log2_granularity stripe;
     imask = Memory.Stripe.index_mask stripe;
     commit_ts = Runtime.Tmatomic.make 0;
@@ -81,13 +79,24 @@ let create ~cm ~granularity_words ~table_bits ~privatization_safe
     ser = Serial.create ();
   }
 
+(* The lock pair of stripe [idx], built on first access.  The table's
+   fast path (a slot load and a sentinel compare) is inlined: under
+   [-opaque] a call into [Line_table] would be a real call per access. *)
+let[@inline] entry t idx =
+  let e = Array.unsafe_get t.slots idx in
+  if e != Runtime.Line_table.absent then e
+  else Runtime.Line_table.touch t.locks idx
+
+let[@inline] r_lock t idx = Array.unsafe_get (entry t idx) Lock_table.r_col
+let[@inline] w_lock t idx = Array.unsafe_get (entry t idx) Lock_table.w_col
+
 (* --- rollback ------------------------------------------------------- *)
 
 let release_w_locks t (d : Txdesc.t) =
   let n = Ivec.length d.acq_stripes in
   for i = 0 to n - 1 do
     Runtime.Tmatomic.set
-      (Array.unsafe_get t.w_locks (Ivec.unsafe_get d.acq_stripes i))
+      (w_lock t (Ivec.unsafe_get d.acq_stripes i))
       Lock_table.w_unlocked
   done
 
@@ -110,7 +119,7 @@ let rollback t (d : Txdesc.t) reason =
       let n = Ivec.length d.acq_stripes in
       for i = sp.sp_acq_len to n - 1 do
         Runtime.Tmatomic.set
-          (Array.unsafe_get t.w_locks (Ivec.unsafe_get d.acq_stripes i))
+          (w_lock t (Ivec.unsafe_get d.acq_stripes i))
           Lock_table.w_unlocked
       done;
       Ivec.truncate d.acq_stripes sp.sp_acq_len;
@@ -154,7 +163,7 @@ let validate t (d : Txdesc.t) =
     while !ok && !j < n do
       Runtime.Exec.tick costs.validate_entry;
       let idx = Array.unsafe_get data !j in
-      let cur = Runtime.Tmatomic.get (Array.unsafe_get t.r_locks idx) in
+      let cur = Runtime.Tmatomic.get (r_lock t idx) in
       if cur <> Lock_table.encode_version (Array.unsafe_get data (!j + 1))
       then begin
         (* A mismatch is fine only when the r-lock is commit-locked by *us*
@@ -164,7 +173,7 @@ let validate t (d : Txdesc.t) =
         if
           not
             (cur = Lock_table.r_locked
-            && Runtime.Tmatomic.get (Array.unsafe_get t.w_locks idx)
+            && Runtime.Tmatomic.get (w_lock t idx)
                = Lock_table.encode_w_owner d.tid)
         then ok := false
       end;
@@ -246,7 +255,8 @@ let read_word t (d : Txdesc.t) addr =
   Stats.read t.stats ~tid:d.tid;
   check_kill t d;
   let idx = (addr lsr t.shift) land t.imask in
-  let wv = Runtime.Tmatomic.get (Array.unsafe_get t.w_locks idx) in
+  let e = entry t idx in
+  let wv = Runtime.Tmatomic.get (Array.unsafe_get e Lock_table.w_col) in
   if wv = Lock_table.encode_w_owner d.tid then begin
     (* Read-after-write: return the redo-log value if this word was
        written; otherwise memory is stable (we own the stripe).  The bloom
@@ -259,7 +269,7 @@ let read_word t (d : Txdesc.t) addr =
       Memory.Heap.unsafe_read t.heap addr
     end
   end
-  else read_fresh t d (Array.unsafe_get t.r_locks idx) idx addr costs
+  else read_fresh t d (Array.unsafe_get e Lock_table.r_col) idx addr costs
 
 (* --- write ------------------------------------------------------------ *)
 
@@ -286,7 +296,8 @@ let write_word t (d : Txdesc.t) addr value =
   Stats.write t.stats ~tid:d.tid;
   check_kill t d;
   let idx = (addr lsr t.shift) land t.imask in
-  let w_lock = Array.unsafe_get t.w_locks idx in
+  let e = entry t idx in
+  let w_lock = Array.unsafe_get e Lock_table.w_col in
   let mine = Lock_table.encode_w_owner d.tid in
   let wv = Runtime.Tmatomic.get w_lock in
   if wv = mine then begin
@@ -320,7 +331,7 @@ let write_word t (d : Txdesc.t) addr value =
     Wlog.replace d.wset addr value;
     d.info.accesses <- d.info.accesses + 1;
     (* Opacity: if the stripe moved past our snapshot, revalidate. *)
-    let rv = Runtime.Tmatomic.get (Array.unsafe_get t.r_locks idx) in
+    let rv = Runtime.Tmatomic.get (Array.unsafe_get e Lock_table.r_col) in
     if
       (not (Lock_table.is_r_locked rv))
       && Lock_table.version_of rv > d.valid_ts
@@ -348,11 +359,9 @@ let commit t (d : Txdesc.t) =
     (* Lock the r-locks of every written stripe to freeze readers. *)
     let n_acq = Ivec.length d.acq_stripes in
     for i = 0 to n_acq - 1 do
-      let r_lock =
-        Array.unsafe_get t.r_locks (Ivec.unsafe_get d.acq_stripes i)
-      in
-      Ivec.push d.acq_saved (Runtime.Tmatomic.get r_lock);
-      Runtime.Tmatomic.set r_lock Lock_table.r_locked
+      let rl = r_lock t (Ivec.unsafe_get d.acq_stripes i) in
+      Ivec.push d.acq_saved (Runtime.Tmatomic.get rl);
+      Runtime.Tmatomic.set rl Lock_table.r_locked
     done;
     Hooks.inject_stretch d;
     let ts = Runtime.Tmatomic.incr_get t.commit_ts in
@@ -360,7 +369,7 @@ let commit t (d : Txdesc.t) =
       (* Failed commit-time validation: restore r-locks, then roll back. *)
       for i = 0 to n_acq - 1 do
         Runtime.Tmatomic.set
-          (Array.unsafe_get t.r_locks (Ivec.unsafe_get d.acq_stripes i))
+          (r_lock t (Ivec.unsafe_get d.acq_stripes i))
           (Ivec.unsafe_get d.acq_saved i)
       done;
       rollback t d Tx_signal.Rw_validation
@@ -376,8 +385,8 @@ let commit t (d : Txdesc.t) =
     let ver = Lock_table.encode_version ts in
     for i = 0 to n_acq - 1 do
       let idx = Ivec.unsafe_get d.acq_stripes i in
-      Runtime.Tmatomic.set (Array.unsafe_get t.r_locks idx) ver;
-      Runtime.Tmatomic.set (Array.unsafe_get t.w_locks idx) Lock_table.w_unlocked
+      Runtime.Tmatomic.set (r_lock t idx) ver;
+      Runtime.Tmatomic.set (w_lock t idx) Lock_table.w_unlocked
     done;
     leave_quiescence_slot t d;
     (* The token drops inside [commit_done], before quiescing: gated

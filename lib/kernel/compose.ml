@@ -60,9 +60,8 @@ let unreachable point why =
 type t = {
   heap : Memory.Heap.t;
   stripe : Memory.Stripe.t;
-  w_locks : Runtime.Tmatomic.t array;
-  r_locks : Runtime.Tmatomic.t array;
-  readers : Readers.t;
+  locks : Runtime.Line_table.t;  (* per stripe one line: w, r, readers *)
+  readers : Readers.t;  (* the readers column of [locks] *)
   clock : Runtime.Tmatomic.t;
   point : Axes.point;
   cm : Cm.Cm_intf.t;
@@ -78,6 +77,9 @@ let r_frozen = 1
 let is_frozen rv = rv land 1 = 1
 let encode_version v = v lsl 1
 let version_of rv = rv lsr 1
+
+let[@inline] w_lock t idx = Runtime.Line_table.cell t.locks idx 0
+let[@inline] r_lock t idx = Runtime.Line_table.cell t.locks idx 1
 
 let create ~cm ~granularity_words ~table_bits point heap =
   if point.Axes.versioning = Axes.Multi then
@@ -95,13 +97,12 @@ let create ~cm ~granularity_words ~table_bits point heap =
       "value-based validation needs the global sequence lock (norec only)";
   let stripe = Memory.Stripe.create ~granularity_words ~table_bits () in
   let n = Memory.Stripe.table_size stripe in
-  let lines = Array.init n (fun _ -> Runtime.Tmatomic.fresh_line ()) in
+  let locks = Runtime.Line_table.create n ~init:[| 0; encode_version 0; 0 |] in
   {
     heap;
     stripe;
-    w_locks = Array.init n (fun i -> Runtime.Tmatomic.make_shared lines.(i) 0);
-    r_locks = Array.init n (fun i -> Runtime.Tmatomic.make_shared lines.(i) 0);
-    readers = Readers.create lines;
+    locks;
+    readers = Readers.create locks ~col:2;
     clock = Runtime.Tmatomic.make 0;
     point;
     cm = Cm.Factory.make cm;
@@ -120,10 +121,10 @@ let release_locks t (d : Txdesc.t) =
   let frozen = Ivec.length d.acq_saved in
   for i = 0 to frozen - 1 do
     Runtime.Tmatomic.set
-      t.r_locks.(Ivec.unsafe_get d.acq_stripes i)
+      (r_lock t (Ivec.unsafe_get d.acq_stripes i))
       (Ivec.unsafe_get d.acq_saved i)
   done;
-  Ivec.iter (fun idx -> Runtime.Tmatomic.set t.w_locks.(idx) 0) d.acq_stripes
+  Ivec.iter (fun idx -> Runtime.Tmatomic.set (w_lock t idx) 0) d.acq_stripes
 
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
@@ -150,10 +151,10 @@ let validate t (d : Txdesc.t) ~exact =
     Runtime.Exec.tick costs.validate_entry;
     let idx = Rset.key d.rset !i in
     let logged = Rset.value d.rset !i in
-    let rv = Runtime.Tmatomic.get t.r_locks.(idx) in
+    let rv = Runtime.Tmatomic.get (r_lock t idx) in
     let v =
       if is_frozen rv then begin
-        if Runtime.Tmatomic.get t.w_locks.(idx) = d.tid + 1 then begin
+        if Runtime.Tmatomic.get (w_lock t idx) = d.tid + 1 then begin
           let s = Wlog.probe d.acq_version idx in
           if s >= 0 then Wlog.slot_value d.acq_version s else -1
         end
@@ -197,11 +198,11 @@ let cm_wait t d idx ~owner ~reason =
     ~rollback:(rollback t) d idx ~owner ~reason
 
 let rec read_invisible t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
-  let rv = Runtime.Tmatomic.get t.r_locks.(idx) in
+  let rv = Runtime.Tmatomic.get (r_lock t idx) in
   if is_frozen rv then begin
     (* Frozen by an encounter-time writer (long-lived: arbitrate) or by a
        committer mid-write-back (short: wait it out). *)
-    let wv = Runtime.Tmatomic.get t.w_locks.(idx) in
+    let wv = Runtime.Tmatomic.get (w_lock t idx) in
     if t.point.Axes.acquisition = Axes.Eager && wv <> 0 && wv <> d.tid + 1
     then cm_wait t d idx ~owner:wv ~reason:Tx_signal.Rw_validation
     else begin
@@ -214,7 +215,7 @@ let rec read_invisible t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
   else begin
     Runtime.Exec.tick costs.mem;
     let value = Memory.Heap.unsafe_read t.heap addr in
-    let rv2 = Runtime.Tmatomic.get t.r_locks.(idx) in
+    let rv2 = Runtime.Tmatomic.get (r_lock t idx) in
     if rv2 <> rv then read_invisible t d idx addr costs
     else begin
       let version = version_of rv in
@@ -237,13 +238,13 @@ let rec read_visible t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
   (* Announce BEFORE reading: a writer acquiring afterwards must drain our
      bit; writers that acquired before are caught by the ownership check. *)
   Readers.announce t.readers d idx;
-  let wv = Runtime.Tmatomic.get t.w_locks.(idx) in
+  let wv = Runtime.Tmatomic.get (w_lock t idx) in
   if wv <> 0 && wv <> d.tid + 1 then begin
     cm_wait t d idx ~owner:wv ~reason:Tx_signal.Rw_validation;
     read_visible t d idx addr costs
   end
   else begin
-    let rv = Runtime.Tmatomic.get t.r_locks.(idx) in
+    let rv = Runtime.Tmatomic.get (r_lock t idx) in
     if is_frozen rv then begin
       Stats.wait t.stats ~tid:d.tid;
       check_kill t d;
@@ -253,7 +254,7 @@ let rec read_visible t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
     else begin
       Runtime.Exec.tick costs.mem;
       let value = Memory.Heap.unsafe_read t.heap addr in
-      let rv2 = Runtime.Tmatomic.get t.r_locks.(idx) in
+      let rv2 = Runtime.Tmatomic.get (r_lock t idx) in
       if rv2 <> rv then read_visible t d idx addr costs
       else begin
         d.info.accesses <- d.info.accesses + 1;
@@ -267,7 +268,7 @@ let read_word t (d : Txdesc.t) addr =
   Stats.read t.stats ~tid:d.tid;
   check_kill t d;
   let idx = Memory.Stripe.index t.stripe addr in
-  if Runtime.Tmatomic.get t.w_locks.(idx) = d.tid + 1 then begin
+  if Runtime.Tmatomic.get (w_lock t idx) = d.tid + 1 then begin
     (* Own stripe: redo log, else stable memory. *)
     Runtime.Exec.tick costs.log_lookup;
     let s = Wlog.probe d.wset addr in
@@ -299,10 +300,10 @@ let read_word t (d : Txdesc.t) addr =
 (* Freeze [idx]'s r-lock (we hold its w-lock), saving the pre-freeze value
    for abort restoration and the version for self-validation. *)
 let freeze_stripe t (d : Txdesc.t) idx =
-  let rv = Runtime.Tmatomic.get t.r_locks.(idx) in
+  let rv = Runtime.Tmatomic.get (r_lock t idx) in
   Ivec.push d.acq_saved rv;
   Wlog.replace d.acq_version idx (version_of rv);
-  Runtime.Tmatomic.set t.r_locks.(idx) r_frozen;
+  Runtime.Tmatomic.set (r_lock t idx) r_frozen;
   if t.point.Axes.visibility = Axes.Visible then
     Readers.drain t.readers ~stats:t.stats ~ser:t.ser ~cm:t.cm ~descs:t.descs
       ~rollback:(rollback t) d idx;
@@ -311,7 +312,7 @@ let freeze_stripe t (d : Txdesc.t) idx =
 (* CM-arbitrated w-lock acquisition (Eager/Mixed at encounter, Lazy at
    commit). *)
 let acquire_w t (d : Txdesc.t) idx =
-  let w = t.w_locks.(idx) in
+  let w = w_lock t idx in
   let rec go () =
     let wv = Runtime.Tmatomic.get w in
     if wv <> 0 && wv <> d.tid + 1 then begin
@@ -335,11 +336,11 @@ let write_word t (d : Txdesc.t) addr value =
   | Axes.Seqlock | Axes.Bytelock -> assert false (* rejected by [create] *)
   | Axes.Lazy -> ignore (Rset.add_unique d.wstripes idx 0 : bool)
   | Axes.Eager | Axes.Mixed ->
-      if Runtime.Tmatomic.get t.w_locks.(idx) <> d.tid + 1 then begin
+      if Runtime.Tmatomic.get (w_lock t idx) <> d.tid + 1 then begin
         acquire_w t d idx;
         let version =
           if t.point.Axes.acquisition = Axes.Eager then freeze_stripe t d idx
-          else version_of (Runtime.Tmatomic.get t.r_locks.(idx))
+          else version_of (Runtime.Tmatomic.get (r_lock t idx))
         in
         d.info.accesses <- d.info.accesses + 1;
         (* Opacity: the stripe may have moved past our snapshot between our
@@ -378,7 +379,7 @@ let commit t (d : Txdesc.t) =
     | Axes.Lazy ->
         Rset.iter
           (fun idx _ ->
-            if Runtime.Tmatomic.get t.w_locks.(idx) <> d.tid + 1 then
+            if Runtime.Tmatomic.get (w_lock t idx) <> d.tid + 1 then
               acquire_w t d idx)
           d.wstripes;
         Ivec.iter (fun idx -> ignore (freeze_stripe t d idx)) d.acq_stripes
@@ -394,8 +395,8 @@ let commit t (d : Txdesc.t) =
     Vlock.write_back ~heap:t.heap d;
     Ivec.iter
       (fun idx ->
-        Runtime.Tmatomic.set t.r_locks.(idx) (encode_version ts);
-        Runtime.Tmatomic.set t.w_locks.(idx) 0)
+        Runtime.Tmatomic.set (r_lock t idx) (encode_version ts);
+        Runtime.Tmatomic.set (w_lock t idx) 0)
       d.acq_stripes;
     Readers.retract_all t.readers d;
     Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d

@@ -5,6 +5,11 @@
    [(label, limit)]; tids at or beyond the limit raise
    [Engine.Unsupported_thread_count] with that label.
 
+   [read] and [write] are called only on addresses inside the heap: the
+   wrappers check [0 <= addr < capacity] once, so an engine's unchecked
+   heap accesses (and its stripe index arithmetic) never see a bad
+   address.
+
    The ops array holds one [tx_ops] per descriptor, built up front, so the
    per-transaction fast path allocates no closures; each op keeps one
    combined [hooks_on] check on the everything-off fast path, with the
@@ -15,12 +20,15 @@ open Stm_intf
 let make ~name ~heap ~stats ?cap (o : Driver.ops)
     ~(read : Txdesc.t -> int -> int) ~(write : Txdesc.t -> int -> int -> unit)
     : Engine.t =
+  let capacity = Memory.Heap.capacity heap in
   let ops =
     Array.init Stats.max_threads (fun tid ->
         let d = o.descs.(tid) in
         {
           Engine.read =
             (fun addr ->
+              if addr < 0 || addr >= capacity then
+                Memory.Heap.out_of_bounds heap addr;
               if !Runtime.Exec.hooks_on then begin
                 if !Runtime.Exec.prof_on then
                   Runtime.Exec.set_phase tid Runtime.Exec.ph_read;
@@ -33,6 +41,8 @@ let make ~name ~heap ~stats ?cap (o : Driver.ops)
               else read d addr);
           write =
             (fun addr v ->
+              if addr < 0 || addr >= capacity then
+                Memory.Heap.out_of_bounds heap addr;
               if !Runtime.Exec.hooks_on then begin
                 if !Runtime.Exec.prof_on then
                   Runtime.Exec.set_phase tid Runtime.Exec.ph_write;

@@ -17,16 +17,19 @@ open Stm_intf
 
 let cap = 62
 
-type t = Runtime.Tmatomic.t array
+(* The reader words: column [col] of the engine's stripe table, on each
+   stripe's metadata cache line; the column must start at 0. *)
+type t = { table : Runtime.Line_table.t; col : int }
 
-(* One reader word per stripe, on the stripe's metadata cache line. *)
-let create lines : t = Array.map (fun l -> Runtime.Tmatomic.make_shared l 0) lines
+let create table ~col = { table; col }
+
+let[@inline] word rs idx = Runtime.Line_table.cell rs.table idx rs.col
 
 (* Set our bit on stripe [idx], once per transaction ([d.vreads] records
    the stripes we announced on). *)
 let announce (rs : t) (d : Txdesc.t) idx =
   if not (Rset.mem d.vreads idx) then begin
-    let r = rs.(idx) in
+    let r = word rs idx in
     let bit = 1 lsl d.tid in
     let rec go () =
       let cur = Runtime.Tmatomic.get r in
@@ -42,7 +45,7 @@ let announce (rs : t) (d : Txdesc.t) idx =
 let retract_all (rs : t) (d : Txdesc.t) =
   Rset.iter
     (fun idx _ ->
-      let r = rs.(idx) in
+      let r = word rs idx in
       let bit = 1 lsl d.tid in
       let rec clear () =
         let cur = Runtime.Tmatomic.get r in
@@ -59,7 +62,7 @@ let retract_all (rs : t) (d : Txdesc.t) =
    engine's own (it releases the engine's locks, then unwinds). *)
 let drain (rs : t) ~stats ~ser ~cm ~(descs : Txdesc.t array) ~rollback
     (d : Txdesc.t) idx =
-  let r = rs.(idx) in
+  let r = word rs idx in
   let mine = 1 lsl d.tid in
   let rec go () =
     let cur = Runtime.Tmatomic.get r in

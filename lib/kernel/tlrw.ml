@@ -23,8 +23,8 @@ open Stm_intf
 type t = {
   heap : Memory.Heap.t;
   stripe : Memory.Stripe.t;
-  owners : Runtime.Tmatomic.t array;
-  readers : Readers.t;
+  locks : Runtime.Line_table.t;  (* per stripe one line: owner, readers *)
+  readers : Readers.t;  (* the readers column of [locks] *)
   cm : Cm.Cm_intf.t;
   descs : Txdesc.t array;
   stats : Stats.t;
@@ -34,15 +34,17 @@ type t = {
 
 let name = "tlrw"
 
+let[@inline] owner t idx = Runtime.Line_table.cell t.locks idx 0
+
 let create ~cm ~granularity_words ~table_bits heap =
   let stripe = Memory.Stripe.create ~granularity_words ~table_bits () in
   let n = Memory.Stripe.table_size stripe in
-  let lines = Array.init n (fun _ -> Runtime.Tmatomic.fresh_line ()) in
+  let locks = Runtime.Line_table.create n ~init:[| 0; 0 |] in
   {
     heap;
     stripe;
-    owners = Array.init n (fun i -> Runtime.Tmatomic.make_shared lines.(i) 0);
-    readers = Readers.create lines;
+    locks;
+    readers = Readers.create locks ~col:1;
     cm = Cm.Factory.make cm;
     descs = Driver.make_descs ();
     stats = Stats.create ();
@@ -53,7 +55,7 @@ let create ~cm ~granularity_words ~table_bits heap =
 (* --- rollback ---------------------------------------------------------- *)
 
 let release_owners t (d : Txdesc.t) =
-  Ivec.iter (fun idx -> Runtime.Tmatomic.set t.owners.(idx) 0) d.acq_stripes
+  Ivec.iter (fun idx -> Runtime.Tmatomic.set (owner t idx) 0) d.acq_stripes
 
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
@@ -76,7 +78,7 @@ let rec read_slot t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
      drain our slot before write-back; one that acquired before is caught
      by the ownership check below. *)
   Readers.announce t.readers d idx;
-  let wv = Runtime.Tmatomic.get t.owners.(idx) in
+  let wv = Runtime.Tmatomic.get (owner t idx) in
   if wv <> 0 && wv <> d.tid + 1 then begin
     cm_wait t d idx ~owner:wv ~reason:Tx_signal.Rw_validation;
     read_slot t d idx addr costs
@@ -93,7 +95,7 @@ let read_word t (d : Txdesc.t) addr =
   Stats.read t.stats ~tid:d.tid;
   check_kill t d;
   let idx = Memory.Stripe.index t.stripe addr in
-  if Runtime.Tmatomic.get t.owners.(idx) = d.tid + 1 then begin
+  if Runtime.Tmatomic.get (owner t idx) = d.tid + 1 then begin
     (* Own stripe: redo log, else stable memory. *)
     Runtime.Exec.tick costs.log_lookup;
     let s = Wlog.probe d.wset addr in
@@ -112,8 +114,8 @@ let write_word t (d : Txdesc.t) addr value =
   Stats.write t.stats ~tid:d.tid;
   check_kill t d;
   let idx = Memory.Stripe.index t.stripe addr in
-  if Runtime.Tmatomic.get t.owners.(idx) <> d.tid + 1 then begin
-    let w = t.owners.(idx) in
+  if Runtime.Tmatomic.get (owner t idx) <> d.tid + 1 then begin
+    let w = owner t idx in
     let rec go () =
       let wv = Runtime.Tmatomic.get w in
       if wv <> 0 && wv <> d.tid + 1 then begin

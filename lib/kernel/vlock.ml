@@ -15,6 +15,23 @@ let[@inline] is_locked lv = lv land 1 = 1
 let[@inline] version_of lv = lv lsr 1
 let[@inline] locked_by tid = ((tid + 1) lsl 1) lor 1
 
+(* The lock table: one single-cell line per stripe, built on the
+   stripe's first access.  (MVSTM's lines carry two more cells after
+   the lock.) *)
+let create_locks stripe =
+  Runtime.Line_table.create (Memory.Stripe.table_size stripe)
+    ~init:[| unlocked_of_version 0 |]
+
+(* The lock of stripe [idx] — cell 0 of its line — with the table's
+   fast path (one slot load and a sentinel compare) inlined into every
+   helper below. *)
+let[@inline] lock (locks : Runtime.Line_table.t) idx =
+  let e = Array.unsafe_get locks.slots idx in
+  Array.unsafe_get
+    (if e != Runtime.Line_table.absent then e
+     else Runtime.Line_table.touch locks idx)
+    0
+
 (* GV4 clock bump: try to CAS the sampled value forward; on failure
    another committer already advanced the clock and its value can be
    reused, saving a second RMW on the hot line.  Returns the commit
@@ -31,18 +48,18 @@ let gv4_bump ~clock ~rv =
 
 (* Restore saved lock values over the first [upto] entries of [stripes]
    (encounter-time abort path: [acq_stripes]/[acq_saved]). *)
-let release_restoring ~(locks : Runtime.Tmatomic.t array) stripes saved ~upto =
+let release_restoring ~locks stripes saved ~upto =
   for i = 0 to upto - 1 do
     Runtime.Tmatomic.set
-      locks.(Ivec.unsafe_get stripes i)
+      (lock locks (Ivec.unsafe_get stripes i))
       (Ivec.unsafe_get saved i)
   done
 
 (* Same, over a lazy write-stripe journal (commit-time acquisition
    backout: [wstripes]/[acq_saved]). *)
-let release_wstripes ~(locks : Runtime.Tmatomic.t array) wstripes saved ~upto =
+let release_wstripes ~locks wstripes saved ~upto =
   for i = 0 to upto - 1 do
-    Runtime.Tmatomic.set locks.(Rset.key wstripes i) (Ivec.unsafe_get saved i)
+    Runtime.Tmatomic.set (lock locks (Rset.key wstripes i)) (Ivec.unsafe_get saved i)
   done
 
 (* Lazy commit-time acquisition (TL2/MVSTM): lock every written stripe,
@@ -57,11 +74,11 @@ let acquire_wstripes ~locks (d : Txdesc.t) =
   (try
      while !i < n do
        let idx = Rset.key d.wstripes !i in
-       let lock = locks.(idx) in
-       let lv = Runtime.Tmatomic.get lock in
+       let l = lock locks idx in
+       let lv = Runtime.Tmatomic.get l in
        if is_locked lv then raise Exit
        else if
-         not (Runtime.Tmatomic.cas lock ~expect:lv ~replace:(locked_by d.tid))
+         not (Runtime.Tmatomic.cas l ~expect:lv ~replace:(locked_by d.tid))
        then raise Exit
        else begin
          Hooks.inject_stall d;
@@ -91,7 +108,7 @@ let validate_rv ~locks (d : Txdesc.t) =
   while !ok && !j < nr do
     Runtime.Exec.tick costs.validate_entry;
     let idx = Rset.key d.rset !j in
-    let lv = Runtime.Tmatomic.get locks.(idx) in
+    let lv = Runtime.Tmatomic.get (lock locks idx) in
     (if is_locked lv then begin
        if lv <> locked_by d.tid then ok := false
        else begin
@@ -122,7 +139,7 @@ let validate_exact ~locks (d : Txdesc.t) =
     Runtime.Exec.tick costs.validate_entry;
     let idx = Rset.key d.rset !i in
     let logged = Rset.value d.rset !i in
-    let lv = Runtime.Tmatomic.get locks.(idx) in
+    let lv = Runtime.Tmatomic.get (lock locks idx) in
     (if is_locked lv then begin
        if lv <> locked_by d.tid then ok := false
        else begin
@@ -159,14 +176,14 @@ let write_back ~heap (d : Txdesc.t) =
 
 (* Publish [version] over every stripe in [stripes], releasing the
    locks. *)
-let publish ~(locks : Runtime.Tmatomic.t array) stripes ~version =
+let publish ~locks stripes ~version =
   Ivec.iter
-    (fun idx -> Runtime.Tmatomic.set locks.(idx) (unlocked_of_version version))
+    (fun idx -> Runtime.Tmatomic.set (lock locks idx) (unlocked_of_version version))
     stripes
 
 (* Same, over a lazy write-stripe journal. *)
-let publish_wstripes ~(locks : Runtime.Tmatomic.t array) wstripes ~version =
+let publish_wstripes ~locks wstripes ~version =
   let v = unlocked_of_version version in
   for i = 0 to Rset.length wstripes - 1 do
-    Runtime.Tmatomic.set locks.(Rset.key wstripes i) v
+    Runtime.Tmatomic.set (lock locks (Rset.key wstripes i)) v
   done

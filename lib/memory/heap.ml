@@ -55,9 +55,13 @@ let create ~words =
 
 let capacity t = Array.length t.words
 
+let out_of_bounds t addr =
+  invalid_arg
+    (Printf.sprintf "Heap: address %d out of bounds (capacity %d)" addr
+       (Array.length t.words))
+
 let check t addr =
-  if addr <= 0 || addr >= Array.length t.words then
-    invalid_arg (Printf.sprintf "Heap: address %d out of bounds" addr)
+  if addr <= 0 || addr >= Array.length t.words then out_of_bounds t addr
 
 (** Non-transactional read (setup / verification only during quiescence). *)
 let read t addr =

@@ -56,6 +56,11 @@ val double_frees_total : unit -> int
 
 (**/**)
 
+val out_of_bounds : t -> int -> 'a
+(** [out_of_bounds t addr] raises [Invalid_argument] naming [addr]: what
+    an access outside the heap raises.  Engines check transactional
+    addresses against [0, capacity) once, at their entry points. *)
+
 (* Unchecked accessors for engine internals (addresses pre-validated). *)
 val unsafe_read : t -> int -> int
 val unsafe_write : t -> int -> int -> unit

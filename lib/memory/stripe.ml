@@ -34,9 +34,10 @@ let granularity_words t = 1 lsl t.log2_gran
 let table_size t = 1 lsl t.table_bits
 
 (* Raw mapping parameters, for engines that inline [index] in their hot
-   paths (swisstm caches both in its own record and computes
-   [(addr lsr shift) land mask] in-line: the default dev build compiles
-   with [-opaque], so a call to [index] is never inlined). *)
+   paths: swisstm keeps both in its record and computes
+   [(addr lsr shift) land mask] in-line, next to its in-line lock-table
+   slot check, because the default dev build compiles with [-opaque] and
+   a call to [index] is never inlined. *)
 let log2_granularity t = t.log2_gran
 let index_mask t = t.mask
 

@@ -43,10 +43,13 @@ let engine heap : Engine.t =
   let t = create heap in
   let depth = Array.make Stats.max_threads 0 in
   let costs () = Runtime.Costs.get () in
+  let capacity = Memory.Heap.capacity heap in
   let ops tid =
     {
       Engine.read =
         (fun addr ->
+          if addr < 0 || addr >= capacity then
+            Memory.Heap.out_of_bounds heap addr;
           Stats.read t.stats ~tid;
           (* One combined check on the everything-off fast path; the
              individual collector flags are only consulted behind it. *)
@@ -66,6 +69,8 @@ let engine heap : Engine.t =
           end);
       write =
         (fun addr v ->
+          if addr < 0 || addr >= capacity then
+            Memory.Heap.out_of_bounds heap addr;
           Stats.write t.stats ~tid;
           if !Runtime.Exec.hooks_on then begin
             if !Runtime.Exec.prof_on then

@@ -23,10 +23,10 @@
    Chains are truncated at [max_chain] records; a snapshot older than the
    chain aborts with a "snapshot too old" validation failure.
 
-   Intended for the simulator: chain heads are plain (non-atomic) words,
-   fine under the cooperative scheduler but racy on native domains (a
-   native reader may briefly miss the newest record and retry via the
-   lock double-check).
+   Intended for the simulator: chain heads are uncharged words read
+   without the stripe lock, fine under the cooperative scheduler but
+   racy on native domains (a native reader may briefly miss the newest
+   record and retry via the lock double-check).
 
    In kernel axes this is lazy + invisible + commit-time + MULTI
    versioning: TL2's commit path (all in [Kernel.Vlock]) with the version-
@@ -45,9 +45,9 @@ let vr_pairs = 3
 type t = {
   heap : Memory.Heap.t;
   stripe : Memory.Stripe.t;
-  locks : Runtime.Tmatomic.t array;
-  hist : int array;  (** per-stripe version-chain head (heap address or 0) *)
-  chain_len : int array;
+  locks : Runtime.Line_table.t;
+      (** per stripe: the versioned lock, the version-chain head (heap
+          address or 0) and the chain length *)
   clock : Runtime.Tmatomic.t;
   descs : Txdesc.t array;
   stats : Stats.t;
@@ -69,9 +69,7 @@ let create ~cm ~granularity_words ~table_bits ~max_chain heap =
   {
     heap;
     stripe;
-    locks = Array.init n (fun _ -> Runtime.Tmatomic.make 0);
-    hist = Array.make n 0;
-    chain_len = Array.make n 0;
+    locks = Runtime.Line_table.create n ~init:[| Vlock.unlocked_of_version 0; 0; 0 |];
     clock = Runtime.Tmatomic.make 0;
     descs = Driver.make_descs ();
     stats = Stats.create ();
@@ -81,6 +79,14 @@ let create ~cm ~granularity_words ~table_bits ~max_chain heap =
     max_chain;
     snapshot_reads = Runtime.Tmatomic.make 0;
   }
+
+(* The chain words ride on the stripe's line but are plain bookkeeping:
+   read and written cost-free, like the heap words they index. *)
+let chain_word t idx col = Runtime.Line_table.cell t.locks idx col
+let hist t idx = Runtime.Tmatomic.unsafe_get (chain_word t idx 1)
+let set_hist t idx v = Runtime.Tmatomic.unsafe_set (chain_word t idx 1) v
+let chain_len t idx = Runtime.Tmatomic.unsafe_get (chain_word t idx 2)
+let set_chain_len t idx v = Runtime.Tmatomic.unsafe_set (chain_word t idx 2) v
 
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
@@ -93,7 +99,7 @@ let rollback t (d : Txdesc.t) reason =
 let snapshot_read t (d : Txdesc.t) addr idx =
   let costs = Runtime.Costs.get () in
   let rec stable_attempt () =
-    let lv = Runtime.Tmatomic.get t.locks.(idx) in
+    let lv = Runtime.Tmatomic.get (Vlock.lock t.locks idx) in
     if Vlock.is_locked lv then begin
       Stats.wait t.stats ~tid:d.tid;
       Runtime.Exec.pause ();
@@ -130,9 +136,9 @@ let snapshot_read t (d : Txdesc.t) addr idx =
         end
       in
       ignore !found;
-      if Vlock.version_of lv > d.valid_ts then walk t.hist.(idx);
+      if Vlock.version_of lv > d.valid_ts then walk (hist t idx);
       (* re-check the stripe did not move under us *)
-      let lv2 = Runtime.Tmatomic.get t.locks.(idx) in
+      let lv2 = Runtime.Tmatomic.get (Vlock.lock t.locks idx) in
       if lv2 <> lv then stable_attempt ()
       else begin
         ignore (Runtime.Tmatomic.fetch_and_add t.snapshot_reads 1);
@@ -157,7 +163,7 @@ let read_word t (d : Txdesc.t) addr =
   if s >= 0 then Wlog.slot_value d.wset s
   else if d.snapshot then snapshot_read t d addr idx
   else begin
-    let lock = t.locks.(idx) in
+    let lock = Vlock.lock t.locks idx in
     let lv1 = Runtime.Tmatomic.get lock in
     Runtime.Exec.tick costs.mem;
     let value = Memory.Heap.unsafe_read t.heap addr in
@@ -209,7 +215,7 @@ let push_version_record t (d : Txdesc.t) idx ~new_version =
   if n > 0 then begin
     let rec_addr = Memory.Heap.alloc t.heap (vr_pairs + (2 * n)) in
     Memory.Heap.unsafe_write t.heap (rec_addr + vr_version) new_version;
-    Memory.Heap.unsafe_write t.heap (rec_addr + vr_prev) t.hist.(idx);
+    Memory.Heap.unsafe_write t.heap (rec_addr + vr_prev) (hist t idx);
     Memory.Heap.unsafe_write t.heap (rec_addr + vr_nwords) n;
     List.iteri
       (fun k addr ->
@@ -219,18 +225,18 @@ let push_version_record t (d : Txdesc.t) idx ~new_version =
           (rec_addr + vr_pairs + (2 * k) + 1)
           (Memory.Heap.unsafe_read t.heap addr))
       words;
-    t.hist.(idx) <- rec_addr;
+    set_hist t idx rec_addr;
     (* bound the chain: drop the tail once it exceeds max_chain *)
-    if t.chain_len.(idx) >= t.max_chain then begin
+    if chain_len t idx >= t.max_chain then begin
       let rec cut r depth =
         if r > 0 then
           if depth = t.max_chain - 1 then
             Memory.Heap.unsafe_write t.heap (r + vr_prev) (-1)
           else cut (Memory.Heap.unsafe_read t.heap (r + vr_prev)) (depth + 1)
       in
-      cut t.hist.(idx) 0
+      cut (hist t idx) 0
     end
-    else t.chain_len.(idx) <- t.chain_len.(idx) + 1
+    else set_chain_len t idx (chain_len t idx + 1)
   end
 
 let commit t (d : Txdesc.t) =

@@ -44,9 +44,8 @@ type visibility = Visible | Invisible
 type t = {
   heap : Memory.Heap.t;
   stripe : Memory.Stripe.t;
-  owners : Runtime.Tmatomic.t array;
-  versions : Runtime.Tmatomic.t array;
-  readers : Readers.t;
+  orecs : Runtime.Line_table.t;  (* per stripe: owner, version, readers *)
+  readers : Readers.t;  (* the readers column of [orecs] *)
   counter : Runtime.Tmatomic.t;  (* global commit counter *)
   cm : Cm.Cm_intf.t;
   acquire : acquire;
@@ -68,17 +67,19 @@ let busy lv = lv land 1 = 1
 let version_of lv = lv lsr 1
 let encode_version v = v lsl 1
 
+let[@inline] owner t idx = Runtime.Line_table.cell t.orecs idx 0
+let[@inline] version t idx = Runtime.Line_table.cell t.orecs idx 1
+
 let create ~acquire ~visibility ~cm ~granularity_words ~table_bits heap =
   let stripe = Memory.Stripe.create ~granularity_words ~table_bits () in
-  let n = Memory.Stripe.table_size stripe in
   (* owner/version/readers form one RSTM object header: one cache line. *)
-  let lines = Array.init n (fun _ -> Runtime.Tmatomic.fresh_line ()) in
+  let n = Memory.Stripe.table_size stripe in
+  let orecs = Runtime.Line_table.create n ~init:[| 0; encode_version 0; 0 |] in
   {
     heap;
     stripe;
-    owners = Array.init n (fun i -> Runtime.Tmatomic.make_shared lines.(i) 0);
-    versions = Array.init n (fun i -> Runtime.Tmatomic.make_shared lines.(i) 0);
-    readers = Readers.create lines;
+    orecs;
+    readers = Readers.create orecs ~col:2;
     counter = Runtime.Tmatomic.make 0;
     cm = Cm.Factory.make cm;
     acquire;
@@ -95,10 +96,10 @@ let release_owned t (d : Txdesc.t) =
       (* A rollback can land mid-commit (remote kill noticed while
          validating), after the busy bits were set: clear them before
          releasing ownership or readers spin on the stripe forever. *)
-      let v = t.versions.(idx) in
+      let v = version t idx in
       let lv = Runtime.Tmatomic.unsafe_get v in
       if busy lv then Runtime.Tmatomic.set v (lv land lnot 1);
-      Runtime.Tmatomic.set t.owners.(idx) 0)
+      Runtime.Tmatomic.set (owner t idx) 0)
     d.acq_stripes
 
 let rollback t (d : Txdesc.t) reason =
@@ -112,7 +113,7 @@ let check_kill t d =
 
 (* Spin until a stripe stops being busy (a committer is writing back). *)
 let wait_unbusy t (d : Txdesc.t) idx =
-  let v = t.versions.(idx) in
+  let v = version t idx in
   let rec go lv =
     if busy lv then begin
       Stats.wait t.stats ~tid:d.tid;
@@ -142,10 +143,10 @@ let validate t (d : Txdesc.t) =
     let idx = Rset.key d.rset !i in
     let logged = Rset.value d.rset !i in
     let rec settle () =
-      let lv = Runtime.Tmatomic.get t.versions.(idx) in
+      let lv = Runtime.Tmatomic.get (version t idx) in
       if not (busy lv) then lv
       else begin
-        let ov = Runtime.Tmatomic.get t.owners.(idx) in
+        let ov = Runtime.Tmatomic.get (owner t idx) in
         if ov = d.tid + 1 then lv
         else begin
           check_kill t d;
@@ -182,7 +183,7 @@ let maybe_validate t (d : Txdesc.t) =
 (* Resolve a conflict against the owner of [idx]; returns when the stripe
    is no longer owned by that victim (or aborts/unwinds). *)
 let rec contend t (d : Txdesc.t) idx ~reason =
-  let ov = Runtime.Tmatomic.get t.owners.(idx) in
+  let ov = Runtime.Tmatomic.get (owner t idx) in
   if ov <> 0 && ov <> d.tid + 1 then begin
     Readers.cm_wait ~eid:t.eid ~stats:t.stats ~ser:t.ser ~cm:t.cm
       ~descs:t.descs ~rollback:(rollback t) d idx ~owner:ov ~reason;
@@ -194,7 +195,7 @@ let read_word t (d : Txdesc.t) addr =
   Stats.read t.stats ~tid:d.tid;
   check_kill t d;
   let idx = Memory.Stripe.index t.stripe addr in
-  if Runtime.Tmatomic.get t.owners.(idx) = d.tid + 1 then begin
+  if Runtime.Tmatomic.get (owner t idx) = d.tid + 1 then begin
     (* Our own acquired object: redo log, else stable memory. *)
     Runtime.Exec.tick costs.log_lookup;
     let s = Wlog.probe d.wset addr in
@@ -227,7 +228,7 @@ let read_word t (d : Txdesc.t) addr =
           let lv = wait_unbusy t d idx in
           Runtime.Exec.tick costs.mem;
           let value = Memory.Heap.unsafe_read t.heap addr in
-          let lv2 = Runtime.Tmatomic.get t.versions.(idx) in
+          let lv2 = Runtime.Tmatomic.get (version t idx) in
           if lv2 <> lv then snapshot () else (version_of lv, value)
         in
         let version, value = snapshot () in
@@ -245,7 +246,7 @@ let read_word t (d : Txdesc.t) addr =
 (* Acquire ownership of [idx]; pays the RSTM object-clone cost. *)
 let acquire_stripe t (d : Txdesc.t) idx =
   let costs = Runtime.Costs.get () in
-  let o = t.owners.(idx) in
+  let o = owner t idx in
   let rec go () =
     contend t d idx ~reason:Tx_signal.Ww_conflict;
     if not (Runtime.Tmatomic.cas o ~expect:0 ~replace:(d.tid + 1)) then go ()
@@ -268,7 +269,7 @@ let write_word t (d : Txdesc.t) addr value =
   let idx = Memory.Stripe.index t.stripe addr in
   (match t.acquire with
   | Eager ->
-      if Runtime.Tmatomic.get t.owners.(idx) <> d.tid + 1 then
+      if Runtime.Tmatomic.get (owner t idx) <> d.tid + 1 then
         acquire_stripe t d idx
   | Lazy -> ignore (Rset.add_unique d.wstripes idx 0 : bool));
   Runtime.Exec.tick costs.log_append;
@@ -296,13 +297,13 @@ let commit t (d : Txdesc.t) =
     if t.acquire = Lazy then
       Rset.iter
         (fun idx _ ->
-          if Runtime.Tmatomic.get t.owners.(idx) <> d.tid + 1 then
+          if Runtime.Tmatomic.get (owner t idx) <> d.tid + 1 then
             acquire_stripe t d idx)
         d.wstripes;
     (* Freeze the acquired objects, publish the commit. *)
     Ivec.iter
       (fun idx ->
-        let v = t.versions.(idx) in
+        let v = version t idx in
         Runtime.Tmatomic.set v (Runtime.Tmatomic.get v lor 1))
       d.acq_stripes;
     let cc = Runtime.Tmatomic.incr_get t.counter in
@@ -310,7 +311,7 @@ let commit t (d : Txdesc.t) =
        (* Unfreeze with the old version, release, abort. *)
        Ivec.iter
          (fun idx ->
-           let v = t.versions.(idx) in
+           let v = version t idx in
            Runtime.Tmatomic.set v (Runtime.Tmatomic.get v land lnot 1))
          d.acq_stripes;
        rollback t d Tx_signal.Rw_validation
@@ -323,8 +324,8 @@ let commit t (d : Txdesc.t) =
       d.wset;
     Ivec.iter
       (fun idx ->
-        Runtime.Tmatomic.set t.versions.(idx) (encode_version cc);
-        Runtime.Tmatomic.set t.owners.(idx) 0)
+        Runtime.Tmatomic.set (version t idx) (encode_version cc);
+        Runtime.Tmatomic.set (owner t idx) 0)
       d.acq_stripes;
     Readers.retract_all t.readers d;
     Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d

@@ -25,7 +25,7 @@ open Kernel
 type t = {
   heap : Memory.Heap.t;
   stripe : Memory.Stripe.t;
-  locks : Runtime.Tmatomic.t array;
+  locks : Runtime.Line_table.t;  (* one versioned lock per stripe *)
   clock : Runtime.Tmatomic.t;
   descs : Txdesc.t array;
   stats : Stats.t;
@@ -44,9 +44,7 @@ let create ~cm ~granularity_words ~table_bits heap =
   {
     heap;
     stripe;
-    locks =
-      Array.init (Memory.Stripe.table_size stripe) (fun _ ->
-          Runtime.Tmatomic.make 0);
+    locks = Vlock.create_locks stripe;
     clock = Runtime.Tmatomic.make 0;
     descs = Driver.make_descs ();
     stats = Stats.create ();
@@ -70,7 +68,7 @@ let read_word t (d : Txdesc.t) addr =
   Stats.read t.stats ~tid:d.tid;
   if Hooks.inject_abort d then rollback t d Tx_signal.Killed;
   let idx = Memory.Stripe.index t.stripe addr in
-  let lock = t.locks.(idx) in
+  let lock = Vlock.lock t.locks idx in
   let lv = Runtime.Tmatomic.get lock in
   if Vlock.is_locked lv then begin
     if lv = Vlock.locked_by d.tid then begin
@@ -108,7 +106,7 @@ let write_word t (d : Txdesc.t) addr value =
   Stats.write t.stats ~tid:d.tid;
   if Hooks.inject_abort d then rollback t d Tx_signal.Killed;
   let idx = Memory.Stripe.index t.stripe addr in
-  let lock = t.locks.(idx) in
+  let lock = Vlock.lock t.locks idx in
   let mine = Vlock.locked_by d.tid in
   let lv = Runtime.Tmatomic.get lock in
   if lv = mine then begin

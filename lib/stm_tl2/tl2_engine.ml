@@ -28,7 +28,7 @@ open Kernel
 type t = {
   heap : Memory.Heap.t;
   stripe : Memory.Stripe.t;
-  locks : Runtime.Tmatomic.t array;
+  locks : Runtime.Line_table.t;  (* one versioned lock per stripe *)
   clock : Runtime.Tmatomic.t;
   descs : Txdesc.t array;
   stats : Stats.t;
@@ -47,9 +47,7 @@ let create ~cm ~granularity_words ~table_bits heap =
   {
     heap;
     stripe;
-    locks =
-      Array.init (Memory.Stripe.table_size stripe) (fun _ ->
-          Runtime.Tmatomic.make 0);
+    locks = Vlock.create_locks stripe;
     clock = Runtime.Tmatomic.make 0;
     descs = Driver.make_descs ();
     stats = Stats.create ();
@@ -79,7 +77,12 @@ let read_word t (d : Txdesc.t) addr =
   in
   if s >= 0 then Wlog.slot_value d.wset s
   else begin
-    let lock = t.locks.(idx) in
+    (* [Vlock.lock], inlined: a call here would be a real call per read *)
+    let e = Array.unsafe_get t.locks.slots idx in
+    let lock =
+      if e != Runtime.Line_table.absent then Array.unsafe_get e 0
+      else Vlock.lock t.locks idx
+    in
     let lv1 = Runtime.Tmatomic.get lock in
     Runtime.Exec.tick costs.mem;
     let value = Memory.Heap.unsafe_read t.heap addr in

@@ -226,6 +226,68 @@ let test_tinystm_lock_encoding () =
   Alcotest.(check bool) "distinct owners distinct" true
     (locked_by 1 <> locked_by 2)
 
+(* --- transactional accesses outside the heap --------------------------- *)
+
+(* Engines reach the heap with unchecked accesses, so an address outside
+   [0, capacity) must be refused at the engine's entry point, before it
+   can read garbage or corrupt memory (a write-back under held locks
+   included).  The refusal unwinds like any foreign exception: the heap
+   is unchanged and the next transaction commits. *)
+let test_out_of_heap name () =
+  let spec = Option.get (Engines.of_string name) in
+  let heap = Memory.Heap.create ~words:1000 in
+  let e = Engines.make spec heap in
+  let a = Memory.Heap.alloc heap 4 in
+  Memory.Heap.write heap a 7;
+  let snapshot () =
+    Array.init 999 (fun i -> Memory.Heap.read heap (i + 1))
+  in
+  let before = snapshot () in
+  let refused what f =
+    Alcotest.(check bool) (name ^ ": " ^ what ^ " raises") true
+      (match atomic e f with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  List.iter
+    (fun bad ->
+      refused (Printf.sprintf "read %d" bad) (fun tx -> tx.read bad);
+      refused (Printf.sprintf "write %d" bad) (fun tx ->
+          tx.write bad 1;
+          0))
+    [ -1; Memory.Heap.capacity heap ];
+  Alcotest.(check bool) (name ^ ": heap unchanged") true (before = snapshot ());
+  atomic e (fun tx -> tx.write a (tx.read a + 1));
+  check Alcotest.int (name ^ ": a valid transaction commits") 8
+    (Memory.Heap.read heap a)
+
+(* --- construction cost ------------------------------------------------- *)
+
+(* Words allocated by [f]: minor allocation plus direct major allocation
+   (a large block skips the minor heap). *)
+let words_allocated f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0 +. (major1 -. promoted1) -. (major0 -. promoted0), r)
+
+(* Stripe tables are built on first touch, so building an engine costs
+   its slot array, not a line per stripe.  Descriptors come from the
+   shared pool; the warm-up engine, once collected, fills it, so the
+   figure counts the engine's own construction. *)
+let test_construction_words name () =
+  let spec = Option.get (Engines.of_string name) in
+  let stripes = 1 lsl spec.Engines.table_bits in
+  check Alcotest.int (name ^ ": default table") (1 lsl 18) stripes;
+  let heap = Memory.Heap.create ~words:1024 in
+  ignore (Engines.make spec heap : Stm_intf.Engine.t);
+  Gc.full_major ();
+  let words, _e = words_allocated (fun () -> Engines.make spec heap) in
+  let per_stripe = words /. float_of_int stripes in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.2f words per stripe < 3" name per_stripe)
+    true (per_stripe < 3.)
+
 (* --- irrevocability and escalation ------------------------------------- *)
 
 let test_irrevocable_basic spec () =
@@ -401,6 +463,16 @@ let suite =
         ] );
       ( "engine-labels",
         [ Alcotest.test_case "names pinned" `Quick test_labels_pinned ] );
+      ( "out-of-heap",
+        List.map
+          (fun name -> Alcotest.test_case name `Quick (test_out_of_heap name))
+          Engines.known_names );
+      ( "construction",
+        List.map
+          (fun name ->
+            Alcotest.test_case name `Quick (test_construction_words name))
+          [ "swisstm"; "tl2"; "rstm-visible"; "tlrw"; "k-eager+vis+commit+redo" ]
+      );
       ( "quiescence-slots",
         [
           Alcotest.test_case "swisstm-priv user exception unblocks committers"

@@ -237,6 +237,75 @@ let test_tmatomic_native_mode_uncharged () =
   Runtime.Tmatomic.set a 1;
   check Alcotest.int "native ops work" 1 (Runtime.Tmatomic.unsafe_get a)
 
+(* --- Line_table ------------------------------------------------------------ *)
+
+(* A line built on first touch holds its initial values and is one
+   modelled cache line, charged exactly like eagerly built [make_shared]
+   cells; later accesses return the same cells. *)
+let test_line_table_first_touch () =
+  let t = Runtime.Line_table.create 8 ~init:[| 3; 5 |] in
+  Alcotest.(check bool) "untouched" true
+    (t.slots.(2) == Runtime.Line_table.absent);
+  let a = Runtime.Line_table.cell t 2 0 and b = Runtime.Line_table.cell t 2 1 in
+  check Alcotest.(pair int int) "initial values" (3, 5)
+    (Runtime.Tmatomic.unsafe_get a, Runtime.Tmatomic.unsafe_get b);
+  Alcotest.(check bool) "same cells on re-access" true
+    (Runtime.Line_table.cell t 2 0 == a && t.slots.(2).(1) == b);
+  Alcotest.(check bool) "neighbours untouched" true
+    (t.slots.(1) == Runtime.Line_table.absent
+    && t.slots.(3) == Runtime.Line_table.absent);
+  let fresh = Runtime.Line_table.create 1 ~init:[| 0; 0 |] in
+  let cycles =
+    measure (fun () ->
+        ignore (Runtime.Tmatomic.get (Runtime.Line_table.cell fresh 0 0));
+        ignore (Runtime.Tmatomic.get (Runtime.Line_table.cell fresh 0 1)))
+  in
+  check Alcotest.int "two cells share one line, first touch free"
+    (costs.miss_socket + 1) cycles
+
+(* Native domains race on the first touch of untouched lines: every
+   domain must get the physically same cells, so no increment is lost to
+   a line built twice. *)
+let test_line_table_native_race () =
+  let domains = 4 and lines = 1 lsl 16 and width = 2 and incs = 2 in
+  let t = Runtime.Line_table.create lines ~init:(Array.make width 0) in
+  let ready = Atomic.make 0 in
+  let seen =
+    Array.init domains (fun _ -> Array.make (lines * width) (Runtime.Tmatomic.make 0))
+  in
+  let rec cas_incr c =
+    let v = Runtime.Tmatomic.get c in
+    if not (Runtime.Tmatomic.cas c ~expect:v ~replace:(v + 1)) then cas_incr c
+  in
+  let worker d () =
+    Atomic.incr ready;
+    while Atomic.get ready < domains do
+      Domain.cpu_relax ()
+    done;
+    for l = 0 to lines - 1 do
+      for w = 0 to width - 1 do
+        let c = Runtime.Line_table.cell t l w in
+        seen.(d).((l * width) + w) <- c;
+        for _ = 1 to incs do
+          cas_incr c
+        done
+      done
+    done
+  in
+  List.iter Domain.join (List.init domains (fun d -> Domain.spawn (worker d)));
+  let lost = ref 0 and split = ref 0 in
+  for l = 0 to lines - 1 do
+    for w = 0 to width - 1 do
+      let c = Runtime.Line_table.cell t l w in
+      if Runtime.Tmatomic.unsafe_get c <> domains * incs then incr lost;
+      for d = 0 to domains - 1 do
+        if seen.(d).((l * width) + w) != c then incr split
+      done
+    done
+  done;
+  check Alcotest.int "cells whose sum is not exact" 0 !lost;
+  check Alcotest.int "cells not physically shared" 0 !split
+
 (* --- Backoff --------------------------------------------------------------- *)
 
 let prop_backoff_linear_bounds =
@@ -409,6 +478,12 @@ let suite =
         Alcotest.test_case "shared cache line" `Quick test_tmatomic_shared_line;
         Alcotest.test_case "cas/faa semantics" `Quick test_tmatomic_semantics;
         Alcotest.test_case "native mode" `Quick test_tmatomic_native_mode_uncharged;
+      ] );
+    ( "line-table",
+      [
+        Alcotest.test_case "first touch" `Quick test_line_table_first_touch;
+        Alcotest.test_case "native first-touch race" `Quick
+          test_line_table_native_race;
       ] );
     ( "backoff",
       [
