@@ -1,8 +1,7 @@
 # Convenience targets; the source of truth is dune.
 
 .PHONY: all build test bench check fuzz-smoke obs-smoke fault-smoke \
-        kernel-smoke epoch-smoke pool-smoke norec-smoke service-smoke \
-        scale-smoke txds-smoke clean
+        kernel-smoke epoch-smoke pool-smoke norec-smoke txds-smoke clean
 
 all: build
 
@@ -15,14 +14,15 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# CI gate: full build, full test suite, a perf-gate smoke run (write-log
-# fast path >= 20% better than Hashtbl, observability-off overhead <= 2%
-# vs the PR-2 baseline, sb7 cycles bit-identical to the frozen PR-4
-# matrix), the observability smoke, the fuzz smoke, and the
-# fault-injection smoke.
+# CI gate: full build, full test suite, one bench-gate smoke run (every
+# simulated cell — sb7, privatization, crossover, service, boost, scale —
+# equal to the committed golden bench/golden/gate-smoke.json with every
+# shape check holding, and the write log >= 20% faster than Hashtbl in a
+# same-run A/B), then the observability, fuzz, fault-injection, kernel,
+# memory, NOrec and boosted-collections smokes.
 check: build
 	dune runtest
-	dune exec bench/perf_gate.exe -- --smoke --out /tmp/bench_gate_smoke.json
+	dune exec bench/perf_gate.exe -- --smoke --out _build/gate-smoke.json
 	$(MAKE) obs-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) fault-smoke
@@ -30,8 +30,6 @@ check: build
 	$(MAKE) epoch-smoke
 	$(MAKE) pool-smoke
 	$(MAKE) norec-smoke
-	$(MAKE) service-smoke
-	$(MAKE) scale-smoke
 	$(MAKE) txds-smoke
 
 # Kernel smoke (seconds): the differential suite (current engines vs the
@@ -108,40 +106,16 @@ fault-smoke: build
 
 # Memory smokes (seconds, native domains): epoch-smoke drives a
 # privatizing writer against a snapshot-holding reader and requires zero
-# use-after-reclaim observations with the reclaimer armed; pool-smoke
-# builds and drops engines until the descriptor pools report recycling.
+# use-after-reclaim observations with the reclaimer armed, epoch
+# advances, deferred frees and a drained limbo; pool-smoke builds and
+# drops engines until the descriptor pools report recycling.
 # NOrec family smoke (seconds): the Vset/Seqlock unit + differential
 # suites (norec/tlrw vs glock and norec vs tl2 over random programs and
-# perturbed schedules) and the deterministic NOrec-vs-TL2 crossover shape
-# gate at smoke duration.  perf_gate embeds the same crossover checks at
-# full duration into BENCH_PR8.json.
+# perturbed schedules).  The NOrec-vs-TL2 crossover shape is checked by
+# perf_gate.
 norec-smoke: build
 	dune exec test/test_main.exe -- test norec
 	dune exec test/test_main.exe -- test norec-differential
-	dune exec bench/crossover_gate.exe -- --smoke
-
-# Service smoke (seconds): the open-system SLO gate (monotone goodput
-# ladder, adaptive-bounds-tail under the overload ramp, SLO collectors
-# charge zero simulated cycles) run TWICE in separate processes; the
-# emitted sidecars — which embed every SLO window of every run — must be
-# bit-identical, proving the whole harness deterministic.
-service-smoke: build
-	dune exec bench/service_gate.exe -- --smoke --out /tmp/svc_smoke_a.json
-	dune exec bench/service_gate.exe -- --smoke --out /tmp/svc_smoke_b.json
-	cmp /tmp/svc_smoke_a.json /tmp/svc_smoke_b.json
-	@echo "service-smoke: SLO JSON bit-identical across processes"
-
-# Scale smoke (tens of seconds): the 64-512-core NUMA sweep (sb7 mixes
-# over a 32-core-socket topology, the Figure-13 granularity subset, the
-# work-stealing task mode, the RSTM thread-cap refusal) run TWICE in
-# separate processes; the emitted sidecars — which embed every cell's
-# simulated cycles and per-socket hit/miss/steal counters — must be
-# bit-identical, proving the topology + stealing layer deterministic.
-scale-smoke: build
-	dune exec bench/scale_gate.exe -- --smoke --out /tmp/scale_smoke_a.json
-	dune exec bench/scale_gate.exe -- --smoke --out /tmp/scale_smoke_b.json
-	cmp /tmp/scale_smoke_a.json /tmp/scale_smoke_b.json
-	@echo "scale-smoke: scale JSON bit-identical across processes"
 
 # Boosted-collections smoke (seconds): the boosted-structure suites
 # (semantic locks + undo vs sequential models, contended invariants,

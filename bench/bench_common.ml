@@ -2,12 +2,19 @@
 
    [scale] (env SWISSTM_BENCH_SCALE, default 1.0) multiplies the simulated
    duration of every duration-type run; raise it for tighter confidence at
-   the cost of wall time.  Thread counts follow the paper's 8-core sweep. *)
+   the cost of wall time.  Anything but a finite number > 0 stops the
+   program.  Thread counts follow the paper's 8-core sweep. *)
 
 let scale =
   match Sys.getenv_opt "SWISSTM_BENCH_SCALE" with
-  | Some s -> ( try float_of_string s with _ -> 1.0)
   | None -> 1.0
+  | Some s -> (
+      match float_of_string_opt s with
+      | Some f when Float.is_finite f && f > 0. -> f
+      | _ ->
+          Printf.eprintf
+            "SWISSTM_BENCH_SCALE=%S: expected a finite number > 0\n" s;
+          exit 2)
 
 let threads = [ 1; 2; 4; 8 ]
 

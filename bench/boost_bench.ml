@@ -26,9 +26,9 @@
      there is no boosted Tx_list, so it runs word-only as the
      degradation reference.
 
-   Used by `bench ablations` (human-readable table) and by the perf_gate
-   v5 column (BENCH_PR9.json), which gates boosted map/pqueue throughput
-   >= word on this mix. *)
+   Used by `bench ablations` (human-readable table) and by perf_gate,
+   which gates boosted map/pqueue throughput >= word on this mix and
+   holds the smoke makespans in its golden. *)
 
 type row = {
   structure : string;

@@ -19,8 +19,8 @@
      per-socket counters and the contention manager.
 
    Everything is simulated time, so the whole sweep is a deterministic
-   function of (topology, engine, seed): `make scale-smoke` runs the gate
-   twice in separate processes and cmp(1)s the JSON sidecars. *)
+   function of (topology, engine, seed): perf_gate compares the smoke
+   sweep's JSON against its committed golden. *)
 
 open Bench_common
 
@@ -306,7 +306,7 @@ let json ~smoke rows gran steal_rows refusal checks =
       ("checks", Obj (List.map (fun (n, ok) -> (n, Bool ok)) checks));
     ]
 
-(* ---------- gate entry (scale_gate.exe, perf_gate) ---------- *)
+(* ---------- gate entry (perf_gate, bench scale) ---------- *)
 
 type report = {
   rows : row list;

@@ -1,4 +1,4 @@
-(* Open-system service bench (`bench service` / service_gate):
+(* Open-system service bench (`bench service` / perf_gate):
    latency/goodput curves for the SLO harness of lib/harness/service.ml.
 
    Two shapes:
@@ -14,9 +14,8 @@
      stretch it.
 
    Everything here is simulated time, so rows are deterministic
-   functions of (engine, config, seed): the gate freezes them (see
-   perf_gate) and `make service-smoke` additionally proves bit-identical
-   JSON across two processes. *)
+   functions of (engine, config, seed): perf_gate compares the smoke
+   JSON against its committed golden. *)
 
 open Harness
 
@@ -296,8 +295,8 @@ let to_json ~smoke ~ladder_engine ~ladder_rungs ~rows =
 
 let ladder_engine = "swisstm"
 
-(* Shared by service_gate (smoke CI + determinism cmp) and perf_gate
-   (frozen columns).  Returns (ok, rows, json). *)
+(* Shared by `bench service` and perf_gate (whose golden holds the smoke
+   JSON).  Returns (json, named checks). *)
 let gate ~smoke () =
   let rungs = ladder ~smoke ladder_engine in
   let ladder_ok = ladder_monotone rungs in
@@ -327,14 +326,13 @@ let gate ~smoke () =
     (fun (name, ok) ->
       Printf.printf "  service %-24s %s\n%!" name (if ok then "ok" else "FAIL"))
     cks;
-  ( List.for_all snd cks,
-    List.map (fun (n, r) -> (n, row_of n r)) rows,
-    to_json ~smoke ~ladder_engine ~ladder_rungs:rungs ~rows )
+  (to_json ~smoke ~ladder_engine ~ladder_rungs:rungs ~rows, cks)
 
 (* `bench service`: the full-mode report + OBS_SERVICE.json sidecar. *)
 let run () =
   Bench_common.section "Service: open-system SLO curves (extension)";
-  let ok, _, json = gate ~smoke:false () in
+  let json, cks = gate ~smoke:false () in
+  let ok = List.for_all snd cks in
   let oc = open_out "OBS_SERVICE.json" in
   Obs.Json.to_channel oc json;
   close_out oc;

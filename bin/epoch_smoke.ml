@@ -8,7 +8,8 @@
    over a snapshot a reader still holds — transactional validation cannot
    catch those writes (this is exactly the privatization problem).  With
    [Memory.Epoch] armed there must be zero mixed-tag observations, the
-   global epoch must actually advance, and a final drain must empty limbo.
+   global epoch must actually advance, freed blocks must actually be
+   deferred, and a final drain must empty limbo.
 
    [pool] — descriptor recycling: build and drop swisstm engines in a loop
    (with major collections so finalizers run) and require the one
@@ -43,6 +44,7 @@ let epoch_check () =
   Memory.Heap.guard_on := true;
   Memory.Epoch.arm ();
   let adv0 = Memory.Epoch.advances () in
+  let def0 = Memory.Epoch.deferred () in
   let mixed = Atomic.make 0 in
   let writer =
     Domain.spawn (fun () ->
@@ -87,6 +89,8 @@ let epoch_check () =
     die "epoch smoke FAIL: %d mixed-tag (use-after-reclaim) observations"
       (Atomic.get mixed);
   if advances = 0 then die "epoch smoke FAIL: global epoch never advanced";
+  if Memory.Epoch.deferred () = def0 then
+    die "epoch smoke FAIL: no block was deferred to limbo";
   if Memory.Epoch.limbo_depth () <> 0 then
     die "epoch smoke FAIL: %d blocks left in limbo after drain"
       (Memory.Epoch.limbo_depth ());

@@ -288,6 +288,52 @@ let test_construction_words name () =
     (Printf.sprintf "%s: %.2f words per stripe < 3" name per_stripe)
     true (per_stripe < 3.)
 
+(* --- per-transaction allocation ----------------------------------------- *)
+
+(* Minor-heap words per committed transaction, averaged over 10,000 warm
+   transactions.  The body closure is built once, outside the count.  A
+   read-only transaction allocates almost nothing (the read path and the
+   pooled descriptors are allocation-free); an 8-read/8-write one may
+   not allocate more than these engines did when the bounds were set. *)
+let rw_words_bound = [ ("swisstm", 133.); ("tl2", 235.); ("tinystm", 159.) ]
+
+let test_tx_words name () =
+  let heap = Memory.Heap.create ~words:1024 in
+  let base = Memory.Heap.alloc heap 8 in
+  let e = Engines.make (Option.get (Engines.of_string name)) heap in
+  let ro tx =
+    for i = 0 to 7 do
+      ignore (tx.Stm_intf.Engine.read (base + i) : int)
+    done
+  in
+  let rw tx =
+    ro tx;
+    for i = 0 to 7 do
+      tx.Stm_intf.Engine.write (base + i) i
+    done
+  in
+  let per_tx body =
+    let run () = Stm_intf.Engine.atomic e ~tid:0 body in
+    for _ = 1 to 1_000 do
+      run ()
+    done;
+    let words, () =
+      words_allocated (fun () ->
+          for _ = 1 to 10_000 do
+            run ()
+          done)
+    in
+    words /. 10_000.
+  in
+  let ro_words = per_tx ro and rw_words = per_tx rw in
+  let bound = List.assoc name rw_words_bound in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: 8-read tx %.2f words < 4" name ro_words)
+    true (ro_words < 4.);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: 8r/8w tx %.1f words <= %.0f" name rw_words bound)
+    true (rw_words <= bound)
+
 (* --- irrevocability and escalation ------------------------------------- *)
 
 let test_irrevocable_basic spec () =
@@ -473,6 +519,10 @@ let suite =
             Alcotest.test_case name `Quick (test_construction_words name))
           [ "swisstm"; "tl2"; "rstm-visible"; "tlrw"; "k-eager+vis+commit+redo" ]
       );
+      ( "tx-allocation",
+        List.map
+          (fun (name, _) -> Alcotest.test_case name `Quick (test_tx_words name))
+          rw_words_bound );
       ( "quiescence-slots",
         [
           Alcotest.test_case "swisstm-priv user exception unblocks committers"

@@ -260,7 +260,7 @@ let test_streams_decorrelated () =
 
 (* Frozen first arrivals / draws: any change to the generator algorithms or
    the Rng stream layout shows up here before it silently invalidates the
-   perf_gate's frozen service columns. *)
+   service cells of the perf gate's golden. *)
 let test_generator_goldens () =
   let a =
     Harness.Arrival.generate ~seed:7 ~until:10_000_000
