@@ -14,7 +14,7 @@
    - "measured": wall-clock numbers.  The one timed check is the
      Wlog-vs-Hashtbl A/B, timed as interleaved pairs in this run; the
      median per-pair improvement must reach [required_improvement_pct].
-     The descriptor-pool / heap / epoch gauges ride along.
+     The heap / epoch / boost gauges ride along.
 
    Both modes check the smoke golden.  Full mode also emits the
    full-size cells under "full": not compared, but their checks gate.

@@ -1,20 +1,14 @@
-(* Memory-subsystem smoke (DESIGN.md §12), two native checks:
-
-   [epoch] — use-after-reclaim: a writer domain repeatedly privatizes a
-   tagged block (republish the handle, [Heap.free] the old block) while a
-   reader domain transactionally follows the handle and checks the block's
-   tag is uniform.  Freeing without a grace period would let the allocator
+(* Memory-subsystem smoke (DESIGN.md §12), native use-after-reclaim
+   check: a writer domain repeatedly privatizes a tagged block
+   (republish the handle, [Heap.free] the old block) while a reader
+   domain transactionally follows the handle and checks the block's tag
+   is uniform.  Freeing without a grace period would let the allocator
    recycle the block and the writer's non-transactional re-init scribble
    over a snapshot a reader still holds — transactional validation cannot
    catch those writes (this is exactly the privatization problem).  With
    [Memory.Epoch] armed there must be zero mixed-tag observations, the
    global epoch must actually advance, freed blocks must actually be
-   deferred, and a final drain must empty limbo.
-
-   [pool] — descriptor recycling: build and drop swisstm engines in a loop
-   (with major collections so finalizers run) and require the one
-   descriptor pool, [Kernel.Txdesc.Pool], to report hits and no double
-   releases. *)
+   deferred, and a final drain must empty limbo. *)
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
@@ -22,8 +16,6 @@ let gauge name =
   match List.assoc_opt name (Obs.Metrics.gauge_values ()) with
   | Some v -> v
   | None -> die "gauge %S not registered" name
-
-(* --- epoch mode -------------------------------------------------------- *)
 
 let block_words = 8
 let pubs = 2_000
@@ -103,32 +95,7 @@ let epoch_check () =
     (Memory.Epoch.deferred ())
     (Memory.Epoch.reclaimed ())
 
-(* --- pool mode --------------------------------------------------------- *)
-
-let pool_check () =
-  let heap = Memory.Heap.create ~words:(1 lsl 14) in
-  let addr = Memory.Heap.alloc heap 4 in
-  for _ = 1 to 30 do
-    let e = Engines.make (Engines.with_table_bits 8 Engines.swisstm) heap in
-    Stm_intf.Engine.atomic e ~tid:0 (fun tx ->
-        tx.Stm_intf.Engine.write addr (tx.Stm_intf.Engine.read addr + 1));
-    (* drop the engine; its finalizer returns the descriptors to the pool *)
-    Gc.full_major ()
-  done;
-  Gc.full_major ();
-  let hits = gauge "txdesc_pool_hits" in
-  if hits = 0 then die "pool smoke FAIL: txdesc pool never hit";
-  if gauge "txdesc_pool_double_releases" > 0 then
-    die "pool smoke FAIL: %d txdesc double releases"
-      (gauge "txdesc_pool_double_releases");
-  Printf.printf "pool smoke ok: txdesc pool hits %d, 0 double releases\n%!"
-    hits
-
 let () =
   match Sys.argv with
-  | [| _ |] ->
-      epoch_check ();
-      pool_check ()
-  | [| _; "epoch" |] -> epoch_check ()
-  | [| _; "pool" |] -> pool_check ()
-  | _ -> die "usage: epoch_smoke [epoch|pool]"
+  | [| _ |] | [| _; "epoch" |] -> epoch_check ()
+  | _ -> die "usage: epoch_smoke [epoch]"

@@ -338,10 +338,9 @@ let obs_check_cmd =
             if not found then fail "metrics json: engine %s missing" name)
           [ "swisstm"; "tl2" ]
     | _ -> fail "metrics json: missing engines list");
-    (* gauges: the PR-6 allocator/reclaimer/pool read-outs must stay
-       wired into [Metrics.gauge_values] — a missing name means a layer
-       below Obs silently lost its registration, and the demo above
-       built engines so the descriptor pools must show traffic *)
+    (* gauges: the allocator/reclaimer read-outs must stay wired into
+       [Metrics.gauge_values] — a missing name means a layer below Obs
+       silently lost its registration *)
     let gauges = Obs.Metrics.gauge_values () in
     let gauge name =
       match List.assoc_opt name gauges with
@@ -355,11 +354,8 @@ let obs_check_cmd =
       [
         "heap_frees"; "heap_free_reuses"; "heap_leaked_frees";
         "heap_double_frees"; "epoch_advances"; "epoch_deferred";
-        "epoch_reclaimed"; "epoch_limbo_depth"; "txdesc_pool_hits";
-        "txdesc_pool_misses"; "txdesc_pool_double_releases";
+        "epoch_reclaimed"; "epoch_limbo_depth";
       ];
-    if gauge "txdesc_pool_hits" + gauge "txdesc_pool_misses" = 0 then
-      fail "gauges: txdesc pool shows no traffic after engine runs";
     if gauge "heap_double_frees" <> 0 then
       fail "gauges: heap_double_frees = %d (guard tripped)"
         (gauge "heap_double_frees");

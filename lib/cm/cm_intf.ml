@@ -29,7 +29,7 @@ type txinfo = {
           the adaptive manager; other managers leave it at 0 *)
   mutable steals : int;
       (** tasks stolen onto this thread by the work-stealing scheduler
-          ([Runtime.Steal]) since the txinfo was last reset: a migrated
+          ([Runtime.Steal]) since the txinfo was created: a migrated
           task already paid its cross-socket transfer, so priority-based
           managers credit it ({!steal_priority_bonus} accesses each) *)
 }
@@ -52,24 +52,6 @@ let make_txinfo ~tid ~seed =
     contention = 0;
     steals = 0;
   }
-
-(** Reset a pooled [txinfo] in place to the state [make_txinfo] returns:
-    the RNG stream, the kill flag (value and modelled cache line) and
-    every counter, so a recycled descriptor is indistinguishable from a
-    fresh one (DESIGN.md §12). *)
-let reset_txinfo info ~seed =
-  Runtime.Rng.reseed info.rng ~seed ~tid:info.tid;
-  Runtime.Tmatomic.reset_line info.kill;
-  Runtime.Tmatomic.unsafe_set info.kill 0;
-  info.cm_ts <- max_int;
-  info.accesses <- 0;
-  info.conflict_waits <- 0;
-  info.succ_aborts <- 0;
-  info.attempts <- 0;
-  info.karma <- 0;
-  info.backoffs <- 0;
-  info.contention <- 0;
-  info.steals <- 0
 
 (** What the attacker should do about a write/write conflict. *)
 type decision =

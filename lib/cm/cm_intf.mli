@@ -37,10 +37,6 @@ val steal_priority_bonus : int
 
 val make_txinfo : tid:int -> seed:int -> txinfo
 
-val reset_txinfo : txinfo -> seed:int -> unit
-(** Reset a pooled [txinfo] in place to the state {!make_txinfo} returns
-    (RNG stream, kill flag and its modelled cache line, all counters). *)
-
 type decision =
   | Abort_self  (** roll back and retry *)
   | Wait  (** back off briefly, then re-examine the lock *)

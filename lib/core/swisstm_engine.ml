@@ -25,7 +25,7 @@ open Kernel
 type t = {
   heap : Memory.Heap.t;
   locks : Runtime.Line_table.t;  (** one (r-lock, w-lock) line per stripe *)
-  slots : Runtime.Tmatomic.t array array;  (** = [locks.slots], for [entry] *)
+  chunks : Runtime.Tmatomic.t array array array;  (** = [locks.chunks] *)
   shift : int;  (** log2 stripe granularity: [index = (addr lsr shift) land imask] *)
   imask : int;  (** lock-table index mask *)
   commit_ts : Runtime.Tmatomic.t;
@@ -43,8 +43,7 @@ type t = {
           reads survive extension and commit.  Deliberately breaks opacity;
           exists so the fuzzer's checker can prove it catches a broken
           engine ([stm_fuzz --self-check]). *)
-  active : Runtime.Tmatomic.t array;
-      (** snapshot ts while in a tx, [max_int] idle — quiescence table §6 *)
+  active : Runtime.Tmatomic.t array;  (** §6 quiescence table, [quiesce_slots] *)
   ser : Serial.t;
       (** irrevocability token, held by a transaction escalated after
           [cm.escalate_after] consecutive aborts (or [atomic_irrevocable]);
@@ -53,9 +52,9 @@ type t = {
 
 let name = "swisstm"
 
-(* Size of the §6 quiescence table — the engine's thread cap when
-   [privatization_safe] is set: a committer scans (and is charged for)
-   every slot, so the table stays as small as the runs need. *)
+(* The §6 quiescence table holds each thread's snapshot ts ([max_int] when
+   idle).  It is built only when [privatization_safe] is set, and its size
+   is then the thread cap: a committer scans (and is charged for) it all. *)
 let quiesce_slots = 64
 
 let create ~cm ~granularity_words ~table_bits ~privatization_safe
@@ -65,7 +64,7 @@ let create ~cm ~granularity_words ~table_bits ~privatization_safe
   {
     heap;
     locks;
-    slots = locks.Runtime.Line_table.slots;
+    chunks = locks.Runtime.Line_table.chunks;
     shift = Memory.Stripe.log2_granularity stripe;
     imask = Memory.Stripe.index_mask stripe;
     commit_ts = Runtime.Tmatomic.make 0;
@@ -75,15 +74,16 @@ let create ~cm ~granularity_words ~table_bits ~privatization_safe
     eid = Obs.Metrics.register_engine name;
     privatization_safe;
     debug_no_validation;
-    active = Array.init quiesce_slots (fun _ -> Runtime.Tmatomic.make max_int);
+    active =
+      Array.init (if privatization_safe then quiesce_slots else 0) (fun _ -> Runtime.Tmatomic.make max_int);
     ser = Serial.create ();
   }
 
-(* The lock pair of stripe [idx], built on first access.  The table's
-   fast path (a slot load and a sentinel compare) is inlined: under
-   [-opaque] a call into [Line_table] would be a real call per access. *)
+(* The lock pair of stripe [idx], built on first access; the table's fast
+   path is inlined, since under [-opaque] a [Line_table] call is real. *)
 let[@inline] entry t idx =
-  let e = Array.unsafe_get t.slots idx in
+  let c = Array.unsafe_get t.chunks (idx lsr Runtime.Line_table.chunk_bits) in
+  let e = Array.unsafe_get c (idx land Runtime.Line_table.chunk_mask) in
   if e != Runtime.Line_table.absent then e
   else Runtime.Line_table.touch t.locks idx
 

@@ -14,10 +14,12 @@
      cleared on the next [start] — so the gate needs no kill polling.
 
    Engines register their policy entry points in an [ops] record once at
-   creation, so running a transaction allocates no closures beyond the
-   [attempt] loop every engine already allocated.  Every engine runs on
+   creation and the retry loop is a top-level function, so running a
+   transaction allocates nothing here.  Every engine runs on
    the one [Txdesc.t], so depth and manager state are plain field
-   accesses here. *)
+   accesses here, and every engine's descriptor table is the one
+   [make_descs] builds: a thread's descriptor is created on its first
+   transaction, in [run]. *)
 
 open Stm_intf
 
@@ -41,61 +43,80 @@ let nop_gate_check () = ()
    jitter); one constant for all engines, so runs replay exactly. *)
 let seed = 0xC0FFEE
 
-(** Pool-backed descriptor table: one descriptor per logical thread,
-    acquired from {!Txdesc.Pool} (recycled across engine instances) and
-    returned when the table is collected — engines have no explicit
-    close, so the finaliser is the release point. *)
-let make_descs () =
-  let descs =
-    Array.init Stats.max_threads (fun tid -> Txdesc.Pool.acquire ~tid ~seed)
-  in
-  Gc.finalise (Array.iter Txdesc.Pool.release) descs;
-  descs
+(* Descriptor table: one slot per logical thread, each holding the
+   shared sentinel [absent] until that thread's first transaction, when
+   [desc] builds its descriptor.  Construction costs the slot array, not
+   512 descriptors, and a run pays only for the tids it uses.
 
-let run (o : ops) ~tid ~irrevocable f =
-  let d = o.descs.(tid) in
+   Publication: a slot is written only by the thread running as that
+   tid, and only before that thread publishes the tid through a
+   [Tmatomic]/[Atomic] (a lock owner word or a reader bit).  A victim
+   lookup [descs.(owner)] reads the tid from such a word first, so it
+   always finds a built descriptor, never [absent].  A fresh descriptor
+   is exactly [Txdesc.create]'s state and building it charges no cycles,
+   so simulated schedules do not depend on when a thread first ran. *)
+let absent = Txdesc.create ~tid:(-1) ~seed
+
+let make_descs () = Array.make Stats.max_threads absent
+
+let build descs tid =
+  let d = Txdesc.create ~tid ~seed in
+  descs.(tid) <- d;
+  d
+
+(* Per transaction: one bounds check, one slot load, one sentinel compare. *)
+let[@inline] desc descs tid =
+  let d = descs.(tid) in
+  if d != absent then d else build descs tid
+
+(* One attempt of the retry loop; top-level, not a closure inside [run], so
+   running a transaction allocates nothing here.  The body sees [view d]. *)
+let rec attempt (o : ops) ~tid ~irrevocable (d : Txdesc.t) view f ~restart =
+  let info = d.info in
+  if
+    (irrevocable || info.Cm.Cm_intf.succ_aborts >= o.cm.Cm.Cm_intf.escalate_after)
+    && not (Serial.mine o.ser ~tid)
+  then begin
+    if !Obs.Metrics.on then Obs.Metrics.on_escalation ~tid;
+    Serial.acquire o.ser ~tid;
+    Serial.drain o.ser ~tid
+  end;
+  let escalated = Serial.mine o.ser ~tid in
+  o.cm.pre_attempt info ~escalated;
+  if (not escalated) && Serial.held_by_other o.ser ~tid then
+    Serial.gate o.ser ~tid ~check:nop_gate_check;
+  o.start d ~restart;
+  if escalated then info.Cm.Cm_intf.cm_ts <- 0;
+  d.depth <- 1;
+  match f (view d) with
+  | v ->
+      d.depth <- 0;
+      (try
+         o.commit d;
+         v
+       with Tx_signal.Abort -> attempt o ~tid ~irrevocable d view f ~restart:true)
+  | exception Tx_signal.Abort ->
+      d.depth <- 0;
+      attempt o ~tid ~irrevocable d view f ~restart:true
+  | exception Tx_signal.Retry ->
+      (* User-level abort request (boosting's semantic conflicts):
+         unlike [Abort], the engine's rollback has NOT run yet. *)
+      d.depth <- 0;
+      (try o.user_abort d with Tx_signal.Abort -> ());
+      attempt o ~tid ~irrevocable d view f ~restart:true
+  | exception e ->
+      o.emergency d;
+      raise e
+
+(* [run_view o ~tid ~irrevocable view f] runs [f (view d)] as a transaction
+   of [tid]'s descriptor [d]; [Package]'s [view] is its op-table lookup. *)
+let run_view (o : ops) ~tid ~irrevocable view f =
+  let d = desc o.descs tid in
   if d.depth > 0 then begin
     (* Flat nesting: an inner atomic block joins the enclosing one. *)
     d.depth <- d.depth + 1;
-    Fun.protect ~finally:(fun () -> d.depth <- d.depth - 1) (fun () -> f d)
+    Fun.protect ~finally:(fun () -> d.depth <- d.depth - 1) (fun () -> f (view d))
   end
-  else
-    let info = d.info in
-    let rec attempt ~restart =
-      if
-        (irrevocable
-        || info.Cm.Cm_intf.succ_aborts >= o.cm.Cm.Cm_intf.escalate_after)
-        && not (Serial.mine o.ser ~tid)
-      then begin
-        if !Obs.Metrics.on then Obs.Metrics.on_escalation ~tid;
-        Serial.acquire o.ser ~tid;
-        Serial.drain o.ser ~tid
-      end;
-      let escalated = Serial.mine o.ser ~tid in
-      o.cm.pre_attempt info ~escalated;
-      if (not escalated) && Serial.held_by_other o.ser ~tid then
-        Serial.gate o.ser ~tid ~check:nop_gate_check;
-      o.start d ~restart;
-      if escalated then info.Cm.Cm_intf.cm_ts <- 0;
-      d.depth <- 1;
-      match f d with
-      | v ->
-          d.depth <- 0;
-          (try
-             o.commit d;
-             v
-           with Tx_signal.Abort -> attempt ~restart:true)
-      | exception Tx_signal.Abort ->
-          d.depth <- 0;
-          attempt ~restart:true
-      | exception Tx_signal.Retry ->
-          (* User-level abort request (boosting's semantic conflicts):
-             unlike [Abort], the engine's rollback has NOT run yet. *)
-          d.depth <- 0;
-          (try o.user_abort d with Tx_signal.Abort -> ());
-          attempt ~restart:true
-      | exception e ->
-          o.emergency d;
-          raise e
-    in
-    attempt ~restart:false
+  else attempt o ~tid ~irrevocable d view f ~restart:false
+
+let run o ~tid ~irrevocable f = run_view o ~tid ~irrevocable Fun.id f

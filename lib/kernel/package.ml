@@ -2,76 +2,89 @@
    engine ends with.  An engine hands over its [Driver.ops] (retry driver
    entry points), its full-arity [read]/[write], and — if its metadata
    packs per-thread state into machine words — a thread cap
-   [(label, limit)]; tids at or beyond the limit raise
-   [Engine.Unsupported_thread_count] with that label.
+   [(label, limit)], by default [(name, Stats.max_threads)]; a tid
+   outside [0, limit) raises [Engine.Unsupported_thread_count] with that
+   label.
 
    [read] and [write] are called only on addresses inside the heap: the
    wrappers check [0 <= addr < capacity] once, so an engine's unchecked
    heap accesses (and its stripe index arithmetic) never see a bad
    address.
 
-   The ops array holds one [tx_ops] per descriptor, built up front, so the
-   per-transaction fast path allocates no closures; each op keeps one
-   combined [hooks_on] check on the everything-off fast path, with the
-   individual collector flags only consulted behind it. *)
+   The ops array holds one [tx_ops] per descriptor, built with the
+   descriptor on its thread's first transaction (the [absent_ops]
+   sentinel until then), so the per-transaction fast path allocates no
+   closures; each op keeps one combined [hooks_on] check on the
+   everything-off fast path, with the individual collector flags only
+   consulted behind it. *)
 
 open Stm_intf
 
-let make ~name ~heap ~stats ?cap (o : Driver.ops)
-    ~(read : Txdesc.t -> int -> int) ~(write : Txdesc.t -> int -> int -> unit)
-    : Engine.t =
+let absent_ops : Engine.tx_ops =
+  let unbuilt _ = invalid_arg "Package: tx_ops not built" in
+  { read = unbuilt; write = unbuilt; alloc = unbuilt; free = unbuilt }
+
+let make ~name ~heap ~stats ?(cap = (name, Stats.max_threads))
+    (o : Driver.ops) ~(read : Txdesc.t -> int -> int)
+    ~(write : Txdesc.t -> int -> int -> unit) : Engine.t =
   let capacity = Memory.Heap.capacity heap in
-  let ops =
-    Array.init Stats.max_threads (fun tid ->
-        let d = o.descs.(tid) in
-        {
-          Engine.read =
-            (fun addr ->
-              if addr < 0 || addr >= capacity then
-                Memory.Heap.out_of_bounds heap addr;
-              if !Runtime.Exec.hooks_on then begin
-                if !Runtime.Exec.prof_on then
-                  Runtime.Exec.set_phase tid Runtime.Exec.ph_read;
-                let v = read d addr in
-                if !Runtime.Exec.prof_on then
-                  Runtime.Exec.set_phase tid Runtime.Exec.ph_other;
-                if !Trace.enabled then Trace.on_read ~tid ~addr ~value:v;
-                v
-              end
-              else read d addr);
-          write =
-            (fun addr v ->
-              if addr < 0 || addr >= capacity then
-                Memory.Heap.out_of_bounds heap addr;
-              if !Runtime.Exec.hooks_on then begin
-                if !Runtime.Exec.prof_on then
-                  Runtime.Exec.set_phase tid Runtime.Exec.ph_write;
-                write d addr v;
-                if !Runtime.Exec.prof_on then
-                  Runtime.Exec.set_phase tid Runtime.Exec.ph_other;
-                if !Trace.enabled then Trace.on_write ~tid ~addr ~value:v
-              end
-              else write d addr v);
-          alloc = (fun n -> Memory.Heap.alloc heap n);
-          free = (fun addr n -> Txdesc.buffer_free d addr n);
-        })
+  let build (d : Txdesc.t) =
+    let tid = d.tid in
+    {
+      Engine.read =
+        (fun addr ->
+          if addr < 0 || addr >= capacity then
+            Memory.Heap.out_of_bounds heap addr;
+          if !Runtime.Exec.hooks_on then begin
+            if !Runtime.Exec.prof_on then
+              Runtime.Exec.set_phase tid Runtime.Exec.ph_read;
+            let v = read d addr in
+            if !Runtime.Exec.prof_on then
+              Runtime.Exec.set_phase tid Runtime.Exec.ph_other;
+            if !Trace.enabled then Trace.on_read ~tid ~addr ~value:v;
+            v
+          end
+          else read d addr);
+      write =
+        (fun addr v ->
+          if addr < 0 || addr >= capacity then
+            Memory.Heap.out_of_bounds heap addr;
+          if !Runtime.Exec.hooks_on then begin
+            if !Runtime.Exec.prof_on then
+              Runtime.Exec.set_phase tid Runtime.Exec.ph_write;
+            write d addr v;
+            if !Runtime.Exec.prof_on then
+              Runtime.Exec.set_phase tid Runtime.Exec.ph_other;
+            if !Trace.enabled then Trace.on_write ~tid ~addr ~value:v
+          end
+          else write d addr v);
+      alloc = (fun n -> Memory.Heap.alloc heap n);
+      free = (fun addr n -> Txdesc.buffer_free d addr n);
+    }
   in
-  let check_tid tid =
-    match cap with
-    | Some (engine, limit) -> Engine.check_tid_limit ~engine ~limit tid
-    | None -> ()
+  let ops = Array.make Stats.max_threads absent_ops in
+  (* [d] came from a bounds-checked slot of a table of the same length. *)
+  let ops_of (d : Txdesc.t) =
+    let x = Array.unsafe_get ops d.tid in
+    if x != absent_ops then x
+    else begin
+      let x = build d in
+      ops.(d.tid) <- x;
+      x
+    end
   in
+  let engine, limit = cap in
   {
     Engine.name;
     heap;
     atomic =
       (fun ~tid f ->
-        check_tid tid;
-        Driver.run o ~tid ~irrevocable:false (fun _ -> f ops.(tid)));
+        Engine.check_tid_limit ~engine ~limit tid;
+        Driver.run_view o ~tid ~irrevocable:false ops_of f);
     atomic_irrevocable =
       (fun ~tid f ->
-        check_tid tid;
-        Driver.run o ~tid ~irrevocable:true (fun _ -> f ops.(tid)));
+        Engine.check_tid_limit ~engine ~limit tid;
+        Driver.run_view o ~tid ~irrevocable:true ops_of f);
     stats = (fun () -> Stats.snapshot stats);
     reset_stats = (fun () -> Stats.reset stats);
   }

@@ -17,7 +17,12 @@
      (index-mode dedup), for lazy commit-time acquisition.
    - [vreads]: visible-reader bits we own (index-mode dedup).
    - [sp_undo_*]/[savepoint]: SwissTM closed-nesting shadow log.
-   - [snapshot]/[allow_snapshot]: MVSTM old-version read mode. *)
+   - [snapshot]/[allow_snapshot]: MVSTM old-version read mode.
+
+   A descriptor belongs to one engine instance and one thread: the
+   engine's table ([Driver.make_descs]) builds it with [create] when that
+   thread runs its first transaction, and it is never reset or shared
+   afterwards, so [create] alone defines the initial state. *)
 
 type savepoint = { sp_read_len : int; sp_acq_len : int }
 
@@ -43,10 +48,6 @@ type t = {
   frees : Stm_intf.Ivec.t;
       (** buffered transactional frees, interleaved (addr, words) pairs;
           executed through [Memory.Heap.free] at commit, dropped on abort *)
-  mutable pool_gen : int;
-      (** pool generation stamp: even = checked out, odd = in the free
-          list; bumped on every transfer, so a double release is
-          detectable instead of corrupting the free list *)
 }
 
 let create ~tid ~seed =
@@ -70,7 +71,6 @@ let create ~tid ~seed =
     frees = Stm_intf.Ivec.create ();
     depth = 0;
     start_cycles = 0;
-    pool_gen = 0;
   }
 
 (* Transactional free: buffer now, execute at commit, drop on abort. *)
@@ -116,62 +116,3 @@ let clear_logs d =
   d.snapshot <- false
 
 let is_read_only d = Stm_intf.Ivec.length d.acq_stripes = 0
-
-(* --- descriptor pool (DESIGN.md §12) ----------------------------------- *)
-
-(* Engines are created far more often than logical threads exist (every
-   test, benchmark column and composed point builds a fresh instance), and
-   each descriptor owns several growable logs.  Recycling descriptors
-   across instances makes engine creation allocation-free in the steady
-   state and keeps the logs' grown capacities warm.
-
-   [acquire] resets a recycled descriptor to exactly the state [create]
-   produces — logs, timestamps, the RNG stream, the kill flag and its
-   modelled cache line — so pooled and fresh descriptors are
-   indistinguishable and simulated cycle traces stay deterministic no
-   matter when the GC returns descriptors to the pool. *)
-module Pool = struct
-  let lock = Mutex.create ()
-  let free : t list array = Array.make Stm_intf.Stats.max_threads []
-  let hits = ref 0
-  let misses = ref 0
-  let double_releases = ref 0
-
-  let reset d ~seed =
-    clear_logs d;
-    d.valid_ts <- 0;
-    d.depth <- 0;
-    d.start_cycles <- 0;
-    d.allow_snapshot <- true;
-    Cm.Cm_intf.reset_txinfo d.info ~seed
-
-  let acquire ~tid ~seed =
-    Mutex.lock lock;
-    match free.(tid) with
-    | d :: rest ->
-        free.(tid) <- rest;
-        incr hits;
-        Mutex.unlock lock;
-        d.pool_gen <- d.pool_gen + 1;
-        reset d ~seed;
-        d
-    | [] ->
-        incr misses;
-        Mutex.unlock lock;
-        create ~tid ~seed
-
-  let release d =
-    Mutex.lock lock;
-    if d.pool_gen land 1 = 1 then incr double_releases
-    else begin
-      d.pool_gen <- d.pool_gen + 1;
-      free.(d.tid) <- d :: free.(d.tid)
-    end;
-    Mutex.unlock lock
-
-  let () =
-    Obs.Metrics.register_gauge "txdesc_pool_hits" (fun () -> !hits);
-    Obs.Metrics.register_gauge "txdesc_pool_misses" (fun () -> !misses);
-    Obs.Metrics.register_gauge "txdesc_pool_double_releases" (fun () ->
-        !double_releases)
-end

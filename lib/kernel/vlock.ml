@@ -23,10 +23,11 @@ let create_locks stripe =
     ~init:[| unlocked_of_version 0 |]
 
 (* The lock of stripe [idx] — cell 0 of its line — with the table's
-   fast path (one slot load and a sentinel compare) inlined into every
-   helper below. *)
+   fast path (a chunk load, a slot load and a sentinel compare) inlined
+   into every helper below. *)
 let[@inline] lock (locks : Runtime.Line_table.t) idx =
-  let e = Array.unsafe_get locks.slots idx in
+  let c = Array.unsafe_get locks.chunks (idx lsr Runtime.Line_table.chunk_bits) in
+  let e = Array.unsafe_get c (idx land Runtime.Line_table.chunk_mask) in
   Array.unsafe_get
     (if e != Runtime.Line_table.absent then e
      else Runtime.Line_table.touch locks idx)

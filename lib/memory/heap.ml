@@ -1,16 +1,19 @@
 (* The word-addressable transactional heap.
 
    The paper's STMs operate on raw memory words; here the universe of a
-   benchmark is one [Heap.t]: a flat array of OCaml [int]s.  An *address* is
-   a word index into that array; address 0 is reserved as the null pointer
-   (the first word is never handed out by the allocator).
+   benchmark is one [Heap.t]: a flat buffer of 64-bit words holding OCaml
+   [int]s.  An *address* is a word index into that buffer; address 0 is
+   reserved as the null pointer (the first word is never handed out by the
+   allocator).
 
    Plain [read]/[write] are non-transactional and are meant for data
    structure construction before threads start and for verification after
    they join; during a run all accesses must go through an STM engine,
-   which guards them with its lock table.  In native mode concurrent plain
-   [int array] accesses are atomic per-word on OCaml 5 (no tearing), the
-   same assumption word-based C STMs make about aligned word accesses.
+   which guards them with its lock table.  In native mode each word access
+   is one aligned 64-bit load or store, so concurrent accesses do not tear
+   on 64-bit hosts, the same assumption word-based C STMs make about
+   aligned word accesses.  The buffer is [Bytes], which the GC never
+   scans (an [int array] was marked word by word in every major cycle).
 
    Allocation is a bump pointer sharded into per-thread chunks so that
    parallel allocation does not create a synthetic hot spot.  Memory
@@ -26,7 +29,7 @@
    instead and it reaches [free_now] only after a grace period. *)
 
 type t = {
-  words : int array;
+  words : Bytes.t;  (* word [a] is bytes [8a, 8a + 8) *)
   brk : Runtime.Tmatomic.t;  (* next unshared word *)
   chunk_next : int array;  (* per-thread bump pointer *)
   chunk_limit : int array;  (* per-thread chunk end *)
@@ -40,12 +43,18 @@ let max_free_words = 64
 
 exception Out_of_memory of { capacity : int; requested : int }
 
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] word t addr = Int64.to_int (get64 t.words (addr lsl 3))
+let[@inline] set_word t addr v = set64 t.words (addr lsl 3) (Int64.of_int v)
+
 let null = 0
 
 let create ~words =
   if words < 1 then invalid_arg "Heap.create";
   {
-    words = Array.make words 0;
+    words = Bytes.make (words lsl 3) '\000';
     brk = Runtime.Tmatomic.make 1 (* skip the null word *);
     chunk_next = Array.make max_threads 0;
     chunk_limit = Array.make max_threads 0;
@@ -53,30 +62,30 @@ let create ~words =
     guard_tbl = Hashtbl.create 64;
   }
 
-let capacity t = Array.length t.words
+let capacity t = Bytes.length t.words lsr 3
 
 let out_of_bounds t addr =
   invalid_arg
     (Printf.sprintf "Heap: address %d out of bounds (capacity %d)" addr
-       (Array.length t.words))
+       (capacity t))
 
 let check t addr =
-  if addr <= 0 || addr >= Array.length t.words then out_of_bounds t addr
+  if addr <= 0 || addr >= capacity t then out_of_bounds t addr
 
 (** Non-transactional read (setup / verification only during quiescence). *)
 let read t addr =
   check t addr;
-  Array.unsafe_get t.words addr
+  word t addr
 
 (** Non-transactional write (setup / verification only during quiescence). *)
 let write t addr v =
   check t addr;
-  Array.unsafe_set t.words addr v
+  set_word t addr v
 
 (* Raw accessors used by STM engines on addresses they have already
    validated; bounds were checked when the address was allocated. *)
-let unsafe_read t addr = Array.unsafe_get t.words addr
-let unsafe_write t addr v = Array.unsafe_set t.words addr v
+let unsafe_read = word
+let unsafe_write = set_word
 
 (* --- free lists and epoch hooks (DESIGN.md §12) ------------------------ *)
 
@@ -124,7 +133,7 @@ let free_now t addr n =
   if n >= 1 && n <= max_free_words then begin
     let tid = Runtime.Exec.self () land (max_threads - 1) in
     let s = (tid * max_free_words) + (n - 1) in
-    Array.unsafe_set t.words addr (Array.unsafe_get t.free_heads s);
+    set_word t addr (Array.unsafe_get t.free_heads s);
     Array.unsafe_set t.free_heads s addr
   end
   else incr leaked_frees
@@ -152,8 +161,8 @@ let rec alloc t n =
     let s = (tid * max_free_words) + (n - 1) in
     let head = Array.unsafe_get t.free_heads s in
     if head <> 0 then begin
-      Array.unsafe_set t.free_heads s (Array.unsafe_get t.words head);
-      Array.fill t.words head n 0;
+      Array.unsafe_set t.free_heads s (word t head);
+      Bytes.fill t.words (head lsl 3) (n lsl 3) '\000';
       incr reuses;
       if !guard_on then Hashtbl.remove t.guard_tbl head;
       head
@@ -166,8 +175,8 @@ and alloc_fresh t tid n =
   if n > chunk_words then begin
     (* Large block: grab it directly from the shared break. *)
     let addr = Runtime.Tmatomic.fetch_and_add t.brk n in
-    if addr + n > Array.length t.words then
-      raise (Out_of_memory { capacity = Array.length t.words; requested = n });
+    if addr + n > capacity t then
+      raise (Out_of_memory { capacity = capacity t; requested = n });
     addr
   end
   else begin
@@ -176,7 +185,7 @@ and alloc_fresh t tid n =
          it sticks out past the end we can still use its in-bounds prefix —
          small heaps stay usable down to their last words. *)
       let base = Runtime.Tmatomic.fetch_and_add t.brk chunk_words in
-      let limit = min (base + chunk_words) (Array.length t.words) in
+      let limit = min (base + chunk_words) (capacity t) in
       (* Record the claimed range even when [n] does not fit: the chunk is
          ours whether or not this particular allocation succeeds, and its
          in-bounds prefix must stay reachable for smaller requests.  Raising
@@ -184,7 +193,7 @@ and alloc_fresh t tid n =
       t.chunk_next.(tid) <- min base limit;
       t.chunk_limit.(tid) <- limit;
       if base + n > limit then
-        raise (Out_of_memory { capacity = Array.length t.words; requested = n })
+        raise (Out_of_memory { capacity = capacity t; requested = n })
     end;
     let addr = t.chunk_next.(tid) in
     t.chunk_next.(tid) <- addr + n;

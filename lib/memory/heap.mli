@@ -1,7 +1,7 @@
 (** The word-addressable transactional heap.
 
-    A heap is the universe of one benchmark/application: a flat array of
-    OCaml [int] words.  An {e address} is a word index; address 0 is the
+    A heap is the universe of one benchmark/application: a flat buffer of
+    words holding OCaml [int]s, which the GC does not scan.  An {e address} is a word index; address 0 is the
     reserved null pointer.
 
     Plain {!read}/{!write} are non-transactional and intended for

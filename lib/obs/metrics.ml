@@ -301,7 +301,7 @@ let record_dispatch tid =
 
 (* --- gauges ------------------------------------------------------------ *)
 
-(* Monotone counters owned by lower layers (descriptor pools, the epoch
+(* Monotone counters owned by lower layers (the heap, the epoch
    reclaimer) that cannot depend on [Obs]: they register a read-out
    thunk here and the reporting paths sample it.  Gauges are cumulative
    process-wide totals, so [reset] does not touch them. *)

@@ -93,8 +93,7 @@ val att_read : tid:int -> attribution
 
 val register_gauge : string -> (unit -> int) -> unit
 (** Register a named read-out thunk sampled by {!pp}/{!to_json}
-    (descriptor-pool and epoch-reclamation counters live in layers below
-    [Obs]).  Idempotent by name.  Gauges are cumulative process-wide
+    (heap and epoch-reclamation counters live in layers below [Obs]).  Idempotent by name.  Gauges are cumulative process-wide
     totals; {!reset} leaves them alone. *)
 
 val gauge_values : unit -> (string * int) list

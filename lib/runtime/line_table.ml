@@ -1,33 +1,34 @@
 (* A lazily populated table of modelled cache lines (DESIGN.md §12).
 
-   The paper's lock table is a flat array of adjacent lock words, one
-   entry per stripe.  Built eagerly, every entry costs separate heap
-   blocks (the cells, their [Atomic]s and the modelled line), which made
-   engine construction the largest host cost of short simulations.  Here
-   construction allocates only the slot array; a line and its cells are
-   allocated on first touch.
+   The paper's lock table is a flat array of lock words, one per stripe.
+   Here the slots come in chunks of 512: construction allocates only the
+   chunk index, a chunk is allocated on the first touch of one of its
+   slots and a line on the first touch of its own slot.
 
-   The slot of a line is written exactly once, from [absent] to a fully
-   built line, under [lock] after a re-check, so every caller obtains the
-   physically same cells.  The fast path reads the slot plainly: a racing
-   reader sees either the sentinel (and takes the mutex, where it finds
-   the line) or the line, whose fields were initialized before it was
-   published — OCaml 5 never exposes an uninitialized block through a
-   data race.  A first touch charges no simulated cycles and a fresh line
-   equals [Tmatomic.fresh_line ()], so laziness is schedule-invisible. *)
+   Chunk and line are each written once, under [lock] after a re-check,
+   so every caller obtains the physically same cells.  The fast path
+   reads plainly: a racing reader sees a sentinel (and takes the mutex)
+   or a fully built block, which OCaml 5 never exposes uninitialized.
+   Touching charges no simulated cycles and a fresh line equals
+   [Tmatomic.fresh_line ()], so laziness is schedule-invisible. *)
 
 type t = {
-  slots : Tmatomic.t array array;
+  chunks : Tmatomic.t array array array;
   init : int array;
   lock : Mutex.t;
 }
 
-(* The empty array: no built line is empty, so the compare is exact. *)
+let chunk_bits = 9
+let chunk_mask = (1 lsl chunk_bits) - 1
+
+(* No line is empty, so the compare is exact; [absent_chunk] is never written. *)
 let absent : Tmatomic.t array = [||]
+let absent_chunk = Array.make (1 lsl chunk_bits) absent
 
 let create n ~init =
   if Array.length init = 0 then invalid_arg "Line_table.create: empty line";
-  { slots = Array.make n absent; init = Array.copy init; lock = Mutex.create () }
+  let chunks = Array.make ((n + chunk_mask) lsr chunk_bits) absent_chunk in
+  { chunks; init = Array.copy init; lock = Mutex.create () }
 
 (* A fresh line: its cells share one new modelled cache line. *)
 let build init =
@@ -41,18 +42,17 @@ let build init =
 (* Nothing between [lock] and [unlock] can raise but [Out_of_memory]. *)
 let touch t i =
   Mutex.lock t.lock;
-  let e = t.slots.(i) in
-  let e =
-    if e != absent then e
-    else begin
-      let e = build t.init in
-      t.slots.(i) <- e;
-      e
-    end
-  in
+  let k = i lsr chunk_bits and j = i land chunk_mask in
+  if t.chunks.(k) == absent_chunk then
+    t.chunks.(k) <- Array.make (1 lsl chunk_bits) absent;
+  let c = t.chunks.(k) in
+  if c.(j) == absent then c.(j) <- build t.init;
+  let e = c.(j) in
   Mutex.unlock t.lock;
   e
 
+let[@inline] slot t i = Array.unsafe_get t.chunks.(i lsr chunk_bits) (i land chunk_mask)
+
 let cell t i j =
-  let e = t.slots.(i) in
+  let e = slot t i in
   (if e != absent then e else touch t i).(j)

@@ -3,14 +3,25 @@
    Each simulated thread owns one generator, seeded deterministically from
    (global seed, thread id), so every experiment is reproducible and
    independent of scheduling.  The stdlib [Random] module is avoided because
-   its global state would make runs depend on call order across threads. *)
+   its global state would make runs depend on call order across threads.
 
-type t = { mutable state : int64 }
+   The state lives in an 8-byte buffer (a mutable [int64] field boxes on
+   every store), so with the helpers below inlined a draw allocates nothing. *)
 
-let create seed = { state = Int64.of_int seed }
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let of_state z =
+  let t = Bytes.create 8 in
+  set64 t 0 z;
+  t
+
+let create seed = of_state (Int64.of_int seed)
 
 (* SplitMix64 finalizer: a bijective avalanche of the whole word. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -25,21 +36,15 @@ let thread_state ~seed ~tid =
     (Int64.mul (Int64.of_int (tid + 1)) 0x9E3779B97F4A7C15L)
     (mix64 (Int64.of_int seed))
 
-let for_thread ~seed ~tid = { state = thread_state ~seed ~tid }
+let for_thread ~seed ~tid = of_state (thread_state ~seed ~tid)
 
-(** Reset an existing generator in place to the stream a fresh
-    [for_thread ~seed ~tid] would produce.  Descriptor pooling reuses
-    txinfo records across engine instances; reseeding keeps a pooled
-    descriptor's stream identical to a freshly-created one. *)
-let reseed t ~seed ~tid = t.state <- thread_state ~seed ~tid
-
-let next64 t =
-  let z = Int64.add t.state 0x9E3779B97F4A7C15L in
-  t.state <- z;
+let[@inline] next64 t =
+  let z = Int64.add (get64 t 0) 0x9E3779B97F4A7C15L in
+  set64 t 0 z;
   mix64 z
 
 (** Non-negative int drawn uniformly from the full 62-bit range. *)
-let bits t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
+let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
 
 (** [int t n] is uniform in [0, n). Requires [n > 0].
 
@@ -47,16 +52,16 @@ let bits t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
     [n] at the top of the 62-bit range is discarded, otherwise the result
     would be biased towards small residues.  At most one extra draw is
     needed in expectation even for the worst bound. *)
+let rec draw t n =
+  let x = bits t in
+  let r = x mod n in
+  (* [x] is accepted iff it falls in a complete block, i.e. the block
+     containing it fits below 2^62: x - r + (n-1) must not overflow. *)
+  if x - r + (n - 1) < 0 then draw t n else r
+
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let rec draw () =
-    let x = bits t in
-    let r = x mod n in
-    (* [x] is accepted iff it falls in a complete block, i.e. the block
-       containing it fits below 2^62: x - r + (n-1) must not overflow. *)
-    if x - r + (n - 1) < 0 then draw () else r
-  in
-  draw ()
+  draw t n
 
 (** [float t x] is uniform in [0, x). *)
 let float t x =

@@ -12,10 +12,6 @@ val create : int -> t
 val for_thread : seed:int -> tid:int -> t
 (** Thread-local generator decorrelated from neighbouring [tid]s. *)
 
-val reseed : t -> seed:int -> tid:int -> unit
-(** Reset in place to the stream [for_thread ~seed ~tid] produces
-    (descriptor pooling reuses generators across engine instances). *)
-
 val next64 : t -> int64
 (** Raw 64-bit output. *)
 

@@ -501,9 +501,8 @@ let run ?(cap_cycles = 1_000_000_000_000) ?(policy = Earliest_first)
 
 (** Convenience wrapper: run [threads] copies of [body tid] and return the
     maximum final virtual time (the simulated makespan, in cycles). *)
-let run_threads ?cap_cycles ?policy ?dispatch ~threads body =
+let run_threads ?cap_cycles ?policy ~threads body =
   let vts =
-    run ?cap_cycles ?policy ?dispatch
-      (Array.init threads (fun tid () -> body tid))
+    run ?cap_cycles ?policy (Array.init threads (fun tid () -> body tid))
   in
   Array.fold_left max 0 vts

@@ -59,7 +59,6 @@ val run :
 val run_threads :
   ?cap_cycles:int ->
   ?policy:policy ->
-  ?dispatch:[ `Heap | `Scan ] ->
   threads:int ->
   (int -> unit) ->
   int

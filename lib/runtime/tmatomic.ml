@@ -237,18 +237,3 @@ let incr_get t = fetch_and_add t 1 + 1
 (* Cost-free accessors for initialisation and for assertions in tests. *)
 let unsafe_get t = Atomic.get t.v
 let unsafe_set t x = Atomic.set t.v x
-
-(** Restore the modelled cache line to its freshly-allocated state.
-    Descriptor pooling reuses cells (a txinfo's kill flag) across engine
-    instances; stale ownership or a stale [last_miss] from a previous run
-    would change charged costs, making simulated cycle counts depend on
-    GC timing.  Only meaningful for cells with a private line. *)
-let reset_line t =
-  let l = t.line in
-  l.owner <- -1;
-  l.readers <- 0;
-  l.readers_hi <- [||];
-  l.last_miss <- -(1 lsl 50);
-  l.queue <- 0;
-  l.last_accessor <- -1;
-  l.home <- -1

@@ -38,8 +38,3 @@ val unsafe_get : t -> int
 
 val unsafe_set : t -> int -> unit
 (** Cost-free write for setup/verification code. *)
-
-val reset_line : t -> unit
-(** Restore the modelled cache line to its freshly-allocated state, so a
-    pooled cell charges the same costs as a new one.  Only meaningful for
-    cells with a private line (not [make_shared] siblings). *)

@@ -93,6 +93,7 @@ let engine heap : Engine.t =
     }
   in
   let rec run ~tid f =
+    Engine.check_tid_limit ~engine:name ~limit:Stats.max_threads tid;
     if depth.(tid) > 0 then begin
       depth.(tid) <- depth.(tid) + 1;
       Fun.protect ~finally:(fun () -> depth.(tid) <- depth.(tid) - 1)

@@ -78,10 +78,10 @@ let read_word t (d : Txdesc.t) addr =
   if s >= 0 then Wlog.slot_value d.wset s
   else begin
     (* [Vlock.lock], inlined: a call here would be a real call per read *)
-    let e = Array.unsafe_get t.locks.slots idx in
+    let c = Array.unsafe_get t.locks.chunks (idx lsr Runtime.Line_table.chunk_bits) in
+    let e = Array.unsafe_get c (idx land Runtime.Line_table.chunk_mask) in
     let lock =
-      if e != Runtime.Line_table.absent then Array.unsafe_get e 0
-      else Vlock.lock t.locks idx
+      if e != Runtime.Line_table.absent then Array.unsafe_get e 0 else Vlock.lock t.locks idx
     in
     let lv1 = Runtime.Tmatomic.get lock in
     Runtime.Exec.tick costs.mem;

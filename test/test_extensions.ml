@@ -80,10 +80,7 @@ let test_nesting_undo_restores_redo_log () =
   check Alcotest.int "committed" 99 (Memory.Heap.read heap a)
 
 let test_nesting_outside_tx_rejected () =
-  let heap = Memory.Heap.create ~words:1024 in
-  let t = swisstm_create heap in
-  let d = (swisstm_create heap).descs.(0) in
-  ignore t;
+  let d = Kernel.Txdesc.create ~tid:0 ~seed:0 in
   Alcotest.(check bool) "rejected outside atomic" true
     (try
        ignore (Swisstm.Swisstm_engine.atomic_closed d (fun _ -> ()));

@@ -259,35 +259,6 @@ let test_unreachable_points () =
     }
     "value-based validation needs the global sequence lock (norec only)"
 
-(* Engines that pack per-thread state into machine words (visible-reader
-   bitmaps, quiescence slots) must refuse tids beyond their cap with the
-   named exception — loud refusal instead of silent bitmap corruption at
-   the 64-512-thread scale runs (PR 10). *)
-let test_thread_caps () =
-  let expect_cap label spec ~engine ~limit =
-    let e = Engines.make spec (Memory.Heap.create ~words:256) in
-    (* the last supported tid still runs... *)
-    Stm_intf.Engine.atomic e ~tid:(limit - 1) (fun _ -> ());
-    (* ...and the first unsupported one is refused by name. *)
-    Alcotest.check_raises label
-      (Stm_intf.Engine.Unsupported_thread_count { engine; tid = limit; limit })
-      (fun () -> Stm_intf.Engine.atomic e ~tid:limit (fun _ -> ()))
-  in
-  expect_cap "tlrw refuses tid 62" Engines.tlrw ~engine:"tlrw" ~limit:62;
-  expect_cap "rstm refuses tid 62" Engines.rstm ~engine:"rstm" ~limit:62;
-  (match Engines.of_string "k-eager+vis+commit+redo" with
-  | Some spec ->
-      expect_cap "composed visible point refuses tid 62" spec
-        ~engine:"kernel-compose-visible" ~limit:62
-  | None -> Alcotest.fail "k-eager+vis+commit+redo not in the registry");
-  expect_cap "swisstm-priv refuses tid 64" Engines.swisstm_priv_safe
-    ~engine:"swisstm-priv" ~limit:64;
-  (* Engines without packed per-thread words take any tid under the
-     global ceiling: plain SwissTM must run tid 100. *)
-  let e = Engines.make Engines.swisstm (Memory.Heap.create ~words:256) in
-  Stm_intf.Engine.atomic e ~tid:100 (fun _ -> ());
-  Alcotest.(check bool) "plain swisstm runs tid 100" true true
-
 let suite =
   [
     ( "kernel-differential",
@@ -313,7 +284,5 @@ let suite =
             test_registry_coverage;
           Alcotest.test_case "unreachable points rejected" `Quick
             test_unreachable_points;
-          Alcotest.test_case "thread caps refuse by name" `Quick
-            test_thread_caps;
         ] );
   ]

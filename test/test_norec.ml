@@ -71,7 +71,8 @@ let test_vset_clear_generations () =
   Alcotest.(check bool) "revalidate over empty vset" true
     (Vset.revalidate ~read:boom v);
   Vset.iter (fun _ _ -> Alcotest.fail "iter visited a cleared entry") v;
-  (* The journal is reusable across generations (descriptor pooling). *)
+  (* The journal is reusable across generations (a descriptor clears its
+     logs at every transaction begin). *)
   for g = 1 to 3 do
     Vset.log v g (g * 10);
     check Alcotest.int "fresh generation length" 1 (Vset.length v);

@@ -12,6 +12,20 @@ let test_rng_deterministic () =
     check Alcotest.int "same stream" (Runtime.Rng.int a 1000) (Runtime.Rng.int b 1000)
   done
 
+(* A draw allocates nothing: the state is not a boxed [int64] field, and
+   [int]'s rejection loop is not a closure.  Benchmark set-ups draw
+   hundreds of thousands of values, and the CM draws on every back-off. *)
+let test_rng_allocation_free () =
+  let r = Runtime.Rng.create 7 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Runtime.Rng.int r 97))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for 10,000 draws < 100" words)
+    true (words < 100.)
+
 let test_rng_thread_streams_differ () =
   let a = Runtime.Rng.for_thread ~seed:1 ~tid:0 in
   let b = Runtime.Rng.for_thread ~seed:1 ~tid:1 in
@@ -241,19 +255,23 @@ let test_tmatomic_native_mode_uncharged () =
 
 (* A line built on first touch holds its initial values and is one
    modelled cache line, charged exactly like eagerly built [make_shared]
-   cells; later accesses return the same cells. *)
+   cells; later accesses return the same cells.  Only the touched chunk
+   is allocated: the untouched ones stay the one shared absent chunk. *)
 let test_line_table_first_touch () =
-  let t = Runtime.Line_table.create 8 ~init:[| 3; 5 |] in
+  let t = Runtime.Line_table.create 2048 ~init:[| 3; 5 |] in
   Alcotest.(check bool) "untouched" true
-    (t.slots.(2) == Runtime.Line_table.absent);
+    (Runtime.Line_table.slot t 2 == Runtime.Line_table.absent);
   let a = Runtime.Line_table.cell t 2 0 and b = Runtime.Line_table.cell t 2 1 in
   check Alcotest.(pair int int) "initial values" (3, 5)
     (Runtime.Tmatomic.unsafe_get a, Runtime.Tmatomic.unsafe_get b);
   Alcotest.(check bool) "same cells on re-access" true
-    (Runtime.Line_table.cell t 2 0 == a && t.slots.(2).(1) == b);
+    (Runtime.Line_table.cell t 2 0 == a
+    && (Runtime.Line_table.slot t 2).(1) == b);
   Alcotest.(check bool) "neighbours untouched" true
-    (t.slots.(1) == Runtime.Line_table.absent
-    && t.slots.(3) == Runtime.Line_table.absent);
+    (Runtime.Line_table.slot t 1 == Runtime.Line_table.absent
+    && Runtime.Line_table.slot t 3 == Runtime.Line_table.absent);
+  Alcotest.(check bool) "only the touched chunk allocated" true
+    (t.chunks.(0) != t.chunks.(1) && t.chunks.(1) == t.chunks.(3));
   let fresh = Runtime.Line_table.create 1 ~init:[| 0; 0 |] in
   let cycles =
     measure (fun () ->
@@ -444,6 +462,7 @@ let suite =
     ( "rng",
       [
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
+        Alcotest.test_case "allocation-free" `Quick test_rng_allocation_free;
         Alcotest.test_case "thread streams differ" `Quick
           test_rng_thread_streams_differ;
         Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
