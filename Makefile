@@ -38,13 +38,13 @@ check: build
 # line-budget guard: the five engines, all expressed over lib/kernel, stay
 # within their current line counts (the pre-kernel total was 2576), and
 # so do the other engine files, the composed engine, the shared
-# visible-reader set, the stripe table and the descriptor, driver and
-# packaging modules, so code the kernel absorbed cannot quietly grow
-# back.
+# visible-reader set, the stripe table, the descriptor, driver, hooks
+# and packaging modules and the per-thread counters, so code the kernel
+# absorbed cannot quietly grow back.
 ENGINE_FILES = lib/core/swisstm_engine.ml lib/stm_tl2/tl2_engine.ml \
                lib/stm_tiny/tinystm_engine.ml lib/stm_rstm/rstm_engine.ml \
                lib/stm_mv/mvstm_engine.ml
-ENGINE_BUDGET = 1495
+ENGINE_BUDGET = 1485
 
 kernel-smoke: build
 	dune exec test/test_main.exe -- test kernel-differential
@@ -58,14 +58,15 @@ kernel-smoke: build
 	   echo "LoC budget ok: engine files total $$total lines (<= $(ENGINE_BUDGET))"; \
 	 fi
 	@fail=0; \
-	 for spec in lib/core/swisstm_engine.ml:485 lib/stm_tl2/tl2_engine.ml:160 \
-	             lib/stm_tiny/tinystm_engine.ml:186 lib/stm_rstm/rstm_engine.ml:363 \
-	             lib/stm_mv/mvstm_engine.ml:301 \
-	             lib/kernel/norec.ml:183 lib/kernel/tlrw.ml:187 \
-	             lib/kernel/compose.ml:432 lib/kernel/readers.ml:101 \
+	 for spec in lib/core/swisstm_engine.ml:483 lib/stm_tl2/tl2_engine.ml:158 \
+	             lib/stm_tiny/tinystm_engine.ml:184 lib/stm_rstm/rstm_engine.ml:361 \
+	             lib/stm_mv/mvstm_engine.ml:299 \
+	             lib/kernel/norec.ml:181 lib/kernel/tlrw.ml:185 \
+	             lib/kernel/compose.ml:430 lib/kernel/readers.ml:101 \
 	             lib/kernel/seqlock.ml:40 lib/stm_intf/vset.ml:21 \
-	             lib/runtime/line_table.ml:58 lib/kernel/txdesc.ml:118 \
-	             lib/kernel/driver.ml:122 lib/kernel/package.ml:90; do \
+	             lib/runtime/line_table.ml:58 lib/kernel/txdesc.ml:128 \
+	             lib/kernel/driver.ml:143 lib/kernel/package.ml:78 \
+	             lib/kernel/hooks.ml:194 lib/stm_intf/stats.ml:117; do \
 	   f=$${spec%%:*}; cap=$${spec##*:}; n=$$(wc -l < $$f); \
 	   if [ $$n -gt $$cap ]; then \
 	     echo "LoC budget FAIL: $$f is $$n lines (> its cap $$cap)"; fail=1; \

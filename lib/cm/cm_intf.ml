@@ -22,7 +22,7 @@ type txinfo = {
       (** cumulative work carried across aborts (Karma manager) *)
   mutable backoffs : int;
       (** back-off waits taken on behalf of this thread (statistics only;
-          engines harvest the delta into [Stats.backoff]) *)
+          the engine's snapshot reports it as [s_backoffs]) *)
   mutable contention : int;
       (** EWMA of this thread's abort rate, fixed-point scaled by
           {!contention_scale} (1024 = every attempt aborts).  Maintained by

@@ -6,9 +6,10 @@
 open Cm_intf
 
 (* Every manager back-off goes through here so the count lands in the
-   waiting thread's [txinfo]; engines harvest the delta into
-   [Stats.backoff].  The increment is unconditional (a plain field write,
-   no RNG draw), so schedules are unchanged. *)
+   waiting thread's [txinfo], the only back-off counter: an engine's
+   snapshot reports it as [s_backoffs] and its reset zeroes it.  The
+   increment is unconditional (a plain field write, no RNG draw), so
+   schedules are unchanged. *)
 let backoff_wait info policy ~attempt =
   info.backoffs <- info.backoffs + 1;
   Runtime.Backoff.wait policy info.rng ~attempt

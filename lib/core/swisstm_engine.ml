@@ -31,7 +31,6 @@ type t = {
   commit_ts : Runtime.Tmatomic.t;
   cm : Cm.Cm_intf.t;
   descs : Txdesc.t array;
-  stats : Stats.t;
   eid : int;  (** metrics-registry engine id *)
   privatization_safe : bool;
       (** §6 extension: quiescence at commit — every committing update
@@ -70,7 +69,6 @@ let create ~cm ~granularity_words ~table_bits ~privatization_safe
     commit_ts = Runtime.Tmatomic.make 0;
     cm = Cm.Factory.make cm;
     descs = Driver.make_descs ();
-    stats = Stats.create ();
     eid = Obs.Metrics.register_engine name;
     privatization_safe;
     debug_no_validation;
@@ -132,14 +130,14 @@ let rollback t (d : Txdesc.t) reason =
       done;
       Txdesc.clear_sp_undo d;
       if !Trace.enabled then Trace.on_scope_abort ~tid:d.tid;
-      Stats.abort t.stats ~tid:d.tid reason;
+      Stats.abort d.counters reason;
       Runtime.Exec.tick (Runtime.Costs.get ()).tx_end;
-      Hooks.cm_on_rollback ~stats:t.stats ~cm:t.cm d;
+      t.cm.on_rollback d.info;
       raise Tx_signal.Inner_abort
   | _ ->
       release_w_locks t d;
       leave_quiescence_slot t d;
-      Hooks.rollback ~stats:t.stats ~cm:t.cm ~ser:t.ser d ~reason
+      Hooks.rollback ~cm:t.cm ~ser:t.ser d ~reason
 
 let check_kill t (d : Txdesc.t) =
   if Hooks.kill_due ~ser:t.ser d then rollback t d Tx_signal.Killed
@@ -203,7 +201,7 @@ let quiesce t (d : Txdesc.t) ~ts =
       (fun u cell ->
         if u <> d.tid then
           while Runtime.Tmatomic.get cell <= ts do
-            Stats.wait t.stats ~tid:d.tid;
+            Stats.wait d.counters;
             Runtime.Exec.pause ()
           done)
       t.active
@@ -219,7 +217,7 @@ let rec read_fresh t (d : Txdesc.t) r_lock idx addr
     (costs : Runtime.Costs.t) =
   let rv = Runtime.Tmatomic.get r_lock in
   if Lock_table.is_r_locked rv then begin
-    Stats.wait t.stats ~tid:d.tid;
+    Stats.wait d.counters;
     check_kill t d;
     Runtime.Exec.pause ();
     read_fresh t d r_lock idx addr costs
@@ -252,7 +250,7 @@ let rec read_fresh t (d : Txdesc.t) r_lock idx addr
 
 let read_word t (d : Txdesc.t) addr =
   let costs = Runtime.Costs.get () in
-  Stats.read t.stats ~tid:d.tid;
+  Stats.read d.counters;
   check_kill t d;
   let idx = (addr lsr t.shift) land t.imask in
   let e = entry t idx in
@@ -293,7 +291,7 @@ let record_undo (d : Txdesc.t) addr =
 
 let write_word t (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
-  Stats.write t.stats ~tid:d.tid;
+  Stats.write d.counters;
   check_kill t d;
   let idx = (addr lsr t.shift) land t.imask in
   let e = entry t idx in
@@ -312,10 +310,10 @@ let write_word t (d : Txdesc.t) addr value =
         check_kill t d;
         Hooks.stripe_conflict ~eid:t.eid ~stripe:idx;
         let victim = (t.descs.(Lock_table.w_owner_of wv)).info in
-        match Hooks.cm_resolve ~stats:t.stats ~ser:t.ser ~cm:t.cm d ~victim with
+        match Hooks.cm_resolve ~ser:t.ser ~cm:t.cm d ~victim with
         | Cm.Cm_intf.Abort_self -> rollback t d Tx_signal.Ww_conflict
         | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim ->
-            Stats.wait t.stats ~tid:d.tid;
+            Stats.wait d.counters;
             Runtime.Exec.pause ();
             acquire (Runtime.Tmatomic.get w_lock)
       end
@@ -346,13 +344,13 @@ let commit t (d : Txdesc.t) =
   Hooks.commit_entry d;
   if Txdesc.is_read_only d then begin
     leave_quiescence_slot t d;
-    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
   else begin
     (* Commit gate: while an irrevocable transaction runs, update commits
        must not advance [commit_ts].  The waiter still holds w-locks, so
        it polls its kill flag (the token holder can abort it out). *)
-    Hooks.enter_update_commit ~stats:t.stats ~cm:t.cm ~ser:t.ser
+    Hooks.enter_update_commit ~cm:t.cm ~ser:t.ser
       ~gate_check:(fun () -> check_kill t d)
       d;
     check_kill t d;
@@ -391,7 +389,7 @@ let commit t (d : Txdesc.t) =
     leave_quiescence_slot t d;
     (* The token drops inside [commit_done], before quiescing: gated
        threads are idle (active = max_int) so quiesce cannot hang on them. *)
-    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d;
+    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d;
     (* an update commit may have privatized data: wait out older readers *)
     quiesce t d ~ts
   end
@@ -476,7 +474,7 @@ let engine ~cm ~granularity_words ~table_bits ~privatization_safe
      arity closures: each access calls [read_word]/[write_word] directly
      instead of going through a partial application's curry stub,
      measurable on SwissTM's per-access path. *)
-  Package.make ~name ~heap ~stats:t.stats
+  Package.make ~name ~heap
     ?cap:
       (if privatization_safe then Some ("swisstm-priv", quiesce_slots)
        else None)

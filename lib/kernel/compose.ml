@@ -66,7 +66,6 @@ type t = {
   point : Axes.point;
   cm : Cm.Cm_intf.t;
   descs : Txdesc.t array;
-  stats : Stats.t;
   eid : int;
   ser : Serial.t;
 }
@@ -107,7 +106,6 @@ let create ~cm ~granularity_words ~table_bits point heap =
     point;
     cm = Cm.Factory.make cm;
     descs = Driver.make_descs ();
-    stats = Stats.create ();
     eid = Obs.Metrics.register_engine (name_of_point point);
     ser = Serial.create ();
   }
@@ -130,7 +128,7 @@ let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
   release_locks t d;
   Readers.retract_all t.readers d;
-  Hooks.rollback ~stats:t.stats ~cm:t.cm ~ser:t.ser d ~reason
+  Hooks.rollback ~cm:t.cm ~ser:t.ser d ~reason
 
 let check_kill t d =
   if Hooks.kill_due ~ser:t.ser d then rollback t d Tx_signal.Killed
@@ -194,7 +192,7 @@ let settle_version t (d : Txdesc.t) version =
 (* CM-arbitrated wait on the owner of [idx] (long-lived conflicts:
    Eager freeze, Visible read of an owned stripe, w/w encounters). *)
 let cm_wait t d idx ~owner ~reason =
-  Readers.cm_wait ~eid:t.eid ~stats:t.stats ~ser:t.ser ~cm:t.cm ~descs:t.descs
+  Readers.cm_wait ~eid:t.eid ~ser:t.ser ~cm:t.cm ~descs:t.descs
     ~rollback:(rollback t) d idx ~owner ~reason
 
 let rec read_invisible t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
@@ -206,7 +204,7 @@ let rec read_invisible t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
     if t.point.Axes.acquisition = Axes.Eager && wv <> 0 && wv <> d.tid + 1
     then cm_wait t d idx ~owner:wv ~reason:Tx_signal.Rw_validation
     else begin
-      Stats.wait t.stats ~tid:d.tid;
+      Stats.wait d.counters;
       check_kill t d;
       Runtime.Exec.pause ()
     end;
@@ -246,7 +244,7 @@ let rec read_visible t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
   else begin
     let rv = Runtime.Tmatomic.get (r_lock t idx) in
     if is_frozen rv then begin
-      Stats.wait t.stats ~tid:d.tid;
+      Stats.wait d.counters;
       check_kill t d;
       Runtime.Exec.pause ();
       read_visible t d idx addr costs
@@ -265,7 +263,7 @@ let rec read_visible t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
 
 let read_word t (d : Txdesc.t) addr =
   let costs = Runtime.Costs.get () in
-  Stats.read t.stats ~tid:d.tid;
+  Stats.read d.counters;
   check_kill t d;
   let idx = Memory.Stripe.index t.stripe addr in
   if Runtime.Tmatomic.get (w_lock t idx) = d.tid + 1 then begin
@@ -305,7 +303,7 @@ let freeze_stripe t (d : Txdesc.t) idx =
   Wlog.replace d.acq_version idx (version_of rv);
   Runtime.Tmatomic.set (r_lock t idx) r_frozen;
   if t.point.Axes.visibility = Axes.Visible then
-    Readers.drain t.readers ~stats:t.stats ~ser:t.ser ~cm:t.cm ~descs:t.descs
+    Readers.drain t.readers ~ser:t.ser ~cm:t.cm ~descs:t.descs
       ~rollback:(rollback t) d idx;
   version_of rv
 
@@ -329,7 +327,7 @@ let acquire_w t (d : Txdesc.t) idx =
 
 let write_word t (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
-  Stats.write t.stats ~tid:d.tid;
+  Stats.write d.counters;
   check_kill t d;
   let idx = Memory.Stripe.index t.stripe addr in
   (match t.point.Axes.acquisition with
@@ -364,13 +362,13 @@ let commit t (d : Txdesc.t) =
   in
   if ro then begin
     Readers.retract_all t.readers d;
-    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
   else begin
     (* Eager/Mixed waiters hold encounter-time locks, so the commit gate
        polls the kill flag (the irrevocable transaction can abort them
        out); a Lazy waiter holds nothing but polling is harmless. *)
-    Hooks.enter_update_commit ~stats:t.stats ~cm:t.cm ~ser:t.ser
+    Hooks.enter_update_commit ~cm:t.cm ~ser:t.ser
       ~gate_check:(fun () -> check_kill t d)
       d;
     Hooks.inject_stretch d;
@@ -399,7 +397,7 @@ let commit t (d : Txdesc.t) =
         Runtime.Tmatomic.set (w_lock t idx) 0)
       d.acq_stripes;
     Readers.retract_all t.readers d;
-    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
 
 let start t (d : Txdesc.t) ~restart =
@@ -415,7 +413,7 @@ let emergency_release t (d : Txdesc.t) =
 
 let engine ~cm ~granularity_words ~table_bits point heap : Engine.t =
   let t = create ~cm ~granularity_words ~table_bits point heap in
-  Package.make ~name:(name_of_point point) ~heap ~stats:t.stats
+  Package.make ~name:(name_of_point point) ~heap
     ?cap:
       (if point.Axes.visibility = Axes.Visible then
          Some ("kernel-compose-visible", Readers.cap)

@@ -69,6 +69,27 @@ let[@inline] desc descs tid =
   let d = descs.(tid) in
   if d != absent then d else build descs tid
 
+(* An engine's statistics: every built descriptor's counters, summed,
+   with the back-offs its manager counted in [d.info]. *)
+let snapshot descs =
+  Array.fold_left
+    (fun acc (d : Txdesc.t) ->
+      if d == absent then acc
+      else
+        let s = Stats.snapshot d.counters in
+        Stats.add acc { s with s_backoffs = d.info.Cm.Cm_intf.backoffs })
+    (Stats.snapshot (Stats.create ()))
+    descs
+
+let reset descs =
+  Array.iter
+    (fun (d : Txdesc.t) ->
+      if d != absent then begin
+        d.counters <- Stats.create ();
+        d.info.Cm.Cm_intf.backoffs <- 0
+      end)
+    descs
+
 (* One attempt of the retry loop; top-level, not a closure inside [run], so
    running a transaction allocates nothing here.  The body sees [view d]. *)
 let rec attempt (o : ops) ~tid ~irrevocable (d : Txdesc.t) view f ~restart =

@@ -67,30 +67,16 @@ let[@inline] stripe_conflict ~eid ~stripe =
 
 (* --- contention-manager bridging -------------------------------------- *)
 
-(* The manager's backoff waits bump [info.backoffs]; harvest the delta
-   into [Stats] around each call so [s_backoffs] attributes them. *)
-let cm_on_rollback ~stats ~(cm : Cm.Cm_intf.t) (d : Txdesc.t) =
-  let b0 = d.info.Cm.Cm_intf.backoffs in
-  cm.on_rollback d.info;
-  let db = d.info.Cm.Cm_intf.backoffs - b0 in
-  if db > 0 then Stats.backoff stats ~tid:d.tid ~n:db
-
 (* Resolve a conflict, with the irrevocable-transaction override: the
    token holder wins every conflict regardless of the manager's policy
    (under timid-style managers Abort_self would deadlock against a victim
    parked at the commit gate on a lock the holder needs). *)
-let cm_resolve ~stats ~ser ~(cm : Cm.Cm_intf.t) (d : Txdesc.t) ~victim =
+let cm_resolve ~ser ~(cm : Cm.Cm_intf.t) (d : Txdesc.t) ~victim =
   if Serial.mine ser ~tid:d.tid then begin
     Cm.Cm_intf.request_kill victim;
     Cm.Cm_intf.Killed_victim
   end
-  else begin
-    let b0 = d.info.Cm.Cm_intf.backoffs in
-    let decision = cm.resolve ~attacker:d.info ~victim in
-    let db = d.info.Cm.Cm_intf.backoffs - b0 in
-    if db > 0 then Stats.backoff stats ~tid:d.tid ~n:db;
-    decision
-  end
+  else cm.resolve ~attacker:d.info ~victim
 
 (* --- transaction begin ------------------------------------------------ *)
 
@@ -131,9 +117,9 @@ let[@inline] commit_entry (d : Txdesc.t) =
    never entered the commit section is free and harmless.
    [allow_snapshot] is MVSTM's "may serve old versions again" latch;
    setting it is a dead store for every other engine. *)
-let commit_done ~stats ~(cm : Cm.Cm_intf.t) ~ser ~heap (d : Txdesc.t) =
+let commit_done ~(cm : Cm.Cm_intf.t) ~ser ~heap (d : Txdesc.t) =
   if !Trace.enabled then Trace.on_commit ~tid:d.tid;
-  Stats.commit stats ~tid:d.tid;
+  Stats.commit d.counters;
   if !Obs.Metrics.on then Obs.Metrics.on_tx_commit ~tid:d.tid;
   (* The commit is now certain: execute the buffered transactional frees
      (epoch limbo when the reclaimer is armed, immediate recycling
@@ -154,17 +140,16 @@ let commit_done ~stats ~(cm : Cm.Cm_intf.t) ~ser ~heap (d : Txdesc.t) =
    before the CM back-off, so abstract locks never stay held across a
    sleep), the end tick, the manager's backoff, and the unwind.  Never
    returns. *)
-let rollback ~stats ~cm ~ser (d : Txdesc.t) ~reason =
+let rollback ~(cm : Cm.Cm_intf.t) ~ser (d : Txdesc.t) ~reason =
   if !Trace.enabled then Trace.on_abort ~tid:d.tid ~reason;
-  Stats.abort stats ~tid:d.tid reason;
-  Stats.wasted stats ~tid:d.tid
-    ~cycles:(max 0 (Runtime.Exec.now () - d.start_cycles));
+  Stats.abort d.counters reason;
+  Stats.wasted d.counters ~cycles:(max 0 (Runtime.Exec.now () - d.start_cycles));
   if !Obs.Metrics.on then Obs.Metrics.on_tx_abort ~tid:d.tid ~reason;
   Serial.exit_commit ser ~tid:d.tid;
   Txdesc.clear_logs d;
   Tx_signal.cleanup ~tid:d.tid;
   Runtime.Exec.tick (Runtime.Costs.get ()).tx_end;
-  cm_on_rollback ~stats ~cm d;
+  cm.on_rollback d.info;
   if !Memory.Heap.epoch_on then Memory.Epoch.quiescent ~tid:d.tid;
   Tx_signal.abort ()
 
@@ -180,7 +165,7 @@ let rollback ~stats ~cm ~ser (d : Txdesc.t) ~reason =
    requests for threads flagged in [Tx_signal.boost_busy] — otherwise a
    spinning abstract-lock acquirer could never dislodge a parked waiter
    (livelock). *)
-let enter_update_commit ~stats ~(cm : Cm.Cm_intf.t) ~ser ?gate_check
+let enter_update_commit ~(cm : Cm.Cm_intf.t) ~ser ?gate_check
     (d : Txdesc.t) =
   (match gate_check with
   | Some check ->
@@ -191,7 +176,7 @@ let enter_update_commit ~stats ~(cm : Cm.Cm_intf.t) ~ser ?gate_check
             !Tx_signal.cleanup_on
             && Tx_signal.boost_busy.(d.tid)
             && Cm.Cm_intf.kill_requested d.info
-          then rollback ~stats ~cm ~ser d ~reason:Tx_signal.Killed
+          then rollback ~cm ~ser d ~reason:Tx_signal.Killed
         in
         Serial.gate ser ~tid:d.tid ~check
   | None -> ());

@@ -36,7 +36,6 @@ type t = {
          self-aborts), so the manager only governs rollback back-off, the
          adaptive throttle and the escalation budget *)
   descs : Txdesc.t array;
-  stats : Stats.t;
   eid : int;
   ser : Serial.t;
 }
@@ -49,7 +48,6 @@ let create ~cm heap =
     seqlock = Seqlock.create ();
     cm = Cm.Factory.make cm;
     descs = Driver.make_descs ();
-    stats = Stats.create ();
     eid = Obs.Metrics.register_engine name;
     ser = Serial.create ();
   }
@@ -59,13 +57,13 @@ let create ~cm heap =
    nothing of its own. *)
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
-  Hooks.rollback ~stats:t.stats ~cm:t.cm ~ser:t.ser d ~reason
+  Hooks.rollback ~cm:t.cm ~ser:t.ser d ~reason
 
 let check_kill t d =
   if Hooks.kill_due ~ser:t.ser d then rollback t d Tx_signal.Killed
 
 let[@inline] spin_wait t (d : Txdesc.t) () =
-  Stats.wait t.stats ~tid:d.tid;
+  Stats.wait d.counters;
   check_kill t d
 
 (* Re-read the whole value journal against a stable, unlocked sequence;
@@ -89,7 +87,7 @@ let rec validate t (d : Txdesc.t) =
 
 let read_word t (d : Txdesc.t) addr =
   let costs = Runtime.Costs.get () in
-  Stats.read t.stats ~tid:d.tid;
+  Stats.read d.counters;
   check_kill t d;
   let s =
     if Wlog.is_empty d.wset then -1
@@ -119,7 +117,7 @@ let read_word t (d : Txdesc.t) addr =
 
 let write_word t (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
-  Stats.write t.stats ~tid:d.tid;
+  Stats.write d.counters;
   check_kill t d;
   (* First write: tell the manager this attempt is an update (priority
      bookkeeping only — there is no lock conflict to resolve, ever). *)
@@ -136,11 +134,11 @@ let commit t (d : Txdesc.t) =
   if Wlog.is_empty d.wset then
     (* Read-only: the journal was proven consistent at [d.valid_ts];
        nothing to publish, nothing to release. *)
-    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   else begin
     (* A waiter at the irrevocability gate holds nothing, but polling
        the kill flag while parked is harmless and keeps storms moving. *)
-    Hooks.enter_update_commit ~stats:t.stats ~cm:t.cm ~ser:t.ser
+    Hooks.enter_update_commit ~cm:t.cm ~ser:t.ser
       ~gate_check:(fun () -> check_kill t d)
       d;
     Hooks.inject_stretch d;
@@ -154,7 +152,7 @@ let commit t (d : Txdesc.t) =
     Hooks.inject_stall d;
     Vlock.write_back ~heap:t.heap d;
     Seqlock.release t.seqlock ~snapshot:d.valid_ts;
-    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
 
 (* [start] must not abort (the driver calls it outside its retry guard),
@@ -165,12 +163,12 @@ let start t (d : Txdesc.t) ~restart =
   t.cm.on_start d.info ~restart;
   d.valid_ts <-
     Seqlock.snapshot t.seqlock ~on_spin:(fun () ->
-        Stats.wait t.stats ~tid:d.tid);
+        Stats.wait d.counters);
   Hooks.phase_other d.tid
 
 let engine ~cm heap : Engine.t =
   let t = create ~cm heap in
-  Package.make ~name ~heap ~stats:t.stats
+  Package.make ~name ~heap
     {
       Driver.ser = t.ser;
       cm = t.cm;

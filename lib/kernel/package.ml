@@ -11,20 +11,15 @@
    heap accesses (and its stripe index arithmetic) never see a bad
    address.
 
-   The ops array holds one [tx_ops] per descriptor, built with the
-   descriptor on its thread's first transaction (the [absent_ops]
-   sentinel until then), so the per-transaction fast path allocates no
-   closures; each op keeps one combined [hooks_on] check on the
-   everything-off fast path, with the individual collector flags only
-   consulted behind it. *)
+   Each descriptor carries its thread's [tx_ops], built on that thread's
+   first transaction ([Txdesc.unbuilt_ops] until then), so the
+   per-transaction fast path allocates no closures; each op keeps one
+   combined [hooks_on] check on the everything-off fast path, with the
+   individual collector flags only consulted behind it. *)
 
 open Stm_intf
 
-let absent_ops : Engine.tx_ops =
-  let unbuilt _ = invalid_arg "Package: tx_ops not built" in
-  { read = unbuilt; write = unbuilt; alloc = unbuilt; free = unbuilt }
-
-let make ~name ~heap ~stats ?(cap = (name, Stats.max_threads))
+let make ~name ~heap ?(cap = (name, Stats.max_threads))
     (o : Driver.ops) ~(read : Txdesc.t -> int -> int)
     ~(write : Txdesc.t -> int -> int -> unit) : Engine.t =
   let capacity = Memory.Heap.capacity heap in
@@ -62,16 +57,9 @@ let make ~name ~heap ~stats ?(cap = (name, Stats.max_threads))
       free = (fun addr n -> Txdesc.buffer_free d addr n);
     }
   in
-  let ops = Array.make Stats.max_threads absent_ops in
-  (* [d] came from a bounds-checked slot of a table of the same length. *)
   let ops_of (d : Txdesc.t) =
-    let x = Array.unsafe_get ops d.tid in
-    if x != absent_ops then x
-    else begin
-      let x = build d in
-      ops.(d.tid) <- x;
-      x
-    end
+    if d.ops == Txdesc.unbuilt_ops then d.ops <- build d;
+    d.ops
   in
   let engine, limit = cap in
   {
@@ -85,6 +73,6 @@ let make ~name ~heap ~stats ?(cap = (name, Stats.max_threads))
       (fun ~tid f ->
         Engine.check_tid_limit ~engine ~limit tid;
         Driver.run_view o ~tid ~irrevocable:true ops_of f);
-    stats = (fun () -> Stats.snapshot stats);
-    reset_stats = (fun () -> Stats.reset stats);
+    stats = (fun () -> Driver.snapshot o.descs);
+    reset_stats = (fun () -> Driver.reset o.descs);
   }

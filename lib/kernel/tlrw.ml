@@ -27,7 +27,6 @@ type t = {
   readers : Readers.t;  (* the readers column of [locks] *)
   cm : Cm.Cm_intf.t;
   descs : Txdesc.t array;
-  stats : Stats.t;
   eid : int;
   ser : Serial.t;
 }
@@ -47,7 +46,6 @@ let create ~cm ~granularity_words ~table_bits heap =
     readers = Readers.create locks ~col:1;
     cm = Cm.Factory.make cm;
     descs = Driver.make_descs ();
-    stats = Stats.create ();
     eid = Obs.Metrics.register_engine name;
     ser = Serial.create ();
   }
@@ -61,14 +59,14 @@ let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
   release_owners t d;
   Readers.retract_all t.readers d;
-  Hooks.rollback ~stats:t.stats ~cm:t.cm ~ser:t.ser d ~reason
+  Hooks.rollback ~cm:t.cm ~ser:t.ser d ~reason
 
 let check_kill t d =
   if Hooks.kill_due ~ser:t.ser d then rollback t d Tx_signal.Killed
 
 (* CM-arbitrated wait on the owner of [idx]. *)
 let cm_wait t d idx ~owner ~reason =
-  Readers.cm_wait ~eid:t.eid ~stats:t.stats ~ser:t.ser ~cm:t.cm ~descs:t.descs
+  Readers.cm_wait ~eid:t.eid ~ser:t.ser ~cm:t.cm ~descs:t.descs
     ~rollback:(rollback t) d idx ~owner ~reason
 
 (* --- read -------------------------------------------------------------- *)
@@ -92,7 +90,7 @@ let rec read_slot t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
 
 let read_word t (d : Txdesc.t) addr =
   let costs = Runtime.Costs.get () in
-  Stats.read t.stats ~tid:d.tid;
+  Stats.read d.counters;
   check_kill t d;
   let idx = Memory.Stripe.index t.stripe addr in
   if Runtime.Tmatomic.get (owner t idx) = d.tid + 1 then begin
@@ -111,7 +109,7 @@ let read_word t (d : Txdesc.t) addr =
 
 let write_word t (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
-  Stats.write t.stats ~tid:d.tid;
+  Stats.write d.counters;
   check_kill t d;
   let idx = Memory.Stripe.index t.stripe addr in
   if Runtime.Tmatomic.get (owner t idx) <> d.tid + 1 then begin
@@ -133,7 +131,7 @@ let write_word t (d : Txdesc.t) addr value =
     (* Encounter-time drain: once we own the stripe and the slots are
        empty, no reader can observe it again until we release (they
        arbitrate against the owner word instead). *)
-    Readers.drain t.readers ~stats:t.stats ~ser:t.ser ~cm:t.cm ~descs:t.descs
+    Readers.drain t.readers ~ser:t.ser ~cm:t.cm ~descs:t.descs
       ~rollback:(rollback t) d idx;
     d.info.accesses <- d.info.accesses + 1
   end;
@@ -147,19 +145,19 @@ let commit t (d : Txdesc.t) =
   check_kill t d;
   if Txdesc.is_read_only d then begin
     Readers.retract_all t.readers d;
-    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
   else begin
     (* Waiters hold reader slots and owner words, so the commit gate
        polls the kill flag (the irrevocable transaction aborts them out). *)
-    Hooks.enter_update_commit ~stats:t.stats ~cm:t.cm ~ser:t.ser
+    Hooks.enter_update_commit ~cm:t.cm ~ser:t.ser
       ~gate_check:(fun () -> check_kill t d)
       d;
     Hooks.inject_stretch d;
     Vlock.write_back ~heap:t.heap d;
     release_owners t d;
     Readers.retract_all t.readers d;
-    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
 
 let start t (d : Txdesc.t) ~restart =
@@ -174,7 +172,7 @@ let emergency_release t (d : Txdesc.t) =
 
 let engine ~cm ~granularity_words ~table_bits heap : Engine.t =
   let t = create ~cm ~granularity_words ~table_bits heap in
-  Package.make ~name ~heap ~stats:t.stats ~cap:(name, Readers.cap)
+  Package.make ~name ~heap ~cap:(name, Readers.cap)
     {
       Driver.ser = t.ser;
       cm = t.cm;

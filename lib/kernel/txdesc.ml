@@ -18,6 +18,8 @@
    - [vreads]: visible-reader bits we own (index-mode dedup).
    - [sp_undo_*]/[savepoint]: SwissTM closed-nesting shadow log.
    - [snapshot]/[allow_snapshot]: MVSTM old-version read mode.
+   - [counters]: the thread's statistics ([Driver.reset] swaps in fresh
+     ones); [ops]: its bodies' op table, built on first use.
 
    A descriptor belongs to one engine instance and one thread: the
    engine's table ([Driver.make_descs]) builds it with [create] when that
@@ -25,6 +27,10 @@
    afterwards, so [create] alone defines the initial state. *)
 
 type savepoint = { sp_read_len : int; sp_acq_len : int }
+
+let unbuilt_ops : Stm_intf.Engine.tx_ops =
+  let unbuilt _ = invalid_arg "Txdesc: tx_ops not built" in
+  { read = unbuilt; write = unbuilt; alloc = unbuilt; free = unbuilt }
 
 type t = {
   tid : int;
@@ -48,6 +54,8 @@ type t = {
   frees : Stm_intf.Ivec.t;
       (** buffered transactional frees, interleaved (addr, words) pairs;
           executed through [Memory.Heap.free] at commit, dropped on abort *)
+  mutable counters : Stm_intf.Stats.t;
+  mutable ops : Stm_intf.Engine.tx_ops;
 }
 
 let create ~tid ~seed =
@@ -71,6 +79,8 @@ let create ~tid ~seed =
     frees = Stm_intf.Ivec.create ();
     depth = 0;
     start_cycles = 0;
+    counters = Stm_intf.Stats.create ();
+    ops = unbuilt_ops;
   }
 
 (* Transactional free: buffer now, execute at commit, drop on abort. *)

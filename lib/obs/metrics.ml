@@ -10,8 +10,8 @@
    back a small integer [eid]; the hot-path hooks index a per-eid bundle
    of preallocated counters through that integer (no string hashing per
    event).  Per-thread state (current engine, tx start time, commit start
-   time) lives in fixed arrays indexed by [tid land 63], mirroring
-   [Stats]'s sharding. *)
+   time) lives in process-wide arrays indexed by [tid land 511]
+   ([Runtime.Topology.max_cores] slots), shared by every engine. *)
 
 (* --- log2-bucketed histograms ------------------------------------------ *)
 

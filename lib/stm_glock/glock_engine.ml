@@ -4,14 +4,16 @@
    Not part of the paper's comparison, but the canonical sanity baseline:
    it bounds what serial execution achieves (no aborts, no logging, but no
    parallelism either), is useful in tests as a trivially correct reference,
-   and illustrates in examples what TM buys over coarse locking. *)
+   and illustrates in examples what TM buys over coarse locking.  A
+   thread's counters, nesting depth and op table live in its descriptor
+   ([Kernel.Driver.make_descs]); glock uses no other descriptor field. *)
 
 open Stm_intf
 
 type t = {
   heap : Memory.Heap.t;
   lock : Runtime.Tmatomic.t;
-  stats : Stats.t;
+  descs : Kernel.Txdesc.t array;
   eid : int;  (* observability engine id *)
 }
 
@@ -21,15 +23,16 @@ let create heap =
   {
     heap;
     lock = Runtime.Tmatomic.make 0;
-    stats = Stats.create ();
+    descs = Kernel.Driver.make_descs ();
     eid = Obs.Metrics.register_engine name;
   }
 
-let acquire t ~tid =
+let acquire t (d : Kernel.Txdesc.t) =
+  let tid = d.tid in
   let rec go () =
     (* test-and-test-and-set: spin on the read before retrying the CAS *)
     if Runtime.Tmatomic.get t.lock <> 0 then begin
-      Stats.wait t.stats ~tid;
+      Stats.wait d.counters;
       Runtime.Exec.pause ();
       go ()
     end
@@ -41,16 +44,16 @@ let release t = Runtime.Tmatomic.set t.lock 0
 
 let engine heap : Engine.t =
   let t = create heap in
-  let depth = Array.make Stats.max_threads 0 in
   let costs () = Runtime.Costs.get () in
   let capacity = Memory.Heap.capacity heap in
-  let ops tid =
+  let build (d : Kernel.Txdesc.t) =
+    let tid = d.tid in
     {
       Engine.read =
         (fun addr ->
           if addr < 0 || addr >= capacity then
             Memory.Heap.out_of_bounds heap addr;
-          Stats.read t.stats ~tid;
+          Stats.read d.counters;
           (* One combined check on the everything-off fast path; the
              individual collector flags are only consulted behind it. *)
           if !Runtime.Exec.hooks_on then begin
@@ -71,7 +74,7 @@ let engine heap : Engine.t =
         (fun addr v ->
           if addr < 0 || addr >= capacity then
             Memory.Heap.out_of_bounds heap addr;
-          Stats.write t.stats ~tid;
+          Stats.write d.counters;
           if !Runtime.Exec.hooks_on then begin
             if !Runtime.Exec.prof_on then
               Runtime.Exec.set_phase tid Runtime.Exec.ph_write;
@@ -92,12 +95,17 @@ let engine heap : Engine.t =
       free = (fun addr n -> Memory.Heap.free heap addr n);
     }
   in
+  let ops (d : Kernel.Txdesc.t) =
+    if d.ops == Kernel.Txdesc.unbuilt_ops then d.ops <- build d;
+    d.ops
+  in
   let rec run ~tid f =
     Engine.check_tid_limit ~engine:name ~limit:Stats.max_threads tid;
-    if depth.(tid) > 0 then begin
-      depth.(tid) <- depth.(tid) + 1;
-      Fun.protect ~finally:(fun () -> depth.(tid) <- depth.(tid) - 1)
-        (fun () -> f (ops tid))
+    let d = Kernel.Driver.desc t.descs tid in
+    if d.depth > 0 then begin
+      d.depth <- d.depth + 1;
+      Fun.protect ~finally:(fun () -> d.depth <- d.depth - 1)
+        (fun () -> f (ops d))
     end
     else begin
       (* Begin recorded before the lock (= snapshot) is taken. *)
@@ -106,7 +114,7 @@ let engine heap : Engine.t =
         Runtime.Exec.set_phase tid Runtime.Exec.ph_commit;
       if !Obs.Metrics.on then Obs.Metrics.on_tx_begin ~eid:t.eid ~tid;
       Runtime.Exec.tick (costs ()).tx_begin;
-      acquire t ~tid;
+      acquire t d;
       if !Runtime.Inject.on then Runtime.Inject.stall ~tid;
       (* A spurious abort models losing the CPU to a fault just after
          acquisition: nothing was executed or written yet (glock has no
@@ -115,7 +123,7 @@ let engine heap : Engine.t =
         release t;
         Runtime.Exec.tick (costs ()).tx_end;
         if !Trace.enabled then Trace.on_abort ~tid ~reason:Tx_signal.Killed;
-        Stats.abort t.stats ~tid Tx_signal.Killed;
+        Stats.abort d.counters Tx_signal.Killed;
         if !Obs.Metrics.on then
           Obs.Metrics.on_tx_abort ~tid ~reason:Tx_signal.Killed;
         if !Runtime.Exec.prof_on then
@@ -125,11 +133,11 @@ let engine heap : Engine.t =
       else begin
         if !Runtime.Exec.prof_on then
           Runtime.Exec.set_phase tid Runtime.Exec.ph_other;
-        depth.(tid) <- 1;
+        d.depth <- 1;
         match
           Fun.protect
             ~finally:(fun () ->
-              depth.(tid) <- 0;
+              d.depth <- 0;
               if !Runtime.Exec.prof_on then
                 Runtime.Exec.set_phase tid Runtime.Exec.ph_commit;
               (* Stretch lands inside the critical section, where it delays
@@ -140,9 +148,9 @@ let engine heap : Engine.t =
               if !Runtime.Exec.prof_on then
                 Runtime.Exec.set_phase tid Runtime.Exec.ph_other)
             (fun () ->
-              let v = f (ops tid) in
+              let v = f (ops d) in
               if !Trace.enabled then Trace.on_commit ~tid;
-              Stats.commit t.stats ~tid;
+              Stats.commit d.counters;
               if !Obs.Metrics.on then Obs.Metrics.on_tx_commit ~tid;
               v)
         with
@@ -151,7 +159,7 @@ let engine heap : Engine.t =
             (* Body-raised abort request; the protector already released
                the lock, so record the abort and re-run from scratch. *)
             if !Trace.enabled then Trace.on_abort ~tid ~reason:Tx_signal.Killed;
-            Stats.abort t.stats ~tid Tx_signal.Killed;
+            Stats.abort d.counters Tx_signal.Killed;
             if !Obs.Metrics.on then
               Obs.Metrics.on_tx_abort ~tid ~reason:Tx_signal.Killed;
             run ~tid f
@@ -164,6 +172,6 @@ let engine heap : Engine.t =
     atomic = (fun ~tid f -> run ~tid f);
     (* Holding the global lock already is irrevocable, single execution. *)
     atomic_irrevocable = (fun ~tid f -> run ~tid f);
-    stats = (fun () -> Stats.snapshot t.stats);
-    reset_stats = (fun () -> Stats.reset t.stats);
+    stats = (fun () -> Kernel.Driver.snapshot t.descs);
+    reset_stats = (fun () -> Kernel.Driver.reset t.descs);
   }

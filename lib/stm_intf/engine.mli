@@ -13,8 +13,9 @@ exception
 (** Raised by engines whose metadata packs per-thread state into machine
     words (visible-reader bitmaps: tlrw, rstm, composed Visible points)
     when asked to run a thread id at or beyond their cap — loud refusal
-    instead of silent bitmap corruption.  [Stats.max_threads] is 512;
-    these engines stop far earlier. *)
+    instead of silent bitmap corruption.  Every engine's descriptor
+    table has [Stats.max_threads] (512) slots; these engines stop far
+    earlier. *)
 
 val check_tid_limit : engine:string -> limit:int -> int -> unit
 (** [check_tid_limit ~engine ~limit tid] raises
@@ -58,7 +59,11 @@ val atomic_irrevocable : t -> tid:int -> (tx_ops -> 'a) -> 'a
     remote kills may retry it while pre-token transactions drain. *)
 
 val stats : t -> Stats.snapshot
+(** The counters of every thread that has run a transaction on this
+    engine, summed; each thread keeps its own in its descriptor. *)
+
 val reset_stats : t -> unit
+(** Zero every thread's counters, its back-off count included. *)
 
 val read : tx_ops -> int -> int
 val write : tx_ops -> int -> int -> unit

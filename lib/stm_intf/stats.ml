@@ -1,26 +1,26 @@
-(* Per-run transaction statistics.
+(* Per-thread transaction statistics.
 
-   Counters are sharded per logical thread: each simulated or native thread
-   writes only its own slot, so no synchronisation is needed and counting
-   does not perturb the cache model. *)
+   A [t] is one thread's counters, embedded in that thread's descriptor:
+   only its own thread writes it, so no synchronisation is needed and
+   counting does not perturb the cache model.  An engine's snapshot sums
+   its descriptors' counters. *)
 
-(* Must stay a power of two ([slot] masks) and within the topology's core
-   ceiling (thread tids index per-socket placement). *)
+(* Must stay a power of two ([Serial] masks tids with it) and within the
+   topology's core ceiling (thread tids index per-socket placement). *)
 let max_threads = 512
 let () = assert (max_threads <= Runtime.Topology.max_cores)
 
 type t = {
-  commits : int array;
-  aborts_ww : int array;
-  aborts_rw : int array;
-  aborts_killed : int array;
-  waits : int array;
-  backoffs : int array;
-  cycles_wasted : int array;
-  reads : int array;
-  writes : int array;
-  consec_aborts : int array;  (* current run of aborts without a commit *)
-  max_consec_aborts : int array;  (* worst such run per thread *)
+  mutable commits : int;
+  mutable aborts_ww : int;
+  mutable aborts_rw : int;
+  mutable aborts_killed : int;
+  mutable waits : int;
+  mutable cycles_wasted : int;
+  mutable reads : int;
+  mutable writes : int;
+  mutable consec_aborts : int;  (* current run of aborts without a commit *)
+  mutable max_consec_aborts : int;  (* worst such run *)
 }
 
 type snapshot = {
@@ -40,82 +40,50 @@ type snapshot = {
 
 let create () =
   {
-    commits = Array.make max_threads 0;
-    aborts_ww = Array.make max_threads 0;
-    aborts_rw = Array.make max_threads 0;
-    aborts_killed = Array.make max_threads 0;
-    waits = Array.make max_threads 0;
-    backoffs = Array.make max_threads 0;
-    cycles_wasted = Array.make max_threads 0;
-    reads = Array.make max_threads 0;
-    writes = Array.make max_threads 0;
-    consec_aborts = Array.make max_threads 0;
-    max_consec_aborts = Array.make max_threads 0;
+    commits = 0;
+    aborts_ww = 0;
+    aborts_rw = 0;
+    aborts_killed = 0;
+    waits = 0;
+    cycles_wasted = 0;
+    reads = 0;
+    writes = 0;
+    consec_aborts = 0;
+    max_consec_aborts = 0;
   }
 
-let[@inline] slot tid = tid land (max_threads - 1)
+let commit t =
+  t.commits <- t.commits + 1;
+  t.consec_aborts <- 0
+let[@inline] wait t = t.waits <- t.waits + 1
+let[@inline] read t = t.reads <- t.reads + 1
+let[@inline] write t = t.writes <- t.writes + 1
+let wasted t ~cycles = t.cycles_wasted <- t.cycles_wasted + cycles
 
-(* [slot] keeps the index in bounds by construction, so the bump skips
-   the bounds check: counters sit on every transactional read and write. *)
-let[@inline] bump arr tid =
-  let s = slot tid in
-  Array.unsafe_set arr s (Array.unsafe_get arr s + 1)
-
-let commit t ~tid =
-  bump t.commits tid;
-  t.consec_aborts.(slot tid) <- 0
-let[@inline] wait t ~tid = bump t.waits tid
-let[@inline] read t ~tid = bump t.reads tid
-let[@inline] write t ~tid = bump t.writes tid
-
-let backoff t ~tid ~n =
-  let s = slot tid in
-  t.backoffs.(s) <- t.backoffs.(s) + n
-
-let wasted t ~tid ~cycles =
-  let s = slot tid in
-  t.cycles_wasted.(s) <- t.cycles_wasted.(s) + cycles
-
-let abort t ~tid (reason : Tx_signal.abort_reason) =
+let abort t (reason : Tx_signal.abort_reason) =
   (match reason with
-  | Ww_conflict -> bump t.aborts_ww tid
-  | Rw_validation -> bump t.aborts_rw tid
-  | Killed -> bump t.aborts_killed tid);
-  let s = slot tid in
-  let c = t.consec_aborts.(s) + 1 in
-  t.consec_aborts.(s) <- c;
-  if c > t.max_consec_aborts.(s) then t.max_consec_aborts.(s) <- c
+  | Ww_conflict -> t.aborts_ww <- t.aborts_ww + 1
+  | Rw_validation -> t.aborts_rw <- t.aborts_rw + 1
+  | Killed -> t.aborts_killed <- t.aborts_killed + 1);
+  let c = t.consec_aborts + 1 in
+  t.consec_aborts <- c;
+  if c > t.max_consec_aborts then t.max_consec_aborts <- c
 
-let sum = Array.fold_left ( + ) 0
-let peak = Array.fold_left max 0
-
+(* Back-offs are counted in the thread's contention-manager record, not
+   here: the caller that owns both fills [s_backoffs] in. *)
 let snapshot t =
   {
-    s_commits = sum t.commits;
-    s_aborts_ww = sum t.aborts_ww;
-    s_aborts_rw = sum t.aborts_rw;
-    s_aborts_killed = sum t.aborts_killed;
-    s_waits = sum t.waits;
-    s_backoffs = sum t.backoffs;
-    s_cycles_wasted = sum t.cycles_wasted;
-    s_reads = sum t.reads;
-    s_writes = sum t.writes;
-    s_max_consecutive_aborts = peak t.max_consec_aborts;
+    s_commits = t.commits;
+    s_aborts_ww = t.aborts_ww;
+    s_aborts_rw = t.aborts_rw;
+    s_aborts_killed = t.aborts_killed;
+    s_waits = t.waits;
+    s_backoffs = 0;
+    s_cycles_wasted = t.cycles_wasted;
+    s_reads = t.reads;
+    s_writes = t.writes;
+    s_max_consecutive_aborts = t.max_consec_aborts;
   }
-
-let reset t =
-  let z a = Array.fill a 0 (Array.length a) 0 in
-  z t.commits;
-  z t.aborts_ww;
-  z t.aborts_rw;
-  z t.aborts_killed;
-  z t.waits;
-  z t.backoffs;
-  z t.cycles_wasted;
-  z t.reads;
-  z t.writes;
-  z t.consec_aborts;
-  z t.max_consec_aborts
 
 let total_aborts s = s.s_aborts_ww + s.s_aborts_rw + s.s_aborts_killed
 
@@ -131,7 +99,7 @@ let pp ppf s =
     s.s_backoffs s.s_cycles_wasted s.s_reads s.s_writes
     s.s_max_consecutive_aborts
 
-(** Sum two snapshots (multi-phase benchmarks). *)
+(** Sum two snapshots (threads of one run, or phases of a benchmark). *)
 let add a b =
   {
     s_commits = a.s_commits + b.s_commits;
@@ -144,6 +112,6 @@ let add a b =
     s_reads = a.s_reads + b.s_reads;
     s_writes = a.s_writes + b.s_writes;
     s_max_consecutive_aborts =
-      (* a maximum, not a sum: phases run back to back on the same threads *)
+      (* a maximum, not a sum: the worst run of any one thread *)
       max a.s_max_consecutive_aborts b.s_max_consecutive_aborts;
   }

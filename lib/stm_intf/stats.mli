@@ -1,4 +1,5 @@
-(** Per-run transaction statistics, sharded per logical thread. *)
+(** Per-thread transaction statistics: one thread's counters, kept in its
+    descriptor; an engine's snapshot sums its threads'. *)
 
 val max_threads : int
 
@@ -21,20 +22,19 @@ type snapshot = {
 
 val create : unit -> t
 
-val commit : t -> tid:int -> unit
-val abort : t -> tid:int -> Tx_signal.abort_reason -> unit
-val wait : t -> tid:int -> unit
-val read : t -> tid:int -> unit
-val write : t -> tid:int -> unit
+val commit : t -> unit
+val abort : t -> Tx_signal.abort_reason -> unit
+val wait : t -> unit
+val read : t -> unit
+val write : t -> unit
 
-val backoff : t -> tid:int -> n:int -> unit
-(** Count [n] back-off waits (distinct from spin-wait iterations). *)
-
-val wasted : t -> tid:int -> cycles:int -> unit
+val wasted : t -> cycles:int -> unit
 (** Charge the simulated cycles an aborted attempt burned. *)
 
 val snapshot : t -> snapshot
-val reset : t -> unit
+(** [s_backoffs] is 0: back-offs are counted in the thread's
+    [Cm.Cm_intf.txinfo], which the engine adds in. *)
+
 val add : snapshot -> snapshot -> snapshot
 
 val total_aborts : snapshot -> int

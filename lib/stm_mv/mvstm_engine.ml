@@ -50,7 +50,6 @@ type t = {
           address or 0) and the chain length *)
   clock : Runtime.Tmatomic.t;
   descs : Txdesc.t array;
-  stats : Stats.t;
   eid : int;  (* metrics-registry engine id *)
   cm : Cm.Cm_intf.t;
       (* rollback/throttle policy only: conflicts stay timid at commit-time
@@ -72,7 +71,6 @@ let create ~cm ~granularity_words ~table_bits ~max_chain heap =
     locks = Runtime.Line_table.create n ~init:[| Vlock.unlocked_of_version 0; 0; 0 |];
     clock = Runtime.Tmatomic.make 0;
     descs = Driver.make_descs ();
-    stats = Stats.create ();
     eid = Obs.Metrics.register_engine name;
     cm = Cm.Factory.make cm;
     ser = Serial.create ();
@@ -90,7 +88,7 @@ let set_chain_len t idx v = Runtime.Tmatomic.unsafe_set (chain_word t idx 2) v
 
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
-  Hooks.rollback ~stats:t.stats ~cm:t.cm ~ser:t.ser d ~reason
+  Hooks.rollback ~cm:t.cm ~ser:t.ser d ~reason
 
 (* Reconstruct the value [addr] had at the snapshot by walking the
    stripe's version chain newest-to-oldest; every record newer than the
@@ -101,7 +99,7 @@ let snapshot_read t (d : Txdesc.t) addr idx =
   let rec stable_attempt () =
     let lv = Runtime.Tmatomic.get (Vlock.lock t.locks idx) in
     if Vlock.is_locked lv then begin
-      Stats.wait t.stats ~tid:d.tid;
+      Stats.wait d.counters;
       Runtime.Exec.pause ();
       stable_attempt ()
     end
@@ -150,7 +148,7 @@ let snapshot_read t (d : Txdesc.t) addr idx =
 
 let read_word t (d : Txdesc.t) addr =
   let costs = Runtime.Costs.get () in
-  Stats.read t.stats ~tid:d.tid;
+  Stats.read d.counters;
   if Hooks.inject_abort d then rollback t d Tx_signal.Killed;
   let idx = Memory.Stripe.index t.stripe addr in
   let s =
@@ -188,7 +186,7 @@ let read_word t (d : Txdesc.t) addr =
 
 let write_word t (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
-  Stats.write t.stats ~tid:d.tid;
+  Stats.write d.counters;
   if Hooks.inject_abort d then rollback t d Tx_signal.Killed;
   if d.snapshot then begin
     (* writes are incompatible with serving old versions: restart as a
@@ -242,11 +240,11 @@ let push_version_record t (d : Txdesc.t) idx ~new_version =
 let commit t (d : Txdesc.t) =
   Hooks.commit_entry d;
   if Wlog.is_empty d.wset then
-    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   else begin
     (* Commit gate: freeze the clock while an irrevocable transaction
        runs; the waiter holds no locks yet (lazy acquisition). *)
-    Hooks.enter_update_commit ~stats:t.stats ~cm:t.cm ~ser:t.ser ~gate_check:Driver.nop_gate_check d;
+    Hooks.enter_update_commit ~cm:t.cm ~ser:t.ser ~gate_check:Driver.nop_gate_check d;
     Hooks.inject_stretch d;
     let conflict = Vlock.acquire_wstripes ~locks:t.locks d in
     if conflict >= 0 then begin
@@ -265,7 +263,7 @@ let commit t (d : Txdesc.t) =
       d.wstripes;
     Vlock.write_back ~heap:t.heap d;
     Vlock.publish_wstripes ~locks:t.locks d.wstripes ~version:wv;
-    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
 
 let start t (d : Txdesc.t) ~restart =
@@ -297,5 +295,5 @@ let snapshot_reads t = Runtime.Tmatomic.unsafe_get t.snapshot_reads
 
 let engine ~cm ~granularity_words ~table_bits ~max_chain heap : Engine.t =
   let t = create ~cm ~granularity_words ~table_bits ~max_chain heap in
-  Package.make ~name ~heap ~stats:t.stats (driver_ops t) ~read:(read_word t)
+  Package.make ~name ~heap (driver_ops t) ~read:(read_word t)
     ~write:(write_word t)

@@ -51,7 +51,6 @@ type t = {
   acquire : acquire;
   visibility : visibility;
   descs : Txdesc.t array;
-  stats : Stats.t;
   eid : int;  (* observability engine id *)
   ser : Serial.t;  (* irrevocability token (escalation / explicit) *)
 }
@@ -85,7 +84,6 @@ let create ~acquire ~visibility ~cm ~granularity_words ~table_bits heap =
     acquire;
     visibility;
     descs = Driver.make_descs ();
-    stats = Stats.create ();
     eid = Obs.Metrics.register_engine (name ~acquire ~visibility cm);
     ser = Serial.create ();
   }
@@ -106,7 +104,7 @@ let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
   release_owned t d;
   Readers.retract_all t.readers d;
-  Hooks.rollback ~stats:t.stats ~cm:t.cm ~ser:t.ser d ~reason
+  Hooks.rollback ~cm:t.cm ~ser:t.ser d ~reason
 
 let check_kill t d =
   if Hooks.kill_due ~ser:t.ser d then rollback t d Tx_signal.Killed
@@ -116,7 +114,7 @@ let wait_unbusy t (d : Txdesc.t) idx =
   let v = version t idx in
   let rec go lv =
     if busy lv then begin
-      Stats.wait t.stats ~tid:d.tid;
+      Stats.wait d.counters;
       check_kill t d;
       Runtime.Exec.pause ();
       go (Runtime.Tmatomic.get v)
@@ -152,11 +150,11 @@ let validate t (d : Txdesc.t) =
           check_kill t d;
           (if ov <> 0 then
              let victim = (t.descs.(ov - 1)).info in
-             match Hooks.cm_resolve ~stats:t.stats ~ser:t.ser ~cm:t.cm d ~victim
+             match Hooks.cm_resolve ~ser:t.ser ~cm:t.cm d ~victim
              with
              | Cm.Cm_intf.Abort_self -> rollback t d Tx_signal.Rw_validation
              | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim -> ());
-          Stats.wait t.stats ~tid:d.tid;
+          Stats.wait d.counters;
           Runtime.Exec.pause ();
           settle ()
         end
@@ -185,14 +183,14 @@ let maybe_validate t (d : Txdesc.t) =
 let rec contend t (d : Txdesc.t) idx ~reason =
   let ov = Runtime.Tmatomic.get (owner t idx) in
   if ov <> 0 && ov <> d.tid + 1 then begin
-    Readers.cm_wait ~eid:t.eid ~stats:t.stats ~ser:t.ser ~cm:t.cm
+    Readers.cm_wait ~eid:t.eid ~ser:t.ser ~cm:t.cm
       ~descs:t.descs ~rollback:(rollback t) d idx ~owner:ov ~reason;
     contend t d idx ~reason
   end
 
 let read_word t (d : Txdesc.t) addr =
   let costs = Runtime.Costs.get () in
-  Stats.read t.stats ~tid:d.tid;
+  Stats.read d.counters;
   check_kill t d;
   let idx = Memory.Stripe.index t.stripe addr in
   if Runtime.Tmatomic.get (owner t idx) = d.tid + 1 then begin
@@ -257,14 +255,14 @@ let acquire_stripe t (d : Txdesc.t) idx =
   (* Clone the object into the speculative copy. *)
   Runtime.Exec.tick (costs.mem * Memory.Stripe.granularity_words t.stripe);
   if t.visibility = Visible then
-    Readers.drain t.readers ~stats:t.stats ~ser:t.ser ~cm:t.cm ~descs:t.descs
+    Readers.drain t.readers ~ser:t.ser ~cm:t.cm ~descs:t.descs
       ~rollback:(rollback t) d idx;
   d.info.accesses <- d.info.accesses + 1;
   t.cm.on_write d.info ~writes:(Ivec.length d.acq_stripes)
 
 let write_word t (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
-  Stats.write t.stats ~tid:d.tid;
+  Stats.write d.counters;
   check_kill t d;
   let idx = Memory.Stripe.index t.stripe addr in
   (match t.acquire with
@@ -282,14 +280,14 @@ let commit t (d : Txdesc.t) =
     (* Read-only commit: every read was validated by the counter heuristic;
        retract visible-reader bits and finish. *)
     Readers.retract_all t.readers d;
-    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
   else begin
     (* Commit gate: while an irrevocable transaction runs, updates must not
        advance the commit counter.  The waiter may hold eagerly-acquired
        objects, so it polls its kill flag — the irrevocable transaction can
        abort it out of the wait. *)
-    Hooks.enter_update_commit ~stats:t.stats ~cm:t.cm ~ser:t.ser
+    Hooks.enter_update_commit ~cm:t.cm ~ser:t.ser
       ~gate_check:(fun () -> check_kill t d)
       d;
     Hooks.inject_stretch d;
@@ -328,7 +326,7 @@ let commit t (d : Txdesc.t) =
         Runtime.Tmatomic.set (owner t idx) 0)
       d.acq_stripes;
     Readers.retract_all t.readers d;
-    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
 
 let start t (d : Txdesc.t) ~restart =
@@ -349,7 +347,7 @@ let emergency_release t (d : Txdesc.t) =
 let engine ~acquire ~visibility ~cm ~granularity_words ~table_bits heap :
     Engine.t =
   let t = create ~acquire ~visibility ~cm ~granularity_words ~table_bits heap in
-  Package.make ~name:(name ~acquire ~visibility cm) ~heap ~stats:t.stats
+  Package.make ~name:(name ~acquire ~visibility cm) ~heap
     ~cap:("rstm", Readers.cap)
     {
       Driver.ser = t.ser;

@@ -28,7 +28,6 @@ type t = {
   locks : Runtime.Line_table.t;  (* one versioned lock per stripe *)
   clock : Runtime.Tmatomic.t;
   descs : Txdesc.t array;
-  stats : Stats.t;
   eid : int;  (* metrics-registry engine id *)
   cm : Cm.Cm_intf.t;
       (* rollback/throttle policy only: conflicts stay timid (TinySTM never
@@ -47,7 +46,6 @@ let create ~cm ~granularity_words ~table_bits heap =
     locks = Vlock.create_locks stripe;
     clock = Runtime.Tmatomic.make 0;
     descs = Driver.make_descs ();
-    stats = Stats.create ();
     eid = Obs.Metrics.register_engine name;
     cm = Cm.Factory.make cm;
     ser = Serial.create ();
@@ -59,13 +57,13 @@ let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
   Vlock.release_restoring ~locks:t.locks d.acq_stripes d.acq_saved
     ~upto:(Ivec.length d.acq_stripes);
-  Hooks.rollback ~stats:t.stats ~cm:t.cm ~ser:t.ser d ~reason
+  Hooks.rollback ~cm:t.cm ~ser:t.ser d ~reason
 
 let extend t d = Vlock.extend_exact ~locks:t.locks ~clock:t.clock d
 
 let read_word t (d : Txdesc.t) addr =
   let costs = Runtime.Costs.get () in
-  Stats.read t.stats ~tid:d.tid;
+  Stats.read d.counters;
   if Hooks.inject_abort d then rollback t d Tx_signal.Killed;
   let idx = Memory.Stripe.index t.stripe addr in
   let lock = Vlock.lock t.locks idx in
@@ -103,7 +101,7 @@ let read_word t (d : Txdesc.t) addr =
 
 let write_word t (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
-  Stats.write t.stats ~tid:d.tid;
+  Stats.write d.counters;
   if Hooks.inject_abort d then rollback t d Tx_signal.Killed;
   let idx = Memory.Stripe.index t.stripe addr in
   let lock = Vlock.lock t.locks idx in
@@ -139,7 +137,7 @@ let write_word t (d : Txdesc.t) addr value =
 let commit t (d : Txdesc.t) =
   Hooks.commit_entry d;
   if Txdesc.is_read_only d then
-    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   else begin
     (* No commit gate here: the waiter would hold encounter-time locks the
        irrevocable transaction may need, a deadlock TinySTM cannot break
@@ -147,14 +145,14 @@ let commit t (d : Txdesc.t) =
        in-flight competitors can still commit, but each parks at the start
        gate after its current transaction, so the escalated attempt soon
        runs alone. *)
-    Hooks.enter_update_commit ~stats:t.stats ~cm:t.cm ~ser:t.ser d;
+    Hooks.enter_update_commit ~cm:t.cm ~ser:t.ser d;
     Hooks.inject_stretch d;
     let ts = Runtime.Tmatomic.incr_get t.clock in
     if ts > d.valid_ts + 1 && not (Vlock.validate_exact ~locks:t.locks d) then
       rollback t d Tx_signal.Rw_validation;
     Vlock.write_back ~heap:t.heap d;
     Vlock.publish ~locks:t.locks d.acq_stripes ~version:ts;
-    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
 
 let start t (d : Txdesc.t) ~restart =
@@ -173,7 +171,7 @@ let emergency_release t (d : Txdesc.t) =
    the consecutive-abort bound under the token is soft rather than exact. *)
 let engine ~cm ~granularity_words ~table_bits heap : Engine.t =
   let t = create ~cm ~granularity_words ~table_bits heap in
-  Package.make ~name ~heap ~stats:t.stats
+  Package.make ~name ~heap
     {
       Driver.ser = t.ser;
       cm = t.cm;

@@ -31,7 +31,6 @@ type t = {
   locks : Runtime.Line_table.t;  (* one versioned lock per stripe *)
   clock : Runtime.Tmatomic.t;
   descs : Txdesc.t array;
-  stats : Stats.t;
   eid : int;  (* metrics-registry engine id *)
   cm : Cm.Cm_intf.t;
       (* rollback/throttle policy only: TL2 stays timid at commit-time
@@ -50,7 +49,6 @@ let create ~cm ~granularity_words ~table_bits heap =
     locks = Vlock.create_locks stripe;
     clock = Runtime.Tmatomic.make 0;
     descs = Driver.make_descs ();
-    stats = Stats.create ();
     eid = Obs.Metrics.register_engine name;
     cm = Cm.Factory.make cm;
     ser = Serial.create ();
@@ -58,11 +56,11 @@ let create ~cm ~granularity_words ~table_bits heap =
 
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
-  Hooks.rollback ~stats:t.stats ~cm:t.cm ~ser:t.ser d ~reason
+  Hooks.rollback ~cm:t.cm ~ser:t.ser d ~reason
 
 let read_word t (d : Txdesc.t) addr =
   let costs = Runtime.Costs.get () in
-  Stats.read t.stats ~tid:d.tid;
+  Stats.read d.counters;
   if Hooks.inject_abort d then rollback t d Tx_signal.Killed;
   let idx = Memory.Stripe.index t.stripe addr in
   (* Redo-log lookup; free for read-only transactions, and [Wlog]'s bloom
@@ -98,7 +96,7 @@ let read_word t (d : Txdesc.t) addr =
 
 let write_word t (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
-  Stats.write t.stats ~tid:d.tid;
+  Stats.write d.counters;
   if Hooks.inject_abort d then rollback t d Tx_signal.Killed;
   Runtime.Exec.tick costs.log_append;
   Wlog.replace d.wset addr value;
@@ -109,12 +107,12 @@ let commit t (d : Txdesc.t) =
   Hooks.commit_entry d;
   if Wlog.is_empty d.wset then
     (* Read-only: every read was validated against the snapshot. *)
-    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   else begin
     (* Commit gate: an irrevocable transaction must see a frozen clock.
        The waiter holds no locks yet (lazy acquisition), so a plain spin
        is deadlock-free and needs no kill polling. *)
-    Hooks.enter_update_commit ~stats:t.stats ~cm:t.cm ~ser:t.ser ~gate_check:Driver.nop_gate_check d;
+    Hooks.enter_update_commit ~cm:t.cm ~ser:t.ser ~gate_check:Driver.nop_gate_check d;
     Hooks.inject_stretch d;
     (* Acquire every write lock; any conflict aborts (timid). *)
     let conflict = Vlock.acquire_wstripes ~locks:t.locks d in
@@ -131,7 +129,7 @@ let commit t (d : Txdesc.t) =
     end;
     Vlock.write_back ~heap:t.heap d;
     Vlock.publish_wstripes ~locks:t.locks d.wstripes ~version:wv;
-    Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
 
 let start t (d : Txdesc.t) ~restart =
@@ -147,7 +145,7 @@ let start t (d : Txdesc.t) ~restart =
    can be held by anyone else once in-flight commits drained. *)
 let engine ~cm ~granularity_words ~table_bits heap : Engine.t =
   let t = create ~cm ~granularity_words ~table_bits heap in
-  Package.make ~name ~heap ~stats:t.stats
+  Package.make ~name ~heap
     {
       Driver.ser = t.ser;
       cm = t.cm;

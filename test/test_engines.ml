@@ -148,7 +148,32 @@ let test_stats_accounting spec () =
       Alcotest.(check bool) "reads counted" true (s.s_reads >= 10);
       Alcotest.(check bool) "writes counted" true (s.s_writes >= 10);
       Stm_intf.Engine.reset_stats e;
-      check Alcotest.int "reset" 0 (Stm_intf.Engine.stats e).s_commits)
+      check Alcotest.int "reset" 0 (Stm_intf.Engine.stats e).s_commits);
+  (* A contended simulated run under a manager that backs off: a reset
+     must clear every counter, the manager's back-offs and the worst
+     consecutive-abort run included. *)
+  with_engine (Engines.with_cm Cm.Cm_intf.Timid spec) (fun heap e ->
+      let a = Memory.Heap.alloc heap 1 in
+      ignore
+        (Runtime.Sim.run_threads ~threads:4 (fun tid ->
+             for _ = 1 to 20 do
+               Stm_intf.Engine.atomic e ~tid (fun tx ->
+                   let v = tx.read a in
+                   Runtime.Exec.tick 200;
+                   tx.write a (v + 1))
+             done)
+          : int);
+      let s = Stm_intf.Engine.stats e in
+      check Alcotest.int "80 commits" 80 s.s_commits;
+      if spec.family <> Engines.Glock then
+        Alcotest.(check bool) "contended run backed off" true
+          (s.s_backoffs > 0 && s.s_max_consecutive_aborts > 0);
+      Stm_intf.Engine.reset_stats e;
+      check
+        (Alcotest.testable Stm_intf.Stats.pp ( = ))
+        "every counter reset"
+        (Stm_intf.Stats.snapshot (Stm_intf.Stats.create ()))
+        (Stm_intf.Engine.stats e))
 
 let test_read_only_no_writes spec () =
   with_engine spec (fun heap e ->
@@ -288,18 +313,20 @@ let test_construction_words name () =
     (Printf.sprintf "%s: %.3f words per stripe < 0.1" name per_stripe)
     true (per_stripe < 0.1)
 
-(* Descriptors are built on a thread's first transaction, so building an
-   engine allocates no per-thread state: on a 16-stripe table what is
-   left is the stats block (~5,600 words), the descriptor slot array and
-   the engine's own records.  One descriptor is ~1,300 words, so an
-   eager table of 512 would exceed the bound eighty times over. *)
+(* A thread's descriptor -- with its counters and op table -- is built on
+   its first transaction, so building an engine allocates no per-thread
+   state: on a 16-stripe table what is left (1,190-1,750 words) is the
+   descriptor slot array and [Serial]'s committing flags (513 words each)
+   and the engine's own records.  One descriptor is ~1,300 words, and
+   per-thread counter arrays of 512 slots would exceed the bound on their
+   own. *)
 let test_construction_no_descriptors name () =
   let spec = Engines.with_table_bits 4 (Option.get (Engines.of_string name)) in
   let heap = Memory.Heap.create ~words:1024 in
   let words, _e = words_allocated (fun () -> Engines.make spec heap) in
   Alcotest.(check bool)
-    (Printf.sprintf "%s: construction %.0f words < 8000" name words)
-    true (words < 8000.)
+    (Printf.sprintf "%s: construction %.0f words < 2000" name words)
+    true (words < 2000.)
 
 (* --- thread-id range ---------------------------------------------------- *)
 
@@ -548,9 +575,40 @@ let test_labels_pinned () =
     pinned_labels
 
 
+(* --- commit-time validation bound ---------------------------------------
+
+   Tid 0's update transaction reads stripe X at snapshot [valid_ts]; inside
+   its body, on its first attempt only, tid 1 commits a write to X, moving
+   X's version to [valid_ts + 1]; tid 0 then writes stripe Y.  Its commit
+   must fail read-set validation and retry once.  A validation bound off by
+   one ([version > valid_ts + 1]) lets the stale read commit. *)
+let test_commit_validation_bound spec () =
+  with_engine spec (fun heap e ->
+      let x = Memory.Heap.alloc heap 64 in
+      let y = x + 32 in
+      let attempts = ref 0 in
+      Stm_intf.Engine.atomic e ~tid:0 (fun tx ->
+          incr attempts;
+          let v = tx.read x in
+          if !attempts = 1 then
+            Stm_intf.Engine.atomic e ~tid:1 (fun tx1 -> tx1.write x 5);
+          tx.write y (v + 1));
+      let s = Stm_intf.Engine.stats e in
+      check Alcotest.int "one r/w abort" 1 s.s_aborts_rw;
+      check Alcotest.int "no other abort" 1 (Stm_intf.Stats.total_aborts s);
+      check Alcotest.int "two attempts" 2 !attempts;
+      check Alcotest.int "y from the fresh x" 6 (Memory.Heap.read heap y))
+
 let suite =
   List.map per_engine_cases all_specs
   @ [
+      ( "commit-validation",
+        [
+          Alcotest.test_case "tl2" `Quick
+            (test_commit_validation_bound Engines.tl2);
+          Alcotest.test_case "mvstm" `Quick
+            (test_commit_validation_bound Engines.mvstm);
+        ] );
       ( "lock-encodings",
         [
           Alcotest.test_case "swisstm" `Quick test_swisstm_lock_encoding;

@@ -132,8 +132,8 @@ let test_mvstm_snapshot_serves_old_values () =
                   alloc = (fun n -> Memory.Heap.alloc heap n);
                   free = (fun a n -> Kernel.Txdesc.buffer_free d a n);
                 }));
-      stats = (fun () -> Stm_intf.Stats.snapshot t.stats);
-      reset_stats = (fun () -> Stm_intf.Stats.reset t.stats);
+      stats = (fun () -> Kernel.Driver.snapshot t.descs);
+      reset_stats = (fun () -> Kernel.Driver.reset t.descs);
     }
   in
   let bad = ref 0 in
