@@ -1,7 +1,7 @@
 # Convenience targets; the source of truth is dune.
 
 .PHONY: all build test bench check fuzz-smoke obs-smoke fault-smoke \
-        kernel-smoke epoch-smoke norec-smoke txds-smoke clean
+        kernel-smoke epoch-smoke txds-smoke clean
 
 all: build
 
@@ -14,12 +14,14 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# CI gate: full build, full test suite, one bench-gate smoke run (every
-# simulated cell — sb7, privatization, crossover, service, boost, scale —
-# equal to the committed golden bench/golden/gate-smoke.json with every
-# shape check holding, and the write log >= 20% faster than Hashtbl in a
-# same-run A/B), then the observability, fuzz, fault-injection, kernel,
-# memory, NOrec and boosted-collections smokes.
+# CI gate: full build, full test suite (every alcotest suite runs here
+# once, the kernel differential, composed, NOrec and boosted-collection
+# suites included), one bench-gate smoke run (every simulated cell — sb7,
+# privatization, crossover, service, boost, scale — equal to the
+# committed golden bench/golden/gate-smoke.json with every shape check
+# holding, and the write log >= 20% faster than Hashtbl in a same-run
+# A/B), then the observability, fuzz, fault-injection, kernel, memory and
+# boosted-collections smokes.
 check: build
 	dune runtest
 	dune exec bench/perf_gate.exe -- --smoke --out _build/gate-smoke.json
@@ -28,27 +30,25 @@ check: build
 	$(MAKE) fault-smoke
 	$(MAKE) kernel-smoke
 	$(MAKE) epoch-smoke
-	$(MAKE) norec-smoke
 	$(MAKE) txds-smoke
 
-# Kernel smoke (seconds): the differential suite (current engines vs the
-# frozen pre-refactor behavioral snapshot, bit-identical in simulated
-# cycles), every composed design point run + fuzzed under its contract,
-# one composed point exercised end-to-end through the CLI, and the
-# line-budget guard: the five engines, all expressed over lib/kernel, stay
-# within their current line counts (the pre-kernel total was 2576), and
-# so do the other engine files, the composed engine, the shared
-# visible-reader set, the stripe table, the descriptor, driver, hooks
-# and packaging modules and the per-thread counters, so code the kernel
-# absorbed cannot quietly grow back.
+# Kernel smoke (seconds): one composed point exercised end-to-end through
+# the CLI, and the line-budget guard: the five engines, all expressed
+# over lib/kernel, stay within their current line counts (the pre-kernel
+# total was 2576), and so do the other engine files (the global lock
+# included), the composed engine, the shared visible-reader set, the
+# stripe table, the irrevocability token, the scheduler, the descriptor,
+# driver, hooks and packaging modules and the per-thread counters, so
+# code the kernel absorbed cannot quietly grow back.  The differential
+# suite (current engines vs the frozen pre-refactor behavioral snapshot,
+# bit-identical in simulated cycles) and the composed-point suite run in
+# `dune runtest`.
 ENGINE_FILES = lib/core/swisstm_engine.ml lib/stm_tl2/tl2_engine.ml \
                lib/stm_tiny/tinystm_engine.ml lib/stm_rstm/rstm_engine.ml \
                lib/stm_mv/mvstm_engine.ml
 ENGINE_BUDGET = 1485
 
 kernel-smoke: build
-	dune exec test/test_main.exe -- test kernel-differential
-	dune exec test/test_main.exe -- test kernel-composed
 	dune exec bin/stm_run.exe -- rbtree --stm k-mixed+inv+counter+redo --threads 4
 	@total=$$(cat $(ENGINE_FILES) | wc -l); \
 	 if [ $$total -gt $(ENGINE_BUDGET) ]; then \
@@ -61,12 +61,14 @@ kernel-smoke: build
 	 for spec in lib/core/swisstm_engine.ml:483 lib/stm_tl2/tl2_engine.ml:158 \
 	             lib/stm_tiny/tinystm_engine.ml:184 lib/stm_rstm/rstm_engine.ml:361 \
 	             lib/stm_mv/mvstm_engine.ml:299 \
-	             lib/kernel/norec.ml:181 lib/kernel/tlrw.ml:185 \
+	             lib/kernel/norec.ml:180 lib/kernel/tlrw.ml:185 \
+	             lib/stm_glock/glock_engine.ml:107 \
 	             lib/kernel/compose.ml:430 lib/kernel/readers.ml:101 \
 	             lib/kernel/seqlock.ml:40 lib/stm_intf/vset.ml:21 \
-	             lib/runtime/line_table.ml:58 lib/kernel/txdesc.ml:128 \
-	             lib/kernel/driver.ml:143 lib/kernel/package.ml:78 \
-	             lib/kernel/hooks.ml:194 lib/stm_intf/stats.ml:117; do \
+	             lib/stm_intf/serial.ml:67 lib/runtime/sim.ml:381 \
+	             lib/runtime/line_table.ml:58 lib/kernel/txdesc.ml:132 \
+	             lib/kernel/driver.ml:157 lib/kernel/package.ml:81 \
+	             lib/kernel/hooks.ml:196 lib/stm_intf/stats.ml:117; do \
 	   f=$${spec%%:*}; cap=$${spec##*:}; n=$$(wc -l < $$f); \
 	   if [ $$n -gt $$cap ]; then \
 	     echo "LoC budget FAIL: $$f is $$n lines (> its cap $$cap)"; fail=1; \
@@ -106,25 +108,11 @@ fault-smoke: build
 	dune exec bin/stm_fuzz.exe -- --inject --engine norec --seeds 6 --progs 3
 	dune exec bin/stm_fuzz.exe -- --inject --engine tlrw --seeds 6 --progs 3
 
-# NOrec family smoke (seconds): the Vset/Seqlock unit + differential
-# suites (norec/tlrw vs glock and norec vs tl2 over random programs and
-# perturbed schedules).  The NOrec-vs-TL2 crossover shape is checked by
-# perf_gate.
-norec-smoke: build
-	dune exec test/test_main.exe -- test norec
-	dune exec test/test_main.exe -- test norec-differential
-
-# Boosted-collections smoke (seconds): the boosted-structure suites
-# (semantic locks + undo vs sequential models, contended invariants,
-# boosted/word composition), the free-on-remove leak regression with the
-# double-free guard and epoch reclaimer armed, the linearizability
-# self-checks, and the transaction-history fuzz (boosted map + queue
-# histories checked for strict serializability under random and PCT
-# schedules, across engines).
+# Boosted-collections smoke (seconds): the transaction-history fuzz
+# (boosted map + queue histories checked for strict serializability under
+# random and PCT schedules, across engines).  The boosted-structure,
+# leak-regression and linearizability suites run in `dune runtest`.
 txds-smoke: build
-	dune exec test/test_main.exe -- test boost
-	dune exec test/test_main.exe -- test txds_leaks
-	dune exec test/test_main.exe -- test txds_linearize
 	dune exec bin/stm_fuzz.exe -- --txds --engine swisstm --policy random --seeds 6 --progs 3
 	dune exec bin/stm_fuzz.exe -- --txds --engine swisstm --policy pct --seeds 6 --progs 3
 	dune exec bin/stm_fuzz.exe -- --txds --engine tl2 --policy pct --seeds 6 --progs 3

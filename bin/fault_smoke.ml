@@ -101,10 +101,10 @@ let () =
           (threads * tx_per_thread)
       end)
     cases;
-  (* The global-lock control has no contention manager to bound abort runs,
-     but it must face the same storm: spurious aborts surface as release-
-     and-retry (counted as killed aborts), stalls and stretches lengthen
-     the critical section.  Assert it completes and that each fault class
+  (* The global-lock control's fixed timid manager does not bound abort
+     runs, but it must face the same storm: spurious aborts surface as
+     release, back-off and retry (counted as killed aborts), stalls and
+     stretches lengthen the critical section.  Assert it completes and that each fault class
      actually fired through its hooks. *)
   let r, injected = storm_run Engines.glock in
   let killed = r.Harness.Workload.stats.s_aborts_killed in

@@ -137,7 +137,7 @@ let rollback t (d : Txdesc.t) reason =
   | _ ->
       release_w_locks t d;
       leave_quiescence_slot t d;
-      Hooks.rollback ~cm:t.cm ~ser:t.ser d ~reason
+      Hooks.rollback ~cm:t.cm d ~reason
 
 let check_kill t (d : Txdesc.t) =
   if Hooks.kill_due ~ser:t.ser d then rollback t d Tx_signal.Killed

@@ -32,7 +32,8 @@ type spec = {
    timid for TL2, TinySTM, MVSTM and NOrec (their managers only own
    rollback back-off, the throttle and the escalation budget — conflict
    resolution stays timid); Polka for RSTM, TLRW and the composed points.
-   The global lock has no manager. *)
+   The global lock's manager is fixed timid whatever the spec says: it
+   only owns the back-off after an injected or body-requested abort. *)
 let default_cm = function
   | Swisstm _ -> Cm.Cm_intf.default_two_phase
   | Tl2 | Tinystm | Mvstm _ | Norec | Glock -> Cm.Cm_intf.Timid
@@ -99,8 +100,8 @@ let with_granularity granularity_words spec = { spec with granularity_words }
 let with_table_bits table_bits spec = { spec with table_bits }
 
 (* A family's label, plus "(cm)" whenever the manager is not the family's
-   default.  RSTM's label always names its manager; the global lock has
-   none to name. *)
+   default.  RSTM's label always names its manager; the global lock's is
+   fixed, so never named. *)
 let name s =
   let cm =
     if s.cm = default_cm s.family then ""
@@ -178,33 +179,40 @@ let of_registry name =
 
 let adaptive = with_cm Cm.Cm_intf.default_adaptive
 
-let of_string = function
-  | "swisstm" -> Some swisstm
-  | "tl2" -> Some tl2
-  | "tinystm" -> Some tinystm
-  | "rstm" -> Some rstm
-  | "rstm-lazy" -> Some (rstm_with ~acquire:Rstm.Rstm_engine.Lazy ())
-  | "rstm-visible" -> Some (rstm_with ~visibility:Rstm.Rstm_engine.Visible ())
-  | "rstm-serializer" -> Some (rstm_with ~cm:Cm.Cm_intf.Serializer ())
-  | "rstm-greedy" -> Some (rstm_with ~cm:Cm.Cm_intf.Greedy ())
-  | "swisstm-timid" -> Some (swisstm_with ~cm:Cm.Cm_intf.Timid ())
-  | "swisstm-greedy" -> Some (swisstm_with ~cm:Cm.Cm_intf.Greedy ())
-  | "swisstm-priv" -> Some swisstm_priv_safe
-  | "swisstm-broken" -> Some swisstm_broken
-  | "mvstm" -> Some mvstm
-  | "rstm-karma" -> Some (rstm_with ~cm:Cm.Cm_intf.Karma ())
-  | "rstm-timestamp" -> Some (rstm_with ~cm:Cm.Cm_intf.Timestamp ())
-  | "swisstm-adaptive" -> Some (adaptive swisstm)
-  | "tl2-adaptive" -> Some (adaptive tl2)
-  | "tinystm-adaptive" -> Some (adaptive tinystm)
-  | "rstm-adaptive" -> Some (adaptive rstm)
-  | "mvstm-adaptive" -> Some (adaptive mvstm)
-  | "glock" -> Some glock
-  | "norec" -> Some norec
-  | "tlrw" -> Some tlrw
-  | "norec-adaptive" -> Some (adaptive norec)
-  | "tlrw-adaptive" -> Some (adaptive tlrw)
-  | name -> of_registry name
+(* Every classic engine by name, in listing order ([swisstm_broken]
+   resolves by name but is not listed). *)
+let named =
+  [
+    ("swisstm", swisstm);
+    ("tl2", tl2);
+    ("tinystm", tinystm);
+    ("rstm", rstm);
+    ("rstm-lazy", rstm_with ~acquire:Rstm.Rstm_engine.Lazy ());
+    ("rstm-visible", rstm_with ~visibility:Rstm.Rstm_engine.Visible ());
+    ("rstm-serializer", rstm_with ~cm:Cm.Cm_intf.Serializer ());
+    ("rstm-greedy", rstm_with ~cm:Cm.Cm_intf.Greedy ());
+    ("rstm-karma", rstm_with ~cm:Cm.Cm_intf.Karma ());
+    ("rstm-timestamp", rstm_with ~cm:Cm.Cm_intf.Timestamp ());
+    ("swisstm-timid", swisstm_with ~cm:Cm.Cm_intf.Timid ());
+    ("swisstm-greedy", swisstm_with ~cm:Cm.Cm_intf.Greedy ());
+    ("swisstm-priv", swisstm_priv_safe);
+    ("mvstm", mvstm);
+    ("swisstm-adaptive", adaptive swisstm);
+    ("tl2-adaptive", adaptive tl2);
+    ("tinystm-adaptive", adaptive tinystm);
+    ("rstm-adaptive", adaptive rstm);
+    ("mvstm-adaptive", adaptive mvstm);
+    ("glock", glock);
+    ("norec", norec);
+    ("tlrw", tlrw);
+    ("norec-adaptive", adaptive norec);
+    ("tlrw-adaptive", adaptive tlrw);
+  ]
+
+let of_string name =
+  match List.assoc_opt name (("swisstm-broken", swisstm_broken) :: named) with
+  | Some _ as s -> s
+  | None -> of_registry name
 
 let kernel_names =
   List.filter_map
@@ -212,13 +220,4 @@ let kernel_names =
       match e.kind with Kernel.Registry.Composed -> Some e.name | _ -> None)
     Kernel.Registry.entries
 
-let known_names =
-  [
-    "swisstm"; "tl2"; "tinystm"; "rstm"; "rstm-lazy"; "rstm-visible";
-    "rstm-serializer"; "rstm-greedy"; "rstm-karma"; "rstm-timestamp";
-    "swisstm-timid"; "swisstm-greedy"; "swisstm-priv"; "mvstm";
-    "swisstm-adaptive"; "tl2-adaptive"; "tinystm-adaptive"; "rstm-adaptive";
-    "mvstm-adaptive"; "glock";
-    "norec"; "tlrw"; "norec-adaptive"; "tlrw-adaptive";
-  ]
-  @ kernel_names
+let known_names = List.map fst named @ kernel_names

@@ -1,6 +1,6 @@
-(* The retry driver shared by every engine: flat nesting, graceful
-   degradation to irrevocability, and the emergency unwind.  This loop
-   was copied verbatim in all five engines; it lives here once now.
+(* The retry driver shared by every engine, the global lock included:
+   flat nesting, graceful degradation to irrevocability, and the
+   emergency unwind.
 
    Escalation protocol (before each attempt, outside any snapshot or
    lock):
@@ -14,12 +14,10 @@
      cleared on the next [start] — so the gate needs no kill polling.
 
    Engines register their policy entry points in an [ops] record once at
-   creation and the retry loop is a top-level function, so running a
-   transaction allocates nothing here.  Every engine runs on
-   the one [Txdesc.t], so depth and manager state are plain field
-   accesses here, and every engine's descriptor table is the one
-   [make_descs] builds: a thread's descriptor is created on its first
-   transaction, in [run]. *)
+   creation, the retry loop is a top-level function, and depth and
+   manager state are plain fields of the one [Txdesc.t], so running a
+   transaction allocates nothing here.  A thread's descriptor is built
+   on its first transaction, in [run_view]. *)
 
 open Stm_intf
 
@@ -90,6 +88,19 @@ let reset descs =
       end)
     descs
 
+(* Irrevocable holder only: wait out the update commits already past the
+   gate when the token was taken; afterwards the gates keep the commit
+   clock still.  The flags are plain stores: the walk charges no cycles,
+   and a racy native read only softens the drain. *)
+let drain descs ~tid =
+  Array.iter
+    (fun (d : Txdesc.t) ->
+      if d != absent && d.tid <> tid then
+        while d.committing do
+          Runtime.Exec.pause ()
+        done)
+    descs
+
 (* One attempt of the retry loop; top-level, not a closure inside [run], so
    running a transaction allocates nothing here.  The body sees [view d]. *)
 let rec attempt (o : ops) ~tid ~irrevocable (d : Txdesc.t) view f ~restart =
@@ -100,16 +111,19 @@ let rec attempt (o : ops) ~tid ~irrevocable (d : Txdesc.t) view f ~restart =
   then begin
     if !Obs.Metrics.on then Obs.Metrics.on_escalation ~tid;
     Serial.acquire o.ser ~tid;
-    Serial.drain o.ser ~tid
+    drain o.descs ~tid
   end;
   let escalated = Serial.mine o.ser ~tid in
   o.cm.pre_attempt info ~escalated;
   if (not escalated) && Serial.held_by_other o.ser ~tid then
     Serial.gate o.ser ~tid ~check:nop_gate_check;
-  o.start d ~restart;
-  if escalated then info.Cm.Cm_intf.cm_ts <- 0;
-  d.depth <- 1;
-  match f (view d) with
+  (* [start] may abort: glock's injected fault strikes after its lock. *)
+  match
+    o.start d ~restart;
+    if escalated then info.Cm.Cm_intf.cm_ts <- 0;
+    d.depth <- 1;
+    f (view d)
+  with
   | v ->
       d.depth <- 0;
       (try

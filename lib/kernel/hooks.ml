@@ -60,7 +60,9 @@ let[@inline] kill_due ~ser (d : Txdesc.t) =
   && not (Serial.mine ser ~tid:d.tid))
   || inject_abort d
 
-(* --- stripe conflicts ------------------------------------------------- *)
+(* --- engine ids and stripe conflicts ---------------------------------- *)
+
+let register_engine name = Obs.Metrics.register_engine name
 
 let[@inline] stripe_conflict ~eid ~stripe =
   if !Obs.Metrics.on then Obs.Metrics.on_stripe_conflict ~eid ~stripe
@@ -113,8 +115,8 @@ let[@inline] commit_entry (d : Txdesc.t) =
    trace, stats, metrics, buffered frees, manager notification,
    token-state cleanup.  The logs are left as they are: nothing reads a
    committed descriptor's logs, and the next [tx_begin] resets them.
-   [exit_commit] is an idempotent plain store, so calling it on paths that
-   never entered the commit section is free and harmless.
+   Clearing [committing] is an idempotent plain store, so doing it on paths
+   that never entered the commit section is free and harmless.
    [allow_snapshot] is MVSTM's "may serve old versions again" latch;
    setting it is a dead store for every other engine. *)
 let commit_done ~(cm : Cm.Cm_intf.t) ~ser ~heap (d : Txdesc.t) =
@@ -127,7 +129,7 @@ let commit_done ~(cm : Cm.Cm_intf.t) ~ser ~heap (d : Txdesc.t) =
   Txdesc.flush_frees ~heap d;
   d.allow_snapshot <- true;
   cm.on_commit d.info;
-  Serial.exit_commit ser ~tid:d.tid;
+  d.committing <- false;
   Serial.release ser ~tid:d.tid;
   if !Memory.Heap.epoch_on then Memory.Epoch.quiescent ~tid:d.tid
 
@@ -140,12 +142,12 @@ let commit_done ~(cm : Cm.Cm_intf.t) ~ser ~heap (d : Txdesc.t) =
    before the CM back-off, so abstract locks never stay held across a
    sleep), the end tick, the manager's backoff, and the unwind.  Never
    returns. *)
-let rollback ~(cm : Cm.Cm_intf.t) ~ser (d : Txdesc.t) ~reason =
+let rollback ~(cm : Cm.Cm_intf.t) (d : Txdesc.t) ~reason =
   if !Trace.enabled then Trace.on_abort ~tid:d.tid ~reason;
   Stats.abort d.counters reason;
   Stats.wasted d.counters ~cycles:(max 0 (Runtime.Exec.now () - d.start_cycles));
   if !Obs.Metrics.on then Obs.Metrics.on_tx_abort ~tid:d.tid ~reason;
-  Serial.exit_commit ser ~tid:d.tid;
+  d.committing <- false;
   Txdesc.clear_logs d;
   Tx_signal.cleanup ~tid:d.tid;
   Runtime.Exec.tick (Runtime.Costs.get ()).tx_end;
@@ -176,18 +178,18 @@ let enter_update_commit ~(cm : Cm.Cm_intf.t) ~ser ?gate_check
             !Tx_signal.cleanup_on
             && Tx_signal.boost_busy.(d.tid)
             && Cm.Cm_intf.kill_requested d.info
-          then rollback ~cm ~ser d ~reason:Tx_signal.Killed
+          then rollback ~cm d ~reason:Tx_signal.Killed
         in
         Serial.gate ser ~tid:d.tid ~check
   | None -> ());
-  Serial.enter_commit ser ~tid:d.tid;
+  d.committing <- true;
   if !Obs.Metrics.on then Obs.Metrics.on_commit_start ~tid:d.tid
 
 (* Release everything engine-independent on a non-[Abort] exception
    escaping the body (the engine released its own locks first), so a user
    bug cannot wedge the irrevocability token or the manager's throttle. *)
 let emergency ~(cm : Cm.Cm_intf.t) ~ser (d : Txdesc.t) =
-  Serial.exit_commit ser ~tid:d.tid;
+  d.committing <- false;
   Serial.release ser ~tid:d.tid;
   cm.on_quit d.info;
   Txdesc.clear_logs d;

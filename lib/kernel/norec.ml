@@ -57,7 +57,7 @@ let create ~cm heap =
    nothing of its own. *)
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
-  Hooks.rollback ~cm:t.cm ~ser:t.ser d ~reason
+  Hooks.rollback ~cm:t.cm d ~reason
 
 let check_kill t d =
   if Hooks.kill_due ~ser:t.ser d then rollback t d Tx_signal.Killed
@@ -155,9 +155,8 @@ let commit t (d : Txdesc.t) =
     Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
   end
 
-(* [start] must not abort (the driver calls it outside its retry guard),
-   so the begin-time spin carries no kill poll — a pending kill is
-   honored at the first read/write/commit instead. *)
+(* The begin-time spin carries no kill poll: a pending kill is honored
+   at the first read/write/commit instead. *)
 let start t (d : Txdesc.t) ~restart =
   Hooks.tx_begin ~eid:t.eid d;
   t.cm.on_start d.info ~restart;

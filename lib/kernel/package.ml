@@ -54,7 +54,10 @@ let make ~name ~heap ?(cap = (name, Stats.max_threads))
           end
           else write d addr v);
       alloc = (fun n -> Memory.Heap.alloc heap n);
-      free = (fun addr n -> Txdesc.buffer_free d addr n);
+      free =
+        (fun addr n ->
+          Memory.Heap.check_free heap addr n;
+          Txdesc.buffer_free d addr n);
     }
   in
   let ops_of (d : Txdesc.t) =

@@ -59,7 +59,7 @@ let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
   release_owners t d;
   Readers.retract_all t.readers d;
-  Hooks.rollback ~cm:t.cm ~ser:t.ser d ~reason
+  Hooks.rollback ~cm:t.cm d ~reason
 
 let check_kill t d =
   if Hooks.kill_due ~ser:t.ser d then rollback t d Tx_signal.Killed

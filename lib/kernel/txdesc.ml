@@ -20,6 +20,8 @@
    - [snapshot]/[allow_snapshot]: MVSTM old-version read mode.
    - [counters]: the thread's statistics ([Driver.reset] swaps in fresh
      ones); [ops]: its bodies' op table, built on first use.
+   - [committing]: inside an update commit; [Hooks] sets and clears it,
+     and an irrevocable transaction's [Driver.drain] waits for it to clear.
 
    A descriptor belongs to one engine instance and one thread: the
    engine's table ([Driver.make_descs]) builds it with [create] when that
@@ -56,6 +58,7 @@ type t = {
           executed through [Memory.Heap.free] at commit, dropped on abort *)
   mutable counters : Stm_intf.Stats.t;
   mutable ops : Stm_intf.Engine.tx_ops;
+  mutable committing : bool;
 }
 
 let create ~tid ~seed =
@@ -81,6 +84,7 @@ let create ~tid ~seed =
     start_cycles = 0;
     counters = Stm_intf.Stats.create ();
     ops = unbuilt_ops;
+    committing = false;
   }
 
 (* Transactional free: buffer now, execute at commit, drop on abort. *)

@@ -138,13 +138,16 @@ let free_now t addr n =
   end
   else incr leaked_frees
 
+let check_free t addr n =
+  if n <= 0 then invalid_arg "Heap.free: size must be positive";
+  check t addr
+
 (** Free [n] words at [addr].  With the epoch reclaimer armed the block
     goes to the caller's limbo list and is recycled only after a grace
     period; otherwise it is recycled immediately (the caller asserts
     quiescence, e.g. after SwissTM's commit-time quiescence barrier). *)
 let free t addr n =
-  if n <= 0 then invalid_arg "Heap.free: size must be positive";
-  check t addr;
+  check_free t addr n;
   incr frees;
   if !guard_on && guard_hit t addr then ()
   else if !epoch_on then !epoch_defer t addr n

@@ -37,6 +37,11 @@ val free : t -> int -> int -> unit
     thread still holds a transactional snapshot of it.  Blocks larger
     than [max_free_words] (64) are leaked and counted. *)
 
+val check_free : t -> int -> int -> unit
+(** Raises [Invalid_argument] exactly when [free t addr n] would.  A
+    transactional free is buffered to commit, so engines refuse a bad
+    one here, at the call, where the body's exception unwinds cleanly. *)
+
 val max_free_words : int
 
 val used : t -> int

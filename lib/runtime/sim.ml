@@ -112,13 +112,14 @@ let step st bodies alive tid =
 (* --- indexed heap ------------------------------------------------------ *)
 
 (* Indexed binary heap over thread ids under a pluggable strict total
-   order.  Replaces the O(n) per-dispatch scans below: at 512 simulated
-   threads the scans made every policy loop quadratic in the schedule
+   order.  It replaced O(n) per-dispatch linear searches, which at 512
+   simulated threads made every policy loop quadratic in the schedule
    length.  Only the just-stepped thread's key ever changes (its clock
    moved, or PCT demoted it), so each dispatch costs one O(log n) [fix]
-   plus O(1) reads — and the orders used are exactly the scans'
-   tie-breaks, so schedules are bit-identical (gated by the
-   heap-vs-scan differential test and the frozen sb7 matrix). *)
+   plus O(1) reads — and the orders used are exactly the linear
+   searches' tie-breaks, so schedules are bit-identical to theirs
+   (pinned by the dispatch suite's frozen digests and the frozen sb7
+   matrix). *)
 module Iheap = struct
   type t = {
     heap : int array;  (* position -> tid *)
@@ -190,15 +191,17 @@ module Iheap = struct
     end
 end
 
-(* --- policy loops (heap dispatch) -------------------------------------- *)
+(* --- policy loops ------------------------------------------------------- *)
 
-(* The scans pick the smallest (vtime, tid) pair; the same lexicographic
-   order keyed into the heap reproduces their selection exactly. *)
+(* The earliest thread is the smallest (vtime, tid) pair. *)
 let vtime_less st a b =
   let ta = st.vtimes.(a) and tb = st.vtimes.(b) in
   ta < tb || (ta = tb && a < b)
 
-let run_earliest_heap st bodies alive n cap_cycles =
+(* The benchmark policy: always the earliest live thread, preempted when it
+   ticks past the second-earliest clock (clamped to the cap, so even a lone
+   runaway thread yields back and the timeout check fires). *)
+let run_earliest st bodies alive n cap_cycles =
   let h = Iheap.make n (vtime_less st) in
   while !alive > 0 do
     let best = Iheap.min h in
@@ -206,7 +209,7 @@ let run_earliest_heap st bodies alive n cap_cycles =
     if best_t > cap_cycles then raise (Timeout best_t);
     (* The second-smallest element under the heap's total order is one of
        the root's children, and — the order being vtime-major — carries
-       the second-smallest vtime (the scan's [second]). *)
+       the second-smallest vtime. *)
     let second = ref max_int in
     if h.Iheap.size > 1 then second := st.vtimes.(h.Iheap.heap.(1));
     if h.Iheap.size > 2 then
@@ -216,7 +219,9 @@ let run_earliest_heap st bodies alive n cap_cycles =
     if st.finished.(best) then Iheap.remove h best else Iheap.fix h best
   done
 
-let run_random_heap st bodies alive n cap_cycles ~seed ~window ~quantum =
+(* Seeded perturbation: pick uniformly among live threads within [window]
+   cycles of the minimum clock, run the winner for a random quantum. *)
+let run_random st bodies alive n cap_cycles ~seed ~window ~quantum =
   let rng = Rng.create seed in
   let h = Iheap.make n (vtime_less st) in
   let cand = Array.make n 0 in
@@ -226,8 +231,8 @@ let run_random_heap st bodies alive n cap_cycles ~seed ~window ~quantum =
     let limit = min_t + window in
     (* Collect the candidate set by descending the heap and pruning where
        the clock passes [limit] (clocks are nondecreasing along any
-       root-to-leaf path), then sort by tid so the pick index means the
-       same thing as under the scan's ascending-tid enumeration. *)
+       root-to-leaf path), then sort by tid so the pick index enumerates
+       the candidates in ascending tid order. *)
     let count = ref 0 in
     let rec visit i =
       if i < h.Iheap.size then begin
@@ -258,7 +263,19 @@ let run_random_heap st bodies alive n cap_cycles ~seed ~window ~quantum =
     if st.finished.(tid) then Iheap.remove h tid else Iheap.fix h tid
   done
 
-let run_pct_heap st bodies alive n cap_cycles ~seed ~depth ~horizon =
+(* PCT: random static priorities, [depth - 1] change points over [horizon]
+   cycles of cumulative progress, blocked yields demote the spinner.
+
+   One addition over textbook PCT: no thread may run more than [4 *
+   horizon] cycles ahead of the slowest live thread without being
+   demoted.  PCT assumes the running thread makes global progress, but an
+   abort-retry duel (e.g. the timid CM aborting the attacker against a
+   preempted lock holder) spins at top priority without ever performing a
+   blocked yield; under earliest-first the duel self-heals because the
+   spinner's clock overtakes the victim's, so only priority policies need
+   the explicit lag bound.  It restores starvation freedom and keeps the
+   schedule deterministic. *)
+let run_pct st bodies alive n cap_cycles ~seed ~depth ~horizon =
   let rng = Rng.create seed in
   let prio = Array.init n (fun i -> i) in
   Rng.shuffle rng prio;
@@ -318,152 +335,13 @@ let run_pct_heap st bodies alive n cap_cycles ~seed ~depth ~horizon =
     end
   done
 
-(* --- policy loops (legacy linear scans) --------------------------------
-
-   Kept verbatim as the reference implementation: the heap-vs-scan
-   differential test asserts bit-identical schedules at n <= 8, and the
-   frozen sb7 smoke matrix pins the heap path to what these produced. *)
-
-(* The benchmark policy: always the earliest live thread, preempted when it
-   ticks past the second-earliest clock. *)
-let run_earliest st bodies alive n cap_cycles =
-  while !alive > 0 do
-    (* Select the earliest live thread and the deadline after which it
-       must yield back (the second-earliest live thread's clock). *)
-    let best = ref (-1) and best_t = ref max_int and second = ref max_int in
-    for i = 0 to n - 1 do
-      if not st.finished.(i) then begin
-        let t = st.vtimes.(i) in
-        if t < !best_t then begin
-          second := !best_t;
-          best_t := t;
-          best := i
-        end
-        else if t < !second then second := t
-      end
-    done;
-    if !best_t > cap_cycles then raise (Timeout !best_t);
-    (* Clamp to the cap so even a lone runaway thread yields back and
-       the timeout check above fires. *)
-    Exec.next_deadline := min !second cap_cycles;
-    step st bodies alive !best
-  done
-
-(* Seeded perturbation: pick uniformly among live threads within [window]
-   cycles of the minimum clock, run the winner for a random quantum. *)
-let run_random st bodies alive n cap_cycles ~seed ~window ~quantum =
-  let rng = Rng.create seed in
-  while !alive > 0 do
-    let min_t = ref max_int in
-    for i = 0 to n - 1 do
-      if (not st.finished.(i)) && st.vtimes.(i) < !min_t then
-        min_t := st.vtimes.(i)
-    done;
-    if !min_t > cap_cycles then raise (Timeout !min_t);
-    let limit = !min_t + window in
-    let candidates = ref 0 in
-    for i = 0 to n - 1 do
-      if (not st.finished.(i)) && st.vtimes.(i) <= limit then incr candidates
-    done;
-    let pick = Rng.int rng !candidates in
-    let tid = ref (-1) and seen = ref 0 in
-    (try
-       for i = 0 to n - 1 do
-         if (not st.finished.(i)) && st.vtimes.(i) <= limit then begin
-           if !seen = pick then begin
-             tid := i;
-             raise Exit
-           end;
-           incr seen
-         end
-       done
-     with Exit -> ());
-    Exec.next_deadline :=
-      min (st.vtimes.(!tid) + 1 + Rng.int rng quantum) cap_cycles;
-    step st bodies alive !tid
-  done
-
-(* PCT: random static priorities, [depth - 1] change points over [horizon]
-   cycles of cumulative progress, blocked yields demote the spinner.
-
-   One addition over textbook PCT: no thread may run more than [4 *
-   horizon] cycles ahead of the slowest live thread without being
-   demoted.  PCT assumes the running thread makes global progress, but an
-   abort-retry duel (e.g. the timid CM aborting the attacker against a
-   preempted lock holder) spins at top priority without ever performing a
-   blocked yield; under earliest-first the duel self-heals because the
-   spinner's clock overtakes the victim's, so only priority policies need
-   the explicit lag bound.  It restores starvation freedom and keeps the
-   schedule deterministic. *)
-let run_pct st bodies alive n cap_cycles ~seed ~depth ~horizon =
-  let rng = Rng.create seed in
-  let prio = Array.init n (fun i -> i) in
-  Rng.shuffle rng prio;
-  (* Monotone source of fresh lowest priorities for demotions. *)
-  let floor_prio = ref (-1) in
-  let change_points =
-    Array.init (max 0 (depth - 1)) (fun _ -> Rng.int rng horizon)
-  in
-  Array.sort compare change_points;
-  let next_change = ref 0 in
-  let progressed = ref 0 in
-  let lag = 4 * horizon in
-  while !alive > 0 do
-    let best = ref (-1) and min_t = ref max_int in
-    for i = 0 to n - 1 do
-      if not st.finished.(i) then begin
-        if st.vtimes.(i) < !min_t then min_t := st.vtimes.(i);
-        if !best < 0 || prio.(i) > prio.(!best) then best := i
-      end
-    done;
-    if !min_t > cap_cycles then raise (Timeout !min_t);
-    let tid = !best in
-    (* Run until the next change point (translated into this thread's
-       virtual clock via cumulative progress) or the lag bound. *)
-    let until_change =
-      if !next_change < Array.length change_points then
-        max 1 (change_points.(!next_change) - !progressed)
-      else max_int
-    in
-    let before = st.vtimes.(tid) in
-    let lag_deadline = !min_t + lag in
-    let change_deadline =
-      if until_change = max_int then max_int else before + until_change
-    in
-    Exec.next_deadline := min (min change_deadline lag_deadline) cap_cycles;
-    step st bodies alive tid;
-    progressed := !progressed + (st.vtimes.(tid) - before);
-    if
-      !next_change < Array.length change_points
-      && !progressed >= change_points.(!next_change)
-    then begin
-      (* Change point: the running thread's priority drops below all. *)
-      prio.(tid) <- !floor_prio;
-      decr floor_prio;
-      incr next_change
-    end
-    else if
-      (not st.finished.(tid))
-      && (!Exec.blocked_yield || st.vtimes.(tid) >= lag_deadline)
-    then begin
-      (* A blocked spinner — or a monopolist that hit the lag bound —
-         must let the thread it is (transitively) waiting on run. *)
-      prio.(tid) <- !floor_prio;
-      decr floor_prio
-    end
-  done
-
 (** [run bodies] executes all thread bodies to completion under the
     simulated scheduler and returns the final per-thread virtual times.
     [cap_cycles] (default 10^12) bounds any thread's virtual clock and turns
     livelocks into a [Timeout].  [policy] selects the schedule (default
-    {!Earliest_first}); all policies are deterministic given their seed.
-    [dispatch] selects the dispatcher implementation: the indexed heap
-    (default) or the legacy linear scans it replaced — both produce
-    bit-identical schedules (the scans are kept as the reference for the
-    differential gate). *)
+    {!Earliest_first}); all policies are deterministic given their seed. *)
 let run ?(cap_cycles = 1_000_000_000_000) ?(policy = Earliest_first)
-    ?(dispatch = `Heap) (bodies : (unit -> unit) array) =
+    (bodies : (unit -> unit) array) =
   if Exec.in_sim () then raise Nested_simulation;
   let n = Array.length bodies in
   if n = 0 then [||]
@@ -485,16 +363,11 @@ let run ?(cap_cycles = 1_000_000_000_000) ?(policy = Earliest_first)
     in
     Fun.protect ~finally:cleanup (fun () ->
         let alive = ref n in
-        (match (policy, dispatch) with
-        | Earliest_first, `Heap -> run_earliest_heap st bodies alive n cap_cycles
-        | Earliest_first, `Scan -> run_earliest st bodies alive n cap_cycles
-        | Random { seed; window; quantum }, `Heap ->
-            run_random_heap st bodies alive n cap_cycles ~seed ~window ~quantum
-        | Random { seed; window; quantum }, `Scan ->
+        (match policy with
+        | Earliest_first -> run_earliest st bodies alive n cap_cycles
+        | Random { seed; window; quantum } ->
             run_random st bodies alive n cap_cycles ~seed ~window ~quantum
-        | Pct { seed; depth; horizon }, `Heap ->
-            run_pct_heap st bodies alive n cap_cycles ~seed ~depth ~horizon
-        | Pct { seed; depth; horizon }, `Scan ->
+        | Pct { seed; depth; horizon } ->
             run_pct st bodies alive n cap_cycles ~seed ~depth ~horizon);
         Array.copy st.vtimes)
   end

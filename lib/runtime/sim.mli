@@ -46,15 +46,12 @@ val policy_name : policy -> string
 val run :
   ?cap_cycles:int ->
   ?policy:policy ->
-  ?dispatch:[ `Heap | `Scan ] ->
   (unit -> unit) array ->
   int array
 (** [run bodies] executes all bodies to completion and returns final
     per-thread virtual times (cycles).  [cap_cycles] defaults to 10^12;
-    [policy] defaults to {!Earliest_first}.  [dispatch] (default
-    [`Heap]) picks the O(log n) indexed-heap dispatcher or the legacy
-    O(n) scans; the two are bit-identical (differentially tested), the
-    scans exist only as the reference implementation. *)
+    [policy] defaults to {!Earliest_first}.  Every policy dispatches
+    through an indexed heap, O(log n) per decision. *)
 
 val run_threads :
   ?cap_cycles:int ->

@@ -120,7 +120,7 @@ let take_top t ~victim =
 let[@inline] probe_cost (costs : Costs.t) ~thief_socket ~victim_socket =
   if thief_socket = victim_socket then costs.miss_socket else costs.miss_cross
 
-(* A stealing round probes at most this many victims.  Scanning all
+(* A stealing round probes at most this many victims.  Visiting all
    cores-1 deques per round is neither what real thieves do (random
    bounded probing) nor affordable: at 512 cores an idle worker would
    charge 511 remote misses per fruitless round, and probe costs would

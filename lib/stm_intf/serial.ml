@@ -10,8 +10,9 @@
      where waiting there cannot deadlock — that closes the remaining
      validation races, because nothing can advance the global commit clock
      while the irrevocable transaction runs;
-   - the [committing] flags let the holder drain commits that were already
-     past the gate when the token was taken.
+   - the holder drains the update commits that were already past the gate
+     when the token was taken ([Kernel.Driver] walks the descriptors' flags
+     for that; the token itself is only the owner word).
 
    Combined with a contention manager that lets a [cm_ts = 0] holder win
    every write/write conflict and with the fault injector's exemption
@@ -25,21 +26,14 @@
    gate.  Only actual waiting spins through [Exec.pause], which charges
    cycles like any other spin. *)
 
-type t = {
-  owner : Runtime.Tmatomic.t;  (* 0 = free, tid + 1 = irrevocable holder *)
-  committing : bool array;  (* per-thread: inside an update commit *)
-}
+type t = Runtime.Tmatomic.t  (* 0 = free, tid + 1 = irrevocable holder *)
 
-let create () =
-  {
-    owner = Runtime.Tmatomic.make 0;
-    committing = Array.make Stats.max_threads false;
-  }
+let create () = Runtime.Tmatomic.make 0
 
 (* Polling the token is like polling your own kill flag: the line is only
    written on (rare) escalation events, so reads stay cache-local and are
    not charged in the cost model. *)
-let holder t = Runtime.Tmatomic.unsafe_get t.owner
+let holder t = Runtime.Tmatomic.unsafe_get t
 let mine t ~tid = holder t = tid + 1
 let held_by_other t ~tid = let o = holder t in o <> 0 && o <> tid + 1
 
@@ -47,11 +41,11 @@ let held_by_other t ~tid = let o = holder t in o <> 0 && o <> tid + 1
     free.  The holder is exempt from fault injection for the duration. *)
 let acquire t ~tid =
   let rec go () =
-    if Runtime.Tmatomic.get t.owner <> 0 then begin
+    if Runtime.Tmatomic.get t <> 0 then begin
       Runtime.Exec.pause ();
       go ()
     end
-    else if not (Runtime.Tmatomic.cas t.owner ~expect:0 ~replace:(tid + 1)) then
+    else if not (Runtime.Tmatomic.cas t ~expect:0 ~replace:(tid + 1)) then
       go ()
   in
   go ();
@@ -60,7 +54,7 @@ let acquire t ~tid =
 let release t ~tid =
   if mine t ~tid then begin
     Runtime.Inject.exempt := -1;
-    Runtime.Tmatomic.set t.owner 0
+    Runtime.Tmatomic.set t 0
   end
 
 (** Wait while another thread holds the token.  [check] runs on every spin
@@ -70,22 +64,4 @@ let gate t ~tid ~check =
   while held_by_other t ~tid do
     check ();
     Runtime.Exec.pause ()
-  done
-
-(* The committing flags are plain writes on the commit path (zero simulated
-   cycles, negligible native cost); raciness in native mode only softens
-   the drain, never correctness. *)
-let enter_commit t ~tid = t.committing.(tid land (Stats.max_threads - 1)) <- true
-let exit_commit t ~tid = t.committing.(tid land (Stats.max_threads - 1)) <- false
-
-(** Holder only: wait until no other thread is inside an update commit.
-    Commits already past the gate when the token was taken finish here;
-    afterwards the gates keep the commit clock still. *)
-let drain t ~tid =
-  let n = Array.length t.committing in
-  for u = 0 to n - 1 do
-    if u <> tid then
-      while t.committing.(u) do
-        Runtime.Exec.pause ()
-      done
   done

@@ -25,10 +25,3 @@ val release : t -> tid:int -> unit
 val gate : t -> tid:int -> check:(unit -> unit) -> unit
 (** Wait while another thread holds the token; [check] runs per spin
     (pass the engine's kill poll when the waiter can hold locks). *)
-
-val enter_commit : t -> tid:int -> unit
-val exit_commit : t -> tid:int -> unit
-(** Bracket update commits (plain flag writes) so {!drain} can see them. *)
-
-val drain : t -> tid:int -> unit
-(** Holder only: wait out commits already past the gate. *)

@@ -88,7 +88,7 @@ let set_chain_len t idx v = Runtime.Tmatomic.unsafe_set (chain_word t idx 2) v
 
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
-  Hooks.rollback ~cm:t.cm ~ser:t.ser d ~reason
+  Hooks.rollback ~cm:t.cm d ~reason
 
 (* Reconstruct the value [addr] had at the snapshot by walking the
    stripe's version chain newest-to-oldest; every record newer than the

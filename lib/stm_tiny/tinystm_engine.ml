@@ -57,7 +57,7 @@ let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
   Vlock.release_restoring ~locks:t.locks d.acq_stripes d.acq_saved
     ~upto:(Ivec.length d.acq_stripes);
-  Hooks.rollback ~cm:t.cm ~ser:t.ser d ~reason
+  Hooks.rollback ~cm:t.cm d ~reason
 
 let extend t d = Vlock.extend_exact ~locks:t.locks ~clock:t.clock d
 

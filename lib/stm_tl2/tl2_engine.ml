@@ -56,7 +56,7 @@ let create ~cm ~granularity_words ~table_bits heap =
 
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
-  Hooks.rollback ~cm:t.cm ~ser:t.ser d ~reason
+  Hooks.rollback ~cm:t.cm d ~reason
 
 let read_word t (d : Txdesc.t) addr =
   let costs = Runtime.Costs.get () in
