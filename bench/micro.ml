@@ -75,6 +75,92 @@ let run_one test =
   let results = Analyze.all ols Instance.monotonic_clock raw in
   results
 
+(* OLS estimate of one run of [test] (named [label]), in ns. *)
+let time label test =
+  let tbl = run_one test in
+  match Hashtbl.find_opt tbl label with
+  | Some ols -> (
+      match Analyze.OLS.estimates ols with
+      | Some (t :: _) -> t
+      | _ -> Float.nan)
+  | None -> Float.nan
+
+(* --- the simulator's own host cost ---------------------------------------
+
+   What a simulated access costs the host, split the way [Runtime.Sim]
+   spends it: a bare effect round trip (perform, park the continuation,
+   resume it) is the floor under every switch; [Exec.tick 1] among
+   equal clocks switches on every call, so it prices one [Sim] dispatch
+   at 2, 8 and 64 fibers; a [Tmatomic] charge inside a 1-fiber
+   simulation, which never switches, prices the coherence model. *)
+
+type _ Effect.t += Bare : unit Effect.t
+
+let sim_calls = 8192
+
+let bare_round_trips () =
+  let parked = ref None in
+  let park =
+    Some (fun (k : (unit, unit) Effect.Deep.continuation) -> parked := Some k)
+  in
+  Effect.Deep.match_with
+    (fun () ->
+      for _ = 1 to sim_calls do
+        Effect.perform Bare
+      done)
+    ()
+    {
+      retc = ignore;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with Bare -> park | _ -> None);
+    };
+  let rec resume () =
+    match !parked with
+    | Some k ->
+        parked := None;
+        Effect.Deep.continue k ();
+        resume ()
+    | None -> ()
+  in
+  resume ()
+
+let in_sim ~fibers f () =
+  let calls = sim_calls / fibers in
+  ignore
+    (Runtime.Sim.run_threads ~threads:fibers (fun _ ->
+         for _ = 1 to calls do
+           f ()
+         done)
+      : int)
+
+let sim_table () =
+  Bench_common.section
+    "Micro (Bechamel, real time): simulator host cost per operation";
+  let cell = Runtime.Tmatomic.make 0 in
+  let cas () =
+    let v = Runtime.Tmatomic.unsafe_get cell in
+    ignore (Runtime.Tmatomic.cas cell ~expect:v ~replace:(v + 1) : bool)
+  in
+  let per_call label f =
+    time label (Test.make ~name:label (Staged.stage f))
+    /. float_of_int sim_calls
+  in
+  List.iter
+    (fun (label, f) -> Printf.printf "%-22s %10.1f ns\n%!" label (per_call label f))
+    [
+      ("effect round trip", bare_round_trips);
+      ("switch, 2 fibers", in_sim ~fibers:2 (fun () -> Runtime.Exec.tick 1));
+      ("switch, 8 fibers", in_sim ~fibers:8 (fun () -> Runtime.Exec.tick 1));
+      ("switch, 64 fibers", in_sim ~fibers:64 (fun () -> Runtime.Exec.tick 1));
+      ( "tmatomic get, 1 fiber",
+        in_sim ~fibers:1 (fun () ->
+            ignore (Runtime.Tmatomic.get cell : int)) );
+      ("tmatomic cas, 1 fiber", in_sim ~fibers:1 cas);
+    ]
+
 let run () =
   Bench_common.section
     "Micro (Bechamel, real time): single-threaded transaction overhead";
@@ -82,15 +168,6 @@ let run () =
     "rw-8r8w[ns]" "wo-8writes[ns]" "raw-8w8r[ns]" "raw-16r2w[ns]";
   List.iter
     (fun (name, spec) ->
-      let time label test =
-        let tbl = run_one test in
-        match Hashtbl.find_opt tbl label with
-        | Some ols -> (
-            match Analyze.OLS.estimates ols with
-            | Some (t :: _) -> t
-            | _ -> Float.nan)
-        | None -> Float.nan
-      in
       let ro = time "ro" (tx_test "ro" spec ~reads:8 ~writes:0) in
       let rw = time "rw" (tx_test "rw" spec ~reads:8 ~writes:8) in
       let wo = time "wo" (tx_test "wo" spec ~reads:0 ~writes:8) in
@@ -98,4 +175,5 @@ let run () =
       let raw16 = time "raw-16r2w" (raw_16r2w_test "raw-16r2w" spec) in
       Printf.printf "%-10s %15.1f %15.1f %15.1f %15.1f %15.1f\n%!" name ro rw
         wo raw raw16)
-    engines
+    engines;
+  sim_table ()

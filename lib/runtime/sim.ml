@@ -58,12 +58,15 @@ let policy_name = function
 
 type state = {
   conts : (unit, unit) Effect.Deep.continuation option array;
-  started : bool array;
+      (* the last continuation a thread parked; [None] until it starts *)
   finished : bool array;
   vtimes : int array;
 }
 
+(* [park] is built once per thread (the [Exec.Yield] match fixes [a =
+   unit]), so a yield allocates only the [Some k] it parks. *)
 let make_handler st tid =
+  let park = Some (fun k -> st.conts.(tid) <- Some k) in
   {
     Effect.Deep.retc = (fun () -> st.finished.(tid) <- true);
     exnc =
@@ -71,13 +74,9 @@ let make_handler st tid =
         (* re-raise with the thread body's backtrace, not this frame's *)
         Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ()));
     effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Exec.Yield ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                st.conts.(tid) <- Some k)
-        | _ -> None);
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with Exec.Yield -> park | _ -> None);
   }
 
 (* Observability hook (installed by lib/obs): called with the thread id on
@@ -88,45 +87,43 @@ let on_dispatch : (int -> unit) ref = ref (fun _ -> ())
 let on_dispatch_enabled = ref false
 
 (* Resume thread [tid] until it yields or finishes; decrement [alive] when
-   it finished.  Shared by every policy loop. *)
+   it finished.  Shared by every policy loop.  The resumed continuation is
+   left in its slot, spent, rather than cleared (a second write barrier
+   per dispatch): the thread parks a fresh one before it can be stepped
+   again, and resuming a spent one raises instead of running. *)
 let step st bodies alive tid =
   if !on_dispatch_enabled then !on_dispatch tid;
   Exec.cur := tid;
   Exec.blocked_yield := false;
   (match st.conts.(tid) with
-  | Some k ->
-      st.conts.(tid) <- None;
-      Effect.Deep.continue k ()
-  | None ->
-      if st.started.(tid) then
-        (* A started thread with no continuation yielded nothing and
-           did not finish: impossible by construction. *)
-        assert false
-      else begin
-        st.started.(tid) <- true;
-        Effect.Deep.match_with bodies.(tid) () (make_handler st tid)
-      end);
+  | Some k -> Effect.Deep.continue k ()
+  | None -> Effect.Deep.match_with bodies.(tid) () (make_handler st tid));
   Exec.cur := -1;
   if st.finished.(tid) then decr alive
 
 (* --- indexed heap ------------------------------------------------------ *)
 
-(* Indexed binary heap over thread ids under a pluggable strict total
-   order.  It replaced O(n) per-dispatch linear searches, which at 512
-   simulated threads made every policy loop quadratic in the schedule
-   length.  Only the just-stepped thread's key ever changes (its clock
-   moved, or PCT demoted it), so each dispatch costs one O(log n) [fix]
-   plus O(1) reads — and the orders used are exactly the linear
-   searches' tie-breaks, so schedules are bit-identical to theirs
-   (pinned by the dispatch suite's frozen digests and the frozen sb7
-   matrix). *)
+(* Indexed binary heap over thread ids, ordered by [(key.(tid), tid)]
+   over a caller-owned [int array] (clocks, or PCT's negated priorities)
+   with an inlined compare.  It replaced O(n) per-dispatch linear
+   searches, which at 512 simulated threads made every policy loop
+   quadratic in the schedule length.  Only the just-stepped thread's key
+   ever changes (its clock moved, or PCT demoted it), so each dispatch
+   costs one O(log n) [fix] plus O(1) reads — and the order is exactly
+   the linear searches' tie-break, so schedules are bit-identical to
+   theirs (pinned by the dispatch suite's frozen digests and the frozen
+   sb7 matrix). *)
 module Iheap = struct
   type t = {
     heap : int array;  (* position -> tid *)
     pos : int array;  (* tid -> position, -1 once removed *)
-    less : int -> int -> bool;
+    key : int array;  (* tid -> key, written by the caller *)
     mutable size : int;
   }
+
+  let[@inline] less h a b =
+    let ka = h.key.(a) and kb = h.key.(b) in
+    ka < kb || (ka = kb && a < b)
 
   let swap h i j =
     let a = h.heap.(i) and b = h.heap.(j) in
@@ -138,7 +135,7 @@ module Iheap = struct
   let rec sift_up h i =
     if i > 0 then begin
       let p = (i - 1) / 2 in
-      if h.less h.heap.(i) h.heap.(p) then begin
+      if less h h.heap.(i) h.heap.(p) then begin
         swap h i p;
         sift_up h p
       end
@@ -148,23 +145,19 @@ module Iheap = struct
     let l = (2 * i) + 1 in
     if l < h.size then begin
       let m =
-        if l + 1 < h.size && h.less h.heap.(l + 1) h.heap.(l) then l + 1
+        if l + 1 < h.size && less h h.heap.(l + 1) h.heap.(l) then l + 1
         else l
       in
-      if h.less h.heap.(m) h.heap.(i) then begin
+      if less h h.heap.(m) h.heap.(i) then begin
         swap h i m;
         sift_down h m
       end
     end
 
-  let make n less =
+  let make key =
+    let n = Array.length key in
     let h =
-      {
-        heap = Array.init n (fun i -> i);
-        pos = Array.init n (fun i -> i);
-        less;
-        size = n;
-      }
+      { heap = Array.init n Fun.id; pos = Array.init n Fun.id; key; size = n }
     in
     for i = (n / 2) - 1 downto 0 do
       sift_down h i
@@ -193,16 +186,11 @@ end
 
 (* --- policy loops ------------------------------------------------------- *)
 
-(* The earliest thread is the smallest (vtime, tid) pair. *)
-let vtime_less st a b =
-  let ta = st.vtimes.(a) and tb = st.vtimes.(b) in
-  ta < tb || (ta = tb && a < b)
-
 (* The benchmark policy: always the earliest live thread, preempted when it
    ticks past the second-earliest clock (clamped to the cap, so even a lone
    runaway thread yields back and the timeout check fires). *)
-let run_earliest st bodies alive n cap_cycles =
-  let h = Iheap.make n (vtime_less st) in
+let run_earliest st bodies alive cap_cycles =
+  let h = Iheap.make st.vtimes in
   while !alive > 0 do
     let best = Iheap.min h in
     let best_t = st.vtimes.(best) in
@@ -213,8 +201,8 @@ let run_earliest st bodies alive n cap_cycles =
     let second = ref max_int in
     if h.Iheap.size > 1 then second := st.vtimes.(h.Iheap.heap.(1));
     if h.Iheap.size > 2 then
-      second := Stdlib.min !second st.vtimes.(h.Iheap.heap.(2));
-    Exec.next_deadline := Stdlib.min !second cap_cycles;
+      second := Int.min !second st.vtimes.(h.Iheap.heap.(2));
+    Exec.next_deadline := Int.min !second cap_cycles;
     step st bodies alive best;
     if st.finished.(best) then Iheap.remove h best else Iheap.fix h best
   done
@@ -223,7 +211,7 @@ let run_earliest st bodies alive n cap_cycles =
    cycles of the minimum clock, run the winner for a random quantum. *)
 let run_random st bodies alive n cap_cycles ~seed ~window ~quantum =
   let rng = Rng.create seed in
-  let h = Iheap.make n (vtime_less st) in
+  let h = Iheap.make st.vtimes in
   let cand = Array.make n 0 in
   while !alive > 0 do
     let min_t = st.vtimes.(Iheap.min h) in
@@ -258,7 +246,7 @@ let run_random st bodies alive n cap_cycles ~seed ~window ~quantum =
     let pick = Rng.int rng !count in
     let tid = cand.(pick) in
     Exec.next_deadline :=
-      Stdlib.min (st.vtimes.(tid) + 1 + Rng.int rng quantum) cap_cycles;
+      Int.min (st.vtimes.(tid) + 1 + Rng.int rng quantum) cap_cycles;
     step st bodies alive tid;
     if st.finished.(tid) then Iheap.remove h tid else Iheap.fix h tid
   done
@@ -277,29 +265,30 @@ let run_random st bodies alive n cap_cycles ~seed ~window ~quantum =
    schedule deterministic. *)
 let run_pct st bodies alive n cap_cycles ~seed ~depth ~horizon =
   let rng = Rng.create seed in
-  let prio = Array.init n (fun i -> i) in
-  Rng.shuffle rng prio;
-  let floor_prio = ref (-1) in
+  let neg_prio = Array.init n (fun i -> i) in
+  Rng.shuffle rng neg_prio;
+  Array.map_inplace Int.neg neg_prio;
+  let floor_neg = ref 1 in
   let change_points =
-    Array.init (max 0 (depth - 1)) (fun _ -> Rng.int rng horizon)
+    Array.init (Int.max 0 (depth - 1)) (fun _ -> Rng.int rng horizon)
   in
   Array.sort compare change_points;
   let next_change = ref 0 in
   let progressed = ref 0 in
   let lag = 4 * horizon in
-  (* Two heaps: clocks for the timeout/lag minimum, priorities for the
-     selection.  Priorities are unique by construction (a permutation,
-     then strictly decreasing fresh values), so the max needs no
-     tie-break. *)
-  let vh = Iheap.make n (vtime_less st) in
-  let ph = Iheap.make n (fun a b -> prio.(a) > prio.(b)) in
+  (* Two heaps: clocks for the timeout/lag minimum, negated priorities
+     for the selection.  Priorities are unique (a permutation, then each
+     demotion a fresh value below all), so the tid tie-break never fires
+     and the min-heap runs exactly the highest priority. *)
+  let vh = Iheap.make st.vtimes in
+  let ph = Iheap.make neg_prio in
   while !alive > 0 do
     let min_t = st.vtimes.(Iheap.min vh) in
     if min_t > cap_cycles then raise (Timeout min_t);
     let tid = Iheap.min ph in
     let until_change =
       if !next_change < Array.length change_points then
-        max 1 (change_points.(!next_change) - !progressed)
+        Int.max 1 (change_points.(!next_change) - !progressed)
       else max_int
     in
     let before = st.vtimes.(tid) in
@@ -308,7 +297,7 @@ let run_pct st bodies alive n cap_cycles ~seed ~depth ~horizon =
       if until_change = max_int then max_int else before + until_change
     in
     Exec.next_deadline :=
-      Stdlib.min (Stdlib.min change_deadline lag_deadline) cap_cycles;
+      Int.min (Int.min change_deadline lag_deadline) cap_cycles;
     step st bodies alive tid;
     progressed := !progressed + (st.vtimes.(tid) - before);
     let fin = st.finished.(tid) in
@@ -321,16 +310,16 @@ let run_pct st bodies alive n cap_cycles ~seed ~depth ~horizon =
       !next_change < Array.length change_points
       && !progressed >= change_points.(!next_change)
     then begin
-      prio.(tid) <- !floor_prio;
-      decr floor_prio;
+      neg_prio.(tid) <- !floor_neg;
+      incr floor_neg;
       incr next_change;
       if not fin then Iheap.fix ph tid
     end
     else if
       (not fin) && (!Exec.blocked_yield || st.vtimes.(tid) >= lag_deadline)
     then begin
-      prio.(tid) <- !floor_prio;
-      decr floor_prio;
+      neg_prio.(tid) <- !floor_neg;
+      incr floor_neg;
       Iheap.fix ph tid
     end
   done
@@ -349,7 +338,6 @@ let run ?(cap_cycles = 1_000_000_000_000) ?(policy = Earliest_first)
     let st =
       {
         conts = Array.make n None;
-        started = Array.make n false;
         finished = Array.make n false;
         vtimes = Array.make n 0;
       }
@@ -364,7 +352,7 @@ let run ?(cap_cycles = 1_000_000_000_000) ?(policy = Earliest_first)
     Fun.protect ~finally:cleanup (fun () ->
         let alive = ref n in
         (match policy with
-        | Earliest_first -> run_earliest st bodies alive n cap_cycles
+        | Earliest_first -> run_earliest st bodies alive cap_cycles
         | Random { seed; window; quantum } ->
             run_random st bodies alive n cap_cycles ~seed ~window ~quantum
         | Pct { seed; depth; horizon } ->

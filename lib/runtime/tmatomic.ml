@@ -131,7 +131,7 @@ let max_queue = 16
 
 let[@inline] bump_queue line now =
   if now - line.last_miss < queue_window then
-    line.queue <- min (line.queue + 1) max_queue
+    line.queue <- Int.min (line.queue + 1) max_queue
   else line.queue <- 0;
   line.last_miss <- now
 

@@ -24,7 +24,9 @@
    - per-socket hit/miss/steal counters, incremented (uncharged) from
      the simulation fast paths and surfaced through [Obs.Metrics].  They
      live here rather than in [Obs] because [runtime] cannot depend on
-     the layers above it. *)
+     the layers above it.  Every [Tmatomic] charge bumps one, so the
+     socket it is keyed on comes from a tid -> socket table that [set]
+     rebuilds, not from a [mod] and a division per access. *)
 
 (* Hard ceiling on simulated cores; [Stm_intf.Stats.max_threads] must not
    exceed it (asserted there, since runtime is below stm_intf). *)
@@ -70,16 +72,6 @@ let current = ref flat
 let get () = !current
 let is_flat () = !current.sockets = 1
 
-(* Changing the topology resets the directory and the counters: runs under
-   different topologies must not share queuing state, or cycle counts
-   would depend on what ran before. *)
-let set t =
-  current := t;
-  reset_directory ();
-  reset_counters ()
-
-let reset () = set flat
-
 (* --- placement ---------------------------------------------------------- *)
 
 let[@inline] core_of_tid tid =
@@ -87,7 +79,23 @@ let[@inline] core_of_tid tid =
   tid mod (t.sockets * t.cores_per_socket)
 
 let[@inline] socket_of_core core = core / !current.cores_per_socket
-let[@inline] socket_of_tid tid = socket_of_core (core_of_tid tid)
+
+(* [socket_of_core (core_of_tid tid)] under [!current], rebuilt by [set]. *)
+let sockets_of_tids = Array.make max_cores 0
+let[@inline] socket_of_tid tid = sockets_of_tids.(tid)
+
+(* Changing the topology resets the directory and the counters: runs under
+   different topologies must not share queuing state, or cycle counts
+   would depend on what ran before. *)
+let set t =
+  current := t;
+  for tid = 0 to max_cores - 1 do
+    sockets_of_tids.(tid) <- socket_of_core (core_of_tid tid)
+  done;
+  reset_directory ();
+  reset_counters ()
+
+let reset () = set flat
 
 (* --- directory queuing -------------------------------------------------- *)
 
@@ -101,7 +109,7 @@ let dir_max_queue = 8
 
 let dir_charge ~socket ~now =
   if now - dir_last_miss.(socket) < dir_window then
-    dir_queue.(socket) <- min (dir_queue.(socket) + 1) dir_max_queue
+    dir_queue.(socket) <- Int.min (dir_queue.(socket) + 1) dir_max_queue
   else dir_queue.(socket) <- 0;
   dir_last_miss.(socket) <- now;
   dir_queue.(socket)

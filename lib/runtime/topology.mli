@@ -39,6 +39,8 @@ val is_flat : unit -> bool
 val core_of_tid : int -> int
 val socket_of_core : int -> int
 val socket_of_tid : int -> int
+(** [socket_of_core (core_of_tid tid)] for [tid < max_cores], read from a
+    table that {!set} rebuilds. *)
 
 val dir_charge : socket:int -> now:int -> int
 (** Record a cross-socket miss homed at [socket] at virtual time [now];

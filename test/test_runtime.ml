@@ -607,6 +607,31 @@ let test_topology_placement () =
         (Runtime.Topology.socket_of_tid 128));
   Alcotest.(check bool) "flat restored" true (Runtime.Topology.is_flat ())
 
+(* [socket_of_tid] reads a table that [set] rebuilds: it must agree with
+   the placement formula for every tid under every shape, and again once
+   [reset] restores flat. *)
+let test_topology_socket_table () =
+  let module T = Runtime.Topology in
+  let agree label =
+    let t = T.get () in
+    for tid = 0 to T.max_cores - 1 do
+      let want = tid mod T.cores t / t.cores_per_socket in
+      if T.socket_of_tid tid <> want then
+        Alcotest.failf "%s: socket_of_tid %d = %d, expected %d" label tid
+          (T.socket_of_tid tid) want
+    done
+  in
+  List.iter
+    (fun (label, topo) ->
+      with_topology topo (fun () -> agree label);
+      agree (label ^ ", then reset"))
+    [
+      ("flat", T.flat);
+      ("2x4", T.make ~sockets:2 ~cores_per_socket:4);
+      ("8x64", T.make ~sockets:8 ~cores_per_socket:64);
+      ("64x8", T.make ~sockets:64 ~cores_per_socket:8);
+    ]
+
 let test_topology_socket_counters () =
   with_topology (Runtime.Topology.make ~sockets:2 ~cores_per_socket:4)
     (fun () ->
@@ -751,6 +776,17 @@ let test_costs_distance_ordering () =
 
 (* --- Sim dispatch ------------------------------------------------------- *)
 
+let with_dispatch_hook hook f =
+  let saved_hook = !Runtime.Sim.on_dispatch in
+  let saved_enabled = !Runtime.Sim.on_dispatch_enabled in
+  Runtime.Sim.on_dispatch := hook;
+  Runtime.Sim.on_dispatch_enabled := true;
+  Fun.protect
+    ~finally:(fun () ->
+      Runtime.Sim.on_dispatch := saved_hook;
+      Runtime.Sim.on_dispatch_enabled := saved_enabled)
+    f
+
 (* The indexed-heap dispatcher replaced O(n) linear searches whose
    schedules every frozen simulated figure was measured under.  The
    searches are gone; what they produced on this 8-thread body is pinned
@@ -759,15 +795,8 @@ let test_costs_distance_ordering () =
    linear-search dispatcher. *)
 let dispatch_trace ~policy =
   let buf = Buffer.create 256 in
-  let saved_hook = !Runtime.Sim.on_dispatch in
-  let saved_enabled = !Runtime.Sim.on_dispatch_enabled in
-  Runtime.Sim.on_dispatch :=
-    (fun tid -> Buffer.add_string buf (string_of_int tid ^ ";"));
-  Runtime.Sim.on_dispatch_enabled := true;
-  Fun.protect
-    ~finally:(fun () ->
-      Runtime.Sim.on_dispatch := saved_hook;
-      Runtime.Sim.on_dispatch_enabled := saved_enabled)
+  with_dispatch_hook
+    (fun tid -> Buffer.add_string buf (string_of_int tid ^ ";"))
     (fun () ->
       let body tid () =
         let rng = Runtime.Rng.for_thread ~seed:11 ~tid in
@@ -792,6 +821,35 @@ let test_sim_dispatch_frozen () =
       ("random", Runtime.Sim.random_policy 3, "31f8d4271d3a51ef1eb5c30b1700d3d8");
       ("pct", Runtime.Sim.pct_policy 5, "9396edb3d289edecec7ffca5a83b49f5");
     ]
+
+(* A yield allocates only the continuation it parks: on an 8-fiber
+   [tick 1] loop (every tick a switch), after a warm-up run, a dispatch
+   costs at most 4 minor words.  A handler that builds its park closure
+   per yield costs 11.  Two loop lengths are differenced so the run's
+   fixed setup (state arrays, handlers) cancels out. *)
+let test_sim_dispatch_alloc () =
+  let dispatches = ref 0 in
+  with_dispatch_hook
+    (fun _ -> incr dispatches)
+    (fun () ->
+      let measure ticks =
+        dispatches := 0;
+        let w0 = Gc.minor_words () in
+        ignore
+          (Runtime.Sim.run_threads ~threads:8 (fun _ ->
+               for _ = 1 to ticks do
+                 Runtime.Exec.tick 1
+               done)
+            : int);
+        (Gc.minor_words () -. w0, float_of_int !dispatches)
+      in
+      ignore (measure 1000);
+      let w1, d1 = measure 1000 in
+      let w2, d2 = measure 3000 in
+      let per = (w2 -. w1) /. (d2 -. d1) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.2f minor words per dispatch <= 4" per)
+        true (per <= 4.0))
 
 (* --- Steal (PR 10) ------------------------------------------------------- *)
 
@@ -888,6 +946,8 @@ let suite =
           Alcotest.test_case "make validation" `Quick
             test_topology_make_validation;
           Alcotest.test_case "tid placement" `Quick test_topology_placement;
+          Alcotest.test_case "socket table matches placement" `Quick
+            test_topology_socket_table;
           Alcotest.test_case "socket counters" `Quick
             test_topology_socket_counters;
           Alcotest.test_case "single-socket degeneracy" `Quick
@@ -904,6 +964,8 @@ let suite =
         [
           Alcotest.test_case "frozen schedules under all policies" `Quick
             test_sim_dispatch_frozen;
+          Alcotest.test_case "yields allocate <= 4 words per dispatch" `Quick
+            test_sim_dispatch_alloc;
         ] );
       ( "steal",
         [
