@@ -28,6 +28,26 @@ let ktps (r : Harness.Workload.result) = Harness.Workload.throughput r /. 1e3
 let mtps (r : Harness.Workload.result) = Harness.Workload.throughput r /. 1e6
 let ms (r : Harness.Workload.result) = Harness.Workload.elapsed_seconds r *. 1e3
 
+(* The evaluation grid.  [sweep rows cell] measures every [(label, config)]
+   row at every thread count, rows outer and threads inner (the order the
+   runs execute in), and keeps each row's per-cell results. *)
+let sweep ?(threads = threads) rows cell =
+  List.map (fun (label, c) -> (label, List.map (cell c) threads)) rows
+
+(* [grid rows cell views]: one sweep, rendered as one table per view
+   [(title, unit, value)], so several tables can read the same runs. *)
+let grid ?(threads = threads) rows cell views =
+  let measured = sweep ~threads rows cell in
+  let columns = List.map (Printf.sprintf "%dT") threads in
+  List.map
+    (fun (title, unit_, value) ->
+      Harness.Report.make ~title ~unit_ ~columns
+        (List.map
+           (fun (label, cells) ->
+             { Harness.Report.label; cells = Array.of_list (List.map value cells) })
+           measured))
+    views
+
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 

@@ -17,8 +17,9 @@
 
    The workload is deterministic simulated time, so the crossover shape
    (ahead at 1-2 threads, behind at the top count) is bit-stable and
-   gated in perf_gate, whose golden holds the smoke cells; the frozen
-   full-run numbers live in BENCH_PR7.json. *)
+   gated in perf_gate, whose golden holds the smoke cells; the full-run
+   numbers are in EXPERIMENTS.md and the "full" member of
+   BENCH_GATE.json. *)
 
 open Bench_common
 

@@ -9,30 +9,22 @@
    multiprocessor (see DESIGN.md); the Bechamel "micro" section uses real
    time. *)
 
-let all : (string * string * (unit -> unit)) list =
-  [
-    ("tbl1", "Table 1: design-choice combinations", Tbl1.run);
-    ("fig2", "Figure 2: STMBench7 throughput", Fig2.run);
-    ("fig3", "Figure 3: STAMP speedups", Fig3.run);
-    ("fig4", "Figure 4: Lee-TM execution time", Fig4.run);
-    ("fig5", "Figure 5: red-black tree throughput", Fig5.run);
-    ("fig6", "Figure 6: lazy/eager pathologies (scenario)", Fig6.run);
-    ("fig7", "Figure 7: eager vs lazy conflict detection", Fig7.run);
-    ("fig8", "Figure 8: irregular Lee-TM", Fig8.run);
-    ("fig9", "Figure 9: Polka vs Greedy (RSTM)", Fig9.run);
-    ("fig10", "Figure 10: two-phase vs Greedy (SwissTM)", Fig10.run);
-    ("fig11", "Figure 11: back-off vs no back-off", Fig11.run);
-    ("fig12", "Figure 12: two-phase vs timid (SwissTM)", Fig12.run);
-    ("fig13", "Figure 13: lock granularity sweep", Fig13.run);
-    ("tbl2", "Table 2: per-benchmark granularity", Tbl2.run);
-    ("micro", "Bechamel per-op overhead", Micro.run);
-    ("ablations", "Extensions: nesting, multi-versioning, privatization, CMs", Ablations.run);
-    ("crossover", "Extension: NOrec vs TL2 commit-serialization crossover", Crossover.run);
-    ("fairness", "Extension: long-transaction latency / starvation", Fairness.run);
-    ("cm-sweep", "Extension: timid vs two-phase vs adaptive CM", Cm_sweep.run);
-    ("service", "Extension: open-system SLO latency/goodput curves", Service_bench.run);
-    ("scale", "Extension: 64-512 cores on a NUMA topology + work stealing", Scale.run);
-  ]
+let all : (string * (unit -> unit)) list =
+  List.map
+    (fun (name, (f : Paper.figure)) ->
+      ( name,
+        fun () ->
+          Bench_common.section f.title;
+          List.iter Harness.Report.print (f.tables ()) ))
+    Paper.figures
+  @ [
+      ("micro", Micro.run);
+      ("ablations", Ablations.run);
+      ("crossover", Crossover.run);
+      ("fairness", Fairness.run);
+      ("service", Service_bench.run);
+      ("scale", Scale.run);
+    ]
 
 let () =
   (* `bench ablations --list` (or just `bench --list`): enumerate the
@@ -44,8 +36,17 @@ let () =
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as names) -> names
-    | _ -> List.map (fun (n, _, _) -> n) all
+    | _ -> List.map fst all
   in
+  (* every name is checked before anything runs: a typo must not cost a
+     long run one of its figures *)
+  (match List.filter (fun n -> not (List.mem_assoc n all)) requested with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown experiment name(s) %s; known: %s\n"
+        (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+        (String.concat ", " (List.map fst all));
+      exit 2);
   Printf.printf
     "SwissTM reproduction benchmark harness (scale=%.2g, threads=%s)\n"
     Bench_common.scale
@@ -53,13 +54,8 @@ let () =
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun name ->
-      match List.find_opt (fun (n, _, _) -> n = name) all with
-      | Some (_, _, run) ->
-          let t = Unix.gettimeofday () in
-          run ();
-          Printf.printf "  [%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. t)
-      | None ->
-          Printf.eprintf "unknown experiment %S; known: %s\n" name
-            (String.concat ", " (List.map (fun (n, _, _) -> n) all)))
+      let t = Unix.gettimeofday () in
+      List.assoc name all ();
+      Printf.printf "  [%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. t))
     requested;
   Printf.printf "\nTotal wall time: %.1fs\n" (Unix.gettimeofday () -. t0)

@@ -49,38 +49,28 @@ open Obs.Json
 
 (* ---------- simulated section ---------- *)
 
-let sb7_engines =
-  [
-    ("swisstm", Bench_common.swisstm);
-    ("tinystm", Bench_common.tinystm);
-    ("rstm", Bench_common.rstm_serializer);
-    ("tl2", Bench_common.tl2);
-  ]
-
+(* Figure 2's line-up over the three sb7 mixes, engines keyed by their
+   lower-case names. *)
 let sb7 ~smoke =
   let threads = if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  let duration_cycles = if smoke then 200_000 else 2_000_000 in
-  let cell wname workload ename spec t =
-    let r =
-      Stmbench7.Sb7_bench.run ~spec ~workload ~threads:t ~duration_cycles ()
-    in
-    Obj
-      [
-        ("workload", Str wname);
-        ("engine", Str ename);
-        ("threads", Int t);
-        ("ktps", Float (Bench_common.ktps r));
-        ("elapsed_cycles", Int r.Harness.Workload.elapsed_cycles);
-        ("abort_rate", Float (Harness.Workload.abort_rate r));
-      ]
-  in
+  let cycles = if smoke then 200_000 else 2_000_000 in
   let cells =
     List.concat_map
       (fun (wname, workload) ->
-        List.concat_map
-          (fun (ename, spec) ->
-            List.map (cell wname workload ename spec) threads)
-          sb7_engines)
+        Bench_common.sweep ~threads Paper.fig2_engines (Paper.sb7 ~cycles workload)
+        |> List.concat_map (fun (ename, runs) ->
+               List.map2
+                 (fun t (r : Harness.Workload.result) ->
+                   Obj
+                     [
+                       ("workload", Str wname);
+                       ("engine", Str (String.lowercase_ascii ename));
+                       ("threads", Int t);
+                       ("ktps", Float (Bench_common.ktps r));
+                       ("elapsed_cycles", Int r.elapsed_cycles);
+                       ("abort_rate", Float (Harness.Workload.abort_rate r));
+                     ])
+                 threads runs))
       Scale.scale_workloads
   in
   (List cells, [])

@@ -19,7 +19,7 @@ let default_exponential = Exponential { base = 1_000; cap = 64_000_000 }
 
 (** Number of cycles to wait before the [attempt]-th retry (1-based). *)
 let delay policy rng ~attempt =
-  let attempt = max 1 attempt in
+  let attempt = Int.max 1 attempt in
   match policy with
   | No_backoff -> 0
   | Linear { base; cap } ->
@@ -27,10 +27,10 @@ let delay policy rng ~attempt =
          span for the unbounded attempt counts an abort storm produces, and
          [Rng.int] raises on non-positive bounds. *)
       let span = if base > 0 && attempt > cap / base then cap else base * attempt in
-      let span = min cap span in
+      let span = Int.min cap span in
       Rng.int rng (span + 1)
   | Exponential { base; cap } ->
-      let span = min cap (base * (1 lsl min attempt 20)) in
+      let span = Int.min cap (base * (1 lsl Int.min attempt 20)) in
       Rng.int rng (span + 1)
 
 (* Observability hook (installed by lib/obs): called with every non-zero
