@@ -16,12 +16,12 @@ bench:
 
 # CI gate: full build, full test suite (every alcotest suite runs here
 # once, the kernel differential, composed, NOrec and boosted-collection
-# suites included), one bench-gate smoke run (every simulated cell — sb7,
-# privatization, crossover, service, boost, scale — equal to the
-# committed golden bench/golden/gate-smoke.json with every shape check
-# holding, and the write log >= 20% faster than Hashtbl in a same-run
-# A/B), then the observability, fuzz, fault-injection, kernel, memory and
-# boosted-collections smokes.
+# suites included), one bench-gate smoke run (the result tables of the
+# sb7, privatization, crossover, service, boost and scale sections equal
+# to the committed golden bench/golden/gate-smoke.json cell for cell,
+# every shape check holding, and the write log >= 20% faster than
+# Hashtbl in a same-run A/B), then the observability, fuzz,
+# fault-injection, kernel, memory and boosted-collections smokes.
 check: build
 	dune runtest
 	dune exec bench/perf_gate.exe -- --smoke --out _build/gate-smoke.json

@@ -210,21 +210,10 @@ let run_kernel_points () =
     ([ "swisstm"; "tl2"; "tinystm"; "rstm"; "norec"; "tlrw" ]
     @ Engines.kernel_names)
 
-(* --- transactional boosting (PR 9) ------------------------------------ *)
-
-let run_boost () =
-  section "Ablation: boosted vs word-STM collections under contention (\u{00a7}15)";
-  let rows = Boost_bench.matrix () in
-  Boost_bench.print_rows rows;
-  List.iter
-    (fun (name, ok) ->
-      Printf.printf "  boost %-24s %s\n%!" name (if ok then "ok" else "FAIL"))
-    (Boost_bench.shape_checks rows)
-
 let run () =
   run_nesting ();
   run_mv ();
   run_priv ();
   run_cms ();
   run_kernel_points ();
-  run_boost ()
+  run_section Boost_bench.section ()

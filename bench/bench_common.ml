@@ -34,24 +34,51 @@ let ms (r : Harness.Workload.result) = Harness.Workload.elapsed_seconds r *. 1e3
 let sweep ?(threads = threads) rows cell =
   List.map (fun (label, c) -> (label, List.map (cell c) threads)) rows
 
-(* [grid rows cell views]: one sweep, rendered as one table per view
-   [(title, unit, value)], so several tables can read the same runs. *)
-let grid ?(threads = threads) rows cell views =
-  let measured = sweep ~threads rows cell in
+(* A table from [(label, cells)] rows. *)
+let table title unit_ columns rows =
+  Harness.Report.make ~title ~unit_ ~columns
+    (List.map (fun (label, cells) -> { Harness.Report.label; cells = Array.of_list cells }) rows)
+
+(* A sweep's results as one table per view [(title, unit, value)], so
+   several tables can read the same runs. *)
+let views ?(threads = threads) measured views =
   let columns = List.map (Printf.sprintf "%dT") threads in
   List.map
     (fun (title, unit_, value) ->
-      Harness.Report.make ~title ~unit_ ~columns
-        (List.map
-           (fun (label, cells) ->
-             { Harness.Report.label; cells = Array.of_list (List.map value cells) })
-           measured))
+      table title unit_ columns
+        (List.map (fun (label, cells) -> (label, List.map value cells)) measured))
     views
+
+(* [grid rows cell views]: one sweep, rendered as [views]. *)
+let grid ?(threads = threads) rows cell vs = views ~threads (sweep ~threads rows cell) vs
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 let note fmt = Printf.printf (fmt ^^ "\n%!")
+
+(* The cell of table [t] at row [label], column [col]. *)
+let cell (t : Harness.Report.table) label col =
+  let i = Option.get (List.find_index (( = ) col) t.columns) in
+  (List.find (fun (r : Harness.Report.row) -> r.label = label) t.rows).cells.(i)
+
+(* A section of `bench`'s output: a title and a body returning, at smoke
+   or full size, its tables and its named checks.  Every paper figure is
+   one (no checks, one size); perf_gate writes the gate sections' tables
+   and checks to its record and diffs the smoke ones against the golden. *)
+type section = {
+  title : string;
+  body : smoke:bool -> Harness.Report.table list * (string * bool) list;
+}
+
+let print_checks prefix checks =
+  List.iter (fun (n, ok) -> note "  %s %-26s %s" prefix n (if ok then "ok" else "FAIL")) checks
+
+let run_section s () =
+  section s.title;
+  let tables, checks = s.body ~smoke:false in
+  List.iter Harness.Report.print tables;
+  print_checks "check" checks
 
 (* The paper's engine line-up (§4): RSTM uses Serializer for STMBench7 and
    Lee-TM (its best-performing large-workload configuration, as the paper

@@ -26,32 +26,18 @@
      there is no boosted Tx_list, so it runs word-only as the
      degradation reference.
 
-   Used by `bench ablations` (human-readable table) and by perf_gate,
-   which gates boosted map/pqueue throughput >= word on this mix and
-   holds the smoke makespans in its golden. *)
-
-type row = {
-  structure : string;
-  mode : string;
-  threads : int;
-  total_ops : int;
-  makespan : int;  (** simulated cycles; deterministic *)
-}
-
-let ktps r =
-  (* simulated kilo-transactions per second at the 1 cycle = 1 ns scale
-     the other simulated benches use *)
-  float_of_int r.total_ops /. float_of_int r.makespan *. 1e6
+   Printed by `bench ablations` and gated by perf_gate, which requires
+   boosted map/pqueue throughput >= word on this mix and holds the smoke
+   tables in its golden. *)
 
 type structure = Bmap | Bpq | Blist
-
-let structure_name = function Bmap -> "map" | Bpq -> "pqueue" | Blist -> "list"
 
 (* Hot key range for the map mix: small enough that cross-thread
    collisions are the norm at every thread count. *)
 let map_keys = 8
 
-let run_case ~structure ~boosted ~threads ~ops_per_thread =
+(* One case: (operations, simulated makespan). *)
+let run_case ~ops_per_thread (structure, boosted) threads =
   let heap = Memory.Heap.create ~words:(1 lsl 20) in
   let engine = Engines.make Engines.swisstm heap in
   let inst =
@@ -133,64 +119,52 @@ let run_case ~structure ~boosted ~threads ~ops_per_thread =
     Runtime.Sim.run_threads ~cap_cycles:1_000_000_000_000 ~threads (fun tid ->
         body tid ())
   in
-  {
-    structure = structure_name structure;
-    mode = (if boosted then "boosted" else "word");
-    threads;
-    total_ops = threads * ops_per_thread;
-    makespan;
-  }
+  (threads * ops_per_thread, makespan)
 
-let thread_counts = [ 1; 2; 4; 8 ]
-
-(** The full matrix.  [ops_per_thread] scales wall time; makespans are
-    deterministic for a given count. *)
-let matrix ?(ops_per_thread = 2_000) () =
-  List.concat_map
-    (fun structure ->
-      List.concat_map
-        (fun threads ->
-          let modes =
-            match structure with
-            | Blist -> [ false ] (* word-only degradation reference *)
-            | Bmap | Bpq -> [ true; false ]
-          in
-          List.map
-            (fun boosted ->
-              run_case ~structure ~boosted ~threads ~ops_per_thread)
-            modes)
-        thread_counts)
-    [ Bmap; Bpq; Blist ]
-
-let print_rows rows =
-  Printf.printf "  %-8s %-8s %8s %10s %14s %12s\n" "struct" "mode" "threads"
-    "ops" "makespan[cyc]" "ktps";
-  List.iter
-    (fun r ->
-      Printf.printf "  %-8s %-8s %8d %10d %14d %12.1f\n" r.structure r.mode
-        r.threads r.total_ops r.makespan (ktps r))
-    rows
+(* The list runs word-only, the degradation reference. *)
+let cases =
+  [
+    ("map boosted", (Bmap, true));
+    ("map word", (Bmap, false));
+    ("pqueue boosted", (Bpq, true));
+    ("pqueue word", (Bpq, false));
+    ("list word", (Blist, false));
+  ]
 
 (* Gate predicate: on the contended update mix, boosted throughput must
    be >= word throughput (equivalently: makespan <=) for the map and the
    pqueue at every thread count above 1.  At 1 thread boosting's lock
    and undo bookkeeping may cost a few percent — uncontended overhead is
    expected and not gated. *)
-let shape_checks rows =
-  let find s m t =
-    List.find_opt
-      (fun r -> r.structure = s && r.mode = m && r.threads = t)
-      rows
-  in
+let shape_checks t =
   List.concat_map
     (fun s ->
-      List.filter_map
-        (fun t ->
-          match (find s "boosted" t, find s "word" t) with
-          | Some b, Some w ->
-              Some
-                ( Printf.sprintf "%s_boosted_ahead_%dT" s t,
-                  b.makespan <= w.makespan )
-          | _ -> None)
-        (List.filter (fun t -> t > 1) thread_counts))
+      List.map
+        (fun n ->
+          let makespan mode = Bench_common.cell t (s ^ " " ^ mode) (Printf.sprintf "%dT" n) in
+          (Printf.sprintf "%s_boosted_ahead_%dT" s n, makespan "boosted" <= makespan "word"))
+        [ 2; 4; 8 ])
     [ "map"; "pqueue" ]
+
+(* [ops_per_thread] scales wall time; makespans are deterministic for a
+   given count. *)
+let section =
+  {
+    Bench_common.title =
+      "Ablation: boosted vs word-STM collections under contention (\u{00a7}15)";
+    body =
+      (fun ~smoke ->
+        let tables =
+          Bench_common.grid cases
+            (run_case ~ops_per_thread:(if smoke then 500 else 2_000))
+            [
+              ("boosted vs word: simulated makespan", "cycles", fun (_, m) -> float_of_int m);
+              (* simulated kilo-transactions per second at the 1 cycle =
+                 1 ns scale the other simulated benches use *)
+              ( "boosted vs word: throughput", "10^3 tx/s",
+                fun (ops, m) -> float_of_int ops /. float_of_int m *. 1e6 );
+              ("boosted vs word: operations", "ops", fun (ops, _) -> float_of_int ops);
+            ]
+        in
+        (tables, shape_checks (List.hd tables)));
+  }

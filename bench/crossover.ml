@@ -17,9 +17,9 @@
 
    The workload is deterministic simulated time, so the crossover shape
    (ahead at 1-2 threads, behind at the top count) is bit-stable and
-   gated in perf_gate, whose golden holds the smoke cells; the full-run
-   numbers are in EXPERIMENTS.md and the "full" member of
-   BENCH_GATE.json. *)
+   gated in perf_gate, whose golden holds the smoke table; the full-run
+   table is in EXPERIMENTS.md and in BENCH_GATE.json at
+   full.crossover.tables. *)
 
 open Bench_common
 
@@ -47,8 +47,6 @@ let work_units = 400
 (* The smoke duration is a constant: it sizes golden cells, which
    SWISSTM_BENCH_SCALE must not move. *)
 let duration_cycles ~smoke = if smoke then 300_000 else duration 2_000_000
-
-type row = { engine : string; ktps : float array (* per thread_counts *) }
 
 let step engine base ~tid ~op =
   Stm_intf.Engine.atomic engine ~tid (fun tx ->
@@ -83,58 +81,27 @@ let run_point ~spec ~threads ~duration_cycles =
 
 let specs = [ ("norec", Engines.norec); ("tl2", Engines.tl2) ]
 
-let matrix ~duration_cycles () =
-  List.map
-    (fun (name, spec) ->
-      {
-        engine = name;
-        ktps =
-          Array.of_list
-            (List.map
-               (fun threads -> ktps (run_point ~spec ~threads ~duration_cycles))
-               thread_counts);
-      })
-    specs
-
-let find rows name = List.find (fun r -> r.engine = name) rows
-
 (* The gated shape: NOrec ahead at 1 and 2 threads, behind at the top
    thread count.  Each check is named so a gate failure says which leg
    of the crossover broke. *)
-let shape_checks rows =
-  let norec = find rows "norec" and tl2 = find rows "tl2" in
-  let at n =
-    let rec idx i = function
-      | [] -> invalid_arg "thread count"
-      | t :: _ when t = n -> i
-      | _ :: rest -> idx (i + 1) rest
-    in
-    idx 0 thread_counts
-  in
+let shape_checks t =
+  let ktps engine n = cell t engine (Printf.sprintf "%dT" n) in
   [
-    ("norec_ahead_1t", norec.ktps.(at 1) > tl2.ktps.(at 1));
-    ("norec_ahead_2t", norec.ktps.(at 2) > tl2.ktps.(at 2));
-    ( "norec_behind_top",
-      norec.ktps.(at top_threads) < tl2.ktps.(at top_threads) );
+    ("norec_ahead_1t", ktps "norec" 1 > ktps "tl2" 1);
+    ("norec_ahead_2t", ktps "norec" 2 > ktps "tl2" 2);
+    ("norec_behind_top", ktps "norec" top_threads < ktps "tl2" top_threads);
   ]
 
-let print_rows rows =
-  Printf.printf "%-8s" "engine";
-  List.iter (fun t -> Printf.printf "%12s" (Printf.sprintf "%dT" t)) thread_counts;
-  print_newline ();
-  List.iter
-    (fun r ->
-      Printf.printf "%-8s" r.engine;
-      Array.iter (fun v -> Printf.printf "%12.1f" v) r.ktps;
-      print_newline ())
-    rows
-
-(* `bench crossover`: the full report. *)
-let run () =
-  section "Crossover: NOrec vs TL2 (short disjoint update txs, ktx/s)";
-  let rows = matrix ~duration_cycles:(duration_cycles ~smoke:false) () in
-  print_rows rows;
-  List.iter
-    (fun (name, ok) ->
-      note "  %-18s %s" name (if ok then "ok" else "VIOLATED"))
-    (shape_checks rows)
+let section =
+  {
+    title = "Crossover: NOrec vs TL2 (short disjoint update txs, ktx/s)";
+    body =
+      (fun ~smoke ->
+        let duration_cycles = duration_cycles ~smoke in
+        let tables =
+          grid ~threads:thread_counts specs
+            (fun spec threads -> run_point ~spec ~threads ~duration_cycles)
+            [ ("NOrec vs TL2, short disjoint update transactions", "10^3 tx/s", ktps) ]
+        in
+        (tables, shape_checks (List.hd tables)));
+  }

@@ -10,20 +10,14 @@
    time. *)
 
 let all : (string * (unit -> unit)) list =
-  List.map
-    (fun (name, (f : Paper.figure)) ->
-      ( name,
-        fun () ->
-          Bench_common.section f.title;
-          List.iter Harness.Report.print (f.tables ()) ))
-    Paper.figures
+  List.map (fun (name, f) -> (name, Bench_common.run_section f)) Paper.figures
   @ [
       ("micro", Micro.run);
       ("ablations", Ablations.run);
-      ("crossover", Crossover.run);
+      ("crossover", Bench_common.run_section Crossover.section);
       ("fairness", Fairness.run);
-      ("service", Service_bench.run);
-      ("scale", Scale.run);
+      ("service", Bench_common.run_section Service_bench.section);
+      ("scale", Bench_common.run_section Scale.section);
     ]
 
 let () =

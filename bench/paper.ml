@@ -1,14 +1,12 @@
 (* The paper's evaluation (PLDI'09, §4-§5) as declarations.  Each figure
-   or table is a section title and a body returning its tables, which
-   bench/main.ml prints under the title.  The thread-sweep figures are
+   or table is a [Bench_common.section]: a title and a body returning its
+   tables, which bench/main.ml prints under the title.  The thread-sweep figures are
    (label, config) rows against the 1-8 thread columns, built by
    [Bench_common.grid]; Table 1, Figure 6 and Figure 13 / Table 2 keep
    bodies of their own. *)
 
 open Bench_common
 module Sb7 = Stmbench7.Sb7_bench
-
-type figure = { title : string; tables : unit -> Harness.Report.table list }
 
 let sb7_mixes = [ Sb7.Read_dominated; Sb7.Read_write; Sb7.Write_dominated ]
 
@@ -374,7 +372,7 @@ let cm_sweep () =
 
 let figures =
   List.map
-    (fun (name, title, tables) -> (name, { title; tables }))
+    (fun (name, title, tables) -> (name, { title; body = (fun ~smoke:_ -> (tables (), [])) }))
     [
       ("tbl1", "Table 1: design-choice combinations, STMBench7 read-write mix", tbl1);
       ("fig2", "Figure 2: STMBench7 throughput [10^3 tx/s] vs threads", fig2);

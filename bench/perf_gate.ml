@@ -1,16 +1,17 @@
 (* The bench gate (DESIGN.md §17): one run, one JSON record (default
    [BENCH_GATE.json]), two sections.
 
-   - "simulated": every deterministic cell the gate holds — the sb7
-     smoke matrix, the simulated privatization penalty, the NOrec-vs-TL2
-     crossover, the open-system service ramp, the boosted-vs-word
-     collections and the NUMA scale columns — plus each named shape
-     check.  Simulated time is a deterministic function of (engine,
-     config, seed), so the section is compared cell by cell against the
-     committed golden, which another process wrote: equality also proves
-     cross-process bit-identity.  A differing cell (each is printed with
-     its JSON path, golden and current value), a missing golden or a
-     failed check fails the gate.
+   - "simulated": the gate sections — the sb7 smoke matrix, the simulated
+     privatization penalty, the NOrec-vs-TL2 crossover, the open-system
+     service ramp, the boosted-vs-word collections and the NUMA scale
+     columns — each as its [Harness.Report] tables and its named shape
+     checks.  Simulated time is a deterministic function of (engine,
+     config, seed), so the tables and check verdicts are diffed cell by
+     cell against the committed golden, which another process wrote:
+     equality also proves cross-process bit-identity.  A differing cell
+     or verdict (each is printed as section › table › row › column with
+     its golden and current value), a missing golden or a failed check
+     fails the gate.
    - "measured": wall-clock numbers.  The one timed check is the
      Wlog-vs-Hashtbl A/B, timed as interleaved pairs in this run; the
      median per-pair improvement must reach [required_improvement_pct].
@@ -49,197 +50,132 @@ open Obs.Json
 
 (* ---------- simulated section ---------- *)
 
-(* Figure 2's line-up over the three sb7 mixes, engines keyed by their
-   lower-case names. *)
-let sb7 ~smoke =
-  let threads = if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  let cycles = if smoke then 200_000 else 2_000_000 in
-  let cells =
-    List.concat_map
-      (fun (wname, workload) ->
-        Bench_common.sweep ~threads Paper.fig2_engines (Paper.sb7 ~cycles workload)
-        |> List.concat_map (fun (ename, runs) ->
-               List.map2
-                 (fun t (r : Harness.Workload.result) ->
-                   Obj
-                     [
-                       ("workload", Str wname);
-                       ("engine", Str (String.lowercase_ascii ename));
-                       ("threads", Int t);
-                       ("ktps", Float (Bench_common.ktps r));
-                       ("elapsed_cycles", Int r.elapsed_cycles);
-                       ("abort_rate", Float (Harness.Workload.abort_rate r));
-                     ])
-                 threads runs))
-      Scale.scale_workloads
-  in
-  (List cells, [])
+(* Figure 2's line-up over the three sb7 mixes. *)
+let sb7 =
+  {
+    Bench_common.title = "STMBench7 mixes, Figure 2's engines";
+    body =
+      (fun ~smoke ->
+        let threads = if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
+        let cycles = if smoke then 200_000 else 2_000_000 in
+        ( List.concat_map
+            (fun (wname, workload) ->
+              Bench_common.grid ~threads Paper.fig2_engines (Paper.sb7 ~cycles workload)
+                [
+                  (wname ^ " throughput", "10^3 tx/s", Bench_common.ktps);
+                  ( wname ^ " elapsed", "cycles",
+                    fun (r : Harness.Workload.result) -> float_of_int r.elapsed_cycles );
+                  (wname ^ " abort rate", "share", Harness.Workload.abort_rate);
+                ])
+            Scale.scale_workloads,
+          [] ));
+  }
 
 (* The sb7 read mix at 8 simulated threads under plain swisstm, the §6
    quiescence barrier and the epoch reclaimer (DESIGN.md §12).  Epoch
    announcements are uncharged atomics and [Heap.free]'s deferral happens
    off the simulated clock, so +epochs must track plain while
    +quiescence keeps paying the commit-time barrier. *)
-let privatization ~smoke =
-  let threads = 8 in
-  let duration_cycles = if smoke then 400_000 else 2_000_000 in
-  let run spec =
-    Bench_common.ktps
-      (Stmbench7.Sb7_bench.run ~spec
-         ~workload:Stmbench7.Sb7_bench.Read_dominated ~threads
-         ~duration_cycles ())
-  in
-  let plain = run Engines.swisstm in
-  let quiesce = run Engines.swisstm_priv_safe in
-  let epoch =
-    Memory.Epoch.arm ();
-    let r = run Engines.swisstm in
-    (* the simulated threads went online at their first announcement;
-       take them off so they hold no later grace period open *)
-    for tid = 0 to threads - 1 do
-      Memory.Epoch.offline ~tid
-    done;
-    Memory.Epoch.disarm ();
-    r
-  in
-  let penalty v = (v -. plain) /. plain *. 100. in
-  Printf.printf
-    "  plain %.1f ktps, +quiescence %.1f ktps (%+.1f%%), +epochs %.1f ktps \
-     (%+.1f%%)\n%!"
-    plain quiesce (penalty quiesce) epoch (penalty epoch);
-  ( Obj
-      [
-        ("workload", Str "sb7 read_dominated");
-        ("threads", Int threads);
-        ("plain_ktps", Float plain);
-        ("quiescence_ktps", Float quiesce);
-        ("epoch_ktps", Float epoch);
-        ("quiescence_penalty_pct", Float (penalty quiesce));
-        ("epoch_penalty_pct", Float (penalty epoch));
-      ],
-    [ ("epoch_penalty_floor", penalty epoch >= epoch_penalty_floor_pct) ] )
+let privatization =
+  {
+    Bench_common.title = "privatization on the sb7 read mix";
+    body =
+      (fun ~smoke ->
+        let threads = 8 in
+        let duration_cycles = if smoke then 400_000 else 2_000_000 in
+        let run spec =
+          Bench_common.ktps
+            (Stmbench7.Sb7_bench.run ~spec
+               ~workload:Stmbench7.Sb7_bench.Read_dominated ~threads
+               ~duration_cycles ())
+        in
+        let plain = run Engines.swisstm in
+        let quiesce = run Engines.swisstm_priv_safe in
+        let epoch =
+          Memory.Epoch.arm ();
+          let r = run Engines.swisstm in
+          (* the simulated threads went online at their first
+             announcement; take them off so they hold no later grace
+             period open *)
+          for tid = 0 to threads - 1 do
+            Memory.Epoch.offline ~tid
+          done;
+          Memory.Epoch.disarm ();
+          r
+        in
+        let penalty v = (v -. plain) /. plain *. 100. in
+        let row cells = [ (Printf.sprintf "%dT" threads, cells) ] in
+        ( [
+            Bench_common.table "sb7 read_dominated throughput" "10^3 tx/s"
+              [ "plain"; "+quiescence"; "+epochs" ] (row [ plain; quiesce; epoch ]);
+            Bench_common.table "sb7 read_dominated penalty vs plain" "%"
+              [ "+quiescence"; "+epochs" ] (row [ penalty quiesce; penalty epoch ]);
+          ],
+          [ ("epoch_penalty_floor", penalty epoch >= epoch_penalty_floor_pct) ] ));
+  }
 
-let crossover ~smoke =
-  let rows =
-    Crossover.matrix ~duration_cycles:(Crossover.duration_cycles ~smoke) ()
-  in
-  Crossover.print_rows rows;
-  ( Obj
-      [
-        ( "thread_counts",
-          List (List.map (fun t -> Int t) Crossover.thread_counts) );
-        ( "ktps",
-          Obj
-            (List.map
-               (fun (r : Crossover.row) ->
-                 ( r.Crossover.engine,
-                   List (Array.to_list (Array.map (fun k -> Float k) r.ktps)) ))
-               rows) );
-      ],
-    Crossover.shape_checks rows )
+(* The gate sections at one size.  Full size leaves scale out: `bench
+   scale` runs the full sweep. *)
+let sections ~smoke =
+  [
+    ("sb7", sb7);
+    ("privatization_sim", privatization);
+    ("crossover", Crossover.section);
+    ("service", Service_bench.section);
+    ("boost", Boost_bench.section);
+  ]
+  @ if smoke then [ ("scale", Scale.section) ] else []
 
-let service ~smoke = Service_bench.gate ~smoke ()
-
-let boost ~smoke =
-  let rows =
-    Boost_bench.matrix ~ops_per_thread:(if smoke then 500 else 2_000) ()
-  in
-  Boost_bench.print_rows rows;
-  ( List
-      (List.map
-         (fun (r : Boost_bench.row) ->
-           Obj
-             [
-               ("structure", Str r.structure);
-               ("mode", Str r.mode);
-               ("threads", Int r.threads);
-               ("ops", Int r.total_ops);
-               ("makespan_cycles", Int r.makespan);
-               ("ktps", Float (Boost_bench.ktps r));
-             ])
-         rows),
-    Boost_bench.shape_checks rows )
-
-let scale ~smoke =
-  let _, rep, json = Scale.gate ~smoke () in
-  (json, rep.Scale.checks)
-
-(* The simulated section at one size: its JSON (every cell, then every
-   check under "checks") and its checks, named "<section>.<check>".
-   Full size leaves scale out: `bench scale` runs the full sweep. *)
+(* Every section's tables and checks at one size, as (name, tables,
+   checks), and their JSON: one member per section. *)
 let simulated ~smoke =
-  let sections =
-    [
-      ("sb7", sb7);
-      ("privatization_sim", privatization);
-      ("crossover", crossover);
-      ("service", service);
-      ("boost", boost);
-    ]
-    @ if smoke then [ ("scale", scale) ] else []
-  in
   let results =
     List.map
-      (fun (name, f) ->
-        Printf.printf "perf_gate: %s (%s)...\n%!" name
-          (if smoke then "smoke" else "full");
-        let json, checks = f ~smoke in
-        List.iter
-          (fun (n, ok) ->
-            Printf.printf "  %s %-26s %s\n%!" name n
-              (if ok then "ok" else "FAIL"))
-          checks;
-        (name, json, checks))
-      sections
+      (fun (name, (s : Bench_common.section)) ->
+        Printf.printf "perf_gate: %s (%s)...\n%!" name (if smoke then "smoke" else "full");
+        let tables, checks = s.body ~smoke in
+        Bench_common.print_checks name checks;
+        (name, tables, checks))
+      (sections ~smoke)
   in
-  ( Obj
-      (List.map (fun (n, j, _) -> (n, j)) results
-      @ [
-          ( "checks",
-            Obj
-              (List.filter_map
-                 (fun (n, _, cks) ->
-                   if cks = [] then None
-                   else
-                     Some (n, Obj (List.map (fun (c, ok) -> (c, Bool ok)) cks)))
-                 results) );
-        ]),
-    List.concat_map
-      (fun (n, _, cks) -> List.map (fun (c, ok) -> (n ^ "." ^ c, ok)) cks)
-      results )
+  let json (name, tables, checks) =
+    ( name,
+      Obj
+        [
+          ("tables", Harness.Report.to_json tables);
+          ("checks", Obj (List.map (fun (c, ok) -> (c, Bool ok)) checks));
+        ] )
+  in
+  (results, Obj (List.map json results))
 
-(* Every leaf where [current] differs from [golden], as (path, golden,
-   current); [None] marks a cell present on one side only. *)
-let rec diff path golden current acc =
-  match (golden, current) with
-  | Obj g, Obj c ->
-      let keys =
-        List.map fst g
-        @ List.filter (fun k -> not (List.mem_assoc k g)) (List.map fst c)
-      in
-      List.fold_left
-        (fun acc k ->
-          cell (path ^ "." ^ k) (List.assoc_opt k g) (List.assoc_opt k c) acc)
-        acc keys
-  | List g, List c ->
-      List.fold_left
-        (fun acc i ->
-          cell (Printf.sprintf "%s[%d]" path i) (List.nth_opt g i)
-            (List.nth_opt c i) acc)
-        acc
-        (List.init (max (List.length g) (List.length c)) Fun.id)
-  | _ ->
-      if golden = current then acc else (path, Some golden, Some current) :: acc
-
-and cell path g c acc =
-  match (g, c) with
-  | Some g, Some c -> diff path g c acc
-  | _ -> (path, g, c) :: acc
+(* A simulated member's tables, each titled "section › title", so that
+   [Harness.Report.diff] names a cell section › table › row › column.  A
+   section's checks are one more table, "section › checks" (a row per
+   check, 1 if it holds): a check that changes verdict, is renamed or is
+   gone differs like a cell. *)
+let tables_of = function
+  | Obj sections ->
+      List.concat_map
+        (fun (name, j) ->
+          let verdict = function
+            | c, Bool ok -> { Harness.Report.label = c; cells = [| Bool.to_float ok |] }
+            | c, _ -> failwith (name ^ " check " ^ c ^ " is not a boolean")
+          in
+          match (member "tables" j, member "checks" j) with
+          | Some t, Some (Obj cs) ->
+              Harness.Report.of_json t
+              @ [ Harness.Report.make ~title:"checks" ~unit_:"holds" ~columns:[ "holds" ]
+                    (List.map verdict cs) ]
+              |> List.map (fun (t : Harness.Report.table) ->
+                     { t with title = name ^ " › " ^ t.title })
+          | _ -> failwith (name ^ " has no tables or no checks"))
+        sections
+  | _ -> failwith "not an object of sections"
 
 let read_golden () =
   match In_channel.with_open_bin golden_path In_channel.input_all with
-  | s -> ( try Ok (of_string s) with Parse_error e -> Error e)
   | exception Sys_error e -> Error e
+  | s -> ( try Ok (tables_of (of_string s)) with Parse_error e | Failure e -> Error e)
 
 (* ---------- measured section: Wlog vs Hashtbl ---------- *)
 
@@ -345,20 +281,20 @@ let () =
   let ab_json, ab_median =
     wlog_ab ~pairs:(if !smoke then 31 else 101) ~iters:10_000
   in
-  let sim, sim_checks = simulated ~smoke:true in
+  let sim, sim_json = simulated ~smoke:true in
   let full = if !smoke then [] else [ simulated ~smoke:false ] in
   let gauges =
     Obj (List.map (fun (n, v) -> (n, Int v)) (Obs.Metrics.gauge_values ()))
   in
   let record =
     [
-      ("schema", Str "swisstm-repro/perf-gate/7");
+      ("schema", Str "swisstm-repro/perf-gate/8");
       ("mode", Str (if !smoke then "smoke" else "full"));
       ("golden", Str golden_path);
-      ("simulated", sim);
+      ("simulated", sim_json);
       ("measured", Obj [ ("wlog_ab", ab_json); ("gauges", gauges) ]);
     ]
-    @ List.map (fun (j, _) -> ("full", j)) full
+    @ List.map (fun (_, j) -> ("full", j)) full
   in
   (* One top-level member per line, so the "simulated" line, minus its
      key and comma, is a golden byte for byte. *)
@@ -380,13 +316,9 @@ let () =
   | Error e -> fail "golden %s unreadable (%s)" golden_path e
   | Ok golden ->
       (* compare what was written, so both sides went through the printer *)
-      let diffs =
-        List.rev (diff "simulated" golden (of_string (to_string sim)) [])
-      in
-      let show = function Some j -> to_string j | None -> "(absent)" in
+      let diffs = Harness.Report.diff golden (tables_of (of_string (to_string sim_json))) in
       List.iter
-        (fun (path, g, c) ->
-          Printf.eprintf "  %s: golden %s, current %s\n" path (show g) (show c))
+        (fun (path, g, c) -> Printf.eprintf "  %s: golden %s, current %s\n" path g c)
         diffs;
       if diffs <> [] then
         fail "%d simulated cells differ from %s; current cells are in the \
@@ -395,8 +327,9 @@ let () =
       else
         Printf.printf "perf_gate: simulated section matches %s\n%!" golden_path);
   List.iter
-    (fun (n, ok) -> if not ok then fail "check %s" n)
-    (sim_checks @ List.concat_map snd full);
+    (fun (section, _, checks) ->
+      List.iter (fun (n, ok) -> if not ok then fail "check %s.%s" section n) checks)
+    (sim @ List.concat_map fst full);
   if ab_median < required_improvement_pct then
     fail "wlog only %.1f%% better than hashtbl (median, need >= %.0f%%)"
       ab_median required_improvement_pct;

@@ -20,7 +20,7 @@
 
    Everything is simulated time, so the whole sweep is a deterministic
    function of (topology, engine, seed): perf_gate compares the smoke
-   sweep's JSON against its committed golden. *)
+   sweep's tables against its committed golden. *)
 
 open Bench_common
 
@@ -47,23 +47,6 @@ let scale_workloads =
     ("write_dominated", Stmbench7.Sb7_bench.Write_dominated);
   ]
 
-type row = {
-  workload : string;
-  engine : string;
-  cores : int;
-  sockets : int;
-  ktps : float;
-  elapsed_cycles : int;
-  abort_rate : float;
-  per_socket : (int * int * int) array;
-      (** (hits, misses, steals) per socket, this cell only *)
-}
-
-let totals r =
-  Array.fold_left
-    (fun (h, m, s) (h', m', s') -> (h + h', m + m', s + s'))
-    (0, 0, 0) r.per_socket
-
 (* Durations are deliberately far below the 8-thread figures': simulated
    work is threads x duration, and 512 cores buy the scaling shape, not
    tighter throughput confidence.  Smoke additionally shrinks the sb7
@@ -84,7 +67,8 @@ let sb7_params ~smoke ~cores =
       Stmbench7.Sb7_params.part_capacity_slack = 20 + (4 * cores);
     }
 
-let sb7_cell ~smoke ~workload ~spec ~cores =
+(* One cell: the run and its per-socket (hits, misses, steals). *)
+let sb7_cell ~smoke ~workload spec cores =
   with_topology (topology_of ~cores) (fun () ->
       let r =
         Stmbench7.Sb7_bench.run ~params:(sb7_params ~smoke ~cores) ~spec
@@ -93,30 +77,12 @@ let sb7_cell ~smoke ~workload ~spec ~cores =
       in
       (r, Runtime.Topology.socket_counters ()))
 
+(* Engines x core counts, per workload (smoke: the read-write mix). *)
 let matrix ~smoke () =
-  let workloads =
-    if smoke then [ List.nth scale_workloads 1 ] else scale_workloads
-  in
-  List.concat_map
+  List.map
     (fun (wname, workload) ->
-      List.concat_map
-        (fun (ename, spec) ->
-          List.map
-            (fun cores ->
-              let r, per_socket = sb7_cell ~smoke ~workload ~spec ~cores in
-              {
-                workload = wname;
-                engine = ename;
-                cores;
-                sockets = cores / cores_per_socket;
-                ktps = ktps r;
-                elapsed_cycles = r.Harness.Workload.elapsed_cycles;
-                abort_rate = Harness.Workload.abort_rate r;
-                per_socket;
-              })
-            core_counts)
-        scale_engines)
-    workloads
+      (wname, sweep ~threads:core_counts scale_engines (sb7_cell ~smoke ~workload)))
+    (if smoke then [ List.nth scale_workloads 1 ] else scale_workloads)
 
 (* The named refusal: engines whose metadata encodes thread identity in a
    fixed word (RSTM ownership bitmaps, TLRW bytelocks) cap the thread
@@ -130,7 +96,7 @@ let rstm_refusal () =
         : Harness.Workload.result);
     None
   with Stm_intf.Engine.Unsupported_thread_count { engine; tid; limit } ->
-    Some (Printf.sprintf "%s refuses tid %d (limit %d)" engine tid limit)
+    Some (engine, tid, limit)
 
 (* Figure-13 subset at scale: SwissTM stripe-size sweep on the sb7
    read-write mix at 256 cores. *)
@@ -140,12 +106,9 @@ let grans = [ 1; 4; 16; 64 ]
 let gran_rows ~smoke () =
   List.map
     (fun g ->
-      let r, _ =
-        sb7_cell ~smoke ~workload:Stmbench7.Sb7_bench.Read_write
-          ~spec:(Engines.with_granularity g swisstm)
-          ~cores:gran_cores
-      in
-      (g, ktps r, r.Harness.Workload.elapsed_cycles))
+      fst
+        (sb7_cell ~smoke ~workload:Stmbench7.Sb7_bench.Read_write
+           (Engines.with_granularity g swisstm) gran_cores))
     grans
 
 (* Work-stealing task mode: [tasks_per_core] tasks per core, seeded
@@ -209,16 +172,23 @@ let taskpar_rows ~smoke () =
 
 (* ---------- checks ---------- *)
 
-let checks rows steal_rows refusal =
+let checks matrix steal_rows refusal =
+  let cells =
+    List.concat_map
+      (fun (_, engines) ->
+        List.concat_map (fun (_, cells) -> List.combine core_counts cells) engines)
+      matrix
+  in
   let sockets_populated =
-    rows <> []
+    cells <> []
     && List.for_all
-         (fun r ->
-           let h, m, _ = totals r in
-           h > 0 && m > 0
-           && Array.length r.per_socket = r.sockets
-           && Array.for_all (fun (h, m, _) -> h > 0 || m > 0) r.per_socket)
-         rows
+         (fun (cores, (_, per_socket)) ->
+           let sum pick = Array.fold_left (fun acc s -> acc + pick s) 0 per_socket in
+           sum (fun (h, _, _) -> h) > 0
+           && sum (fun (_, m, _) -> m) > 0
+           && Array.length per_socket = cores / cores_per_socket
+           && Array.for_all (fun (h, m, _) -> h > 0 || m > 0) per_socket)
+         cells
   in
   let steals_observed =
     steal_rows <> []
@@ -239,151 +209,90 @@ let checks rows steal_rows refusal =
     ("rstm_refuses_64t", refusal <> None);
   ]
 
-(* ---------- JSON sidecar ---------- *)
+(* ---------- tables ---------- *)
 
-let json ~smoke rows gran steal_rows refusal checks =
-  let open Obs.Json in
-  let row_json r =
-    let h, m, s = totals r in
-    Obj
-      [
-        ("workload", Str r.workload);
-        ("engine", Str r.engine);
-        ("cores", Int r.cores);
-        ("sockets", Int r.sockets);
-        ("ktps", Float r.ktps);
-        ("elapsed_cycles", Int r.elapsed_cycles);
-        ("abort_rate", Float r.abort_rate);
-        ("hits", Int h);
-        ("misses", Int m);
-        ("steals", Int s);
-        ( "per_socket",
-          List
-            (Array.to_list
-               (Array.map
-                  (fun (h, m, s) -> List [ Int h; Int m; Int s ])
-                  r.per_socket)) );
-      ]
+let counters =
+  [ ("hits", fun (h, _, _) -> h); ("misses", fun (_, m, _) -> m); ("steals", fun (_, _, s) -> s) ]
+
+(* Per workload: throughput, elapsed cycles and abort rate by core count,
+   then each core count's per-socket counters of every engine, totalled. *)
+let sb7_tables (wname, engines) =
+  let coherence i cores =
+    let sockets = cores / cores_per_socket in
+    let columns =
+      List.concat_map (fun (e, _) -> List.map (fun (c, _) -> e ^ " " ^ c) counters) engines
+    in
+    let at socket =
+      List.concat_map
+        (fun (_, cells) ->
+          let per_socket = snd (List.nth cells i) in
+          List.map (fun (_, pick) -> float_of_int (pick per_socket.(socket))) counters)
+        engines
+    in
+    let per = List.init sockets (fun s -> (Printf.sprintf "S%d" s, at s)) in
+    let total = List.fold_left (List.map2 ( +. )) (List.map (Fun.const 0.) columns) in
+    table
+      (Printf.sprintf "%s coherence at %d cores, %d sockets of %d" wname cores sockets
+         cores_per_socket)
+      "events" columns
+      (per @ [ ("total", total (List.map snd per)) ])
   in
-  Obj
+  views ~threads:core_counts engines
     [
-      ("schema", Str "swisstm-repro/scale/1");
-      ("mode", Str (if smoke then "smoke" else "full"));
-      ("cores_per_socket", Int cores_per_socket);
-      ("core_counts", List (List.map (fun c -> Int c) core_counts));
-      ("sb7", List (List.map row_json rows));
-      ( "granularity",
-        Obj
-          [
-            ("cores", Int gran_cores);
-            ( "rows",
-              List
-                (List.map
-                   (fun (g, k, e) ->
-                     Obj
-                       [
-                         ("granularity_words", Int g);
-                         ("ktps", Float k);
-                         ("elapsed_cycles", Int e);
-                       ])
-                   gran) );
-          ] );
-      ( "taskpar",
-        List
-          (List.map
-             (fun s ->
-               Obj
-                 [
-                   ("cores", Int s.s_cores);
-                   ("tasks", Int s.s_tasks);
-                   ("steals", Int s.s_steals);
-                   ("probes", Int s.s_probes);
-                   ("elapsed_cycles", Int s.s_elapsed);
-                 ])
-             steal_rows) );
-      ( "rstm_refusal",
-        match refusal with Some msg -> Str msg | None -> Null );
-      ("checks", Obj (List.map (fun (n, ok) -> (n, Bool ok)) checks));
+      (wname ^ " throughput", "10^3 tx/s", fun (r, _) -> ktps r);
+      ( wname ^ " elapsed", "cycles",
+        fun ((r : Harness.Workload.result), _) -> float_of_int r.elapsed_cycles );
+      (wname ^ " abort rate", "share", fun (r, _) -> Harness.Workload.abort_rate r);
+    ]
+  @ List.mapi coherence core_counts
+
+let gran_tables gran =
+  let columns = List.map (Printf.sprintf "%dw") grans in
+  List.map
+    (fun (title, unit_, value) ->
+      table
+        (Printf.sprintf "stripe words at %d cores: %s" gran_cores title)
+        unit_ columns
+        [ ("SwissTM read_write", List.map value gran) ])
+    [
+      ("throughput", "10^3 tx/s", ktps);
+      ( "elapsed", "cycles",
+        fun (r : Harness.Workload.result) -> float_of_int r.elapsed_cycles );
     ]
 
-(* ---------- gate entry (perf_gate, bench scale) ---------- *)
+let taskpar_table steal_rows =
+  table "work-stealing task mode" "count, cycles"
+    (List.map (Printf.sprintf "%dT") core_counts)
+    (List.map
+       (fun (label, value) -> (label, List.map (fun s -> float_of_int (value s)) steal_rows))
+       [
+         ("tasks", fun s -> s.s_tasks);
+         ("steals", fun s -> s.s_steals);
+         ("probes", fun s -> s.s_probes);
+         ("makespan", fun s -> s.s_elapsed);
+       ])
 
-type report = {
-  rows : row list;
-  gran : (int * float * int) list;
-  steal_rows : steal_row list;
-  refusal : string option;
-  checks : (string * bool) list;
-}
+let refusal_table refusal =
+  table "RSTM at 64 threads: refused thread id" "tid" [ "tid"; "limit" ]
+    (List.map
+       (fun (engine, tid, limit) -> (engine, [ float_of_int tid; float_of_int limit ]))
+       (Option.to_list refusal))
 
-let gate ~smoke () =
-  let rows = matrix ~smoke () in
-  let gran = gran_rows ~smoke () in
-  let steal_rows = taskpar_rows ~smoke () in
-  let refusal = rstm_refusal () in
-  let cks = checks rows steal_rows refusal in
-  let ok = List.for_all snd cks in
-  ( ok,
-    { rows; gran; steal_rows; refusal; checks = cks },
-    json ~smoke rows gran steal_rows refusal cks )
+(* ---------- the section (perf_gate, bench scale) ---------- *)
 
-(* ---------- human-readable report (bench scale) ---------- *)
-
-let print_rows rows =
-  List.iter
-    (fun (wname, _) ->
-      let wrows = List.filter (fun r -> r.workload = wname) rows in
-      if wrows <> [] then
-        Harness.Report.print
-          (Harness.Report.make
-             ~title:(Printf.sprintf "STMBench7 %s at scale" wname)
-             ~unit_:"10^3 tx/s"
-             ~columns:
-               (List.map (fun c -> Printf.sprintf "%dT" c) core_counts)
-             (List.map
-                (fun (ename, _) ->
-                  {
-                    Harness.Report.label = ename;
-                    cells =
-                      Array.of_list
-                        (List.filter_map
-                           (fun r ->
-                             if r.engine = ename then Some r.ktps else None)
-                           wrows);
-                  })
-                scale_engines)))
-    scale_workloads
-
-let run () =
-  section
-    (Printf.sprintf
-       "Scale-out: 64-512 simulated cores, %d-core sockets (DESIGN.md §16)"
-       cores_per_socket);
-  let ok, rep, _json = gate ~smoke:false () in
-  print_rows rep.rows;
-  note "per-socket coherence (read-write mix):";
-  List.iter
-    (fun r ->
-      if r.workload = "read_write" then begin
-        let h, m, s = totals r in
-        note "  %-8s %4dT x%2d sockets: hits %d, misses %d, steals %d"
-          r.engine r.cores r.sockets h m s
-      end)
-    rep.rows;
-  note "granularity at %d cores (SwissTM, read-write mix):" gran_cores;
-  List.iter
-    (fun (g, k, _) -> note "  %2d words/stripe: %8.1f ktps" g k)
-    rep.gran;
-  note "work-stealing task mode:";
-  List.iter
-    (fun s ->
-      note "  %4d cores: %5d tasks, %5d steals / %6d probes, makespan %d"
-        s.s_cores s.s_tasks s.s_steals s.s_probes s.s_elapsed)
-    rep.steal_rows;
-  (match rep.refusal with
-  | Some msg -> note "RSTM at 64 threads: %s" msg
-  | None -> note "RSTM at 64 threads: UNEXPECTEDLY ran");
-  List.iter
-    (fun (n, okc) -> note "  check %-20s %s" n (if okc then "ok" else "FAIL"))
-    rep.checks;
-  if not ok then note "scale: CHECKS FAILED"
+let section =
+  {
+    title =
+      Printf.sprintf "Scale-out: 64-512 simulated cores, %d-core sockets (DESIGN.md §16)"
+        cores_per_socket;
+    body =
+      (fun ~smoke ->
+        let matrix = matrix ~smoke () in
+        let gran = gran_rows ~smoke () in
+        let steal_rows = taskpar_rows ~smoke () in
+        let refusal = rstm_refusal () in
+        ( List.concat_map sb7_tables matrix
+          @ gran_tables gran
+          @ [ taskpar_table steal_rows; refusal_table refusal ],
+          checks matrix steal_rows refusal ));
+  }

@@ -13,33 +13,19 @@
      must bound the tail where its non-adaptive twin lets retry storms
      stretch it.
 
-   Everything here is simulated time, so rows are deterministic
-   functions of (engine, config, seed): perf_gate compares the smoke
-   JSON against its committed golden. *)
+   Everything here is simulated time, so every table is a deterministic
+   function of (engine, config, seed): perf_gate compares the smoke
+   tables against its committed golden. *)
 
 open Harness
+open Bench_common
 
 let seed = 1811
 
-(* Tail amplification is compared and frozen as an integer (x1000) so
-   the gate never depends on float printing. *)
+(* Tail amplification (p99.9 / p50) as an integer x1000: the tail check
+   compares these, so its verdict never hinges on float rounding. *)
 let amp_x1000 (s : Obs.Slo.summary) =
   if s.s_p50 <= 0 then 0 else s.s_p999 * 1000 / s.s_p50
-
-type row = {
-  engine : string;
-  offered : int;
-  completed : int;
-  elapsed_cycles : int;
-  p50 : int;
-  p95 : int;
-  p999 : int;
-  tail_x1000 : int;
-  retries : int;
-  escalations : int;
-  throttles : int;
-  queue_pct : int; (* integer percent of response cycles spent queued *)
-}
 
 (* ---- configurations ---------------------------------------------------- *)
 
@@ -99,15 +85,6 @@ let ramp_engines ~smoke =
       "tinystm-adaptive"; "norec"; "norec-adaptive"; "tlrw"; "tlrw-adaptive";
     ]
 
-(* The adaptive/plain twins the tail gate inspects: every engine in the
-   lineup that also has its "-adaptive" variant present. *)
-let twin_pairs rows =
-  List.filter_map
-    (fun (name, _) ->
-      let a = name ^ "-adaptive" in
-      if List.mem_assoc a rows then Some (name, a) else None)
-    rows
-
 let spec_of name =
   match Engines.of_string name with
   | Some s -> s
@@ -118,223 +95,165 @@ let spec_of name =
 let run_one ?(obs = true) ~cfg name =
   Service.run ~obs (spec_of name) cfg
 
-let row_of name (r : Service.result) =
-  let s =
-    match r.Service.summary with
-    | Some s -> s
-    | None -> failwith "service bench: obs was off, no summary"
-  in
-  let resp_total =
-    s.Obs.Slo.s_queue_cycles + s.Obs.Slo.s_abort_cycles
-    + s.Obs.Slo.s_backoff_cycles + s.Obs.Slo.s_exec_cycles
-  in
-  {
-    engine = name;
-    offered = r.Service.offered;
-    completed = r.Service.completed;
-    elapsed_cycles = r.Service.elapsed_cycles;
-    p50 = s.Obs.Slo.s_p50;
-    p95 = s.Obs.Slo.s_p95;
-    p999 = s.Obs.Slo.s_p999;
-    tail_x1000 = amp_x1000 s;
-    retries = s.Obs.Slo.s_retries;
-    escalations = s.Obs.Slo.s_escalations;
-    throttles = s.Obs.Slo.s_throttles;
-    queue_pct =
-      (if resp_total = 0 then 0
-       else 100 * s.Obs.Slo.s_queue_cycles / resp_total);
-  }
-
-(* Goodput ladder for one engine: [(rate, offered, completed, elapsed)]. *)
+(* Goodput ladder for one engine: (rate, result) per rung. *)
 let ladder ~smoke name =
   let cfg = base_cfg ~smoke in
   List.map
     (fun rate ->
-      let r =
-        run_one ~cfg:
-          { cfg with Service.arrivals = Arrival.Poisson { per_mcycle = rate } }
-          name
-      in
-      (rate, r.Service.offered, r.Service.completed, r.Service.elapsed_cycles))
+      ( rate,
+        run_one ~cfg:{ cfg with Service.arrivals = Arrival.Poisson { per_mcycle = rate } } name ))
     (ladder_rates ~smoke)
-
-let goodput (_, _, completed, elapsed) =
-  if elapsed <= 0 then 0. else 1e6 *. float_of_int completed /. float_of_int elapsed
-
-let ladder_monotone rungs =
-  let rec ok = function
-    | a :: (b :: _ as rest) ->
-        (* saturation may flatten the curve; it must never dip by more
-           than 1 % of the previous rung *)
-        goodput b >= goodput a *. 0.99 && ok rest
-    | _ -> true
-  in
-  ok rungs
 
 let ramp_rows ~smoke =
   let cfg = { (base_cfg ~smoke) with Service.arrivals = ramp_spec ~smoke } in
-  List.map
-    (fun name -> (name, run_one ~cfg name))
-    (ramp_engines ~smoke)
+  List.map (fun name -> (name, run_one ~cfg name)) (ramp_engines ~smoke)
 
-(* ---- printing ---------------------------------------------------------- *)
+(* ---- tables ------------------------------------------------------------ *)
 
-let print_ladder name rungs =
-  Printf.printf "  goodput ladder (%s):\n" name;
-  Printf.printf "    %10s %10s %10s %12s %12s\n" "rate/Mcyc" "offered"
-    "completed" "elapsed" "goodput/Mcyc";
-  List.iter
-    (fun ((rate, offered, completed, elapsed) as rung) ->
-      Printf.printf "    %10.0f %10d %10d %12d %12.0f\n" rate offered
-        completed elapsed (goodput rung))
-    rungs
+let summary (r : Service.result) =
+  match r.summary with
+  | Some s -> s
+  | None -> failwith "service bench: obs was off, no summary"
 
-let print_rows rows =
-  Printf.printf "    %-18s %8s %8s %10s %8s %8s %9s %7s %6s %6s %6s\n"
-    "engine" "offered" "done" "elapsed" "p50" "p95" "p99.9" "amp" "retry"
-    "escal" "queue%";
-  List.iter
-    (fun (_, row) ->
-      Printf.printf "    %-18s %8d %8d %10d %8d %8d %9d %7.2f %6d %6d %6d\n"
-        row.engine row.offered row.completed row.elapsed_cycles row.p50
-        row.p95 row.p999
-        (float_of_int row.tail_x1000 /. 1000.)
-        row.retries row.escalations row.queue_pct)
-    (List.map (fun (n, r) -> (n, row_of n r)) rows)
+let ints = List.map float_of_int
+
+let ladder_table name rungs =
+  table
+    (Printf.sprintf "goodput ladder (%s, seed %d), steady Poisson load" name seed)
+    "requests, cycles" [ "offered"; "completed"; "elapsed" ]
+    (List.map
+       (fun (rate, (r : Service.result)) ->
+         (Printf.sprintf "%.0f/Mcycle" rate, ints [ r.offered; r.completed; r.elapsed_cycles ]))
+       rungs)
+
+let ramp_title ~smoke =
+  Format.asprintf "overload ramp (seed %d) %a" seed Arrival.pp_spec (ramp_spec ~smoke)
+
+(* The ramp as two tables, latency and response-time attribution. *)
+let ramp_tables ~smoke rows =
+  let latency (name, (r : Service.result)) =
+    let s = summary r in
+    ( name,
+      ints
+        [ r.offered; r.completed; s.s_requests; r.elapsed_cycles; s.s_p50; s.s_p95;
+          s.s_p999; s.s_max; amp_x1000 s ]
+      @ [ s.s_tail_amplification ] )
+  in
+  let attribution (name, r) =
+    let s = summary r in
+    let total = s.s_queue_cycles + s.s_abort_cycles + s.s_backoff_cycles + s.s_exec_cycles in
+    ( name,
+      ints
+        [ s.s_queue_cycles; s.s_abort_cycles; s.s_backoff_cycles; s.s_exec_cycles;
+          (if total = 0 then 0 else 100 * s.s_queue_cycles / total);
+          s.s_retries; s.s_escalations; s.s_throttles ] )
+  in
+  [
+    (* amp = p99.9 / p50; amp x1000 is its integer form the tail check reads *)
+    table (ramp_title ~smoke ^ ": latency") "requests, cycles"
+      [ "offered"; "completed"; "requests"; "elapsed"; "p50"; "p95"; "p99.9"; "max";
+        "amp x1000"; "amp" ]
+      (List.map latency rows);
+    table (ramp_title ~smoke ^ ": response-time attribution") "cycles, counts"
+      [ "queue"; "abort"; "backoff"; "exec"; "queue %"; "retries"; "escalations"; "throttles" ]
+      (List.map attribution rows);
+  ]
+
+(* Each engine's SLO windows, labelled by start cycle. *)
+let window_tables ~smoke rows =
+  let windows = Printf.sprintf "%s SLO windows of %d cycles: %s" in
+  List.concat_map
+    (fun (name, (r : Service.result)) ->
+      let by_start f =
+        List.map (fun (w : Obs.Slo.window) -> (string_of_int w.w_start, f w)) r.windows
+      in
+      let wc = (base_cfg ~smoke).window_cycles in
+      [
+        table (windows name wc "latency") "requests, cycles"
+          [ "arrivals"; "completions"; "p50"; "p95"; "p99.9"; "max"; "retries"; "escalations";
+            "throttles" ]
+          (by_start (fun w ->
+               ints [ w.w_arrivals; w.w_completions; w.w_p50; w.w_p95; w.w_p999; w.w_max;
+                 w.w_retries; w.w_escalations; w.w_throttles ]));
+        table (windows name wc "attribution") "cycles, requests"
+          [ "queue"; "abort"; "backoff"; "exec"; "slow"; "slow queue"; "slow abort";
+            "slow backoff" ]
+          (by_start (fun w ->
+               ints [ w.w_queue_cycles; w.w_abort_cycles; w.w_backoff_cycles; w.w_exec_cycles;
+                 w.w_slow; w.w_slow_queue_cycles; w.w_slow_abort_cycles;
+                 w.w_slow_backoff_cycles ]));
+      ])
+    rows
 
 (* ---- checks ------------------------------------------------------------ *)
 
+(* Saturation may flatten the goodput curve; it must never dip by more
+   than 1 % of the previous rung. *)
+let ladder_monotone ladder =
+  let goodput (r : Report.row) =
+    if r.cells.(2) <= 0. then 0. else 1e6 *. r.cells.(1) /. r.cells.(2)
+  in
+  let goodputs = List.map goodput ladder.Report.rows in
+  note "    goodput/Mcycle by rung: %s"
+    (String.concat " " (List.map (Printf.sprintf "%.0f") goodputs));
+  let rec ok = function a :: (b :: _ as rest) -> b >= a *. 0.99 && ok rest | _ -> true in
+  ok goodputs
+
 (* At least one adaptive variant must bound the tail strictly below its
-   non-adaptive twin under the overload ramp. *)
-let adaptive_checks rows =
-  let find n = List.assoc_opt n rows in
+   non-adaptive twin under the overload ramp: every engine in the lineup
+   whose "-adaptive" variant is present is compared.  The per-pair
+   outcomes are reported but not individually gated (which manager wins
+   the ratio contest is workload-dependent — the claim is that
+   adaptation bounds the tail *somewhere*, deterministically). *)
+let adaptive_bounds_tail latency =
+  let amp name = cell latency name "amp x1000" in
+  let names = List.map (fun (r : Report.row) -> r.label) latency.Report.rows in
   List.filter_map
-    (fun (plain, adaptive) ->
-      match (find plain, find adaptive) with
-      | Some p, Some a ->
-          let rp = row_of plain p and ra = row_of adaptive a in
-          Some
-            ( plain ^ "-vs-" ^ adaptive,
-              ra.tail_x1000 < rp.tail_x1000,
-              rp.tail_x1000,
-              ra.tail_x1000 )
-      | _ -> None)
-    (twin_pairs rows)
+    (fun plain ->
+      let adaptive = plain ^ "-adaptive" in
+      if not (List.mem adaptive names) then None
+      else begin
+        let ok = amp adaptive < amp plain in
+        Printf.printf "    pair %-28s plain %.2f vs adaptive %.2f  %s\n"
+          (plain ^ "-vs-" ^ adaptive) (amp plain /. 1000.) (amp adaptive /. 1000.)
+          (if ok then "(adaptive wins)" else "(plain wins)");
+        Some ok
+      end)
+    names
+  |> List.exists Fun.id
 
-(* The gate requires the goodput curve to be monotone and at least one
-   adaptive twin to win on tail amplification; the per-pair outcomes are
-   reported but not individually gated (which manager wins the ratio
-   contest is workload-dependent — the claim is that adaptation bounds
-   the tail *somewhere*, deterministically). *)
-let checks ~ladder_ok rows =
-  let adaptives = adaptive_checks rows in
-  let tail_ok = List.exists (fun (_, ok, _, _) -> ok) adaptives in
-  List.iter
-    (fun (n, ok, plain, adaptive) ->
-      Printf.printf "    pair %-28s plain %.2f vs adaptive %.2f  %s\n" n
-        (float_of_int plain /. 1000.)
-        (float_of_int adaptive /. 1000.)
-        (if ok then "(adaptive wins)" else "(plain wins)"))
-    adaptives;
-  [ ("goodput-monotone", ladder_ok); ("adaptive-bounds-tail", tail_ok) ]
-
-(* ---- JSON -------------------------------------------------------------- *)
-
-let row_json row =
-  Obs.Json.Obj
-    [
-      ("engine", Obs.Json.Str row.engine);
-      ("offered", Obs.Json.Int row.offered);
-      ("completed", Obs.Json.Int row.completed);
-      ("elapsed_cycles", Obs.Json.Int row.elapsed_cycles);
-      ("p50", Obs.Json.Int row.p50);
-      ("p95", Obs.Json.Int row.p95);
-      ("p999", Obs.Json.Int row.p999);
-      ("tail_amplification_x1000", Obs.Json.Int row.tail_x1000);
-      ("retries", Obs.Json.Int row.retries);
-      ("escalations", Obs.Json.Int row.escalations);
-      ("throttles", Obs.Json.Int row.throttles);
-      ("queue_pct", Obs.Json.Int row.queue_pct);
-    ]
-
-let to_json ~smoke ~ladder_engine ~ladder_rungs ~rows =
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.Str "swisstm-repro/service/1");
-      ("mode", Obs.Json.Str (if smoke then "smoke" else "full"));
-      ("seed", Obs.Json.Int seed);
-      ( "ladder",
-        Obs.Json.Obj
-          [
-            ("engine", Obs.Json.Str ladder_engine);
-            ( "rungs",
-              Obs.Json.List
-                (List.map
-                   (fun (rate, offered, completed, elapsed) ->
-                     Obs.Json.Obj
-                       [
-                         ("rate_per_mcycle", Obs.Json.Int (int_of_float rate));
-                         ("offered", Obs.Json.Int offered);
-                         ("completed", Obs.Json.Int completed);
-                         ("elapsed_cycles", Obs.Json.Int elapsed);
-                       ])
-                   ladder_rungs) );
-          ] );
-      ( "ramp",
-        Obs.Json.List
-          (List.map (fun (n, r) -> row_json (row_of n r)) rows) );
-      ( "slo",
-        Obs.Json.Obj
-          (List.filter_map
-             (fun (n, (r : Service.result)) ->
-               Option.map (fun j -> (n, j)) r.Service.slo_json)
-             rows) );
-    ]
-
-(* ---- entry points ------------------------------------------------------ *)
+(* ---- the section --------------------------------------------------------- *)
 
 let ladder_engine = "swisstm"
 
-(* Shared by `bench service` and perf_gate (whose golden holds the smoke
-   JSON).  Returns (json, named checks). *)
-let gate ~smoke () =
-  let rungs = ladder ~smoke ladder_engine in
-  let ladder_ok = ladder_monotone rungs in
-  let rows = ramp_rows ~smoke in
-  print_ladder ladder_engine rungs;
-  Printf.printf "  overload ramp (%s):\n"
-    (Format.asprintf "%a" Arrival.pp_spec (ramp_spec ~smoke));
-  print_rows rows;
-  (* Zero-perturbation: the SLO collectors charge no simulated cycles,
-     so serving the ramp with everything off must reproduce the metered
-     makespan bit for bit. *)
-  let unmetered =
-    run_one ~obs:false
-      ~cfg:{ (base_cfg ~smoke) with Service.arrivals = ramp_spec ~smoke }
-      ladder_engine
-  in
-  let metered_elapsed =
-    (List.assoc ladder_engine rows).Service.elapsed_cycles
-  in
-  let perturb_ok = unmetered.Service.elapsed_cycles = metered_elapsed in
-  if not perturb_ok then
-    Printf.printf
-      "    obs-off makespan %d != metered %d — a collector charged cycles!\n"
-      unmetered.Service.elapsed_cycles metered_elapsed;
-  let cks = ("slo-zero-perturbation", perturb_ok) :: checks ~ladder_ok rows in
-  List.iter
-    (fun (name, ok) ->
-      Printf.printf "  service %-24s %s\n%!" name (if ok then "ok" else "FAIL"))
-    cks;
-  (to_json ~smoke ~ladder_engine ~ladder_rungs:rungs ~rows, cks)
-
-(* `bench service`: the full-mode report + OBS_SERVICE.json sidecar. *)
-let run () =
-  Bench_common.section "Service: open-system SLO curves (extension)";
-  let json, cks = gate ~smoke:false () in
-  let ok = List.for_all snd cks in
-  let oc = open_out "OBS_SERVICE.json" in
-  Obs.Json.to_channel oc json;
-  close_out oc;
-  Bench_common.note "  wrote OBS_SERVICE.json%s"
-    (if ok then "" else " (CHECK FAILURES ABOVE)")
+let section =
+  {
+    title = "Service: open-system SLO curves (extension)";
+    body =
+      (fun ~smoke ->
+        let rungs = ladder ~smoke ladder_engine in
+        let rows = ramp_rows ~smoke in
+        let ladder = ladder_table ladder_engine rungs in
+        let ramp = ramp_tables ~smoke rows in
+        (* Zero-perturbation: the SLO collectors charge no simulated
+           cycles, so serving the ramp with everything off must reproduce
+           the metered makespan bit for bit. *)
+        let unmetered =
+          run_one ~obs:false
+            ~cfg:{ (base_cfg ~smoke) with Service.arrivals = ramp_spec ~smoke }
+            ladder_engine
+        in
+        let metered = (List.assoc ladder_engine rows).Service.elapsed_cycles in
+        let perturb_ok = unmetered.Service.elapsed_cycles = metered in
+        if not perturb_ok then
+          Printf.printf "    obs-off makespan %d != metered %d — a collector charged cycles!\n"
+            unmetered.Service.elapsed_cycles metered;
+        let monotone = ladder_monotone ladder in
+        let tail_ok = adaptive_bounds_tail (List.hd ramp) in
+        ( (ladder :: ramp) @ window_tables ~smoke rows,
+          [
+            ("slo-zero-perturbation", perturb_ok);
+            ("goodput-monotone", monotone);
+            ("adaptive-bounds-tail", tail_ok);
+          ] ));
+  }

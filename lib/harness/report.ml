@@ -1,6 +1,6 @@
-(* Plain-text result rendering for the benchmark harness: aligned tables on
-   stdout (one per figure/table of the paper) and optional CSV lines for
-   downstream plotting. *)
+(* Result tables for the benchmark harness: aligned plain text on stdout
+   (one per figure/table of the paper), and the JSON record the bench
+   gate writes and diffs against its golden. *)
 
 type row = { label : string; cells : float array }
 
@@ -49,15 +49,60 @@ let render ppf t =
 
 let print t = render Format.std_formatter t
 
-let to_csv t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (String.concat "," ("" :: t.columns));
-  Buffer.add_char b '\n';
-  List.iter
-    (fun r ->
-      Buffer.add_string b
-        (String.concat ","
-           (r.label :: List.map string_of_float (Array.to_list r.cells)));
-      Buffer.add_char b '\n')
-    t.rows;
-  Buffer.contents b
+(* The record: integer-valued cells exact, NaN as null. *)
+let cell_json v =
+  if Float.is_nan v then Obs.Json.Null
+  else if Float.is_integer v && Float.abs v <= 0x1p53 then Obs.Json.Int (int_of_float v)
+  else Obs.Json.Float v
+
+let to_json tables =
+  let open Obs.Json in
+  let row r = List (Str r.label :: List.map cell_json (Array.to_list r.cells)) in
+  let table t =
+    Obj [ ("title", Str t.title); ("unit", Str t.unit_);
+          ("columns", List (List.map (fun c -> Str c) t.columns));
+          ("rows", List (List.map row t.rows)) ]
+  in
+  List (List.map table tables)
+
+let of_json j =
+  let open Obs.Json in
+  let bad () = failwith "Report.of_json: not a table list" in
+  let str = function Str s -> s | _ -> bad () in
+  let cell = function Int i -> float_of_int i | Float f -> f | Null -> Float.nan | _ -> bad () in
+  let row = function
+    | List (Str label :: cells) -> { label; cells = Array.of_list (List.map cell cells) }
+    | _ -> bad ()
+  in
+  let table = function
+    | Obj [ ("title", Str title); ("unit", Str unit_); ("columns", List cs); ("rows", List rs) ] ->
+        make ~title ~unit_ ~columns:(List.map str cs) (List.map row rs)
+    | _ -> bad ()
+  in
+  match j with List ts -> List.map table ts | _ -> bad ()
+
+(* Match [g] and [c] by [key]: [f] diffs a pair, a lone item is one entry. *)
+let matched path key f g c =
+  let find l k = List.find_opt (fun x -> key x = k) l in
+  let side = function Some _ -> "present" | None -> "absent" in
+  List.map key g @ List.filter (fun k -> find g k = None) (List.map key c)
+  |> List.concat_map (fun k ->
+         let path = if path = "" then k else path ^ " › " ^ k in
+         match (find g k, find c k) with
+         | Some g, Some c -> f path g c
+         | g, c -> [ (path, side g, side c) ])
+
+let diff golden current =
+  let num v = Obs.Json.to_string (cell_json v) in
+  let cell path (_, g) (_, c) = if Float.equal g c then [] else [ (path, num g, num c) ] in
+  let table path g c =
+    let cells t r =
+      List.mapi (fun i col -> (col, try r.cells.(i) with Invalid_argument _ -> Float.nan)) t.columns
+      |> List.filter (fun (col, _) -> List.mem col g.columns && List.mem col c.columns)
+    in
+    (if g.unit_ = c.unit_ then [] else [ (path ^ " › unit", g.unit_, c.unit_) ])
+    @ matched path Fun.id (fun _ _ _ -> []) g.columns c.columns
+    @ matched path (fun r -> r.label)
+        (fun path gr cr -> matched path fst cell (cells g gr) (cells c cr)) g.rows c.rows
+  in
+  matched "" (fun t -> t.title) table golden current

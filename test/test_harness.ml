@@ -56,10 +56,71 @@ let test_report_rendering () =
   let s = Buffer.contents buf in
   Alcotest.(check bool) "title present" true (contains s "demo");
   Alcotest.(check bool) "labels present" true (contains s "bb");
-  Alcotest.(check bool) "nan rendered as dash" true (contains s "-");
-  let csv = Harness.Report.to_csv t in
-  Alcotest.(check bool) "csv has rows" true
-    (List.length (String.split_on_char '\n' csv) >= 3)
+  Alcotest.(check bool) "nan rendered as dash" true (contains s "-")
+
+(* --- the record ---------------------------------------------------------- *)
+
+let record_tables () =
+  let row label cells = { Harness.Report.label; cells } in
+  [
+    Harness.Report.make ~title:"sweep" ~unit_:"cycles" ~columns:[ "1T"; "2T"; "4T" ]
+      [ row "a" [| 0x1p53; -17.; 0.1 |]; row "b" [| Float.nan; 1e300; -0.25 |] ];
+    Harness.Report.make ~title:"empty" ~unit_:"" ~columns:[] [];
+  ]
+
+let test_record_round_trip () =
+  let tables = record_tables () in
+  let back =
+    Harness.Report.(of_json (Obs.Json.of_string (Obs.Json.to_string (to_json tables))))
+  in
+  check Alcotest.int "tables" 2 (List.length back);
+  List.iter2
+    (fun (t : Harness.Report.table) (b : Harness.Report.table) ->
+      check Alcotest.string "title" t.title b.title;
+      check Alcotest.string "unit" t.unit_ b.unit_;
+      check Alcotest.(list string) "columns" t.columns b.columns;
+      List.iter2
+        (fun (r : Harness.Report.row) (s : Harness.Report.row) ->
+          check Alcotest.string "label" r.label s.label;
+          Array.iteri
+            (fun i v ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s cell %d exact" r.label i)
+                true
+                (Float.equal v s.cells.(i)))
+            r.cells)
+        t.rows b.rows)
+    tables back;
+  let text = Obs.Json.to_string (Harness.Report.to_json tables) in
+  Alcotest.(check bool) "2^53 is an integer" true (contains text "9007199254740992,");
+  Alcotest.(check bool) "negative integer" true (contains text "-17,");
+  Alcotest.(check bool) "nan is null" true (contains text "null");
+  Alcotest.(check bool) "non-table JSON refused" true
+    (match Harness.Report.of_json (Obs.Json.Obj []) with
+    | _ -> false
+    | exception Failure _ -> true)
+
+let test_record_diff () =
+  let open Harness.Report in
+  let diffs = Alcotest.(list (triple string string string)) in
+  let golden = record_tables () in
+  check diffs "equal records" [] (diff golden (record_tables ()));
+  let edit f = List.map (fun t -> if t.title = "sweep" then f t else t) (record_tables ()) in
+  let perturbed =
+    edit (fun t ->
+        let bump r = if r.label = "a" then { r with cells = [| 0x1p53; -16.; 0.1 |] } else r in
+        { t with rows = List.map bump t.rows })
+  in
+  check diffs "one perturbed cell" [ ("sweep › a › 2T", "-17", "-16") ] (diff golden perturbed);
+  check diffs "one missing row"
+    [ ("sweep › a", "present", "absent") ]
+    (diff golden (edit (fun t -> { t with rows = List.tl t.rows })));
+  let added_column =
+    edit (fun t ->
+        let widen r = { r with cells = Array.append r.cells [| 3. |] } in
+        { t with columns = t.columns @ [ "8T" ]; rows = List.map widen t.rows })
+  in
+  check diffs "one added column" [ ("sweep › 8T", "absent", "present") ] (diff golden added_column)
 
 (* --- granularity sweep safety ------------------------------------------ *)
 
@@ -350,6 +411,8 @@ let suite =
         Alcotest.test_case "duration driver" `Quick test_run_for_duration_stops;
         Alcotest.test_case "fixed-work driver" `Quick test_run_fixed_work_drains;
         Alcotest.test_case "report rendering" `Quick test_report_rendering;
+        Alcotest.test_case "record round trip" `Quick test_record_round_trip;
+        Alcotest.test_case "record diff" `Quick test_record_diff;
       ] );
     ("granularity-safety", granularity_cases);
     ( "open-system-generators",
