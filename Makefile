@@ -79,8 +79,8 @@ kernel-smoke: build
 	 if [ $$fail -ne 0 ]; then exit 1; else echo "LoC budget ok: every engine file within its cap"; fi
 
 # Observability smoke (seconds): metrics + profiler + trace export on a
-# 2-thread contended micro over swisstm and tl2, with the emitted JSON
-# schema-checked (catapult trace parsed back and validated).
+# 2-thread contended micro over four engines; the record of tables and
+# the catapult trace are read back from their files and checked.
 obs-smoke: build
 	dune exec bin/stm_run.exe -- obs-check
 

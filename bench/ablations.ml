@@ -75,23 +75,18 @@ let run_mv () =
   let rows =
     List.map
       (fun (name, spec) ->
-        {
-          Harness.Report.label = name;
-          cells =
-            Array.of_list
-              (List.map
-                 (fun t ->
-                   ktps
-                     (Stmbench7.Sb7_bench.run ~spec
-                        ~workload:Stmbench7.Sb7_bench.Read_dominated ~threads:t
-                        ~duration_cycles:(sb7_duration ()) ()))
-                 threads);
-        })
+        ( name,
+          List.map
+            (fun t ->
+              ktps
+                (Stmbench7.Sb7_bench.run ~spec ~workload:Stmbench7.Sb7_bench.Read_dominated
+                   ~threads:t ~duration_cycles:(sb7_duration ()) ()))
+            threads ))
       [ ("SwissTM", swisstm); ("TL2", tl2); ("MV-STM", Engines.mvstm) ]
   in
-  Harness.Report.print
-    (Harness.Report.make ~title:"STMBench7 read-dominated" ~unit_:"10^3 tx/s"
-       ~columns:(List.map (fun t -> Printf.sprintf "%dT" t) threads)
+  Obs.Report.print
+    (Obs.Report.table "STMBench7 read-dominated" "10^3 tx/s"
+       (List.map (fun t -> Printf.sprintf "%dT" t) threads)
        rows)
 
 (* --- privatization-safety cost ---------------------------------------- *)
@@ -103,29 +98,23 @@ let run_priv () =
       let rows =
         List.map
           (fun (name, spec) ->
-            {
-              Harness.Report.label = name;
-              cells =
-                Array.of_list
-                  (List.map
-                     (fun t ->
-                       ktps
-                         (Stmbench7.Sb7_bench.run ~spec ~workload ~threads:t
-                            ~duration_cycles:(sb7_duration () / 2) ()))
-                     threads);
-            })
+            ( name,
+              List.map
+                (fun t ->
+                  ktps
+                    (Stmbench7.Sb7_bench.run ~spec ~workload ~threads:t
+                       ~duration_cycles:(sb7_duration () / 2) ()))
+                threads ))
           [
             ("SwissTM", swisstm);
             ("SwissTM+quiescence", Engines.swisstm_priv_safe);
           ]
       in
-      Harness.Report.print
-        (Harness.Report.make
-           ~title:
-             (Printf.sprintf "STMBench7 %s"
-                (Stmbench7.Sb7_bench.workload_name workload))
-           ~unit_:"10^3 tx/s"
-           ~columns:(List.map (fun t -> Printf.sprintf "%dT" t) threads)
+      Obs.Report.print
+        (Obs.Report.table
+           (Printf.sprintf "STMBench7 %s" (Stmbench7.Sb7_bench.workload_name workload))
+           "10^3 tx/s"
+           (List.map (fun t -> Printf.sprintf "%dT" t) threads)
            rows))
     [ Stmbench7.Sb7_bench.Read_dominated; Stmbench7.Sb7_bench.Write_dominated ]
 

@@ -34,18 +34,13 @@ let ms (r : Harness.Workload.result) = Harness.Workload.elapsed_seconds r *. 1e3
 let sweep ?(threads = threads) rows cell =
   List.map (fun (label, c) -> (label, List.map (cell c) threads)) rows
 
-(* A table from [(label, cells)] rows. *)
-let table title unit_ columns rows =
-  Harness.Report.make ~title ~unit_ ~columns
-    (List.map (fun (label, cells) -> { Harness.Report.label; cells = Array.of_list cells }) rows)
-
 (* A sweep's results as one table per view [(title, unit, value)], so
    several tables can read the same runs. *)
 let views ?(threads = threads) measured views =
   let columns = List.map (Printf.sprintf "%dT") threads in
   List.map
     (fun (title, unit_, value) ->
-      table title unit_ columns
+      Obs.Report.table title unit_ columns
         (List.map (fun (label, cells) -> (label, List.map value cells)) measured))
     views
 
@@ -57,18 +52,13 @@ let section title =
 
 let note fmt = Printf.printf (fmt ^^ "\n%!")
 
-(* The cell of table [t] at row [label], column [col]. *)
-let cell (t : Harness.Report.table) label col =
-  let i = Option.get (List.find_index (( = ) col) t.columns) in
-  (List.find (fun (r : Harness.Report.row) -> r.label = label) t.rows).cells.(i)
-
 (* A section of `bench`'s output: a title and a body returning, at smoke
    or full size, its tables and its named checks.  Every paper figure is
    one (no checks, one size); perf_gate writes the gate sections' tables
    and checks to its record and diffs the smoke ones against the golden. *)
 type section = {
   title : string;
-  body : smoke:bool -> Harness.Report.table list * (string * bool) list;
+  body : smoke:bool -> Obs.Report.table list * (string * bool) list;
 }
 
 let print_checks prefix checks =
@@ -77,7 +67,7 @@ let print_checks prefix checks =
 let run_section s () =
   section s.title;
   let tables, checks = s.body ~smoke:false in
-  List.iter Harness.Report.print tables;
+  List.iter Obs.Report.print tables;
   print_checks "check" checks
 
 (* The paper's engine line-up (§4): RSTM uses Serializer for STMBench7 and

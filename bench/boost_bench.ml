@@ -141,7 +141,7 @@ let shape_checks t =
     (fun s ->
       List.map
         (fun n ->
-          let makespan mode = Bench_common.cell t (s ^ " " ^ mode) (Printf.sprintf "%dT" n) in
+          let makespan mode = Obs.Report.cell t (s ^ " " ^ mode) (Printf.sprintf "%dT" n) in
           (Printf.sprintf "%s_boosted_ahead_%dT" s n, makespan "boosted" <= makespan "word"))
         [ 2; 4; 8 ])
     [ "map"; "pqueue" ]

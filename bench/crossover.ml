@@ -85,7 +85,7 @@ let specs = [ ("norec", Engines.norec); ("tl2", Engines.tl2) ]
    thread count.  Each check is named so a gate failure says which leg
    of the crossover broke. *)
 let shape_checks t =
-  let ktps engine n = cell t engine (Printf.sprintf "%dT" n) in
+  let ktps engine n = Obs.Report.cell t engine (Printf.sprintf "%dT" n) in
   [
     ("norec_ahead_1t", ktps "norec" 1 > ktps "tl2" 1);
     ("norec_ahead_2t", ktps "norec" 2 > ktps "tl2" 2);

@@ -312,11 +312,10 @@ let fig13 () =
       grans
   in
   [
-    Harness.Report.make
-      ~title:"average speedup - 1 by lock granularity (log2 bytes, 32-bit words)"
-      ~unit_:"ratio - 1"
-      ~columns:(List.map (fun g -> Printf.sprintf "2^%d" (2 + Memory.Stripe.log2 g)) grans)
-      [ { Harness.Report.label = "all benchmarks"; cells = Array.of_list cells } ];
+    Obs.Report.table "average speedup - 1 by lock granularity (log2 bytes, 32-bit words)"
+      "ratio - 1"
+      (List.map (fun g -> Printf.sprintf "2^%d" (2 + Memory.Stripe.log2 g)) grans)
+      [ ("all benchmarks", cells) ];
   ]
 
 (* Table 2: 2^4 vs 2^2, 2^4 vs 2^6 and 2^2 vs 2^6 bytes (4 vs 1 vs 16
@@ -326,21 +325,17 @@ let tbl2 () =
     List.map
       (fun (name, perfs) ->
         let p g = List.assoc g (List.combine grans perfs) in
-        {
-          Harness.Report.label = name;
-          cells = [| (p 4 /. p 1) -. 1.; (p 4 /. p 16) -. 1.; (p 1 /. p 16) -. 1. |];
-        })
+        (name, [ (p 4 /. p 1) -. 1.; (p 4 /. p 16) -. 1.; (p 1 /. p 16) -. 1. ]))
       (Lazy.force scores)
   in
   let avg col =
-    List.fold_left (fun a (r : Harness.Report.row) -> a +. r.cells.(col)) 0. rows
+    List.fold_left (fun a (_, cells) -> a +. List.nth cells col) 0. rows
     /. float_of_int (List.length rows)
   in
   [
-    Harness.Report.make ~title:"granularity speedups (paper's byte notation)"
-      ~unit_:"ratio - 1"
-      ~columns:[ "2^4 vs 2^2"; "2^4 vs 2^6"; "2^2 vs 2^6" ]
-      (rows @ [ { Harness.Report.label = "Average"; cells = [| avg 0; avg 1; avg 2 |] } ]);
+    Obs.Report.table "granularity speedups (paper's byte notation)" "ratio - 1"
+      [ "2^4 vs 2^2"; "2^4 vs 2^6"; "2^2 vs 2^6" ]
+      (rows @ [ ("Average", [ avg 0; avg 1; avg 2 ]) ]);
   ]
 
 (* CM sweep (extends Figure 12): timid vs two-phase vs adaptive inside

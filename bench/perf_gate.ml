@@ -4,7 +4,7 @@
    - "simulated": the gate sections — the sb7 smoke matrix, the simulated
      privatization penalty, the NOrec-vs-TL2 crossover, the open-system
      service ramp, the boosted-vs-word collections and the NUMA scale
-     columns — each as its [Harness.Report] tables and its named shape
+     columns — each as its [Obs.Report] tables and its named shape
      checks.  Simulated time is a deterministic function of (engine,
      config, seed), so the tables and check verdicts are diffed cell by
      cell against the committed golden, which another process wrote:
@@ -106,9 +106,9 @@ let privatization =
         let penalty v = (v -. plain) /. plain *. 100. in
         let row cells = [ (Printf.sprintf "%dT" threads, cells) ] in
         ( [
-            Bench_common.table "sb7 read_dominated throughput" "10^3 tx/s"
+            Obs.Report.table "sb7 read_dominated throughput" "10^3 tx/s"
               [ "plain"; "+quiescence"; "+epochs" ] (row [ plain; quiesce; epoch ]);
-            Bench_common.table "sb7 read_dominated penalty vs plain" "%"
+            Obs.Report.table "sb7 read_dominated penalty vs plain" "%"
               [ "+quiescence"; "+epochs" ] (row [ penalty quiesce; penalty epoch ]);
           ],
           [ ("epoch_penalty_floor", penalty epoch >= epoch_penalty_floor_pct) ] ));
@@ -142,14 +142,14 @@ let simulated ~smoke =
     ( name,
       Obj
         [
-          ("tables", Harness.Report.to_json tables);
+          ("tables", Obs.Report.to_json tables);
           ("checks", Obj (List.map (fun (c, ok) -> (c, Bool ok)) checks));
         ] )
   in
   (results, Obj (List.map json results))
 
 (* A simulated member's tables, each titled "section › title", so that
-   [Harness.Report.diff] names a cell section › table › row › column.  A
+   [Obs.Report.diff] names a cell section › table › row › column.  A
    section's checks are one more table, "section › checks" (a row per
    check, 1 if it holds): a check that changes verdict, is renamed or is
    gone differs like a cell. *)
@@ -158,15 +158,14 @@ let tables_of = function
       List.concat_map
         (fun (name, j) ->
           let verdict = function
-            | c, Bool ok -> { Harness.Report.label = c; cells = [| Bool.to_float ok |] }
+            | c, Bool ok -> (c, [ Bool.to_float ok ])
             | c, _ -> failwith (name ^ " check " ^ c ^ " is not a boolean")
           in
           match (member "tables" j, member "checks" j) with
           | Some t, Some (Obj cs) ->
-              Harness.Report.of_json t
-              @ [ Harness.Report.make ~title:"checks" ~unit_:"holds" ~columns:[ "holds" ]
-                    (List.map verdict cs) ]
-              |> List.map (fun (t : Harness.Report.table) ->
+              Obs.Report.of_json t
+              @ [ Obs.Report.table "checks" "holds" [ "holds" ] (List.map verdict cs) ]
+              |> List.map (fun (t : Obs.Report.table) ->
                      { t with title = name ^ " › " ^ t.title })
           | _ -> failwith (name ^ " has no tables or no checks"))
         sections
@@ -316,7 +315,7 @@ let () =
   | Error e -> fail "golden %s unreadable (%s)" golden_path e
   | Ok golden ->
       (* compare what was written, so both sides went through the printer *)
-      let diffs = Harness.Report.diff golden (tables_of (of_string (to_string sim_json))) in
+      let diffs = Obs.Report.diff golden (tables_of (of_string (to_string sim_json))) in
       List.iter
         (fun (path, g, c) -> Printf.eprintf "  %s: golden %s, current %s\n" path g c)
         diffs;

@@ -231,7 +231,7 @@ let sb7_tables (wname, engines) =
     in
     let per = List.init sockets (fun s -> (Printf.sprintf "S%d" s, at s)) in
     let total = List.fold_left (List.map2 ( +. )) (List.map (Fun.const 0.) columns) in
-    table
+    Obs.Report.table
       (Printf.sprintf "%s coherence at %d cores, %d sockets of %d" wname cores sockets
          cores_per_socket)
       "events" columns
@@ -250,7 +250,7 @@ let gran_tables gran =
   let columns = List.map (Printf.sprintf "%dw") grans in
   List.map
     (fun (title, unit_, value) ->
-      table
+      Obs.Report.table
         (Printf.sprintf "stripe words at %d cores: %s" gran_cores title)
         unit_ columns
         [ ("SwissTM read_write", List.map value gran) ])
@@ -261,7 +261,7 @@ let gran_tables gran =
     ]
 
 let taskpar_table steal_rows =
-  table "work-stealing task mode" "count, cycles"
+  Obs.Report.table "work-stealing task mode" "count, cycles"
     (List.map (Printf.sprintf "%dT") core_counts)
     (List.map
        (fun (label, value) -> (label, List.map (fun s -> float_of_int (value s)) steal_rows))
@@ -273,7 +273,7 @@ let taskpar_table steal_rows =
        ])
 
 let refusal_table refusal =
-  table "RSTM at 64 threads: refused thread id" "tid" [ "tid"; "limit" ]
+  Obs.Report.table "RSTM at 64 threads: refused thread id" "tid" [ "tid"; "limit" ]
     (List.map
        (fun (engine, tid, limit) -> (engine, [ float_of_int tid; float_of_int limit ]))
        (Option.to_list refusal))

@@ -93,7 +93,7 @@ let spec_of name =
 (* ---- runs -------------------------------------------------------------- *)
 
 let run_one ?(obs = true) ~cfg name =
-  Service.run ~obs (spec_of name) cfg
+  Service.run ~obs ~label:name (spec_of name) cfg
 
 (* Goodput ladder for one engine: (rate, result) per rung. *)
 let ladder ~smoke name =
@@ -118,7 +118,7 @@ let summary (r : Service.result) =
 let ints = List.map float_of_int
 
 let ladder_table name rungs =
-  table
+  Obs.Report.table
     (Printf.sprintf "goodput ladder (%s, seed %d), steady Poisson load" name seed)
     "requests, cycles" [ "offered"; "completed"; "elapsed" ]
     (List.map
@@ -150,50 +150,27 @@ let ramp_tables ~smoke rows =
   in
   [
     (* amp = p99.9 / p50; amp x1000 is its integer form the tail check reads *)
-    table (ramp_title ~smoke ^ ": latency") "requests, cycles"
+    Obs.Report.table (ramp_title ~smoke ^ ": latency") "requests, cycles"
       [ "offered"; "completed"; "requests"; "elapsed"; "p50"; "p95"; "p99.9"; "max";
         "amp x1000"; "amp" ]
       (List.map latency rows);
-    table (ramp_title ~smoke ^ ": response-time attribution") "cycles, counts"
+    Obs.Report.table (ramp_title ~smoke ^ ": response-time attribution") "cycles, counts"
       [ "queue"; "abort"; "backoff"; "exec"; "queue %"; "retries"; "escalations"; "throttles" ]
       (List.map attribution rows);
   ]
 
-(* Each engine's SLO windows, labelled by start cycle. *)
-let window_tables ~smoke rows =
-  let windows = Printf.sprintf "%s SLO windows of %d cycles: %s" in
-  List.concat_map
-    (fun (name, (r : Service.result)) ->
-      let by_start f =
-        List.map (fun (w : Obs.Slo.window) -> (string_of_int w.w_start, f w)) r.windows
-      in
-      let wc = (base_cfg ~smoke).window_cycles in
-      [
-        table (windows name wc "latency") "requests, cycles"
-          [ "arrivals"; "completions"; "p50"; "p95"; "p99.9"; "max"; "retries"; "escalations";
-            "throttles" ]
-          (by_start (fun w ->
-               ints [ w.w_arrivals; w.w_completions; w.w_p50; w.w_p95; w.w_p999; w.w_max;
-                 w.w_retries; w.w_escalations; w.w_throttles ]));
-        table (windows name wc "attribution") "cycles, requests"
-          [ "queue"; "abort"; "backoff"; "exec"; "slow"; "slow queue"; "slow abort";
-            "slow backoff" ]
-          (by_start (fun w ->
-               ints [ w.w_queue_cycles; w.w_abort_cycles; w.w_backoff_cycles; w.w_exec_cycles;
-                 w.w_slow; w.w_slow_queue_cycles; w.w_slow_abort_cycles;
-                 w.w_slow_backoff_cycles ]));
-      ])
-    rows
+(* Each engine's SLO windows, as the run reported them. *)
+let window_tables rows = List.concat_map (fun (_, (r : Service.result)) -> r.windows) rows
 
 (* ---- checks ------------------------------------------------------------ *)
 
 (* Saturation may flatten the goodput curve; it must never dip by more
    than 1 % of the previous rung. *)
 let ladder_monotone ladder =
-  let goodput (r : Report.row) =
+  let goodput (r : Obs.Report.row) =
     if r.cells.(2) <= 0. then 0. else 1e6 *. r.cells.(1) /. r.cells.(2)
   in
-  let goodputs = List.map goodput ladder.Report.rows in
+  let goodputs = List.map goodput ladder.Obs.Report.rows in
   note "    goodput/Mcycle by rung: %s"
     (String.concat " " (List.map (Printf.sprintf "%.0f") goodputs));
   let rec ok = function a :: (b :: _ as rest) -> b >= a *. 0.99 && ok rest | _ -> true in
@@ -206,8 +183,8 @@ let ladder_monotone ladder =
    the ratio contest is workload-dependent — the claim is that
    adaptation bounds the tail *somewhere*, deterministically). *)
 let adaptive_bounds_tail latency =
-  let amp name = cell latency name "amp x1000" in
-  let names = List.map (fun (r : Report.row) -> r.label) latency.Report.rows in
+  let amp name = Obs.Report.cell latency name "amp x1000" in
+  let names = List.map (fun (r : Obs.Report.row) -> r.label) latency.Obs.Report.rows in
   List.filter_map
     (fun plain ->
       let adaptive = plain ^ "-adaptive" in
@@ -250,7 +227,7 @@ let section =
             unmetered.Service.elapsed_cycles metered;
         let monotone = ladder_monotone ladder in
         let tail_ok = adaptive_bounds_tail (List.hd ramp) in
-        ( (ladder :: ramp) @ window_tables ~smoke rows,
+        ( (ladder :: ramp) @ window_tables rows,
           [
             ("slo-zero-perturbation", perturb_ok);
             ("goodput-monotone", monotone);

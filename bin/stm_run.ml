@@ -8,11 +8,13 @@
      stm_run --profile --metrics              # all-engine demo micro
      stm_run sb7 --trace-out sb7.trace.json   # Chrome/Perfetto trace
 
-   Prints one summary line per run plus the abort/commit breakdown.
-   The observability flags (--metrics, --profile, --trace-out) work on
-   every benchmark subcommand and on the default all-engine demo.
-   `stm_run service` drives the open-system SLO harness (--slo,
-   --slo-out, --trace-window). *)
+   Every report is an [Obs.Report] table: the run result with its abort
+   and commit counters, then the profile, metrics and SLO windows when
+   asked for.  --out FILE writes the tables the run printed as one JSON
+   record.  The observability flags (--metrics, --profile, --trace-out,
+   --out) work on every benchmark subcommand and on the default
+   all-engine demo.  `stm_run service` drives the open-system SLO harness
+   (--slo, --out, --trace-window). *)
 
 open Cmdliner
 
@@ -41,24 +43,60 @@ let duration_arg =
   let doc = "Simulated duration in megacycles (duration-type benchmarks)." in
   Arg.(value & opt int 10 & info [ "duration" ] ~docv:"MCYCLES" ~doc)
 
+(* --- reports -------------------------------------------------------------- *)
+
+let out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "out" ] ~docv:"FILE"
+        ~doc:"Write every table the run printed as one JSON record (see \
+              $(b,Obs.Report)).")
+
+let write_record path tables =
+  Out_channel.with_open_bin path (fun oc ->
+      Obs.Json.to_channel oc (Obs.Report.to_json tables));
+  Printf.printf "record: wrote %s\n" path
+
+(* Print [tables]; with [--out FILE], also write them as one record. *)
+let report out tables =
+  List.iter Obs.Report.print tables;
+  Option.iter (fun path -> write_record path tables) out
+
+let ints = List.map float_of_int
+
+let stats_columns =
+  [ "commits"; "aborts w/w"; "aborts r/w"; "killed"; "waits"; "backoffs"; "wasted"; "reads";
+    "writes"; "max consec" ]
+
+let stats_cells (s : Stm_intf.Stats.snapshot) =
+  ints
+    [ s.s_commits; s.s_aborts_ww; s.s_aborts_rw; s.s_aborts_killed; s.s_waits; s.s_backoffs;
+      s.s_cycles_wasted; s.s_reads; s.s_writes; s.s_max_consecutive_aborts ]
+
 (* --- observability ------------------------------------------------------ *)
 
-type obs_opts = { metrics : bool; profile : bool; trace_out : string option }
+type obs_opts = {
+  metrics : bool;
+  profile : bool;
+  trace_out : string option;
+  out : string option;
+}
 
 let obs_term =
   let metrics =
     Arg.(
       value & flag
       & info [ "metrics" ]
-          ~doc:"Print the metrics registry report (latency histograms, abort \
-                breakdown, stripe heat map) after the run.")
+          ~doc:"Print the metrics registry tables (latency histograms, abort \
+                breakdown, stripe heat map, gauges) after the run.")
   in
   let profile =
     Arg.(
       value & flag
       & info [ "profile" ]
           ~doc:"Print the simulated-cycle phase breakdown (read / write / \
-                validate / commit / spin / backoff) after the run.")
+                validate / commit / spin / backoff) of each run.")
   in
   let trace_out =
     Arg.(
@@ -70,50 +108,62 @@ let obs_term =
                 (https://ui.perfetto.dev) or chrome://tracing.")
   in
   Term.(
-    const (fun metrics profile trace_out -> { metrics; profile; trace_out })
-    $ metrics $ profile $ trace_out)
+    const (fun metrics profile trace_out out -> { metrics; profile; trace_out; out })
+    $ metrics $ profile $ trace_out $ out_arg)
 
-(* Wrap one benchmark run: arm the requested collectors before, report and
-   disarm after.  Collectors never charge simulated cycles, so the run's
-   cycle numbers match an uninstrumented run bit for bit. *)
-let with_obs (o : obs_opts) ~section f =
+(* Run each [(label, f)] with the requested collectors armed (the
+   profile and the trace per run, the metrics across all of them), then
+   report one result table titled [title] with a row per run ([f]
+   returns the result and the cells of the [extra] columns), a profile
+   table per run and the metrics tables.  Collectors never charge
+   simulated cycles, so the cycle numbers match an uninstrumented run bit
+   for bit. *)
+let with_obs (o : obs_opts) ~title ?(extra = []) runs =
   if o.metrics then begin
     Obs.Metrics.reset ();
     Obs.Metrics.enable ()
   end;
-  if o.profile then begin
-    Obs.Profile.reset ();
-    Obs.Profile.enable ()
-  end;
-  if o.trace_out <> None then Stm_intf.Trace.start ();
-  Fun.protect
-    ~finally:(fun () ->
-      (match o.trace_out with
-      | Some path ->
-          let events = Stm_intf.Trace.stop () in
-          Obs.Export.write_file path [ (section, events) ];
-          Printf.printf "trace: wrote %s (%d events)\n" path
-            (Array.length events)
-      | None -> ());
-      if o.profile then begin
-        Format.printf "%a@." Obs.Profile.pp (Obs.Profile.snapshot ());
-        Obs.Profile.disable ()
-      end;
-      if o.metrics then begin
-        Format.printf "%a@." Obs.Metrics.pp ();
-        Obs.Metrics.disable ()
-      end)
-    f
+  let one (label, f) =
+    if o.profile then begin
+      Obs.Profile.reset ();
+      Obs.Profile.enable ()
+    end;
+    if o.trace_out <> None then Stm_intf.Trace.start ();
+    let (r : Harness.Workload.result), more = f () in
+    let events = if o.trace_out <> None then [ (label, Stm_intf.Trace.stop ()) ] else [] in
+    let profile =
+      if not o.profile then []
+      else begin
+        Obs.Profile.disable ();
+        [ Obs.Profile.table ~title:("profile: " ^ label) (Obs.Profile.snapshot ()) ]
+      end
+    in
+    let row =
+      ( label,
+        ints [ r.threads; r.ops; r.elapsed_cycles ]
+        @ [ Harness.Workload.throughput r; 100. *. Harness.Workload.abort_rate r ]
+        @ stats_cells r.stats @ more )
+    in
+    (row, events, profile)
+  in
+  let runs = List.map one runs in
+  if o.metrics then Obs.Metrics.disable ();
+  Option.iter
+    (fun path ->
+      let sections = List.concat_map (fun (_, e, _) -> e) runs in
+      Obs.Export.write_file path sections;
+      Printf.printf "trace: wrote %s (%d events)\n" path
+        (List.fold_left (fun n (_, e) -> n + Array.length e) 0 sections))
+    o.trace_out;
+  report o.out
+    ((Obs.Report.table title "cycles, counts"
+        ([ "threads"; "ops"; "elapsed cycles"; "ops/s"; "abort %" ] @ stats_columns @ extra)
+        (List.map (fun (row, _, _) -> row) runs)
+     :: List.concat_map (fun (_, _, p) -> p) runs)
+    @ if o.metrics then Obs.Metrics.tables () else [])
 
-let print_result ~label spec ~threads (r : Harness.Workload.result) =
-  Printf.printf
-    "%s  engine=%s threads=%d  ops=%d  elapsed=%.3f ms (simulated)  \
-     throughput=%.1f ops/s\n"
-    label (Engines.name spec) threads r.ops
-    (Harness.Workload.elapsed_seconds r *. 1e3)
-    (Harness.Workload.throughput r);
-  Format.printf "  %a@." Stm_intf.Stats.pp r.stats;
-  Printf.printf "  abort rate: %.4f\n" (Harness.Workload.abort_rate r)
+(* One benchmark run of [spec]. *)
+let run_one obs ~title ?extra spec f = with_obs obs ~title ?extra [ (Engines.name spec, f) ]
 
 (* --- rbtree ------------------------------------------------------------ *)
 
@@ -126,12 +176,10 @@ let rbtree_cmd =
         range;
       }
     in
-    with_obs obs ~section:(Engines.name spec) (fun () ->
-        let r =
-          Rbtree.Rbtree_bench.run ~params ~spec ~threads
-            ~duration_cycles:(duration * 1_000_000) ()
-        in
-        print_result ~label:"rbtree" spec ~threads r)
+    run_one obs ~title:"rbtree" spec (fun () ->
+        ( Rbtree.Rbtree_bench.run ~params ~spec ~threads
+            ~duration_cycles:(duration * 1_000_000) (),
+          [] ))
   in
   let update_arg =
     Arg.(value & opt int 20 & info [ "updates" ] ~docv:"PCT" ~doc:"Update percentage.")
@@ -149,23 +197,20 @@ let rbtree_cmd =
 
 let sb7_cmd =
   let run obs spec threads duration workload =
-    let workload =
-      match workload with
-      | "read" -> Stmbench7.Sb7_bench.Read_dominated
-      | "read-write" | "rw" -> Stmbench7.Sb7_bench.Read_write
-      | "write" -> Stmbench7.Sb7_bench.Write_dominated
-      | s -> failwith (Printf.sprintf "unknown workload %S" s)
-    in
-    with_obs obs ~section:(Engines.name spec) (fun () ->
-        let r =
-          Stmbench7.Sb7_bench.run ~spec ~workload ~threads
-            ~duration_cycles:(duration * 1_000_000) ()
-        in
-        print_result ~label:"stmbench7" spec ~threads r)
+    run_one obs ~title:"stmbench7" spec (fun () ->
+        ( Stmbench7.Sb7_bench.run ~spec ~workload ~threads
+            ~duration_cycles:(duration * 1_000_000) (),
+          [] ))
   in
   let workload_arg =
+    let open Stmbench7.Sb7_bench in
     Arg.(
-      value & opt string "read"
+      value
+      & opt
+          (enum
+             [ ("read", Read_dominated); ("read-write", Read_write); ("rw", Read_write);
+               ("write", Write_dominated) ])
+          Read_dominated
       & info [ "workload" ] ~docv:"MIX" ~doc:"read | read-write | write.")
   in
   Cmd.v
@@ -177,22 +222,21 @@ let sb7_cmd =
 
 let lee_cmd =
   let run obs spec threads board hot =
-    let board =
-      match board with
-      | "memory" -> Leetm.Board.memory ()
-      | "main" -> Leetm.Board.main ()
-      | s -> failwith (Printf.sprintf "unknown board %S" s)
-    in
-    with_obs obs ~section:(Engines.name spec) (fun () ->
+    let board = match board with `Memory -> Leetm.Board.memory () | `Main -> Leetm.Board.main () in
+    run_one obs ~title:("lee-" ^ board.name) spec
+      ~extra:[ "routed"; "failed"; "connected" ]
+      (fun () ->
         let r, state = Leetm.Router.run ~hot_ratio:hot ~spec ~threads board in
-        print_result ~label:(Printf.sprintf "lee-%s" board.name) spec ~threads r;
-        Printf.printf "  routed=%d failed=%d connected=%b\n"
-          (Leetm.Router.total_routed state)
-          (Leetm.Router.total_failed state)
-          (Leetm.Router.verify state))
+        ( r,
+          ints
+            [ Leetm.Router.total_routed state; Leetm.Router.total_failed state;
+              Bool.to_int (Leetm.Router.verify state) ] ))
   in
   let board_arg =
-    Arg.(value & opt string "memory" & info [ "board" ] ~docv:"B" ~doc:"memory | main.")
+    Arg.(
+      value
+      & opt (enum [ ("memory", `Memory); ("main", `Main) ]) `Memory
+      & info [ "board" ] ~docv:"B" ~doc:"memory | main.")
   in
   let hot_arg =
     Arg.(
@@ -207,20 +251,17 @@ let lee_cmd =
 (* --- STAMP --------------------------------------------------------------- *)
 
 let stamp_cmd =
-  let run obs spec threads app =
-    match Stamp.find app with
-    | None ->
-        failwith
-          (Printf.sprintf "unknown app %S (expected one of: %s)" app
-             (String.concat ", " Stamp.names))
-    | Some w ->
-        with_obs obs ~section:(Engines.name spec) (fun () ->
-            let r, ok = w.run ~spec ~threads () in
-            print_result ~label:(Printf.sprintf "stamp-%s" app) spec ~threads r;
-            Printf.printf "  verified=%b\n" ok)
+  let run obs spec threads (app : Stamp.workload) =
+    run_one obs ~title:("stamp-" ^ app.name) spec ~extra:[ "verified" ] (fun () ->
+        let r, ok = app.run ~spec ~threads () in
+        (r, [ Bool.to_float ok ]))
   in
   let app_arg =
-    Arg.(value & opt string "intruder" & info [ "app" ] ~docv:"APP" ~doc:"STAMP application.")
+    let apps = List.map (fun (w : Stamp.workload) -> (w.name, w)) Stamp.workloads in
+    Arg.(
+      value
+      & opt (enum apps) (List.assoc "intruder" apps)
+      & info [ "app" ] ~docv:"APP" ~doc:"STAMP application.")
   in
   Cmd.v
     (Cmd.info "stamp" ~doc:"STAMP applications (paper Figure 3)")
@@ -251,134 +292,80 @@ let demo_micro spec ~threads ~duration_cycles =
   in
   Harness.Workload.run_for_duration engine ~threads ~duration_cycles step
 
+let demo_runs specs ~threads ~duration_cycles =
+  List.map
+    (fun (name, spec) -> (name, fun () -> (demo_micro spec ~threads ~duration_cycles, [])))
+    specs
+
 let demo obs threads =
-  if obs.metrics then begin
-    Obs.Metrics.reset ();
-    Obs.Metrics.enable ()
-  end;
-  let sections = ref [] in
-  List.iter
-    (fun (name, spec) ->
-      if obs.profile then begin
-        Obs.Profile.reset ();
-        Obs.Profile.enable ()
-      end;
-      if obs.trace_out <> None then Stm_intf.Trace.start ();
-      let r = demo_micro spec ~threads ~duration_cycles:300_000 in
-      if obs.trace_out <> None then
-        sections := (name, Stm_intf.Trace.stop ()) :: !sections;
-      Printf.printf "%-28s ops=%-6d elapsed=%d cycles\n" name r.ops
-        r.elapsed_cycles;
-      Format.printf "  %a@." Stm_intf.Stats.pp r.stats;
-      if obs.profile then begin
-        Format.printf "%a@." Obs.Profile.pp (Obs.Profile.snapshot ());
-        Obs.Profile.disable ()
-      end)
-    demo_specs;
-  (match obs.trace_out with
-  | Some path ->
-      Obs.Export.write_file path (List.rev !sections);
-      Printf.printf "trace: wrote %s\n" path
-  | None -> ());
-  if obs.metrics then begin
-    Format.printf "%a@." Obs.Metrics.pp ();
-    Obs.Metrics.disable ()
-  end
+  with_obs obs ~title:"demo micro"
+    (demo_runs demo_specs ~threads ~duration_cycles:300_000)
 
 let demo_term = Term.(const demo $ obs_term $ threads_arg)
 
 (* --- obs-check ------------------------------------------------------------ *)
 
-(* CI smoke for the observability layer: run the demo micro with every
-   collector armed, then schema-check everything that came out.  Exits 1
-   on any failure. *)
+(* CI smoke for the observability layer: run the demo micro on four
+   engines with every collector armed, read the record and the trace
+   back from their files and check them.  Exits 1 on any failure. *)
 let obs_check_cmd =
-  let run () =
+  let run out =
+    let engines = [ "swisstm"; "tl2"; "norec"; "swisstm-adaptive" ] in
+    let temp ext = Filename.temp_file "stm_obs_check" ext in
+    let trace = temp ".trace.json" and record = Option.value out ~default:(temp ".json") in
+    with_obs
+      { metrics = true; profile = true; trace_out = Some trace; out = Some record }
+      ~title:"obs-check"
+      (demo_runs
+         (List.map (fun n -> (n, Option.get (Engines.of_string n))) engines)
+         ~threads:2 ~duration_cycles:100_000);
+    let read path = Obs.Json.of_string (In_channel.with_open_bin path In_channel.input_all) in
     let failures = ref [] in
-    let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-    Obs.Metrics.reset ();
-    Obs.Metrics.enable ();
-    Obs.Profile.reset ();
-    Obs.Profile.enable ();
-    let sections = ref [] in
+    let expect ok fmt =
+      Printf.ksprintf (fun s -> if not ok then failures := s :: !failures) fmt
+    in
+    let tables = Obs.Report.of_json (read record) in
+    if out = None then Sys.remove record;
+    let get title label col =
+      match List.find_opt (fun (t : Obs.Report.table) -> t.title = title) tables with
+      | Some t -> ( try Some (Obs.Report.cell t label col) with Not_found -> None)
+      | None -> None
+    in
+    let positive = Option.fold ~none:false ~some:(fun v -> v > 0.) in
     List.iter
       (fun name ->
-        let spec =
-          match Engines.of_string name with
-          | Some s -> s
-          | None -> failwith ("obs-check: unknown engine " ^ name)
-        in
-        Stm_intf.Trace.start ();
-        let r = demo_micro spec ~threads:2 ~duration_cycles:100_000 in
-        sections := (name, Stm_intf.Trace.stop ()) :: !sections;
-        if r.ops = 0 then fail "%s: demo micro made no progress" name)
-      [ "swisstm"; "tl2"; "norec"; "swisstm-adaptive" ];
-    Obs.Profile.disable ();
-    Obs.Metrics.disable ();
-    (* profile: the run must have attributed cycles to named phases *)
-    let snap = Obs.Profile.snapshot () in
-    if Obs.Profile.total snap = 0 then fail "profile: no cycles attributed";
-    (match Obs.Json.member "phases" (Obs.Profile.to_json snap) with
-    | Some (Obs.Json.Obj _) -> ()
-    | _ -> fail "profile json: missing phases object");
-    (* metrics: both engines registered, commits counted *)
-    let mj = Obs.Metrics.to_json () in
-    (match Obs.Json.member "engines" mj with
-    | Some (Obs.Json.List engines) ->
-        List.iter
-          (fun name ->
-            let found =
-              List.exists
-                (fun e ->
-                  match Obs.Json.member "name" e with
-                  | Some (Obs.Json.Str n) -> n = name
-                  | _ -> false)
-                engines
-            in
-            if not found then fail "metrics json: engine %s missing" name)
-          [ "swisstm"; "tl2" ]
-    | _ -> fail "metrics json: missing engines list");
-    (* gauges: the allocator/reclaimer read-outs must stay wired into
-       [Metrics.gauge_values] — a missing name means a layer below Obs
-       silently lost its registration *)
-    let gauges = Obs.Metrics.gauge_values () in
-    let gauge name =
-      match List.assoc_opt name gauges with
-      | Some v -> v
-      | None ->
-          fail "gauges: %s missing from Metrics.gauge_values" name;
-          0
-    in
+        expect (positive (get "obs-check" name "ops")) "%s: demo micro made no progress" name;
+        let profile = "profile: " ^ name in
+        expect (positive (get profile "total" "cycles")) "%s: no cycles attributed" profile;
+        Array.iter
+          (fun phase ->
+            expect (get profile phase "cycles" <> None) "%s: no %s row" profile phase)
+          Obs.Profile.phase_names)
+      engines;
     List.iter
-      (fun name -> ignore (gauge name : int))
+      (fun name ->
+        expect (get "metrics: aborts and CM decisions" name "w/w" <> None)
+          "metrics: engine %s missing" name)
+      [ "swisstm"; "tl2" ];
+    (* gauges: the allocator/reclaimer read-outs must stay wired into the
+       metrics tables — a missing name means a layer below Obs silently
+       lost its registration *)
+    let gauge name = get "metrics: gauges" name "value" in
+    List.iter
+      (fun name -> expect (gauge name <> None) "gauges: %s missing" name)
       [
         "heap_frees"; "heap_free_reuses"; "heap_leaked_frees";
         "heap_double_frees"; "epoch_advances"; "epoch_deferred";
         "epoch_reclaimed"; "epoch_limbo_depth";
       ];
-    if gauge "heap_double_frees" <> 0 then
-      fail "gauges: heap_double_frees = %d (guard tripped)"
-        (gauge "heap_double_frees");
-    (match Obs.Json.member "gauges" mj with
-    | Some (Obs.Json.Obj _) -> ()
-    | _ -> fail "metrics json: missing gauges object");
-    (* trace: write a real file, parse it back, schema-check *)
-    let path = Filename.temp_file "stm_obs_check" ".trace.json" in
-    Obs.Export.write_file path (List.rev !sections);
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let raw = really_input_string ic len in
-    close_in ic;
-    Sys.remove path;
-    (match Obs.Json.of_string raw with
-    | exception Obs.Json.Parse_error e -> fail "trace json unparsable: %s" e
-    | j -> (
-        match Obs.Export.validate_catapult j with
-        | Ok () -> ()
-        | Error e -> fail "trace schema: %s" e));
+    expect (gauge "heap_double_frees" = Some 0.) "gauges: heap_double_frees is not 0 (guard tripped)";
+    (match Obs.Export.validate_catapult (read trace) with
+    | exception Obs.Json.Parse_error e -> expect false "trace json unparsable: %s" e
+    | Ok () -> ()
+    | Error e -> expect false "trace schema: %s" e);
+    Sys.remove trace;
     match !failures with
-    | [] ->
-        Printf.printf "obs-check: OK (metrics + profile + trace schema)\n"
+    | [] -> Printf.printf "obs-check: OK (record tables + trace schema)\n"
     | fs ->
         List.iter (Printf.eprintf "obs-check: FAIL %s\n") (List.rev fs);
         exit 1
@@ -386,13 +373,12 @@ let obs_check_cmd =
   Cmd.v
     (Cmd.info "obs-check"
        ~doc:"Smoke-test the observability layer (CI; exits 1 on failure)")
-    Term.(const run $ const ())
+    Term.(const run $ out_arg)
 
 (* --- service (open-system SLO harness) ------------------------------------ *)
 
 let service_cmd =
-  let run spec threads rate duration users keys theta seed slo slo_out
-      trace_window trace_out =
+  let run spec threads rate duration users keys theta seed slo out trace_window trace_out =
     let duration_cycles = duration * 1_000_000 in
     let cfg =
       {
@@ -409,53 +395,40 @@ let service_cmd =
       }
     in
     let r = Harness.Service.run spec cfg in
-    Printf.printf
-      "service  engine=%s threads=%d  offered=%d completed=%d  \
-       elapsed=%d cycles  offered=%.0f/Mcyc goodput=%.0f/Mcyc\n"
-      (Engines.name spec) threads r.Harness.Service.offered
-      r.Harness.Service.completed r.Harness.Service.elapsed_cycles
-      (Harness.Service.offered_per_mcycle r)
-      (Harness.Service.goodput_per_mcycle r);
-    Format.printf "  %a@." Stm_intf.Stats.pp r.Harness.Service.stats;
-    (match r.Harness.Service.summary with
-    | Some s ->
-        Printf.printf
-          "  response cycles: p50=%d p95=%d p99.9=%d max=%d  tail-amp=%.2f\n"
-          s.Obs.Slo.s_p50 s.Obs.Slo.s_p95 s.Obs.Slo.s_p999 s.Obs.Slo.s_max
-          s.Obs.Slo.s_tail_amplification;
-        let tot =
-          s.Obs.Slo.s_queue_cycles + s.Obs.Slo.s_abort_cycles
-          + s.Obs.Slo.s_backoff_cycles + s.Obs.Slo.s_exec_cycles
-        in
-        if tot > 0 then
-          Printf.printf
-            "  attribution: queue %d%%  aborted-work %d%%  backoff %d%%  \
-             exec %d%%  (retries %d, escalations %d, throttles %d)\n"
-            (100 * s.Obs.Slo.s_queue_cycles / tot)
-            (100 * s.Obs.Slo.s_abort_cycles / tot)
-            (100 * s.Obs.Slo.s_backoff_cycles / tot)
-            (100 * s.Obs.Slo.s_exec_cycles / tot)
-            s.Obs.Slo.s_retries s.Obs.Slo.s_escalations s.Obs.Slo.s_throttles
-    | None -> ());
-    if slo then begin
-      Printf.printf "  windows (%d cycles each):\n" cfg.window_cycles;
-      Printf.printf "    %-10s %8s %8s %10s %10s %10s %7s %6s\n" "start"
-        "offered" "done" "p50" "p95" "p99.9" "retry" "slow";
-      List.iter
-        (fun (w : Obs.Slo.window) ->
-          Printf.printf "    %-10d %8d %8d %10d %10d %10d %7d %6d\n"
-            w.w_start w.w_arrivals w.w_completions w.w_p50 w.w_p95 w.w_p999
-            w.w_retries w.w_slow)
-        r.Harness.Service.windows
-    end;
-    (match (slo_out, r.Harness.Service.slo_json) with
-    | Some path, Some j ->
-        let oc = open_out path in
-        Obs.Json.to_channel oc j;
-        close_out oc;
-        Printf.printf "slo: wrote %s\n" path
-    | _ -> ());
-    match (trace_out, r.Harness.Service.trace) with
+    let name = Engines.name spec in
+    let served =
+      Obs.Report.table "service" "requests, cycles"
+        ([ "threads"; "offered"; "completed"; "elapsed cycles"; "offered/Mcycle";
+           "goodput/Mcycle" ]
+        @ stats_columns)
+        [
+          ( name,
+            ints [ threads; r.offered; r.completed; r.elapsed_cycles ]
+            @ [ Harness.Service.offered_per_mcycle r; Harness.Service.goodput_per_mcycle r ]
+            @ stats_cells r.stats );
+        ]
+    in
+    (* response cycles, and their attribution as shares of the total *)
+    let response (s : Obs.Slo.summary) =
+      let parts = [ s.s_queue_cycles; s.s_abort_cycles; s.s_backoff_cycles; s.s_exec_cycles ] in
+      let total = float_of_int (List.fold_left ( + ) 0 parts) in
+      Obs.Report.table "service response" "cycles, %"
+        [ "p50"; "p95"; "p99.9"; "max"; "tail amp"; "queue"; "aborted work"; "backoff"; "exec";
+          "retries"; "escalations"; "throttles" ]
+        [
+          ( name,
+            ints [ s.s_p50; s.s_p95; s.s_p999; s.s_max ]
+            @ (s.s_tail_amplification
+              :: List.map
+                   (fun c -> if total = 0. then 0. else 100. *. float_of_int c /. total)
+                   parts)
+            @ ints [ s.s_retries; s.s_escalations; s.s_throttles ] );
+        ]
+    in
+    report out
+      ((served :: Option.to_list (Option.map response r.summary))
+      @ if slo then r.windows else []);
+    match (trace_out, r.trace) with
     | Some path, Some (label, events) ->
         Obs.Export.write_file path [ (label, events) ];
         Printf.printf "trace: wrote %s (%d events of window %s)\n" path
@@ -494,15 +467,8 @@ let service_cmd =
     Arg.(
       value & flag
       & info [ "slo" ]
-          ~doc:"Print the per-window SLO table (offered/goodput and response \
-                percentiles per window).")
-  in
-  let slo_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "slo-out" ] ~docv:"FILE"
-          ~doc:"Write the windowed SLO report as JSON.")
+          ~doc:"Print the per-window SLO tables (offered/goodput, response \
+                percentiles and their attribution per window).")
   in
   let trace_window_arg =
     Arg.(
@@ -527,7 +493,7 @@ let service_cmd =
           abort-attribution.")
     Term.(
       const run $ stm_arg $ threads_arg $ rate_arg $ duration_arg $ users_arg
-      $ keys_arg $ theta_arg $ seed_arg $ slo_arg $ slo_out_arg
+      $ keys_arg $ theta_arg $ seed_arg $ slo_arg $ out_arg
       $ trace_window_arg $ trace_out_arg)
 
 (* --- list ----------------------------------------------------------------- *)

@@ -58,8 +58,7 @@ type result = {
   completed : int;
   stats : Stm_intf.Stats.snapshot;
   summary : Obs.Slo.summary option;
-  windows : Obs.Slo.window list;
-  slo_json : Obs.Json.t option;
+  windows : Obs.Report.table list;
   trace : (string * Stm_intf.Trace.event array) option;
 }
 
@@ -102,7 +101,7 @@ let validate c =
 (* Session state machine: 0 = logged out (next request: login),
    1..browse_len = browsing, browse_len + 1 = ready to check out. *)
 
-let run ?(obs = true) spec c =
+let run ?(obs = true) ?label spec c =
   validate c;
   let heap = Memory.Heap.create ~words:(c.users + c.keys + 128) in
   let base = Memory.Heap.alloc heap (c.users + c.keys) in
@@ -229,12 +228,11 @@ let run ?(obs = true) spec c =
     Fun.protect ~finally:finish (fun () ->
         Sim.run_threads ~threads:c.threads body)
   in
-  let summary, windows, slo_json =
+  let summary, windows =
     if obs then
-      ( Some (Obs.Slo.summarize ()),
-        Obs.Slo.windows (),
-        Some (Obs.Slo.to_json ()) )
-    else (None, [], None)
+      let name = Option.value label ~default:(Engines.name spec) in
+      (Some (Obs.Slo.summarize ()), Obs.Slo.window_tables ~name ())
+    else (None, [])
   in
   if obs then begin
     Obs.Slo.reset ();
@@ -259,7 +257,6 @@ let run ?(obs = true) spec c =
     stats = Stm_intf.Engine.stats engine;
     summary;
     windows;
-    slo_json;
     trace;
   }
 

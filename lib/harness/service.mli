@@ -20,7 +20,7 @@
     Determinism: arrivals, user choice and key choice come from dedicated
     {!Runtime.Rng} streams; workers run under {!Runtime.Sim}; SLO
     recording charges zero cycles.  Same (config, seed) → bit-identical
-    windows, summaries and JSON. *)
+    windows and summaries. *)
 
 type config = {
   threads : int;  (** simulated server cores *)
@@ -50,17 +50,19 @@ type result = {
   completed : int;  (** requests served *)
   stats : Stm_intf.Stats.snapshot;
   summary : Obs.Slo.summary option;  (** [None] when [obs] was off *)
-  windows : Obs.Slo.window list;
-  slo_json : Obs.Json.t option;  (** {!Obs.Slo.to_json} of the run *)
+  windows : Obs.Report.table list;
+      (** {!Obs.Slo.window_tables} of the run, titled by [label]; [[]]
+          when [obs] was off *)
   trace : (string * Stm_intf.Trace.event array) option;
       (** (label, events) of the traced window, if one was requested *)
 }
 
-val run : ?obs:bool -> Engines.spec -> config -> result
+val run : ?obs:bool -> ?label:string -> Engines.spec -> config -> result
 (** Build the engine and heap, generate the arrival stream, serve it to
     completion.  With [obs] (default [true]) the run is wrapped in
-    [Obs.Metrics.enable] + [Obs.Slo.enable] and the result carries
-    windows/summary/JSON; with [obs:false] nothing is armed — the
+    [Obs.Metrics.enable] + [Obs.Slo.enable] and the result carries the
+    summary and the window tables, titled by [label] (default
+    [Engines.name spec]); with [obs:false] nothing is armed — the
     obs-off perturbation gate compares wall-clock against this mode.
     Collector state is disarmed and reset on exit either way. *)
 

@@ -1,4 +1,4 @@
-(* Metrics registry: typed counters and log2-bucketed histograms.
+(* Metrics registry: typed counters and latency histograms ([Rhist]).
 
    Layering follows the PR-2 Trace discipline: everything is OFF by
    default, every engine call site guards its hook with a single [!on]
@@ -13,102 +13,15 @@
    time) lives in process-wide arrays indexed by [tid land 511]
    ([Runtime.Topology.max_cores] slots), shared by every engine. *)
 
-(* --- log2-bucketed histograms ------------------------------------------ *)
-
-module Hist = struct
-  let n_buckets = 64
-
-  type t = {
-    mutable count : int;
-    mutable sum : int;
-    mutable max : int;
-    buckets : int array;
-  }
-
-  let create () = { count = 0; sum = 0; max = 0; buckets = Array.make n_buckets 0 }
-
-  (* Bucket index = number of significant bits: 0 and negatives land in
-     bucket 0, value v >= 1 in bucket (floor(log2 v) + 1).  max_int has 62
-     significant bits on 64-bit OCaml, so indices stay below [n_buckets]. *)
-  let bucket_of v =
-    if v <= 0 then 0
-    else begin
-      let b = ref 0 and n = ref v in
-      while !n > 0 do
-        incr b;
-        n := !n lsr 1
-      done;
-      !b
-    end
-
-  (* Inclusive upper bound of bucket [b]: 0 for bucket 0, 2^b - 1 above. *)
-  let bucket_upper b = if b = 0 then 0 else (1 lsl b) - 1
-
-  let observe t v =
-    t.count <- t.count + 1;
-    t.sum <- t.sum + v;
-    if v > t.max then t.max <- v;
-    let b = bucket_of v in
-    t.buckets.(b) <- t.buckets.(b) + 1
-
-  let reset t =
-    t.count <- 0;
-    t.sum <- 0;
-    t.max <- 0;
-    Array.fill t.buckets 0 n_buckets 0
-
-  let count t = t.count
-  let sum t = t.sum
-  let max_value t = t.max
-  let mean t = if t.count = 0 then 0. else float_of_int t.sum /. float_of_int t.count
-  let bucket t b = t.buckets.(b)
-
-  (* Smallest bucket upper bound below which at least [q] of the mass
-     lies — a log2-granular quantile, good enough for reports. *)
-  let approx_quantile t q =
-    if t.count = 0 then 0
-    else begin
-      let target = Float.to_int (Float.of_int t.count *. q +. 0.999999) in
-      let acc = ref 0 and b = ref 0 in
-      while !acc < target && !b < n_buckets do
-        acc := !acc + t.buckets.(!b);
-        if !acc < target then incr b
-      done;
-      bucket_upper (min !b (n_buckets - 1))
-    end
-
-  let to_json t =
-    let nonzero = ref [] in
-    for b = n_buckets - 1 downto 0 do
-      if t.buckets.(b) > 0 then
-        nonzero :=
-          Json.Obj
-            [
-              ("le", Json.Int (bucket_upper b));
-              ("count", Json.Int t.buckets.(b));
-            ]
-          :: !nonzero
-    done;
-    Json.Obj
-      [
-        ("count", Json.Int t.count);
-        ("sum", Json.Int t.sum);
-        ("max", Json.Int t.max);
-        ("p50", Json.Int (approx_quantile t 0.5));
-        ("p90", Json.Int (approx_quantile t 0.9));
-        ("buckets", Json.List !nonzero);
-      ]
-end
-
 (* --- per-engine bundles ------------------------------------------------ *)
 
 type engine = {
   name : string;
   eid : int;
-  tx_h : Hist.t;  (* committed transaction duration, cycles *)
-  commit_h : Hist.t;  (* commit-phase length, cycles *)
-  wasted_h : Hist.t;  (* cycles discarded per aborted attempt *)
-  backoff_h : Hist.t;  (* back-off wait lengths, cycles *)
+  tx_h : Rhist.t;  (* committed transaction duration, cycles *)
+  commit_h : Rhist.t;  (* commit-phase length, cycles *)
+  wasted_h : Rhist.t;  (* cycles discarded per aborted attempt *)
+  backoff_h : Rhist.t;  (* back-off wait lengths, cycles *)
   mutable ab_ww : int;
   mutable ab_rw : int;
   mutable ab_killed : int;
@@ -180,10 +93,10 @@ let new_engine name eid =
   {
     name;
     eid;
-    tx_h = Hist.create ();
-    commit_h = Hist.create ();
-    wasted_h = Hist.create ();
-    backoff_h = Hist.create ();
+    tx_h = Rhist.create ();
+    commit_h = Rhist.create ();
+    wasted_h = Rhist.create ();
+    backoff_h = Rhist.create ();
     ab_ww = 0;
     ab_rw = 0;
     ab_killed = 0;
@@ -229,9 +142,9 @@ let on_tx_commit ~tid =
   | None -> ()
   | Some e ->
       let now = Runtime.Exec.now () in
-      Hist.observe e.tx_h (now - tx_start.(s));
+      Rhist.observe e.tx_h (now - tx_start.(s));
       if commit_start.(s) >= 0 then
-        Hist.observe e.commit_h (now - commit_start.(s))
+        Rhist.observe e.commit_h (now - commit_start.(s))
 
 let on_tx_abort ~tid ~(reason : Stm_intf.Tx_signal.abort_reason) =
   let s = slot tid in
@@ -244,7 +157,7 @@ let on_tx_abort ~tid ~(reason : Stm_intf.Tx_signal.abort_reason) =
       | Ww_conflict -> e.ab_ww <- e.ab_ww + 1
       | Rw_validation -> e.ab_rw <- e.ab_rw + 1
       | Killed -> e.ab_killed <- e.ab_killed + 1);
-      Hist.observe e.wasted_h (Runtime.Exec.now () - tx_start.(s))
+      Rhist.observe e.wasted_h (Runtime.Exec.now () - tx_start.(s))
 
 let on_stripe_conflict ~eid ~stripe =
   match engine_of_eid eid with
@@ -290,7 +203,7 @@ let record_backoff ~cycles =
   att_backoff.(s) <- att_backoff.(s) + cycles;
   match engine_of_eid cur_eid.(s) with
   | None -> ()
-  | Some e -> Hist.observe e.backoff_h cycles
+  | Some e -> Rhist.observe e.backoff_h cycles
 
 let record_dispatch tid =
   incr sched_dispatches;
@@ -344,10 +257,10 @@ let disable () =
 let reset () =
   List.iter
     (fun e ->
-      Hist.reset e.tx_h;
-      Hist.reset e.commit_h;
-      Hist.reset e.wasted_h;
-      Hist.reset e.backoff_h;
+      Rhist.reset e.tx_h;
+      Rhist.reset e.commit_h;
+      Rhist.reset e.wasted_h;
+      Rhist.reset e.backoff_h;
       e.ab_ww <- 0;
       e.ab_rw <- 0;
       e.ab_killed <- 0;
@@ -378,130 +291,60 @@ let top_stripes e k =
   let sorted =
     List.sort (fun (s1, c1) (s2, c2) -> if c2 <> c1 then compare c2 c1 else compare s1 s2) all
   in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-  in
-  take k sorted
-
-let pp_hist ppf name h =
-  if Hist.count h > 0 then
-    Format.fprintf ppf "    %-10s n=%-8d mean=%-10.0f p50<=%-10d p90<=%-10d max=%d@\n"
-      name (Hist.count h) (Hist.mean h)
-      (Hist.approx_quantile h 0.5)
-      (Hist.approx_quantile h 0.9)
-      (Hist.max_value h)
-
-let pp_engine ppf e =
-  Format.fprintf ppf "  %s:@\n" e.name;
-  Format.fprintf ppf
-    "    aborts     w/w=%d r/w=%d killed=%d   cm: self=%d wait=%d kill=%d \
-     shifts=%d throttles=%d escalations=%d@\n"
-    e.ab_ww e.ab_rw e.ab_killed e.cm_self e.cm_wait e.cm_kill e.cm_shift
-    e.cm_throttle e.escalations;
-  pp_hist ppf "tx" e.tx_h;
-  pp_hist ppf "commit" e.commit_h;
-  pp_hist ppf "wasted" e.wasted_h;
-  pp_hist ppf "backoff" e.backoff_h;
-  match top_stripes e 8 with
-  | [] -> ()
-  | top ->
-      Format.fprintf ppf "    hot stripes:";
-      List.iter (fun (s, c) -> Format.fprintf ppf " %d:%d" s c) top;
-      Format.fprintf ppf "@\n"
+  List.filteri (fun i _ -> i < k) sorted
 
 (* Per-socket coherence/steal counters, maintained (uncharged) by the
    runtime's cost-model fast paths; adopted here so every Obs consumer
    sees them next to the engine metrics. *)
 let per_socket () = Runtime.Topology.socket_counters ()
 
-let pp_sockets ppf () =
-  let s = per_socket () in
-  let any = Array.exists (fun (h, m, st) -> h + m + st > 0) s in
-  if Array.length s > 1 || any then begin
-    Format.fprintf ppf "  sockets (%a):@\n" Runtime.Topology.pp
-      (Runtime.Topology.get ());
-    Array.iteri
-      (fun i (h, m, st) ->
-        Format.fprintf ppf "    s%d: hits=%d misses=%d steals=%d@\n" i h m st)
-      s
-  end
+let ints = List.map float_of_int
 
-let sockets_to_json () =
-  Json.List
-    (Array.to_list
-       (Array.mapi
-          (fun i (h, m, st) ->
-            Json.Obj
-              [
-                ("socket", Json.Int i);
-                ("hits", Json.Int h);
-                ("misses", Json.Int m);
-                ("steals", Json.Int st);
-              ])
-          (per_socket ())))
-
-let pp ppf () =
-  Format.fprintf ppf "metrics:@\n";
-  List.iter (pp_engine ppf) (List.rev !engines);
-  if !sched_dispatches > 0 then
-    Format.fprintf ppf "  sched: dispatches=%d switches=%d@\n"
-      !sched_dispatches !sched_switches;
-  pp_sockets ppf ();
-  match gauge_values () with
-  | [] -> ()
-  | gs ->
-      Format.fprintf ppf "  gauges:";
-      List.iter (fun (n, v) -> Format.fprintf ppf " %s=%d" n v) gs;
-      Format.fprintf ppf "@\n"
-
-let engine_to_json e =
-  Json.Obj
+(* The registry as tables: abort/CM counts and latency histograms per
+   engine, hot stripes, scheduler and per-socket counters, gauges. *)
+let tables () =
+  let engines = List.rev !engines in
+  let hist_rows e =
+    List.filter_map
+      (fun (what, h) ->
+        let n = Rhist.count h in
+        if n = 0 then None
+        else
+          Some
+            ( e.name ^ " " ^ what,
+              [ float_of_int n; float_of_int (Rhist.sum h) /. float_of_int n ]
+              @ ints [ Rhist.quantile h 0.5; Rhist.quantile h 0.9; Rhist.max_value h ] ))
+      [ ("tx", e.tx_h); ("commit", e.commit_h); ("wasted", e.wasted_h); ("backoff", e.backoff_h) ]
+  in
+  let stripe_rows e =
+    List.mapi
+      (fun i (s, c) -> (Printf.sprintf "%s #%d" e.name (i + 1), ints [ s; c ]))
+      (top_stripes e 8)
+  in
+  Report.
     [
-      ("name", Json.Str e.name);
-      ( "aborts",
-        Json.Obj
-          [
-            ("ww", Json.Int e.ab_ww);
-            ("rw", Json.Int e.ab_rw);
-            ("killed", Json.Int e.ab_killed);
-          ] );
-      ( "cm",
-        Json.Obj
-          [
-            ("abort_self", Json.Int e.cm_self);
-            ("wait", Json.Int e.cm_wait);
-            ("kill", Json.Int e.cm_kill);
-            ("phase_shifts", Json.Int e.cm_shift);
-            ("throttles", Json.Int e.cm_throttle);
-            ("escalations", Json.Int e.escalations);
-          ] );
-      ("tx_cycles", Hist.to_json e.tx_h);
-      ("commit_cycles", Hist.to_json e.commit_h);
-      ("wasted_cycles", Hist.to_json e.wasted_h);
-      ("backoff_cycles", Hist.to_json e.backoff_h);
-      ( "hot_stripes",
-        Json.List
-          (List.map
-             (fun (s, c) ->
-               Json.Obj [ ("stripe", Json.Int s); ("conflicts", Json.Int c) ])
-             (top_stripes e 16)) );
-    ]
-
-let to_json () =
-  Json.Obj
-    [
-      ( "engines",
-        Json.List (List.map engine_to_json (List.rev !engines)) );
-      ( "sched",
-        Json.Obj
-          [
-            ("dispatches", Json.Int !sched_dispatches);
-            ("switches", Json.Int !sched_switches);
-          ] );
-      ("sockets", sockets_to_json ());
-      ( "gauges",
-        Json.Obj
-          (List.map (fun (n, v) -> (n, Json.Int v)) (gauge_values ())) );
+      table "metrics: aborts and CM decisions" "count"
+        [ "w/w"; "r/w"; "killed"; "cm self"; "cm wait"; "cm kill"; "shifts"; "throttles";
+          "escalations" ]
+        (List.map
+           (fun e ->
+             ( e.name,
+               ints
+                 [ e.ab_ww; e.ab_rw; e.ab_killed; e.cm_self; e.cm_wait; e.cm_kill; e.cm_shift;
+                   e.cm_throttle; e.escalations ] ))
+           engines);
+      table "metrics: latency" "cycles" [ "n"; "mean"; "p50"; "p90"; "max" ]
+        (List.concat_map hist_rows engines);
+      table "metrics: hot stripes" "conflicts" [ "stripe"; "conflicts" ]
+        (List.concat_map stripe_rows engines);
+      table "metrics: scheduler" "count" [ "dispatches"; "switches" ]
+        [ ("sim", ints [ !sched_dispatches; !sched_switches ]) ];
+      table
+        (Format.asprintf "metrics: sockets (%a)" Runtime.Topology.pp (Runtime.Topology.get ()))
+        "count" [ "hits"; "misses"; "steals" ]
+        (List.mapi
+           (fun i (h, m, st) -> (Printf.sprintf "s%d" i, ints [ h; m; st ]))
+           (Array.to_list (per_socket ())));
+      table "metrics: gauges" "count" [ "value" ]
+        (List.map (fun (n, v) -> (n, [ float_of_int v ])) (gauge_values ()));
     ]

@@ -1,40 +1,9 @@
-(** Metrics registry: typed counters and log2-bucketed latency histograms.
+(** Metrics registry: typed counters and latency histograms ({!Rhist}).
 
     Off by default.  Engine call sites guard every hook with
     [if !Metrics.on then ...] (one load + one branch when off), and no
     hook charges simulated cycles, so metered and unmetered runs take
     bit-identical schedules. *)
-
-(** Log2-bucketed histograms of non-negative integer samples. *)
-module Hist : sig
-  type t
-
-  val n_buckets : int
-
-  val create : unit -> t
-
-  val bucket_of : int -> int
-  (** 0 for values [<= 0]; number of significant bits otherwise
-      ([bucket_of 1 = 1], [bucket_of max_int = 62]). *)
-
-  val bucket_upper : int -> int
-  (** Inclusive upper bound of a bucket: [0] for bucket 0, [2^b - 1]
-      otherwise. *)
-
-  val observe : t -> int -> unit
-  val reset : t -> unit
-  val count : t -> int
-  val sum : t -> int
-  val max_value : t -> int
-  val mean : t -> float
-  val bucket : t -> int -> int
-
-  val approx_quantile : t -> float -> int
-  (** Upper bound of the smallest bucket prefix holding the quantile —
-      log2-granular, for reporting. *)
-
-  val to_json : t -> Json.t
-end
 
 val on : bool ref
 (** The hook guard.  Use {!enable}/{!disable} rather than flipping it
@@ -92,7 +61,7 @@ val att_read : tid:int -> attribution
 (** {2 Gauges} *)
 
 val register_gauge : string -> (unit -> int) -> unit
-(** Register a named read-out thunk sampled by {!pp}/{!to_json}
+(** Register a named read-out thunk sampled by {!tables}
     (heap and epoch-reclamation counters live in layers below [Obs]).  Idempotent by name.  Gauges are cumulative process-wide
     totals; {!reset} leaves them alone. *)
 
@@ -105,9 +74,14 @@ val per_socket : unit -> (int * int * int) array
 (** [(hits, misses, steals)] per socket of the current
     [Runtime.Topology], maintained uncharged by the runtime cost model;
     reset via [Runtime.Topology.reset_counters] (topology changes reset
-    them implicitly).  Included in {!pp}/{!to_json}. *)
+    them implicitly).  Included in {!tables}. *)
 
 (** {2 Reporting} *)
 
-val pp : Format.formatter -> unit -> unit
-val to_json : unit -> Json.t
+val tables : unit -> Report.table list
+(** Six tables, titled ["metrics: ..."]: aborts and CM decisions (a row
+    per registered engine); latency (n, mean, p50, p90, max cycles of the
+    tx, commit, wasted and backoff histograms, a row for each one that
+    observed anything); the 8 hottest conflict stripes per engine;
+    scheduler dispatches and switches; per-socket coherence counters; and
+    gauges (a row per registered gauge). *)

@@ -3,8 +3,8 @@
    The accounting itself lives in [Runtime.Exec] (every charged cycle
    flows through tick/tick_as/pause, so instrumenting those attributes
    ALL simulated time by construction); this module owns the on/off
-   switch, snapshots the per-(thread, phase) matrix, and renders the
-   phase-breakdown table.  Per-engine attribution is by harvest: callers
+   switch, snapshots the per-(thread, phase) matrix, and reports it as
+   a phase-breakdown table.  Per-engine attribution is by harvest: callers
    [reset] before and [snapshot] after each engine's run. *)
 
 open Runtime
@@ -39,29 +39,11 @@ let total s = Array.fold_left ( + ) 0 s.cycles
 
 let add a b = { cycles = Array.mapi (fun i c -> c + b.cycles.(i)) a.cycles }
 
-let pct s p =
-  let t = total s in
-  if t = 0 then 0. else 100. *. float_of_int s.cycles.(p) /. float_of_int t
-
-(** One row per phase: cycles and share of total. *)
-let pp ppf s =
-  Format.fprintf ppf "    %-10s %14s %7s@\n" "phase" "cycles" "share";
-  Array.iteri
-    (fun p name ->
-      if s.cycles.(p) > 0 then
-        Format.fprintf ppf "    %-10s %14d %6.1f%%@\n" name s.cycles.(p)
-          (pct s p))
-    phase_names;
-  Format.fprintf ppf "    %-10s %14d@\n" "total" (total s)
-
-let to_json s =
-  Json.Obj
-    [
-      ("total", Json.Int (total s));
-      ( "phases",
-        Json.Obj
-          (Array.to_list
-             (Array.mapi
-                (fun p name -> (name, Json.Int s.cycles.(p)))
-                phase_names)) );
-    ]
+(* One row per phase, then the total: cycles and share of the total. *)
+let table ~title s =
+  let t = float_of_int (total s) in
+  let share c = if t = 0. then 0. else 100. *. float_of_int c /. t in
+  let row name c = (name, [ float_of_int c; share c ]) in
+  Report.table title "cycles, %" [ "cycles"; "share" ]
+    (List.mapi (fun p name -> row name s.cycles.(p)) (Array.to_list phase_names)
+    @ [ row "total" (total s) ])

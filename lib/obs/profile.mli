@@ -22,9 +22,6 @@ val snapshot : unit -> snapshot
 
 val total : snapshot -> int
 val add : snapshot -> snapshot -> snapshot
-val pct : snapshot -> int -> float
-
-val pp : Format.formatter -> snapshot -> unit
-(** Phase-breakdown table (phases with zero cycles are omitted). *)
-
-val to_json : snapshot -> Json.t
+val table : title:string -> snapshot -> Report.table
+(** A row per phase (in {!phase_names} order) and a ["total"] row:
+    cycles and share of the total in percent. *)

@@ -1,6 +1,6 @@
-(* Result tables for the benchmark harness: aligned plain text on stdout
-   (one per figure/table of the paper), and the JSON record the bench
-   gate writes and diffs against its golden. *)
+(* Result tables: aligned plain text on stdout (one per report of a
+   collector, figure or table of the paper), and the JSON record that
+   [stm_run --out] writes and the bench gate diffs against its golden. *)
 
 type row = { label : string; cells : float array }
 
@@ -11,11 +11,18 @@ type table = {
   unit_ : string;
 }
 
-let make ~title ~unit_ ~columns rows = { title; columns; rows; unit_ }
+let table title unit_ columns rows =
+  let row (label, cells) = { label; cells = Array.of_list cells } in
+  { title; unit_; columns; rows = List.map row rows }
+
+let cell t label col =
+  match List.find_index (( = ) col) t.columns with
+  | Some i -> (List.find (fun r -> r.label = label) t.rows).cells.(i)
+  | None -> raise Not_found
 
 let fmt_cell v =
   if Float.is_nan v then "-"
-  else if Float.abs v >= 1000. then Printf.sprintf "%.0f" v
+  else if Float.is_integer v || Float.abs v >= 1000. then Printf.sprintf "%.0f" v
   else if Float.abs v >= 10. then Printf.sprintf "%.1f" v
   else Printf.sprintf "%.3f" v
 
@@ -51,12 +58,12 @@ let print t = render Format.std_formatter t
 
 (* The record: integer-valued cells exact, NaN as null. *)
 let cell_json v =
-  if Float.is_nan v then Obs.Json.Null
-  else if Float.is_integer v && Float.abs v <= 0x1p53 then Obs.Json.Int (int_of_float v)
-  else Obs.Json.Float v
+  if Float.is_nan v then Json.Null
+  else if Float.is_integer v && Float.abs v <= 0x1p53 then Json.Int (int_of_float v)
+  else Json.Float v
 
 let to_json tables =
-  let open Obs.Json in
+  let open Json in
   let row r = List (Str r.label :: List.map cell_json (Array.to_list r.cells)) in
   let table t =
     Obj [ ("title", Str t.title); ("unit", Str t.unit_);
@@ -66,7 +73,7 @@ let to_json tables =
   List (List.map table tables)
 
 let of_json j =
-  let open Obs.Json in
+  let open Json in
   let bad () = failwith "Report.of_json: not a table list" in
   let str = function Str s -> s | _ -> bad () in
   let cell = function Int i -> float_of_int i | Float f -> f | Null -> Float.nan | _ -> bad () in
@@ -76,7 +83,7 @@ let of_json j =
   in
   let table = function
     | Obj [ ("title", Str title); ("unit", Str unit_); ("columns", List cs); ("rows", List rs) ] ->
-        make ~title ~unit_ ~columns:(List.map str cs) (List.map row rs)
+        { title; unit_; columns = List.map str cs; rows = List.map row rs }
     | _ -> bad ()
   in
   match j with List ts -> List.map table ts | _ -> bad ()
@@ -93,7 +100,7 @@ let matched path key f g c =
          | g, c -> [ (path, side g, side c) ])
 
 let diff golden current =
-  let num v = Obs.Json.to_string (cell_json v) in
+  let num v = Json.to_string (cell_json v) in
   let cell path (_, g) (_, c) = if Float.equal g c then [] else [ (path, num g, num c) ] in
   let table path g c =
     let cells t r =

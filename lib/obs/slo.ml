@@ -8,98 +8,10 @@
    engine call sites.
 
    Percentile resolution: the service gate compares p99.9/p50 ratios
-   *between* engines, so the power-of-two buckets of [Metrics.Hist]
-   (100 % relative error) are not good enough.  [Rhist] subdivides every
-   octave into 32 buckets (~3 % relative error) and stays exact below 64;
-   everything remains integer bucket arithmetic, hence deterministic. *)
+   *between* engines, which [Rhist]'s 32 sub-buckets per octave (~3 %
+   relative error) make meaningful. *)
 
-(* --- sub-bucketed log2 histogram --------------------------------------- *)
-
-module Rhist = struct
-  let sub_bits = 5
-  let subs = 1 lsl sub_bits (* 32 sub-buckets per octave *)
-  let exact = 2 * subs (* values below 64 get exact buckets *)
-
-  (* Highest octave: 62 significant bits on 64-bit OCaml. *)
-  let n_buckets = exact + ((62 - sub_bits - 1) * subs)
-
-  type t = {
-    mutable count : int;
-    mutable sum : int;
-    mutable max : int;
-    buckets : int array;
-  }
-
-  let create () =
-    { count = 0; sum = 0; max = 0; buckets = Array.make n_buckets 0 }
-
-  let bits v =
-    let b = ref 0 and n = ref v in
-    while !n > 0 do
-      incr b;
-      n := !n lsr 1
-    done;
-    !b
-
-  let bucket_of v =
-    if v < 0 then 0
-    else if v < exact then v
-    else begin
-      let b = bits v in
-      let sub = (v lsr (b - sub_bits - 1)) land (subs - 1) in
-      exact + ((b - sub_bits - 2) * subs) + sub
-    end
-
-  let bucket_upper i =
-    if i < exact then i
-    else begin
-      let k = i - exact in
-      let oct = k / subs and sub = k mod subs in
-      ((subs + sub + 1) lsl (oct + 1)) - 1
-    end
-
-  let observe t v =
-    let v = if v < 0 then 0 else v in
-    t.count <- t.count + 1;
-    t.sum <- t.sum + v;
-    if v > t.max then t.max <- v;
-    let b = bucket_of v in
-    t.buckets.(b) <- t.buckets.(b) + 1
-
-  let merge_into t ~into =
-    into.count <- into.count + t.count;
-    into.sum <- into.sum + t.sum;
-    if t.max > into.max then into.max <- t.max;
-    for i = 0 to n_buckets - 1 do
-      into.buckets.(i) <- into.buckets.(i) + t.buckets.(i)
-    done
-
-  let reset t =
-    t.count <- 0;
-    t.sum <- 0;
-    t.max <- 0;
-    Array.fill t.buckets 0 n_buckets 0
-
-  let count t = t.count
-  let sum t = t.sum
-  let max_value t = t.max
-
-  (* Upper bound of the smallest bucket prefix holding quantile [q]. *)
-  let quantile t q =
-    if t.count = 0 then 0
-    else begin
-      let target = Float.to_int (Float.of_int t.count *. q +. 0.999999) in
-      let target = if target < 1 then 1 else target in
-      let acc = ref 0 and b = ref 0 in
-      while !acc < target && !b < n_buckets do
-        acc := !acc + t.buckets.(!b);
-        if !acc < target then incr b
-      done;
-      (* the histogram is never observed past its top bucket, and [max]
-         is exact, so clamp the report to it *)
-      min (bucket_upper (min !b (n_buckets - 1))) t.max
-    end
-end
+module Rhist = Rhist
 
 (* --- window store ------------------------------------------------------- *)
 
@@ -125,8 +37,6 @@ let on = ref false
 let win_cycles = ref 1_000_000
 let slow_cutoff = ref max_int
 let wins : win option array ref = ref [||]
-
-let window_cycles () = !win_cycles
 
 let enable ~window_cycles:wc ?slow_cutoff:(cutoff = max_int) () =
   if wc <= 0 then invalid_arg "Slo.enable: window_cycles <= 0";
@@ -212,55 +122,6 @@ let record ~tid ~arrival ~started ~finished =
 
 (* --- reporting ---------------------------------------------------------- *)
 
-type window = {
-  w_start : int;
-  w_arrivals : int;
-  w_completions : int;
-  w_p50 : int;
-  w_p95 : int;
-  w_p999 : int;
-  w_max : int;
-  w_queue_cycles : int;
-  w_abort_cycles : int;
-  w_backoff_cycles : int;
-  w_exec_cycles : int;
-  w_retries : int;
-  w_escalations : int;
-  w_throttles : int;
-  w_slow : int;
-  w_slow_queue_cycles : int;
-  w_slow_abort_cycles : int;
-  w_slow_backoff_cycles : int;
-}
-
-let export (w : win) =
-  {
-    w_start = w.start;
-    w_arrivals = w.arrivals;
-    w_completions = w.completions;
-    w_p50 = Rhist.quantile w.resp 0.5;
-    w_p95 = Rhist.quantile w.resp 0.95;
-    w_p999 = Rhist.quantile w.resp 0.999;
-    w_max = Rhist.max_value w.resp;
-    w_queue_cycles = w.queue_cycles;
-    w_abort_cycles = w.abort_cycles;
-    w_backoff_cycles = w.backoff_cycles;
-    w_exec_cycles = w.exec_cycles;
-    w_retries = w.retries;
-    w_escalations = w.escalations;
-    w_throttles = w.throttles;
-    w_slow = w.slow;
-    w_slow_queue_cycles = w.slow_queue;
-    w_slow_abort_cycles = w.slow_abort;
-    w_slow_backoff_cycles = w.slow_backoff;
-  }
-
-let windows () =
-  Array.to_list !wins
-  |> List.filter_map (function
-       | Some w when w.arrivals > 0 || w.completions > 0 -> Some (export w)
-       | _ -> None)
-
 type summary = {
   s_requests : int;
   s_p50 : int;
@@ -317,91 +178,32 @@ let summarize ?(from_cycles = 0) ?(to_cycles = max_int) () =
     s_throttles = !thr;
   }
 
-let pp ppf () =
-  Format.fprintf ppf "slo windows (%d cycles each):@\n" !win_cycles;
-  Format.fprintf ppf
-    "    %-10s %8s %8s %10s %10s %10s %8s %6s@\n"
-    "start" "offered" "done" "p50" "p95" "p99.9" "retries" "escal";
-  List.iter
-    (fun w ->
-      Format.fprintf ppf
-        "    %-10d %8d %8d %10d %10d %10d %8d %6d@\n"
-        w.w_start w.w_arrivals w.w_completions w.w_p50 w.w_p95 w.w_p999
-        w.w_retries w.w_escalations)
-    (windows ());
-  let s = summarize () in
-  Format.fprintf ppf
-    "    overall: n=%d p50=%d p95=%d p99.9=%d max=%d tail-amp=%.2f@\n"
-    s.s_requests s.s_p50 s.s_p95 s.s_p999 s.s_max s.s_tail_amplification;
-  let tot =
-    s.s_queue_cycles + s.s_abort_cycles + s.s_backoff_cycles + s.s_exec_cycles
+(* The non-empty windows, labelled by start cycle, as a latency table
+   and an attribution table. *)
+let window_tables ~name () =
+  let ws =
+    Array.to_list !wins
+    |> List.filter_map (function
+         | Some w when w.arrivals > 0 || w.completions > 0 -> Some w
+         | _ -> None)
   in
-  if tot > 0 then
-    Format.fprintf ppf
-      "    response cycles: queue %d (%.1f%%)  aborted %d (%.1f%%)  backoff \
-       %d (%.1f%%)  exec %d (%.1f%%)@\n"
-      s.s_queue_cycles
-      (100. *. float_of_int s.s_queue_cycles /. float_of_int tot)
-      s.s_abort_cycles
-      (100. *. float_of_int s.s_abort_cycles /. float_of_int tot)
-      s.s_backoff_cycles
-      (100. *. float_of_int s.s_backoff_cycles /. float_of_int tot)
-      s.s_exec_cycles
-      (100. *. float_of_int s.s_exec_cycles /. float_of_int tot)
-
-let window_to_json w =
-  Json.Obj
-    [
-      ("start", Json.Int w.w_start);
-      ("arrivals", Json.Int w.w_arrivals);
-      ("completions", Json.Int w.w_completions);
-      ("p50", Json.Int w.w_p50);
-      ("p95", Json.Int w.w_p95);
-      ("p999", Json.Int w.w_p999);
-      ("max", Json.Int w.w_max);
-      ( "attribution",
-        Json.Obj
-          [
-            ("queue_cycles", Json.Int w.w_queue_cycles);
-            ("abort_cycles", Json.Int w.w_abort_cycles);
-            ("backoff_cycles", Json.Int w.w_backoff_cycles);
-            ("exec_cycles", Json.Int w.w_exec_cycles);
-          ] );
-      ("retries", Json.Int w.w_retries);
-      ("escalations", Json.Int w.w_escalations);
-      ("throttles", Json.Int w.w_throttles);
-      ( "slow",
-        Json.Obj
-          [
-            ("count", Json.Int w.w_slow);
-            ("queue_cycles", Json.Int w.w_slow_queue_cycles);
-            ("abort_cycles", Json.Int w.w_slow_abort_cycles);
-            ("backoff_cycles", Json.Int w.w_slow_backoff_cycles);
-          ] );
-    ]
-
-let to_json () =
-  let s = summarize () in
-  Json.Obj
-    [
-      ("schema", Json.Str "swisstm-repro/slo/1");
-      ("window_cycles", Json.Int !win_cycles);
-      ("windows", Json.List (List.map window_to_json (windows ())));
-      ( "summary",
-        Json.Obj
-          [
-            ("requests", Json.Int s.s_requests);
-            ("p50", Json.Int s.s_p50);
-            ("p95", Json.Int s.s_p95);
-            ("p999", Json.Int s.s_p999);
-            ("max", Json.Int s.s_max);
-            ("tail_amplification", Json.Float s.s_tail_amplification);
-            ("queue_cycles", Json.Int s.s_queue_cycles);
-            ("abort_cycles", Json.Int s.s_abort_cycles);
-            ("backoff_cycles", Json.Int s.s_backoff_cycles);
-            ("exec_cycles", Json.Int s.s_exec_cycles);
-            ("retries", Json.Int s.s_retries);
-            ("escalations", Json.Int s.s_escalations);
-            ("throttles", Json.Int s.s_throttles);
-          ] );
-    ]
+  let table what unit_ columns f =
+    Report.table
+      (Printf.sprintf "%s SLO windows of %d cycles: %s" name !win_cycles what)
+      unit_ columns
+      (List.map (fun w -> (string_of_int w.start, List.map float_of_int (f w))) ws)
+  in
+  let q w p = Rhist.quantile w.resp p in
+  [
+    table "latency" "requests, cycles"
+      [ "arrivals"; "completions"; "p50"; "p95"; "p99.9"; "max"; "retries"; "escalations";
+        "throttles" ]
+      (fun w ->
+        [ w.arrivals; w.completions; q w 0.5; q w 0.95; q w 0.999; Rhist.max_value w.resp;
+          w.retries; w.escalations; w.throttles ]);
+    table "attribution" "cycles, requests"
+      [ "queue"; "abort"; "backoff"; "exec"; "slow"; "slow queue"; "slow abort"; "slow backoff" ]
+      (fun w ->
+        [ w.queue_cycles; w.abort_cycles; w.backoff_cycles; w.exec_cycles; w.slow; w.slow_queue;
+          w.slow_abort; w.slow_backoff ]);
+  ]

@@ -12,32 +12,11 @@
     unmetered one, and everything reported is a deterministic function of
     (engine, workload, seed).
 
-    Response-time percentiles use a sub-bucketed log2 histogram
-    ({!Rhist}): 32 sub-buckets per octave (~3 % relative resolution), so
-    p99.9/p50 tail-amplification ratios are meaningfully comparable
-    across engines, unlike the power-of-two buckets of {!Metrics.Hist}. *)
+    Response-time percentiles use {!Rhist}: 32 sub-buckets per octave
+    (~3 % relative resolution), so p99.9/p50 tail-amplification ratios
+    are meaningfully comparable across engines. *)
 
-(** Sub-bucketed log2 histogram of non-negative ints: exact below 64,
-    32 sub-buckets per octave above (bounded relative error ~3 %). *)
-module Rhist : sig
-  type t
-
-  val n_buckets : int
-  val create : unit -> t
-  val bucket_of : int -> int
-  val bucket_upper : int -> int
-  (** Inclusive upper bound of a bucket; [bucket_upper (bucket_of v) >= v]. *)
-
-  val observe : t -> int -> unit
-  val merge_into : t -> into:t -> unit
-  val reset : t -> unit
-  val count : t -> int
-  val sum : t -> int
-  val max_value : t -> int
-
-  val quantile : t -> float -> int
-  (** Upper bound of the smallest bucket prefix holding the quantile. *)
-end
+module Rhist = Rhist
 
 val on : bool ref
 
@@ -69,31 +48,6 @@ val record : tid:int -> arrival:int -> started:int -> finished:int -> unit
 
 (** {2 Reporting} *)
 
-type window = {
-  w_start : int;  (** window start, simulated cycles *)
-  w_arrivals : int;  (** offered requests (by arrival time) *)
-  w_completions : int;  (** goodput (by completion time) *)
-  w_p50 : int;
-  w_p95 : int;
-  w_p999 : int;
-  w_max : int;
-  w_queue_cycles : int;  (** response-time share spent queued *)
-  w_abort_cycles : int;  (** share discarded by aborted attempts *)
-  w_backoff_cycles : int;  (** share spent in CM back-off *)
-  w_exec_cycles : int;  (** remainder: useful execution + commit *)
-  w_retries : int;
-  w_escalations : int;  (** serial-token escalations *)
-  w_throttles : int;  (** adaptive-CM throttle serializations *)
-  w_slow : int;  (** completions at/over the slow cutoff *)
-  w_slow_queue_cycles : int;
-  w_slow_abort_cycles : int;
-  w_slow_backoff_cycles : int;
-}
-
-val windows : unit -> window list
-(** Non-empty windows in time order (empty trailing/leading windows with
-    neither arrivals nor completions are skipped). *)
-
 type summary = {
   s_requests : int;
   s_p50 : int;
@@ -114,7 +68,8 @@ val summarize : ?from_cycles:int -> ?to_cycles:int -> unit -> summary
 (** Merge the response-time histograms of every window whose start lies
     in [[from_cycles, to_cycles)] (defaults: everything). *)
 
-val window_cycles : unit -> int
-val pp : Format.formatter -> unit -> unit
-val to_json : unit -> Json.t
-(** Deterministic: same run, same JSON text. *)
+val window_tables : name:string -> unit -> Report.table list
+(** The non-empty windows (neither arrivals nor completions: skipped),
+    one row per window labelled by its start cycle, as two tables titled
+    ["<name> SLO windows of <n> cycles: latency"] and [": attribution"].
+    Deterministic: same run, same tables. *)

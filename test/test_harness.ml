@@ -43,44 +43,44 @@ let contains haystack needle =
 
 let test_report_rendering () =
   let t =
-    Harness.Report.make ~title:"demo" ~unit_:"tx/s" ~columns:[ "1T"; "2T" ]
-      [
-        { Harness.Report.label = "a"; cells = [| 1.5; 20000. |] };
-        { Harness.Report.label = "bb"; cells = [| Float.nan; 0.25 |] };
-      ]
+    Obs.Report.table "demo" "tx/s" [ "1T"; "2T"; "4T" ]
+      [ ("a", [ 1.5; 20000.; 908. ]); ("bb", [ Float.nan; 0.25; 3. ]) ]
   in
   let buf = Buffer.create 128 in
   let ppf = Format.formatter_of_buffer buf in
-  Harness.Report.render ppf t;
+  Obs.Report.render ppf t;
   Format.pp_print_flush ppf ();
   let s = Buffer.contents buf in
   Alcotest.(check bool) "title present" true (contains s "demo");
   Alcotest.(check bool) "labels present" true (contains s "bb");
-  Alcotest.(check bool) "nan rendered as dash" true (contains s "-")
+  Alcotest.(check bool) "nan rendered as dash" true (contains s "-");
+  Alcotest.(check bool) "fraction keeps its decimals" true (contains s "0.250");
+  Alcotest.(check bool) "integer cells print as integers" true
+    (contains s " 908\n" && contains s " 3\n" && not (contains s "908.0" || contains s "3.000"));
+  check (Alcotest.float 0.) "cell lookup" 0.25 (Obs.Report.cell t "bb" "2T")
 
 (* --- the record ---------------------------------------------------------- *)
 
 let record_tables () =
-  let row label cells = { Harness.Report.label; cells } in
   [
-    Harness.Report.make ~title:"sweep" ~unit_:"cycles" ~columns:[ "1T"; "2T"; "4T" ]
-      [ row "a" [| 0x1p53; -17.; 0.1 |]; row "b" [| Float.nan; 1e300; -0.25 |] ];
-    Harness.Report.make ~title:"empty" ~unit_:"" ~columns:[] [];
+    Obs.Report.table "sweep" "cycles" [ "1T"; "2T"; "4T" ]
+      [ ("a", [ 0x1p53; -17.; 0.1 ]); ("b", [ Float.nan; 1e300; -0.25 ]) ];
+    Obs.Report.table "empty" "" [] [];
   ]
 
 let test_record_round_trip () =
   let tables = record_tables () in
   let back =
-    Harness.Report.(of_json (Obs.Json.of_string (Obs.Json.to_string (to_json tables))))
+    Obs.Report.(of_json (Obs.Json.of_string (Obs.Json.to_string (to_json tables))))
   in
   check Alcotest.int "tables" 2 (List.length back);
   List.iter2
-    (fun (t : Harness.Report.table) (b : Harness.Report.table) ->
+    (fun (t : Obs.Report.table) (b : Obs.Report.table) ->
       check Alcotest.string "title" t.title b.title;
       check Alcotest.string "unit" t.unit_ b.unit_;
       check Alcotest.(list string) "columns" t.columns b.columns;
       List.iter2
-        (fun (r : Harness.Report.row) (s : Harness.Report.row) ->
+        (fun (r : Obs.Report.row) (s : Obs.Report.row) ->
           check Alcotest.string "label" r.label s.label;
           Array.iteri
             (fun i v ->
@@ -91,17 +91,17 @@ let test_record_round_trip () =
             r.cells)
         t.rows b.rows)
     tables back;
-  let text = Obs.Json.to_string (Harness.Report.to_json tables) in
+  let text = Obs.Json.to_string (Obs.Report.to_json tables) in
   Alcotest.(check bool) "2^53 is an integer" true (contains text "9007199254740992,");
   Alcotest.(check bool) "negative integer" true (contains text "-17,");
   Alcotest.(check bool) "nan is null" true (contains text "null");
   Alcotest.(check bool) "non-table JSON refused" true
-    (match Harness.Report.of_json (Obs.Json.Obj []) with
+    (match Obs.Report.of_json (Obs.Json.Obj []) with
     | _ -> false
     | exception Failure _ -> true)
 
 let test_record_diff () =
-  let open Harness.Report in
+  let open Obs.Report in
   let diffs = Alcotest.(list (triple string string string)) in
   let golden = record_tables () in
   check diffs "equal records" [] (diff golden (record_tables ()));
@@ -386,13 +386,11 @@ let test_service_deterministic () =
   in
   let r1 = Harness.Service.run Engines.swisstm cfg in
   let r2 = Harness.Service.run Engines.swisstm cfg in
-  let json r =
-    match r.Harness.Service.slo_json with
-    | Some j -> Obs.Json.to_string j
-    | None -> Alcotest.fail "slo_json missing"
-  in
-  Alcotest.(check string) "same config => bit-identical SLO JSON" (json r1)
-    (json r2);
+  let json (r : Harness.Service.result) = Obs.Json.to_string (Obs.Report.to_json r.windows) in
+  Alcotest.(check bool) "windows reported" true (r1.windows <> []);
+  Alcotest.(check string) "same config => bit-identical SLO windows" (json r1) (json r2);
+  Alcotest.(check bool) "same config => same summary" true
+    (r1.summary = r2.summary && r1.summary <> None);
   Alcotest.(check bool) "served everything" true
     (r1.Harness.Service.completed = r1.Harness.Service.offered
     && r1.Harness.Service.offered > 0);

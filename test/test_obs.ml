@@ -1,51 +1,66 @@
 (* Observability layer: histogram bucketing, registry reset semantics,
-   JSON printer/parser, catapult export round-trip, and the profiler's
-   no-perturbation contract. *)
+   JSON printer/parser, catapult export round-trip, the collectors'
+   reports as tables, and the profiler's no-perturbation contract. *)
 
 open Alcotest
 
-(* --- Hist bucketing ------------------------------------------------------ *)
+(* --- Rhist bucketing -------------------------------------------------- *)
 
-let test_hist_bucket_edges () =
-  let module H = Obs.Metrics.Hist in
-  check int "bucket_of 0" 0 (H.bucket_of 0);
-  check int "bucket_of (-5) clamps to 0" 0 (H.bucket_of (-5));
-  check int "bucket_of 1" 1 (H.bucket_of 1);
-  check int "bucket_of 2" 2 (H.bucket_of 2);
-  check int "bucket_of 3" 2 (H.bucket_of 3);
-  check int "bucket_of 4" 3 (H.bucket_of 4);
-  check int "bucket_of 1023" 10 (H.bucket_of 1023);
-  check int "bucket_of 1024" 11 (H.bucket_of 1024);
-  check int "bucket_of max_int" 62 (H.bucket_of max_int);
-  check bool "max bucket within range" true (H.bucket_of max_int < H.n_buckets);
-  check int "bucket_upper 0" 0 (H.bucket_upper 0);
-  check int "bucket_upper 1" 1 (H.bucket_upper 1);
-  check int "bucket_upper 10" 1023 (H.bucket_upper 10);
-  (* every value lands in a bucket whose upper bound covers it *)
+module H = Obs.Rhist
+
+let test_hist_exact_below_64 () =
+  check int "negatives clamp to bucket 0" 0 (H.bucket_of (-5));
+  for v = 0 to 63 do
+    check int (Printf.sprintf "bucket_of %d" v) v (H.bucket_of v);
+    check int (Printf.sprintf "bucket_upper %d" v) v (H.bucket_upper v)
+  done;
+  check bool "64 starts the sub-bucketed octaves" true (H.bucket_of 64 = 64)
+
+(* Above 64 every value lands in a bucket whose upper bound covers it,
+   at most 1/32 above it, and no index reaches [n_buckets]. *)
+let test_hist_relative_error () =
+  let octaves = List.concat_map (fun b -> [ (1 lsl b) - 1; 1 lsl b; (1 lsl b) + 1 ]) in
   List.iter
     (fun v ->
-      check bool
-        (Printf.sprintf "upper(bucket_of %d) >= %d" v v)
-        true
-        (H.bucket_upper (H.bucket_of v) >= v))
-    [ 0; 1; 2; 3; 7; 8; 1000; 123_456_789; max_int ]
+      let b = H.bucket_of v in
+      let up = H.bucket_upper b in
+      check bool (Printf.sprintf "bucket_of %d in range" v) true (b < H.n_buckets);
+      check bool (Printf.sprintf "upper(bucket_of %d) >= %d" v v) true (up >= v);
+      check bool (Printf.sprintf "upper(bucket_of %d) within 1/32" v) true (up - v <= v / 32))
+    (octaves (List.init 55 (fun b -> b + 7)) @ [ 64; 100; 1000; 123_456_789; max_int ])
 
-let test_hist_observe () =
-  let module H = Obs.Metrics.Hist in
+let test_hist_quantile_at_most_max () =
   let h = H.create () in
-  check int "empty count" 0 (H.count h);
-  check int "empty quantile" 0 (H.approx_quantile h 0.5);
-  List.iter (H.observe h) [ 0; 1; 100; 100; 1_000_000; max_int ];
+  check int "empty quantile" 0 (H.quantile h 0.5);
+  List.iter (H.observe h) [ 0; 1; 100; 100; 1_000_001; 5_000_003 ];
   check int "count" 6 (H.count h);
-  check int "max" max_int (H.max_value h);
-  check int "bucket 0 holds the zero" 1 (H.bucket h 0);
-  check int "bucket 7 holds both 100s" 2 (H.bucket h (H.bucket_of 100));
-  (* sum saturates ordinary arithmetic but never goes negative here *)
-  check bool "p50 covers 100" true (H.approx_quantile h 0.5 >= 100);
-  check bool "p100 covers max_int" true (H.approx_quantile h 1.0 >= max_int - 1);
+  check int "max" 5_000_003 (H.max_value h);
+  List.iter
+    (fun q ->
+      check bool (Printf.sprintf "q%.3f <= max" q) true (H.quantile h q <= H.max_value h))
+    [ 0.; 0.5; 0.9; 0.999; 1. ];
+  check int "p100 is the max" 5_000_003 (H.quantile h 1.);
+  check bool "p50 covers 100" true (H.quantile h 0.5 >= 100);
   H.reset h;
   check int "reset count" 0 (H.count h);
-  check int "reset max" 0 (H.max_value h)
+  check int "reset quantile" 0 (H.quantile h 0.5)
+
+let test_hist_merge () =
+  let a = H.create () and b = H.create () and both = H.create () in
+  List.iter (fun v -> H.observe a v; H.observe both v) [ 3; 70; 900 ];
+  List.iter (fun v -> H.observe b v; H.observe both v) [ 5; 70; 40_000 ];
+  let into = H.create () in
+  H.merge_into (H.create ()) ~into;
+  check int "merging an empty histogram adds nothing" 0 (H.count into);
+  H.merge_into a ~into;
+  H.merge_into b ~into;
+  check int "count" (H.count both) (H.count into);
+  check int "sum" (H.sum both) (H.sum into);
+  check int "max" (H.max_value both) (H.max_value into);
+  List.iter
+    (fun q ->
+      check int (Printf.sprintf "q%.2f" q) (H.quantile both q) (H.quantile into q))
+    [ 0.1; 0.3; 0.5; 0.7; 0.9; 1. ]
 
 (* --- registry reset semantics ------------------------------------------- *)
 
@@ -226,13 +241,57 @@ let test_profiler_no_perturbation () =
   check int "metered run bit-identical" base metered;
   check int "unmetered-again bit-identical" base after
 
+(* --- the collectors' tables ------------------------------------------- *)
+
+(* Metrics and Profile report as tables that survive the record. *)
+let test_collector_tables () =
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  let profiles =
+    List.map
+      (fun (name, spec) ->
+        Obs.Profile.reset ();
+        Obs.Profile.enable ();
+        ignore (contended_run spec : int);
+        Obs.Profile.disable ();
+        Obs.Profile.table ~title:("profile: " ^ name) (Obs.Profile.snapshot ()))
+      [ ("swisstm", Engines.swisstm); ("tl2", Engines.tl2) ]
+  in
+  Obs.Metrics.disable ();
+  let tables = profiles @ Obs.Metrics.tables () in
+  Obs.Metrics.reset ();
+  let back =
+    Obs.Report.of_json (Obs.Json.of_string (Obs.Json.to_string (Obs.Report.to_json tables)))
+  in
+  check bool "record round trip" true (Obs.Report.diff tables back = []);
+  let table title = List.find (fun (t : Obs.Report.table) -> t.title = title) back in
+  let labels title = List.map (fun (r : Obs.Report.row) -> r.label) (table title).rows in
+  check (list string) "a row per registered engine" (Obs.Metrics.registered ())
+    (labels "metrics: aborts and CM decisions");
+  check (list string) "a row per registered gauge"
+    (List.map fst (Obs.Metrics.gauge_values ()))
+    (labels "metrics: gauges");
+  List.iter
+    (fun name ->
+      check bool (name ^ " tx latency") true
+        (Obs.Report.cell (table "metrics: latency") (name ^ " tx") "n" > 0.);
+      let profile = table ("profile: " ^ name) in
+      check (list string) (name ^ " profile rows")
+        (Array.to_list Obs.Profile.phase_names @ [ "total" ])
+        (labels profile.title);
+      check bool (name ^ " profile total") true (Obs.Report.cell profile "total" "cycles" > 0.))
+    [ "swisstm"; "tl2" ]
+
 let suite =
   [
     ( "obs:hist",
       [
-        test_case "bucket edges (0, max_int)" `Quick test_hist_bucket_edges;
-        test_case "observe/quantile/reset" `Quick test_hist_observe;
+        test_case "exact below 64" `Quick test_hist_exact_below_64;
+        test_case "bucket bound within 1/32" `Quick test_hist_relative_error;
+        test_case "quantile at most max" `Quick test_hist_quantile_at_most_max;
+        test_case "merge_into sums" `Quick test_hist_merge;
       ] );
+    ("obs:report", [ test_case "collector tables round-trip" `Quick test_collector_tables ]);
     ( "obs:registry",
       [ test_case "reset keeps registrations" `Quick test_registry_reset ] );
     ( "obs:json",
