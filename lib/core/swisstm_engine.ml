@@ -25,9 +25,7 @@ open Kernel
 type t = {
   heap : Memory.Heap.t;
   locks : Runtime.Line_table.t;  (** one (r-lock, w-lock) line per stripe *)
-  chunks : Runtime.Tmatomic.t array array array;  (** = [locks.chunks] *)
-  shift : int;  (** log2 stripe granularity: [index = (addr lsr shift) land imask] *)
-  imask : int;  (** lock-table index mask *)
+  stripe : Memory.Stripe.t;  (** address to lock-table index *)
   commit_ts : Runtime.Tmatomic.t;
   cm : Cm.Cm_intf.t;
   descs : Txdesc.t array;
@@ -59,13 +57,10 @@ let quiesce_slots = 64
 let create ~cm ~granularity_words ~table_bits ~privatization_safe
     ~debug_no_validation heap =
   let stripe = Memory.Stripe.create ~granularity_words ~table_bits () in
-  let locks = Lock_table.create stripe in
   {
     heap;
-    locks;
-    chunks = locks.Runtime.Line_table.chunks;
-    shift = Memory.Stripe.log2_granularity stripe;
-    imask = Memory.Stripe.index_mask stripe;
+    locks = Lock_table.create stripe;
+    stripe;
     commit_ts = Runtime.Tmatomic.make 0;
     cm = Cm.Factory.make cm;
     descs = Driver.make_descs ();
@@ -77,13 +72,8 @@ let create ~cm ~granularity_words ~table_bits ~privatization_safe
     ser = Serial.create ();
   }
 
-(* The lock pair of stripe [idx], built on first access; the table's fast
-   path is inlined, since under [-opaque] a [Line_table] call is real. *)
-let[@inline] entry t idx =
-  let c = Array.unsafe_get t.chunks (idx lsr Runtime.Line_table.chunk_bits) in
-  let e = Array.unsafe_get c (idx land Runtime.Line_table.chunk_mask) in
-  if e != Runtime.Line_table.absent then e
-  else Runtime.Line_table.touch t.locks idx
+(* The lock pair of stripe [idx], built on first access. *)
+let[@inline] entry t idx = (Runtime.Line_table.line [@inlined]) t.locks idx
 
 let[@inline] r_lock t idx = Array.unsafe_get (entry t idx) Lock_table.r_col
 let[@inline] w_lock t idx = Array.unsafe_get (entry t idx) Lock_table.w_col
@@ -151,19 +141,15 @@ let validate t (d : Txdesc.t) =
   else begin
     let prof_prev = Hooks.phase_enter_validate d.tid in
     let costs = Runtime.Costs.get () in
-    (* walk the [Rset] journal directly, stride 2 over the interleaved
-       (stripe, version) pairs: no per-entry cross-module call *)
     let rs = d.rset in
-    let n = rs.Rset.len lsl 1 in
-    let data = rs.Rset.data in
+    let n = Rset.length rs in
     let ok = ref true in
     let j = ref 0 in
     while !ok && !j < n do
       Runtime.Exec.tick costs.validate_entry;
-      let idx = Array.unsafe_get data !j in
+      let idx = Rset.key rs !j in
       let cur = Runtime.Tmatomic.get (r_lock t idx) in
-      if cur <> Lock_table.encode_version (Array.unsafe_get data (!j + 1))
-      then begin
+      if cur <> Lock_table.encode_version (Rset.value rs !j) then begin
         (* A mismatch is fine only when the r-lock is commit-locked by *us*
            (we hold the stripe's w-lock and froze it).  Merely owning the
            w-lock is NOT enough: the version may have moved between our
@@ -175,7 +161,7 @@ let validate t (d : Txdesc.t) =
                = Lock_table.encode_w_owner d.tid)
         then ok := false
       end;
-      j := !j + 2
+      incr j
     done;
     Hooks.phase_restore d.tid prof_prev;
     !ok
@@ -215,7 +201,7 @@ let quiesce t (d : Txdesc.t) ~ts =
    allocation-free. *)
 let rec read_fresh t (d : Txdesc.t) r_lock idx addr
     (costs : Runtime.Costs.t) =
-  let rv = Runtime.Tmatomic.get r_lock in
+  let rv = (Runtime.Tmatomic.get [@inlined]) r_lock in
   if Lock_table.is_r_locked rv then begin
     Stats.wait d.counters;
     check_kill t d;
@@ -223,24 +209,14 @@ let rec read_fresh t (d : Txdesc.t) r_lock idx addr
     read_fresh t d r_lock idx addr costs
   end
   else begin
-    Runtime.Exec.tick costs.mem;
+    (Runtime.Exec.tick [@inlined]) costs.mem;
     let value = Memory.Heap.unsafe_read t.heap addr in
-    let rv2 = Runtime.Tmatomic.get r_lock in
+    let rv2 = (Runtime.Tmatomic.get [@inlined]) r_lock in
     if rv2 <> rv then read_fresh t d r_lock idx addr costs
     else begin
       let version = Lock_table.version_of rv in
-      Runtime.Exec.tick costs.log_append;
-      (* in-engine append; [Rset.push] only on the growth step *)
-      let rs = d.rset in
-      let len = rs.Rset.len in
-      let data = rs.Rset.data in
-      let j = len lsl 1 in
-      if j < Array.length data then begin
-        Array.unsafe_set data j idx;
-        Array.unsafe_set data (j + 1) version;
-        rs.Rset.len <- len + 1
-      end
-      else Rset.push rs idx version;
+      (Runtime.Exec.tick [@inlined]) costs.log_append;
+      (Rset.push [@inlined]) d.rset idx version;
       d.info.accesses <- d.info.accesses + 1;
       if version > d.valid_ts && not (extend t d) then
         rollback t d Tx_signal.Rw_validation;
@@ -252,14 +228,16 @@ let read_word t (d : Txdesc.t) addr =
   let costs = Runtime.Costs.get () in
   Stats.read d.counters;
   check_kill t d;
-  let idx = (addr lsr t.shift) land t.imask in
+  let idx = Memory.Stripe.index t.stripe addr in
   let e = entry t idx in
-  let wv = Runtime.Tmatomic.get (Array.unsafe_get e Lock_table.w_col) in
+  let wv =
+    (Runtime.Tmatomic.get [@inlined]) (Array.unsafe_get e Lock_table.w_col)
+  in
   if wv = Lock_table.encode_w_owner d.tid then begin
     (* Read-after-write: return the redo-log value if this word was
        written; otherwise memory is stable (we own the stripe).  The bloom
        filter inside [Wlog.probe] lets the miss case skip the probe. *)
-    Runtime.Exec.tick costs.log_lookup;
+    (Runtime.Exec.tick [@inlined]) costs.log_lookup;
     let s = Wlog.probe d.wset addr in
     if s >= 0 then Wlog.slot_value d.wset s
     else begin
@@ -289,42 +267,43 @@ let record_undo (d : Txdesc.t) addr =
           Ivec.push d.sp_undo_vals (Wlog.slot_value d.wset s);
           Ivec.push d.sp_undo_present 1)
 
+(* Acquire stripe [idx]'s w-lock eagerly, [wv] its last read value; on
+   conflict defer to the CM (write-word 24–30). *)
+let rec acquire t (d : Txdesc.t) w_lock idx ~mine wv =
+  if wv <> Lock_table.w_unlocked then begin
+    check_kill t d;
+    Hooks.stripe_conflict ~eid:t.eid ~stripe:idx;
+    let victim = (t.descs.(Lock_table.w_owner_of wv)).info in
+    match Hooks.cm_resolve ~ser:t.ser ~cm:t.cm d ~victim with
+    | Cm.Cm_intf.Abort_self -> rollback t d Tx_signal.Ww_conflict
+    | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim ->
+        Stats.wait d.counters;
+        Runtime.Exec.pause ();
+        acquire t d w_lock idx ~mine (Runtime.Tmatomic.get w_lock)
+  end
+  else if
+    not (Runtime.Tmatomic.cas w_lock ~expect:Lock_table.w_unlocked ~replace:mine)
+  then acquire t d w_lock idx ~mine (Runtime.Tmatomic.get w_lock)
+
 let write_word t (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
   Stats.write d.counters;
   check_kill t d;
-  let idx = (addr lsr t.shift) land t.imask in
+  let idx = Memory.Stripe.index t.stripe addr in
   let e = entry t idx in
   let w_lock = Array.unsafe_get e Lock_table.w_col in
   let mine = Lock_table.encode_w_owner d.tid in
-  let wv = Runtime.Tmatomic.get w_lock in
+  let wv = (Runtime.Tmatomic.get [@inlined]) w_lock in
   if wv = mine then begin
-    Runtime.Exec.tick costs.log_append;
+    (Runtime.Exec.tick [@inlined]) costs.log_append;
     record_undo d addr;
     Wlog.replace d.wset addr value
   end
   else begin
-    (* acquire eagerly; on conflict defer to the CM (write-word 24–30) *)
-    let rec acquire wv =
-      if wv <> Lock_table.w_unlocked then begin
-        check_kill t d;
-        Hooks.stripe_conflict ~eid:t.eid ~stripe:idx;
-        let victim = (t.descs.(Lock_table.w_owner_of wv)).info in
-        match Hooks.cm_resolve ~ser:t.ser ~cm:t.cm d ~victim with
-        | Cm.Cm_intf.Abort_self -> rollback t d Tx_signal.Ww_conflict
-        | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim ->
-            Stats.wait d.counters;
-            Runtime.Exec.pause ();
-            acquire (Runtime.Tmatomic.get w_lock)
-      end
-      else if
-        not (Runtime.Tmatomic.cas w_lock ~expect:Lock_table.w_unlocked ~replace:mine)
-      then acquire (Runtime.Tmatomic.get w_lock)
-    in
-    acquire wv;
+    acquire t d w_lock idx ~mine wv;
     Hooks.inject_stall d;
     Ivec.push d.acq_stripes idx;
-    Runtime.Exec.tick costs.log_append;
+    (Runtime.Exec.tick [@inlined]) costs.log_append;
     record_undo d addr;
     Wlog.replace d.wset addr value;
     d.info.accesses <- d.info.accesses + 1;

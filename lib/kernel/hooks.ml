@@ -53,11 +53,9 @@ let[@inline] inject_stretch (d : Txdesc.t) =
    irrevocability-token holder is exempt: it must win every conflict) or
    the fault injector rolled one.  [Serial.mine] is only consulted behind
    the kill flag, so the no-kill fast path is two flag loads.  Called on
-   every read and write: the kill flag is read in place rather than
-   through [Cm_intf.kill_requested], one call fewer under [-opaque]. *)
+   every read and write. *)
 let[@inline] kill_due ~ser (d : Txdesc.t) =
-  (Runtime.Tmatomic.unsafe_get d.info.Cm.Cm_intf.kill <> 0
-  && not (Serial.mine ser ~tid:d.tid))
+  (Cm.Cm_intf.kill_requested d.info && not (Serial.mine ser ~tid:d.tid))
   || inject_abort d
 
 (* --- engine ids and stripe conflicts ---------------------------------- *)

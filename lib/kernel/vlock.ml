@@ -22,16 +22,8 @@ let create_locks stripe =
   Runtime.Line_table.create (Memory.Stripe.table_size stripe)
     ~init:[| unlocked_of_version 0 |]
 
-(* The lock of stripe [idx] — cell 0 of its line — with the table's
-   fast path (a chunk load, a slot load and a sentinel compare) inlined
-   into every helper below. *)
-let[@inline] lock (locks : Runtime.Line_table.t) idx =
-  let c = Array.unsafe_get locks.chunks (idx lsr Runtime.Line_table.chunk_bits) in
-  let e = Array.unsafe_get c (idx land Runtime.Line_table.chunk_mask) in
-  Array.unsafe_get
-    (if e != Runtime.Line_table.absent then e
-     else Runtime.Line_table.touch locks idx)
-    0
+(* The lock of stripe [idx]: cell 0 of its line. *)
+let[@inline] lock locks idx = Runtime.Line_table.cell locks idx 0
 
 (* GV4 clock bump: try to CAS the sampled value forward; on failure
    another committer already advanced the clock and its value can be

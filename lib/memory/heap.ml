@@ -16,7 +16,11 @@
    scans (an [int array] was marked word by word in every major cycle).
 
    Allocation is a bump pointer sharded into per-thread chunks so that
-   parallel allocation does not create a synthetic hot spot.  Memory
+   parallel allocation does not create a synthetic hot spot.  The buffer
+   is not cleared when the heap is built: a chunk, or a block too large
+   for one, is zeroed when the bump pointer hands it out, so building a
+   heap costs nothing per word and only the words a run allocates are
+   ever written (a heap is sized for the largest run).  Memory
    allocated by transactions that later abort is leaked, as in TL2's
    simple mode.
 
@@ -53,8 +57,10 @@ let null = 0
 
 let create ~words =
   if words < 1 then invalid_arg "Heap.create";
+  let buf = Bytes.create (words lsl 3) in
+  set64 buf 0 0L (* the null word; [alloc] zeroes the rest *);
   {
-    words = Bytes.make (words lsl 3) '\000';
+    words = buf;
     brk = Runtime.Tmatomic.make 1 (* skip the null word *);
     chunk_next = Array.make max_threads 0;
     chunk_limit = Array.make max_threads 0;
@@ -180,6 +186,7 @@ and alloc_fresh t tid n =
     let addr = Runtime.Tmatomic.fetch_and_add t.brk n in
     if addr + n > capacity t then
       raise (Out_of_memory { capacity = capacity t; requested = n });
+    Bytes.fill t.words (addr lsl 3) (n lsl 3) '\000';
     addr
   end
   else begin
@@ -195,6 +202,8 @@ and alloc_fresh t tid n =
          first leaked a full chunk per failed retry near exhaustion. *)
       t.chunk_next.(tid) <- min base limit;
       t.chunk_limit.(tid) <- limit;
+      if base < limit then
+        Bytes.fill t.words (base lsl 3) ((limit - base) lsl 3) '\000';
       if base + n > limit then
         raise (Out_of_memory { capacity = capacity t; requested = n })
     end;

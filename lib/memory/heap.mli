@@ -6,7 +6,9 @@
 
     Plain {!read}/{!write} are non-transactional and intended for
     construction before threads start and verification after they stop;
-    during a run, all shared accesses must go through an STM engine. *)
+    during a run, all shared accesses must go through an STM engine.
+    Only words that {!alloc} handed out hold defined values: the buffer
+    is zeroed as the allocator reaches it, not when the heap is built. *)
 
 type t
 
@@ -15,6 +17,9 @@ exception Out_of_memory of { capacity : int; requested : int }
 val null : int
 
 val create : words:int -> t
+(** [create ~words] is a heap of [words] words; building it writes only
+    the null word. *)
+
 val capacity : t -> int
 
 val read : t -> int -> int

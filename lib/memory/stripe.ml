@@ -33,16 +33,8 @@ let create ?(granularity_words = 4) ?(table_bits = 18) () =
 let granularity_words t = 1 lsl t.log2_gran
 let table_size t = 1 lsl t.table_bits
 
-(* Raw mapping parameters, for engines that inline [index] in their hot
-   paths: swisstm keeps both in its record and computes
-   [(addr lsr shift) land mask] in-line, next to its in-line lock-table
-   slot check, because the default dev build compiles with [-opaque] and
-   a call to [index] is never inlined. *)
-let log2_granularity t = t.log2_gran
-let index_mask t = t.mask
-
 (** Lock-table index covering word address [addr]. *)
-let index t addr = (addr lsr t.log2_gran) land t.mask
+let[@inline] index t addr = (addr lsr t.log2_gran) land t.mask
 
 (** Whether two addresses necessarily share a lock-table entry. *)
 let same_stripe t a b = index t a = index t b

@@ -13,12 +13,6 @@ val create : ?granularity_words:int -> ?table_bits:int -> unit -> t
 val granularity_words : t -> int
 val table_size : t -> int
 
-val log2_granularity : t -> int
-(** Shift amount of {!index}, for engines that inline the mapping. *)
-
-val index_mask : t -> int
-(** Mask of {!index}, for engines that inline the mapping. *)
-
 val index : t -> int -> int
 (** Lock-table index covering a word address. *)
 

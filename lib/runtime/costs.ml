@@ -57,7 +57,7 @@ let default =
    mutable ref keeps the fast path allocation-free.  It is only ever written
    from test/bench setup code, before threads are spawned. *)
 let current = ref default
-let get () = !current
+let[@inline] get () = !current
 let set c = current := c
 let reset () = current := default
 

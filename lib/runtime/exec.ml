@@ -89,7 +89,7 @@ let prof_add_as c p n =
 
 (** Charge [n] virtual cycles to the calling simulated thread; no-op in
     native mode.  May transfer control to another simulated thread. *)
-let tick n =
+let[@inline] tick n =
   let c = !cur in
   if c >= 0 then begin
     if !prof_on then prof_add c n;
@@ -100,7 +100,7 @@ let tick n =
 
 (** Like [tick], but attributes the cycles to phase [p] regardless of the
     thread's current phase (used by the back-off wait). *)
-let tick_as p n =
+let[@inline] tick_as p n =
   let c = !cur in
   if c >= 0 then begin
     if !prof_on then prof_add_as c p n;
@@ -134,12 +134,12 @@ let set_native_tid tid = Domain.DLS.set native_tid tid
 
 (** Logical thread id: simulated thread id inside a simulation, otherwise
     the id registered with [set_native_tid] (0 by default). *)
-let self () =
+let[@inline] self () =
   let c = !cur in
   if c >= 0 then c else Domain.DLS.get native_tid
 
 (** Virtual time of the calling simulated thread; 0 in native mode. *)
-let now () =
+let[@inline] now () =
   let c = !cur in
   if c >= 0 then (!vtimes).(c) else 0
 

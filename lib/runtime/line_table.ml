@@ -6,9 +6,9 @@
    slots and a line on the first touch of its own slot.
 
    Chunk and line are each written once, under [lock] after a re-check,
-   so every caller obtains the physically same cells.  The fast path
-   reads plainly: a racing reader sees a sentinel (and takes the mutex)
-   or a fully built block, which OCaml 5 never exposes uninitialized.
+   so every caller obtains the physically same cells.  [line] reads
+   plainly: a racing reader sees a sentinel (and takes the mutex) or a
+   fully built block, which OCaml 5 never exposes uninitialized.
    Touching charges no simulated cycles and a fresh line equals
    [Tmatomic.fresh_line ()], so laziness is schedule-invisible. *)
 
@@ -53,6 +53,9 @@ let touch t i =
 
 let[@inline] slot t i = Array.unsafe_get t.chunks.(i lsr chunk_bits) (i land chunk_mask)
 
-let cell t i j =
+(* The per-access path: two loads and a compare, inlined into callers. *)
+let[@inline] line t i =
   let e = slot t i in
-  (if e != absent then e else touch t i).(j)
+  if e != absent then e else touch t i
+
+let[@inline] cell t i j = (line t i).(j)

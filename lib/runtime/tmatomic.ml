@@ -170,7 +170,7 @@ let make init = { v = Atomic.make init; line = fresh_line () }
 (** A cell placed on an existing cache line (adjacent metadata words). *)
 let make_shared line init = { v = Atomic.make init; line }
 
-let charge_read t =
+let[@inline] charge_read t =
   let c = !Exec.cur in
   if c >= 0 then begin
     let costs = Costs.get () in
@@ -191,7 +191,7 @@ let charge_read t =
     end
   end
 
-let charge_write t ~rmw =
+let[@inline] charge_write t ~rmw =
   let c = !Exec.cur in
   if c >= 0 then begin
     let costs = Costs.get () in
@@ -213,17 +213,17 @@ let charge_write t ~rmw =
     Exec.tick (base + if rmw then costs.cas else 0)
   end
 
-let get t =
+let[@inline] get t =
   charge_read t;
   Atomic.get t.v
 
-let set t x =
+let[@inline] set t x =
   charge_write t ~rmw:false;
   Atomic.set t.v x
 
 (** Compare-and-swap; charges the full RMW cost whether or not it succeeds
     (a failing CAS still acquires the line exclusively). *)
-let cas t ~expect ~replace =
+let[@inline] cas t ~expect ~replace =
   charge_write t ~rmw:true;
   Atomic.compare_and_set t.v expect replace
 

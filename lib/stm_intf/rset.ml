@@ -28,9 +28,11 @@
    ([add_unique]/[mem], duplicates rejected).  Mixing modes on one value
    would desynchronize journal and index.
 
-   The record is exposed concretely: dev builds compile with [-opaque], so
-   an engine whose per-read append and validation walk must not pay a
-   cross-module call each (swisstm) accesses the journal directly. *)
+   The per-access entry points ([push], [length], [key], [value]) are
+   [[@inline]], so an engine's per-read append and validation walk
+   compile to the loads and stores themselves.  The probe loops are
+   top-level functions over explicit arguments: a local [let rec] would
+   allocate its closure on every call. *)
 
 type t = {
   mutable data : int array;  (* interleaved (key, value) journal *)
@@ -49,7 +51,7 @@ type t = {
 let fib = 0x2545F4914F6CDD1D
 let fib2 = 0x27220A95FE97B331
 
-let bloom_bit k =
+let[@inline] bloom_bit k =
   (* top 6 bits of an independent mix, squeezed to 0..62: [1 lsl 63] is
      unspecified for 63-bit OCaml ints *)
   let b = (k * fib2) lsr 57 in
@@ -70,8 +72,8 @@ let create ?(bits = 6) () =
     bloom = 0;
   }
 
-let length t = t.len
-let is_empty t = t.len = 0
+let[@inline] length t = t.len
+let[@inline] is_empty t = t.len = 0
 
 let clear t =
   t.len <- 0;
@@ -105,21 +107,27 @@ let iter f t =
     f (Array.unsafe_get data (2 * i)) (Array.unsafe_get data ((2 * i) + 1))
   done
 
+let rec mem_from keys gens mask g k i =
+  Array.unsafe_get gens i = g
+  && (Array.unsafe_get keys i = k
+     || mem_from keys gens mask g k ((i + 1) land mask))
+
 let mem t k =
-  if t.bloom land bloom_bit k = 0 then false
+  t.bloom land bloom_bit k <> 0
+  && mem_from t.keys t.gens t.mask t.gen k (slot_base t k)
+
+(* Insert a key known to be absent from slot [i] on (rehash path: no dup
+   check). *)
+let rec index_fresh t k i =
+  if t.gens.(i) = t.gen then index_fresh t k ((i + 1) land t.mask)
   else begin
-    let keys = t.keys and gens = t.gens and mask = t.mask and g = t.gen in
-    let rec go i =
-      if Array.unsafe_get gens i = g then
-        if Array.unsafe_get keys i = k then true else go ((i + 1) land mask)
-      else false
-    in
-    go (slot_base t k)
+    t.keys.(i) <- k;
+    t.gens.(i) <- t.gen
   end
 
 (* Rehash the index into a doubled table: only current-generation keys
    carry over, so clear-heavy reuse never inflates capacity. *)
-let rec grow_index t =
+let grow_index t =
   let old_keys = t.keys and old_gens = t.gens and old_mask = t.mask in
   let g = t.gen in
   t.bits <- t.bits + 1;
@@ -128,36 +136,26 @@ let rec grow_index t =
   t.keys <- Array.make cap 0;
   t.gens <- Array.make cap 0;
   for i = 0 to old_mask do
-    if old_gens.(i) = g then index_fresh t old_keys.(i)
+    if old_gens.(i) = g then begin
+      let k = old_keys.(i) in
+      index_fresh t k (slot_base t k)
+    end
   done
 
-(* Insert a key known to be absent (rehash path: no dup check). *)
-and index_fresh t k =
-  let gens = t.gens and mask = t.mask and g = t.gen in
-  let rec go i =
-    if gens.(i) = g then go ((i + 1) land mask)
-    else begin
-      t.keys.(i) <- k;
-      gens.(i) <- g
-    end
-  in
-  go (slot_base t k)
+let rec add_from t keys gens mask g k v i =
+  if Array.unsafe_get gens i = g then
+    Array.unsafe_get keys i <> k
+    && add_from t keys gens mask g k v ((i + 1) land mask)
+  else begin
+    Array.unsafe_set keys i k;
+    Array.unsafe_set gens i g;
+    t.bloom <- t.bloom lor bloom_bit k;
+    t.ilen <- t.ilen + 1;
+    (* keep index load below 1/2 so probe chains stay short and the
+       probe loop always finds a free slot *)
+    if t.ilen lsl 1 > t.mask then grow_index t;
+    push t k v;
+    true
+  end
 
-let add_unique t k v =
-  let keys = t.keys and gens = t.gens and mask = t.mask and g = t.gen in
-  let rec go i =
-    if Array.unsafe_get gens i = g then
-      if Array.unsafe_get keys i = k then false else go ((i + 1) land mask)
-    else begin
-      Array.unsafe_set keys i k;
-      Array.unsafe_set gens i g;
-      t.bloom <- t.bloom lor bloom_bit k;
-      t.ilen <- t.ilen + 1;
-      (* keep index load below 1/2 so probe chains stay short and the
-         probe loop always finds a free slot *)
-      if t.ilen lsl 1 > t.mask then grow_index t;
-      push t k v;
-      true
-    end
-  in
-  go (slot_base t k)
+let add_unique t k v = add_from t t.keys t.gens t.mask t.gen k v (slot_base t k)

@@ -10,23 +10,11 @@
     {e index mode} ({!add_unique}/{!mem}; duplicates rejected).  Mixing
     modes on one value desynchronizes journal and index.
 
-    The representation is exposed concretely so an engine's per-read
-    append and validation walk can touch the journal without a
-    cross-module call (dev builds compile with [-opaque], which disables
-    cross-module inlining); other clients go through the functions
-    below. *)
+    {!push}, {!length}, {!key} and {!value} are marked [[@inline]]: an
+    engine's per-read append and validation walk compile to the journal's
+    loads and stores. *)
 
-type t = {
-  mutable data : int array;  (** interleaved (key, value) journal *)
-  mutable len : int;  (** live pairs *)
-  mutable keys : int array;  (** membership index (index mode only) *)
-  mutable gens : int array;  (** index slot live iff = [gen] *)
-  mutable bits : int;  (** index capacity = [1 lsl bits] *)
-  mutable mask : int;  (** index capacity - 1 *)
-  mutable gen : int;  (** current generation, starts at 1, only grows *)
-  mutable ilen : int;  (** live index entries *)
-  mutable bloom : int;  (** filter over current-generation index keys *)
-}
+type t
 
 val create : ?bits:int -> unit -> t
 (** [create ~bits ()] sizes the index at [2^bits] slots and the journal at

@@ -46,7 +46,7 @@ type t = {
 let fib = 0x2545F4914F6CDD1D
 let fib2 = 0x27220A95FE97B331
 
-let bloom_bit k =
+let[@inline] bloom_bit k =
   (* top 6 bits of an independent mix, squeezed to 0..62: [1 lsl 63] is
      unspecified for 63-bit OCaml ints *)
   let b = (k * fib2) lsr 57 in
@@ -70,7 +70,7 @@ let create ?(bits = 6) () =
   }
 
 let length t = t.len
-let is_empty t = t.len = 0
+let[@inline] is_empty t = t.len = 0
 
 let clear t =
   t.gen <- t.gen + 1;
@@ -80,22 +80,23 @@ let clear t =
 
 let[@inline] slot_base t k = (k * fib) lsr (63 - t.bits)
 
+(* The probe loops below are top-level functions over explicit arguments:
+   a local [let rec] would allocate its closure on every call, and a
+   function that builds a closure is never inlined. *)
+let rec probe_from keys gens mask g k i =
+  let gi = Array.unsafe_get gens i in
+  if gi = g && Array.unsafe_get keys i = k then i
+  else if gi = g || gi = -g then
+    probe_from keys gens mask g k ((i + 1) land mask)
+  else -1
+
 (** Slot of [k], or -1 if absent.  The bloom test rejects most misses
     before touching the arrays. *)
-let probe t k =
+let[@inline] probe t k =
   if t.bloom land bloom_bit k = 0 then -1
-  else begin
-    let keys = t.keys and gens = t.gens and mask = t.mask and g = t.gen in
-    let rec go i =
-      let gi = Array.unsafe_get gens i in
-      if gi = g && Array.unsafe_get keys i = k then i
-      else if gi = g || gi = -g then go ((i + 1) land mask)
-      else -1
-    in
-    go (slot_base t k)
-  end
+  else probe_from t.keys t.gens t.mask t.gen k (slot_base t k)
 
-let slot_value t s = Array.unsafe_get t.vals s
+let[@inline] slot_value t s = Array.unsafe_get t.vals s
 let mem t k = probe t k >= 0
 
 let iter f t =
@@ -112,10 +113,21 @@ let fold f t init =
   done;
   !acc
 
+(* Insert a key known to be absent from slot [i] on (rehash path: no
+   tombstones, no dup check, bloom already set). *)
+let rec insert_fresh t k v stamp i =
+  if t.gens.(i) = t.gen then insert_fresh t k v stamp ((i + 1) land t.mask)
+  else begin
+    t.keys.(i) <- k;
+    t.vals.(i) <- v;
+    t.gens.(i) <- t.gen;
+    t.stamps.(i) <- stamp
+  end
+
 (* Rehash into a clean table: doubled when growth is driven by live
    entries, same-sized when only tombstones filled it up (savepoint
    rollback churn).  Either way tombstones are dropped. *)
-let rec grow t =
+let grow t =
   let old_keys = t.keys
   and old_vals = t.vals
   and old_gens = t.gens
@@ -131,47 +143,38 @@ let rec grow t =
   t.gens <- Array.make cap 0;
   t.stamps <- Array.make cap 0;
   for i = 0 to old_mask do
-    if old_gens.(i) = g then
-      insert_fresh t old_keys.(i) old_vals.(i) old_stamps.(i)
+    if old_gens.(i) = g then begin
+      let k = old_keys.(i) in
+      insert_fresh t k old_vals.(i) old_stamps.(i) (slot_base t k)
+    end
   done
 
-(* Insert a key known to be absent (rehash path: no tombstones, no dup
-   check, bloom already set). *)
-and insert_fresh t k v stamp =
-  let gens = t.gens and mask = t.mask and g = t.gen in
-  let rec go i =
-    if gens.(i) = g then go ((i + 1) land mask)
-    else begin
-      t.keys.(i) <- k;
-      t.vals.(i) <- v;
-      t.gens.(i) <- g;
-      t.stamps.(i) <- stamp
-    end
-  in
-  go (slot_base t k)
+(* Overwrite [k] or insert it at the first free slot from [i] on, reusing
+   the first tombstone [free] passed on the way. *)
+let rec replace_from t keys gens mask g k v i free =
+  let gi = Array.unsafe_get gens i in
+  if gi = g && Array.unsafe_get keys i = k then Array.unsafe_set t.vals i v
+  else if gi = g then
+    replace_from t keys gens mask g k v ((i + 1) land mask) free
+  else if gi = -g then
+    replace_from t keys gens mask g k v ((i + 1) land mask)
+      (if free >= 0 then free else i)
+  else begin
+    let j = if free >= 0 then free else i in
+    keys.(j) <- k;
+    t.vals.(j) <- v;
+    gens.(j) <- g;
+    t.stamps.(j) <- t.mark;
+    if free >= 0 then t.dead <- t.dead - 1;
+    t.bloom <- t.bloom lor bloom_bit k;
+    t.len <- t.len + 1;
+    (* keep live + tombstone load below 1/2 so probe chains stay short
+       and the probe loop always finds a free slot *)
+    if (t.len + t.dead) lsl 1 > t.mask then grow t
+  end
 
 let replace t k v =
-  let keys = t.keys and gens = t.gens and mask = t.mask and g = t.gen in
-  let rec go i free =
-    let gi = Array.unsafe_get gens i in
-    if gi = g && Array.unsafe_get keys i = k then Array.unsafe_set t.vals i v
-    else if gi = g then go ((i + 1) land mask) free
-    else if gi = -g then go ((i + 1) land mask) (if free >= 0 then free else i)
-    else begin
-      let j = if free >= 0 then free else i in
-      keys.(j) <- k;
-      t.vals.(j) <- v;
-      gens.(j) <- g;
-      t.stamps.(j) <- t.mark;
-      if free >= 0 then t.dead <- t.dead - 1;
-      t.bloom <- t.bloom lor bloom_bit k;
-      t.len <- t.len + 1;
-      (* keep live + tombstone load below 1/2 so probe chains stay short
-         and the probe loop always finds a free slot *)
-      if (t.len + t.dead) lsl 1 > t.mask then grow t
-    end
-  in
-  go (slot_base t k) (-1)
+  replace_from t t.keys t.gens t.mask t.gen k v (slot_base t k) (-1)
 
 let remove t k =
   let s = probe t k in

@@ -69,28 +69,23 @@ let read_word t (d : Txdesc.t) addr =
   let s =
     if Wlog.is_empty d.wset then -1
     else begin
-      Runtime.Exec.tick costs.log_lookup;
+      (Runtime.Exec.tick [@inlined]) costs.log_lookup;
       Wlog.probe d.wset addr
     end
   in
   if s >= 0 then Wlog.slot_value d.wset s
   else begin
-    (* [Vlock.lock], inlined: a call here would be a real call per read *)
-    let c = Array.unsafe_get t.locks.chunks (idx lsr Runtime.Line_table.chunk_bits) in
-    let e = Array.unsafe_get c (idx land Runtime.Line_table.chunk_mask) in
-    let lock =
-      if e != Runtime.Line_table.absent then Array.unsafe_get e 0 else Vlock.lock t.locks idx
-    in
-    let lv1 = Runtime.Tmatomic.get lock in
-    Runtime.Exec.tick costs.mem;
+    let lock = (Vlock.lock [@inlined]) t.locks idx in
+    let lv1 = (Runtime.Tmatomic.get [@inlined]) lock in
+    (Runtime.Exec.tick [@inlined]) costs.mem;
     let value = Memory.Heap.unsafe_read t.heap addr in
-    let lv2 = Runtime.Tmatomic.get lock in
+    let lv2 = (Runtime.Tmatomic.get [@inlined]) lock in
     if Vlock.is_locked lv1 || lv1 <> lv2 || Vlock.version_of lv1 > d.valid_ts
     then
       (* Locked or moved past our snapshot: TL2 aborts (no extension). *)
       rollback t d Tx_signal.Rw_validation;
-    Runtime.Exec.tick costs.log_append;
-    Rset.push d.rset idx 0;
+    (Runtime.Exec.tick [@inlined]) costs.log_append;
+    (Rset.push [@inlined]) d.rset idx 0;
     value
   end
 
@@ -98,7 +93,7 @@ let write_word t (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
   Stats.write d.counters;
   if Hooks.inject_abort d then rollback t d Tx_signal.Killed;
-  Runtime.Exec.tick costs.log_append;
+  (Runtime.Exec.tick [@inlined]) costs.log_append;
   Wlog.replace d.wset addr value;
   let idx = Memory.Stripe.index t.stripe addr in
   ignore (Rset.add_unique d.wstripes idx 0 : bool)

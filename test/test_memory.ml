@@ -77,6 +77,21 @@ let test_heap_large_block () =
   Memory.Heap.write h (a + 19_999) 5;
   check Alcotest.int "large block usable" 5 (Memory.Heap.read h (a + 19_999))
 
+(* The buffer is zeroed as [alloc] hands it out, not when the heap is
+   built: dirty every word first (as a reused buffer may be), and both
+   allocation paths still return zeroed words. *)
+let test_heap_alloc_zeroes () =
+  let h = Memory.Heap.create ~words:(1 lsl 16) in
+  for a = 1 to Memory.Heap.capacity h - 1 do
+    Memory.Heap.write h a (-1)
+  done;
+  let all_zero a n =
+    List.for_all (fun i -> Memory.Heap.read h (a + i) = 0) (List.init n Fun.id)
+  in
+  let small = Memory.Heap.alloc h 5 and large = Memory.Heap.alloc h 20_000 in
+  Alcotest.(check bool) "chunk block zeroed" true (all_zero small 5);
+  Alcotest.(check bool) "large block zeroed" true (all_zero large 20_000)
+
 let test_heap_alloc_per_thread_sharded () =
   (* Allocations from different simulated threads must not overlap. *)
   let h = Memory.Heap.create ~words:(1 lsl 18) in
@@ -215,6 +230,7 @@ let suite =
           test_heap_no_chunk_burn_near_exhaustion;
         Alcotest.test_case "bounds checked" `Quick test_heap_bounds_checked;
         Alcotest.test_case "large blocks" `Quick test_heap_large_block;
+        Alcotest.test_case "alloc zeroes" `Quick test_heap_alloc_zeroes;
         Alcotest.test_case "per-thread sharding" `Quick
           test_heap_alloc_per_thread_sharded;
       ] );
