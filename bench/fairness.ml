@@ -55,14 +55,14 @@ let run_engine spec =
           let op = Stmbench7.Sb7_bench.pick Stmbench7.Sb7_bench.read_table rng in
           let state = Runtime.Rng.bits rng in
           Stm_intf.Engine.atomic engine ~tid (fun tx ->
-              Stmbench7.Sb7_bench.run_read_op model tx (Runtime.Rng.create state) op);
+              Stmbench7.Sb7_bench.run_read_op model ~tid tx (Runtime.Rng.create state) op);
           op = Stmbench7.Sb7_bench.Traversal_t1
         end
         else begin
           let op = Stmbench7.Sb7_bench.pick Stmbench7.Sb7_bench.write_table rng in
           let state = Runtime.Rng.bits rng in
           Stm_intf.Engine.atomic engine ~tid (fun tx ->
-              Stmbench7.Sb7_bench.run_write_op model tx (Runtime.Rng.create state) op);
+              Stmbench7.Sb7_bench.run_write_op model ~tid tx (Runtime.Rng.create state) op);
           op = Stmbench7.Sb7_bench.Traversal_t2
         end
       in

@@ -99,6 +99,26 @@ let read_word t (d : Txdesc.t) addr =
     value
   end
 
+(* Acquire stripe [idx]'s lock, [lv] its last read value.  Top level over
+   explicit arguments: a local [let rec] would allocate its closure on
+   every write to a stripe this transaction does not own yet. *)
+let rec acquire t (d : Txdesc.t) lock idx ~mine lv =
+  if Vlock.is_locked lv then begin
+    (* Encounter-time w/w conflict: timid — abort the attacker. *)
+    Hooks.stripe_conflict ~eid:t.eid ~stripe:idx;
+    rollback t d Tx_signal.Ww_conflict
+  end
+  else if not (Runtime.Tmatomic.cas lock ~expect:lv ~replace:mine) then
+    acquire t d lock idx ~mine (Runtime.Tmatomic.get lock)
+  else begin
+    Hooks.inject_stall d;
+    Ivec.push d.acq_stripes idx;
+    Ivec.push d.acq_saved lv;
+    Wlog.replace d.acq_version idx (Vlock.version_of lv);
+    if Vlock.version_of lv > d.valid_ts && not (extend t d) then
+      rollback t d Tx_signal.Rw_validation
+  end
+
 let write_word t (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
   Stats.write d.counters;
@@ -107,32 +127,9 @@ let write_word t (d : Txdesc.t) addr value =
   let lock = Vlock.lock t.locks idx in
   let mine = Vlock.locked_by d.tid in
   let lv = Runtime.Tmatomic.get lock in
-  if lv = mine then begin
-    Runtime.Exec.tick costs.log_append;
-    Wlog.replace d.wset addr value
-  end
-  else begin
-    let rec acquire lv =
-      if Vlock.is_locked lv then begin
-        (* Encounter-time w/w conflict: timid — abort the attacker. *)
-        Hooks.stripe_conflict ~eid:t.eid ~stripe:idx;
-        rollback t d Tx_signal.Ww_conflict
-      end
-      else if not (Runtime.Tmatomic.cas lock ~expect:lv ~replace:mine) then
-        acquire (Runtime.Tmatomic.get lock)
-      else begin
-        Hooks.inject_stall d;
-        Ivec.push d.acq_stripes idx;
-        Ivec.push d.acq_saved lv;
-        Wlog.replace d.acq_version idx (Vlock.version_of lv);
-        if Vlock.version_of lv > d.valid_ts && not (extend t d) then
-          rollback t d Tx_signal.Rw_validation
-      end
-    in
-    acquire lv;
-    Runtime.Exec.tick costs.log_append;
-    Wlog.replace d.wset addr value
-  end
+  if lv <> mine then acquire t d lock idx ~mine lv;
+  Runtime.Exec.tick costs.log_append;
+  Wlog.replace d.wset addr value
 
 let commit t (d : Txdesc.t) =
   Hooks.commit_entry d;

@@ -17,17 +17,28 @@ let read_ratio = function
   | Read_write -> 0.6
   | Write_dominated -> 0.1
 
-(* (weight, op) tables; weights need not sum to 1 within a class. *)
-type 'a weighted = (float * 'a) array
+(* Weighted op tables; weights need not sum to 1 within a class.  [total]
+   is their left-to-right sum, taken once when the table is built. *)
+type 'a weighted = { weights : float array; ops : 'a array; total : float }
 
-let pick (table : 'a weighted) rng =
-  let total = Array.fold_left (fun acc (w, _) -> acc +. w) 0. table in
-  let x = Runtime.Rng.float rng total in
-  let rec go i acc =
-    let w, v = table.(i) in
-    if x < acc +. w || i = Array.length table - 1 then v else go (i + 1) (acc +. w)
-  in
-  go 0 0.
+let weighted (table : (float * 'a) array) =
+  {
+    weights = Array.map fst table;
+    ops = Array.map snd table;
+    total = Array.fold_left (fun acc (w, _) -> acc +. w) 0. table;
+  }
+
+(* The first op whose cumulative weight exceeds a uniform draw below the
+   total (the last op if rounding leaves none). *)
+let pick t rng =
+  let x = Runtime.Rng.float rng t.total in
+  let last = Array.length t.ops - 1 in
+  let i = ref 0 and acc = ref 0. in
+  while !i < last && not (x < !acc +. t.weights.(!i)) do
+    acc := !acc +. t.weights.(!i);
+    incr i
+  done;
+  t.ops.(!i)
 
 type read_op =
   | Query_part
@@ -57,6 +68,7 @@ type write_op =
    dominates execution time; these weights keep long transactions a
    first-class part of the mix at simulator scale. *)
 let read_table : read_op weighted =
+  weighted
   [|
     (26., Query_part);
     (6., Query_composite);
@@ -69,6 +81,7 @@ let read_table : read_op weighted =
   |]
 
 let write_table : write_op weighted =
+  weighted
   [|
     (30., Update_part);
     (14., Update_document);
@@ -83,7 +96,7 @@ let write_table : write_op weighted =
     (1., Swap_assembly_composite);
   |]
 
-let run_read_op model tx rng = function
+let run_read_op model ~tid tx rng = function
   | Query_part -> ignore (Sb7_ops.query_part model tx rng : int)
   | Query_composite -> ignore (Sb7_ops.query_composite model tx rng : int)
   | Scan_base_assembly -> ignore (Sb7_ops.scan_base_assembly model tx rng : int)
@@ -91,16 +104,16 @@ let run_read_op model tx rng = function
   | Query_assemblies -> ignore (Sb7_ops.query_assemblies model tx : int)
   | Query_part_range ->
       ignore (Sb7_ops.query_part_range model tx rng ~span:32 : int)
-  | Traverse_composite -> ignore (Sb7_ops.traverse_composite model tx rng : int)
-  | Traversal_t1 -> ignore (Sb7_ops.traversal_t1 model tx : int)
+  | Traverse_composite -> ignore (Sb7_ops.traverse_composite model ~tid tx rng : int)
+  | Traversal_t1 -> ignore (Sb7_ops.traversal_t1 model ~tid tx : int)
 
-let run_write_op model tx rng = function
+let run_write_op model ~tid tx rng = function
   | Update_part -> ignore (Sb7_ops.update_part model tx rng : bool)
   | Update_document -> ignore (Sb7_ops.update_document model tx rng : bool)
-  | Update_composite -> ignore (Sb7_ops.update_composite model tx rng : int)
-  | Update_dates -> ignore (Sb7_ops.update_dates model tx rng : int)
+  | Update_composite -> ignore (Sb7_ops.update_composite model ~tid tx rng : int)
+  | Update_dates -> ignore (Sb7_ops.update_dates model ~tid tx rng : int)
   | Replace_document -> ignore (Sb7_ops.replace_document model tx rng : bool)
-  | Traversal_t2 -> ignore (Sb7_ops.traversal_t2 model tx : int)
+  | Traversal_t2 -> ignore (Sb7_ops.traversal_t2 model ~tid tx : int)
   | Create_part -> ignore (Sb7_ops.create_part model tx rng : bool)
   | Delete_part -> ignore (Sb7_ops.delete_part model tx rng : bool)
   | Create_connection -> ignore (Sb7_ops.create_connection model tx rng : bool)
@@ -122,13 +135,13 @@ let operation model engine ~tid ~workload rng =
     let op = pick read_table rng in
     let state = Runtime.Rng.bits rng in
     Stm_intf.Engine.atomic engine ~tid (fun tx ->
-        run_read_op model tx (Runtime.Rng.create state) op)
+        run_read_op model ~tid tx (Runtime.Rng.create state) op)
   end
   else begin
     let op = pick write_table rng in
     let state = Runtime.Rng.bits rng in
     Stm_intf.Engine.atomic engine ~tid (fun tx ->
-        run_write_op model tx (Runtime.Rng.create state) op)
+        run_write_op model ~tid tx (Runtime.Rng.create state) op)
   end
 
 (** Build the structure, run [threads] simulated threads for

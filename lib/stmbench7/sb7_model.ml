@@ -22,6 +22,9 @@ type t = {
   part_index : Txds.Tx_hashmap.t;  (** atomic part id -> address *)
   comp_index : Txds.Tx_hashmap.t;  (** composite id -> address *)
   mutable next_part_id : Runtime.Tmatomic.t;
+  visited : Sb7_visited.t array;
+      (** per-tid visited sets of the part-graph walks ([Sb7_ops]); each is
+          built on its thread's first walk, so [build] pays the slot array *)
 }
 
 (* -- complex assembly -- *)
@@ -172,4 +175,5 @@ let build ?(params = Sb7_params.default) () =
     part_index;
     comp_index;
     next_part_id = Runtime.Tmatomic.make !next_part_id;
+    visited = Sb7_visited.make_table ();
   }

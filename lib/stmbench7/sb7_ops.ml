@@ -11,30 +11,41 @@ let work n = Runtime.Exec.tick ((Runtime.Costs.get ()).work * n)
 
 (* --- graph helpers ----------------------------------------------------- *)
 
-(* DFS over one composite's atomic-part graph; calls [visit] once per live
-   part.  Uses a thread-local visited set keyed by part id (private state,
-   rebuilt per transaction attempt, as the C benchmark does). *)
-let dfs_composite model tx comp visit =
-  let p = model.params in
-  let visited = Hashtbl.create 64 in
-  let rec go part =
-    if part <> 0 && not (Hashtbl.mem visited part) then begin
-      Hashtbl.add visited part ();
-      if read tx (part + ap_alive) = 1 then begin
-        visit part;
-        for c = 0 to p.conns_per_part - 1 do
-          go (read tx (part + ap_conn + (2 * c)))
-        done
-      end
+(* DFS from [part] through live parts' connections, calling [visit] once
+   per live part.  [set] holds the parts met so far in this walk, dead ones
+   included.  [dfs_go] and [dfs_first] are top level over explicit
+   arguments, so a walk allocates no closure. *)
+let rec dfs_go tx set conns visit part =
+  if part <> 0 && Sb7_visited.add set part then
+    if read tx (part + ap_alive) = 1 then begin
+      visit part;
+      for c = 0 to conns - 1 do
+        dfs_go tx set conns visit (read tx (part + ap_conn + (2 * c)))
+      done
     end
-  in
+
+(* The first live slot of [comp] from slot [i], or 0. *)
+let rec dfs_first tx comp n i =
+  if i >= n then 0
+  else
+    let a = read tx (comp + cp_part + i) in
+    if a <> 0 && read tx (a + ap_alive) = 1 then a else dfs_first tx comp n (i + 1)
+
+(* DFS over one composite's atomic-part graph from its first live slot
+   (which reaches the ring); calls [visit] once per live part.  The
+   visited set is keyed by part address and emptied at the start of each
+   composite walk.  It is [tid]'s own, taken from [model.visited]: a set
+   shared by threads would be emptied or filled by another walk in the
+   middle of this one, since simulated threads share one domain and can
+   switch at every transactional read, and native threads run at once.
+   The set is host bookkeeping, as the C benchmark's is: it charges no
+   cycles, and the walk's reads, writes and ticks are the same in number
+   and order as with any other set. *)
+let dfs_composite model ~tid tx comp visit =
+  let set = Sb7_visited.for_tid model.visited tid in
+  Sb7_visited.start set;
   let n = read tx (comp + cp_nparts) in
-  (* start from the first live slot to reach the ring *)
-  let rec first i = if i >= n then 0 else
-      let a = read tx (comp + cp_part + i) in
-      if a <> 0 && read tx (a + ap_alive) = 1 then a else first (i + 1)
-  in
-  go (first 0)
+  dfs_go tx set model.params.conns_per_part visit (dfs_first tx comp n 0)
 
 (* Iterate over every composite reachable from the assembly root. *)
 let iter_reachable_composites model tx visit =
@@ -89,10 +100,10 @@ let scan_document model tx rng =
 
 (** T6-ish medium traversal: DFS one random composite's part graph,
     summing coordinates. *)
-let traverse_composite model tx rng =
+let traverse_composite model ~tid tx rng =
   let comp = model.composites.(Runtime.Rng.int rng (Array.length model.composites)) in
   let acc = ref 0 in
-  dfs_composite model tx comp (fun part ->
+  dfs_composite model ~tid tx comp (fun part ->
       acc := !acc + read tx (part + ap_x);
       work 2);
   !acc
@@ -100,13 +111,15 @@ let traverse_composite model tx rng =
 (* --- long read-only operation ------------------------------------------ *)
 
 (** T1: full hierarchy traversal touching every reachable atomic part. *)
-let traversal_t1 model tx =
+let traversal_t1 model ~tid tx =
   let count = ref 0 in
+  let visit part =
+    ignore (read tx (part + ap_x) : int);
+    incr count;
+    work 1
+  in
   iter_reachable_composites model tx (fun comp ->
-      dfs_composite model tx comp (fun part ->
-          ignore (read tx (part + ap_x) : int);
-          incr count;
-          work 1));
+      dfs_composite model ~tid tx comp visit);
   !count
 
 (* --- short update operations ------------------------------------------- *)
@@ -140,10 +153,10 @@ let update_document model tx rng =
 (* --- medium update operation ------------------------------------------- *)
 
 (** T2a on one composite: update every part of a random composite. *)
-let update_composite model tx rng =
+let update_composite model ~tid tx rng =
   let comp = model.composites.(Runtime.Rng.int rng (Array.length model.composites)) in
   let count = ref 0 in
-  dfs_composite model tx comp (fun part ->
+  dfs_composite model ~tid tx comp (fun part ->
       write tx (part + ap_x) (read tx (part + ap_x) + 1);
       incr count;
       work 2);
@@ -153,13 +166,15 @@ let update_composite model tx rng =
 
 (** T2b: full traversal updating every reachable atomic part — the paper's
     archetypal long update transaction. *)
-let traversal_t2 model tx =
+let traversal_t2 model ~tid tx =
   let count = ref 0 in
+  let visit part =
+    write tx (part + ap_y) (read tx (part + ap_y) + 1);
+    incr count;
+    work 1
+  in
   iter_reachable_composites model tx (fun comp ->
-      dfs_composite model tx comp (fun part ->
-          write tx (part + ap_y) (read tx (part + ap_y) + 1);
-          incr count;
-          work 1));
+      dfs_composite model ~tid tx comp visit);
   !count
 
 (* --- structure modifications -------------------------------------------- *)
@@ -275,11 +290,11 @@ let query_part_range model tx rng ~span =
 
 (** T3: bump the build date of one composite and all its live parts (the
     original's date-index maintenance traversal, medium update). *)
-let update_dates model tx rng =
+let update_dates model ~tid tx rng =
   let comp = model.composites.(Runtime.Rng.int rng (Array.length model.composites)) in
   write tx (comp + cp_date) (read tx (comp + cp_date) + 1);
   let count = ref 0 in
-  dfs_composite model tx comp (fun part ->
+  dfs_composite model ~tid tx comp (fun part ->
       write tx (part + ap_date) (read tx (part + ap_date) + 1);
       incr count;
       work 2);

@@ -397,7 +397,7 @@ let test_tid_range name () =
    and a thread's descriptor, built by its first transaction and reused
    by every later one, are allocation-free); an 8-read/8-write one may
    not allocate more than these engines did when the bounds were set. *)
-let rw_words_bound = [ ("swisstm", 13.); ("tl2", 11.); ("tinystm", 35.) ]
+let rw_words_bound = [ ("swisstm", 13.); ("tl2", 11.); ("tinystm", 11.) ]
 
 let test_tx_words name () =
   let heap = Memory.Heap.create ~words:1024 in

@@ -51,7 +51,7 @@ let test_traversal_t1_visits_live_parts () =
   let m = build () in
   let engine = Engines.make Engines.swisstm m.heap in
   let visited =
-    Stm_intf.Engine.atomic engine ~tid:0 (fun tx -> Stmbench7.Sb7_ops.traversal_t1 m tx)
+    Stm_intf.Engine.atomic engine ~tid:0 (fun tx -> Stmbench7.Sb7_ops.traversal_t1 m ~tid:0 tx)
   in
   (* T1 walks the assembly hierarchy, so composites shared by several base
      assemblies are traversed once per reference (original behaviour): the
@@ -212,7 +212,7 @@ let test_extended_read_ops () =
 let test_extended_write_ops () =
   with_engine (fun m e ->
       let rng = Runtime.Rng.create 12 in
-      let touched = atomic e (fun tx -> Stmbench7.Sb7_ops.update_dates m tx rng) in
+      let touched = atomic e (fun tx -> Stmbench7.Sb7_ops.update_dates m ~tid:0 tx rng) in
       Alcotest.(check bool) "update_dates touches parts" true (touched > 0);
       Alcotest.(check bool) "replace_document" true
         (atomic e (fun tx -> Stmbench7.Sb7_ops.replace_document m tx rng));
@@ -232,7 +232,7 @@ let test_connection_ops_preserve_traversability () =
         ignore (atomic e (fun tx -> Stmbench7.Sb7_ops.create_connection m tx rng) : bool);
         ignore (atomic e (fun tx -> Stmbench7.Sb7_ops.delete_connection m tx rng) : bool)
       done;
-      let visited = atomic e (fun tx -> Stmbench7.Sb7_ops.traversal_t1 m tx) in
+      let visited = atomic e (fun tx -> Stmbench7.Sb7_ops.traversal_t1 m ~tid:0 tx) in
       Alcotest.(check bool) "T1 still visits parts" true
         (visited >= small_params.parts_per_composite))
 
@@ -245,5 +245,212 @@ let suite =
           Alcotest.test_case "write ops" `Quick test_extended_write_ops;
           Alcotest.test_case "connection churn" `Quick
             test_connection_ops_preserve_traversability;
+        ] );
+    ]
+
+(* --- visit oracle ---------------------------------------------------- *)
+
+module M = Stmbench7.Sb7_model
+module Ops = Stmbench7.Sb7_ops
+
+(* Reference walk: the live parts reachable from [comp]'s first live
+   slot through live parts' connections, by a Hashtbl DFS over direct
+   reads, sorted. *)
+let reachable (m : M.t) comp =
+  let rd = (direct m.heap).read in
+  let seen = Hashtbl.create 64 and live = ref [] in
+  let rec go part =
+    if part <> 0 && not (Hashtbl.mem seen part) then begin
+      Hashtbl.add seen part ();
+      if rd (part + M.ap_alive) = 1 then begin
+        live := part :: !live;
+        for c = 0 to m.params.conns_per_part - 1 do
+          go (rd (part + M.ap_conn + (2 * c)))
+        done
+      end
+    end
+  in
+  let n = rd (comp + M.cp_nparts) in
+  let rec first i =
+    if i >= n then 0
+    else
+      let a = rd (comp + M.cp_part + i) in
+      if a <> 0 && rd (a + M.ap_alive) = 1 then a else first (i + 1)
+  in
+  go (first 0);
+  List.sort compare !live
+
+(* Every composite reference of every base assembly. *)
+let composite_refs (m : M.t) =
+  let rd = Memory.Heap.read m.heap in
+  Array.to_list m.base_assemblies
+  |> List.concat_map (fun b ->
+         List.init (rd (b + M.ba_ncomp)) (fun i -> rd (b + M.ba_comp + i)))
+
+let all_parts (m : M.t) =
+  let rd = Memory.Heap.read m.heap in
+  Array.to_list m.composites
+  |> List.concat_map (fun c ->
+         List.init (rd (c + M.cp_nparts)) (fun i -> rd (c + M.cp_part + i)))
+  |> List.filter (fun p -> p <> 0)
+
+(* Run [op] and return, sorted, every part whose [field] it changed, once
+   per unit of change (a part bumped twice appears twice). *)
+let bumped (m : M.t) field op =
+  let rd = Memory.Heap.read m.heap in
+  let parts = all_parts m in
+  let before = List.map (fun p -> rd (p + field)) parts in
+  let r = op () in
+  let changed =
+    List.concat
+      (List.map2 (fun p v0 -> List.init (rd (p + field) - v0) (fun _ -> p)) parts before)
+  in
+  (r, List.sort compare changed)
+
+(* The composite a DFS op seeded with [seed] walks: its first draw. *)
+let composite_of (m : M.t) seed =
+  m.composites.(Runtime.Rng.int (Runtime.Rng.create seed) (Array.length m.composites))
+
+let parts = Alcotest.(list int)
+
+let check_visits (m : M.t) ~tid label =
+  let tx = direct m.heap in
+  let rd = Memory.Heap.read m.heap in
+  for seed = 1 to 24 do
+    let comp = composite_of m seed in
+    let live = reachable m comp in
+    let sum_x = List.fold_left (fun acc p -> acc + rd (p + M.ap_x)) 0 live in
+    check Alcotest.int
+      (Printf.sprintf "%s: traverse_composite seed %d sums x over reachable" label seed)
+      sum_x
+      (Ops.traverse_composite m ~tid tx (Runtime.Rng.create seed));
+    let n, bumped_x =
+      bumped m M.ap_x (fun () -> Ops.update_composite m ~tid tx (Runtime.Rng.create seed))
+    in
+    check Alcotest.int (Printf.sprintf "%s: update_composite seed %d count" label seed)
+      (List.length live) n;
+    check parts (Printf.sprintf "%s: update_composite seed %d parts" label seed) live
+      bumped_x;
+    let n, bumped_date =
+      bumped m M.ap_date (fun () -> Ops.update_dates m ~tid tx (Runtime.Rng.create seed))
+    in
+    check Alcotest.int (Printf.sprintf "%s: update_dates seed %d count" label seed)
+      (List.length live) n;
+    check parts (Printf.sprintf "%s: update_dates seed %d parts" label seed) live
+      bumped_date
+  done;
+  (* T1/T2 walk each base-assembly reference, shared composites once per
+     reference. *)
+  let per_ref = List.concat_map (reachable m) (composite_refs m) in
+  check Alcotest.int (label ^ ": T1 count") (List.length per_ref)
+    (Ops.traversal_t1 m ~tid tx);
+  let n, bumped_y = bumped m M.ap_y (fun () -> Ops.traversal_t2 m ~tid tx) in
+  check Alcotest.int (label ^ ": T2 count") (List.length per_ref) n;
+  check parts (label ^ ": T2 parts") (List.sort compare per_ref) bumped_y
+
+let test_visit_oracle () =
+  let m = build () in
+  check_visits m ~tid:0 "fresh";
+  (* structure churn: parts created and deleted, connections rewired *)
+  let e = Engines.make Engines.swisstm m.heap in
+  let rng = Runtime.Rng.create 21 in
+  for _ = 1 to 150 do
+    ignore (atomic e (fun tx -> Ops.create_part m tx rng) : bool);
+    ignore (atomic e (fun tx -> Ops.delete_part m tx rng) : bool);
+    ignore (atomic e (fun tx -> Ops.create_connection m tx rng) : bool);
+    ignore (atomic e (fun tx -> Ops.delete_connection m tx rng) : bool)
+  done;
+  check_visits m ~tid:0 "after churn";
+  check_visits m ~tid:5 "after churn, another tid"
+
+(* The set itself: membership within a walk, emptiness after [start],
+   and growth far past the initial capacity. *)
+let test_visited_set () =
+  let module V = Stmbench7.Sb7_visited in
+  let s = V.create ~bits:2 () in
+  let addrs = List.init 1000 (fun i -> 7 + (11 * i)) in
+  for walk = 1 to 3 do
+    V.start s;
+    List.iter
+      (fun a ->
+        Alcotest.(check bool) (Printf.sprintf "walk %d: %d is new" walk a) true (V.add s a))
+      addrs;
+    List.iter
+      (fun a ->
+        Alcotest.(check bool) (Printf.sprintf "walk %d: %d seen" walk a) false (V.add s a))
+      addrs
+  done
+
+(* --- interleaving and allocation ------------------------------------- *)
+
+(* Simulated threads switch at every transactional read, in the middle
+   of a walk; each must still count exactly what a lone walk counts. *)
+let test_t1_interleaved policy () =
+  let m = build () in
+  let expected = Ops.traversal_t1 m ~tid:0 (direct m.heap) in
+  let e = Engines.make Engines.swisstm m.heap in
+  let got = Array.make 8 [] in
+  ignore
+    (Runtime.Sim.run ~policy
+       (Array.init 8 (fun tid () ->
+            for _ = 1 to 2 do
+              got.(tid) <-
+                Stm_intf.Engine.atomic e ~tid (fun tx -> Ops.traversal_t1 m ~tid tx)
+                :: got.(tid)
+            done)));
+  Array.iteri
+    (fun tid counts ->
+      check Alcotest.(list int) (Printf.sprintf "thread %d counts" tid)
+        [ expected; expected ] counts)
+    got
+
+let test_t1_native () =
+  let m = build () in
+  let expected = Ops.traversal_t1 m ~tid:0 (direct m.heap) in
+  let e = Engines.make Engines.swisstm m.heap in
+  let domains =
+    Array.init 2 (fun tid ->
+        Domain.spawn (fun () ->
+            Runtime.Exec.set_native_tid tid;
+            List.init 20 (fun _ ->
+                Stm_intf.Engine.atomic e ~tid (fun tx -> Ops.traversal_t1 m ~tid tx))))
+  in
+  Array.iteri
+    (fun tid d ->
+      check Alcotest.(list int) (Printf.sprintf "domain %d counts" tid)
+        (List.init 20 (fun _ -> expected))
+        (Domain.join d))
+    domains
+
+(* A warm walk allocates no visited set: T1's words are its few closures,
+   a fraction of a word per composite walk. *)
+let test_t1_words () =
+  let m = build () in
+  let tx = direct m.heap in
+  ignore (Ops.traversal_t1 m ~tid:0 tx : int);
+  let walks = List.length (composite_refs m) in
+  let runs = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to runs do
+    ignore (Ops.traversal_t1 m ~tid:0 tx : int)
+  done;
+  let per_walk = (Gc.minor_words () -. w0) /. float_of_int (runs * walks) in
+  Alcotest.(check bool)
+    (Printf.sprintf "T1: %.2f minor words per composite walk <= 1" per_walk)
+    true (per_walk <= 1.)
+
+let suite =
+  suite
+  @ [
+      ( "stmbench7-visits",
+        [
+          Alcotest.test_case "visit oracle" `Quick test_visit_oracle;
+          Alcotest.test_case "visited set" `Quick test_visited_set;
+          Alcotest.test_case "T1 interleaved, random" `Quick
+            (test_t1_interleaved (Runtime.Sim.random_policy 7));
+          Alcotest.test_case "T1 interleaved, pct" `Quick
+            (test_t1_interleaved (Runtime.Sim.pct_policy 7));
+          Alcotest.test_case "T1 on 2 domains" `Quick test_t1_native;
+          Alcotest.test_case "T1 allocation" `Quick test_t1_words;
         ] );
     ]
