@@ -18,8 +18,7 @@ type t = {
   mutable gen : int;  (* the current walk's stamp; fresh slots hold 0 *)
 }
 
-let create ?(bits = 6) () =
-  { slots = Array.make (2 lsl bits) 0; bits; count = 0; gen = 1 }
+let create () = { slots = Array.make (2 lsl 6) 0; bits = 6; count = 0; gen = 1 }
 
 (* Multiplicative hashing: the top [bits] bits of [addr * k].  Part
    addresses are a fixed stride apart, which the multiply spreads. *)
@@ -73,7 +72,7 @@ let add t addr =
    [Kernel.Driver] builds descriptors), so building a model costs the slot
    array, not a set per thread.  A slot is written and read only by the
    thread running as its tid. *)
-let absent = create ~bits:0 ()
+let absent = create ()
 let make_table () = Array.make Stm_intf.Stats.max_threads absent
 
 let build table tid =

@@ -364,10 +364,10 @@ let test_visit_oracle () =
   check_visits m ~tid:5 "after churn, another tid"
 
 (* The set itself: membership within a walk, emptiness after [start],
-   and growth far past the initial capacity. *)
+   and growth far past the initial 64 slots. *)
 let test_visited_set () =
   let module V = Stmbench7.Sb7_visited in
-  let s = V.create ~bits:2 () in
+  let s = V.create () in
   let addrs = List.init 1000 (fun i -> 7 + (11 * i)) in
   for walk = 1 to 3 do
     V.start s;
