@@ -66,6 +66,32 @@ let raw_16r2w_test name spec =
                ignore (tx.read (base + i) : int)
              done)))
 
+(* Cold metadata: 8 reads per transaction at stripes drawn (full-period
+   LCG) from 2^16 lines, every one built before timing.  The lines' lock
+   words then mostly miss the caches, so beside the hot ro-8reads this
+   prices each read's metadata footprint, not its instructions. *)
+let cold_lines = 1 lsl 16
+
+let cold_test name (spec : Engines.spec) =
+  let stride = spec.granularity_words in
+  let heap = Memory.Heap.create ~words:(2 * cold_lines * stride) in
+  let base = Memory.Heap.alloc heap (cold_lines * stride) in
+  let engine = Engines.make spec heap in
+  for chunk = 0 to (cold_lines / 1024) - 1 do
+    Stm_intf.Engine.atomic engine ~tid:0 (fun tx ->
+        for i = 0 to 1023 do
+          ignore (tx.read (base + (((chunk * 1024) + i) * stride)) : int)
+        done)
+  done;
+  let x = ref 0 in
+  Test.make ~name
+    (Staged.stage (fun () ->
+         Stm_intf.Engine.atomic engine ~tid:0 (fun tx ->
+             for _ = 1 to 8 do
+               x := ((!x * 0x5DEECE66D) + 11) land (cold_lines - 1);
+               ignore (tx.read (base + (!x * stride)) : int)
+             done)))
+
 let run_one test =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
@@ -164,8 +190,8 @@ let sim_table () =
 let run () =
   Bench_common.section
     "Micro (Bechamel, real time): single-threaded transaction overhead";
-  Printf.printf "%-10s %15s %15s %15s %15s %15s\n" "engine" "ro-8reads[ns]"
-    "rw-8r8w[ns]" "wo-8writes[ns]" "raw-8w8r[ns]" "raw-16r2w[ns]";
+  Printf.printf "%-10s %15s %15s %15s %15s %15s %15s\n" "engine" "ro-8reads[ns]"
+    "rw-8r8w[ns]" "wo-8writes[ns]" "raw-8w8r[ns]" "raw-16r2w[ns]" "cold-8reads[ns]";
   List.iter
     (fun (name, spec) ->
       let ro = time "ro" (tx_test "ro" spec ~reads:8 ~writes:0) in
@@ -173,7 +199,8 @@ let run () =
       let wo = time "wo" (tx_test "wo" spec ~reads:0 ~writes:8) in
       let raw = time "raw" (raw_test "raw" spec) in
       let raw16 = time "raw-16r2w" (raw_16r2w_test "raw-16r2w" spec) in
-      Printf.printf "%-10s %15.1f %15.1f %15.1f %15.1f %15.1f\n%!" name ro rw
-        wo raw raw16)
+      let cold = time "cold" (cold_test "cold" spec) in
+      Printf.printf "%-10s %15.1f %15.1f %15.1f %15.1f %15.1f %15.1f\n%!" name ro
+        rw wo raw raw16 cold)
     engines;
   sim_table ()

@@ -28,7 +28,7 @@ type t = {
   stripe : Memory.Stripe.t;  (** address to lock-table index *)
   commit_ts : Runtime.Tmatomic.t;
   cm : Cm.Cm_intf.t;
-  descs : Txdesc.t array;
+  descs : Txdesc.t Runtime.Tid_table.t;
   eid : int;  (** metrics-registry engine id *)
   privatization_safe : bool;
       (** §6 extension: quiescence at commit — every committing update
@@ -273,7 +273,7 @@ let rec acquire t (d : Txdesc.t) w_lock idx ~mine wv =
   if wv <> Lock_table.w_unlocked then begin
     check_kill t d;
     Hooks.stripe_conflict ~eid:t.eid ~stripe:idx;
-    let victim = (t.descs.(Lock_table.w_owner_of wv)).info in
+    let victim = (Runtime.Tid_table.get t.descs (Lock_table.w_owner_of wv)).info in
     match Hooks.cm_resolve ~ser:t.ser ~cm:t.cm d ~victim with
     | Cm.Cm_intf.Abort_self -> rollback t d Tx_signal.Ww_conflict
     | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim ->

@@ -65,7 +65,7 @@ type t = {
   clock : Runtime.Tmatomic.t;
   point : Axes.point;
   cm : Cm.Cm_intf.t;
-  descs : Txdesc.t array;
+  descs : Txdesc.t Runtime.Tid_table.t;
   eid : int;
   ser : Serial.t;
 }

@@ -24,7 +24,7 @@ open Stm_intf
 type ops = {
   ser : Serial.t;
   cm : Cm.Cm_intf.t;
-  descs : Txdesc.t array;
+  descs : Txdesc.t Runtime.Tid_table.t;
   start : Txdesc.t -> restart:bool -> unit;
   commit : Txdesc.t -> unit;
   emergency : Txdesc.t -> unit;  (** release everything on a foreign exception *)
@@ -41,51 +41,34 @@ let nop_gate_check () = ()
    jitter); one constant for all engines, so runs replay exactly. *)
 let seed = 0xC0FFEE
 
-(* Descriptor table: one slot per logical thread, each holding the
-   shared sentinel [absent] until that thread's first transaction, when
-   [desc] builds its descriptor.  Construction costs the slot array, not
-   512 descriptors, and a run pays only for the tids it uses.
-
-   Publication: a slot is written only by the thread running as that
-   tid, and only before that thread publishes the tid through a
-   [Tmatomic]/[Atomic] (a lock owner word or a reader bit).  A victim
-   lookup [descs.(owner)] reads the tid from such a word first, so it
-   always finds a built descriptor, never [absent].  A fresh descriptor
-   is exactly [Txdesc.create]'s state and building it charges no cycles,
-   so simulated schedules do not depend on when a thread first ran. *)
+(* Descriptor table: a thread's descriptor is built on its first
+   transaction ([Runtime.Tid_table]), so construction costs the slot
+   array, not 512 descriptors.  A thread publishes its tid (a lock owner
+   word, a reader bit) only after that, so a victim lookup of the tid
+   always finds a built descriptor.  A fresh descriptor is exactly
+   [Txdesc.create]'s state and building it charges no cycles, so
+   simulated schedules do not depend on when a thread first ran.  Every
+   table shares one sentinel. *)
 let absent = Txdesc.create ~tid:(-1) ~seed
 
-let make_descs () = Array.make Stats.max_threads absent
-
-let build descs tid =
-  let d = Txdesc.create ~tid ~seed in
-  descs.(tid) <- d;
-  d
-
-(* Per transaction: one bounds check, one slot load, one sentinel compare. *)
-let[@inline] desc descs tid =
-  let d = descs.(tid) in
-  if d != absent then d else build descs tid
+let make_descs () =
+  Runtime.Tid_table.create Stats.max_threads ~absent (fun tid -> Txdesc.create ~tid ~seed)
 
 (* An engine's statistics: every built descriptor's counters, summed,
    with the back-offs its manager counted in [d.info]. *)
 let snapshot descs =
-  Array.fold_left
+  Runtime.Tid_table.fold
     (fun acc (d : Txdesc.t) ->
-      if d == absent then acc
-      else
-        let s = Stats.snapshot d.counters in
-        Stats.add acc { s with s_backoffs = d.info.Cm.Cm_intf.backoffs })
+      let s = Stats.snapshot d.counters in
+      Stats.add acc { s with s_backoffs = d.info.Cm.Cm_intf.backoffs })
     (Stats.snapshot (Stats.create ()))
     descs
 
 let reset descs =
-  Array.iter
+  Runtime.Tid_table.iter
     (fun (d : Txdesc.t) ->
-      if d != absent then begin
-        d.counters <- Stats.create ();
-        d.info.Cm.Cm_intf.backoffs <- 0
-      end)
+      d.counters <- Stats.create ();
+      d.info.Cm.Cm_intf.backoffs <- 0)
     descs
 
 (* Irrevocable holder only: wait out the update commits already past the
@@ -93,9 +76,9 @@ let reset descs =
    clock still.  The flags are plain stores: the walk charges no cycles,
    and a racy native read only softens the drain. *)
 let drain descs ~tid =
-  Array.iter
+  Runtime.Tid_table.iter
     (fun (d : Txdesc.t) ->
-      if d != absent && d.tid <> tid then
+      if d.tid <> tid then
         while d.committing do
           Runtime.Exec.pause ()
         done)
@@ -146,7 +129,7 @@ let rec attempt (o : ops) ~tid ~irrevocable (d : Txdesc.t) view f ~restart =
 (* [run_view o ~tid ~irrevocable view f] runs [f (view d)] as a transaction
    of [tid]'s descriptor [d]; [Package]'s [view] is its op-table lookup. *)
 let run_view (o : ops) ~tid ~irrevocable view f =
-  let d = desc o.descs tid in
+  let d = Runtime.Tid_table.get o.descs tid in
   if d.depth > 0 then begin
     (* Flat nesting: an inner atomic block joins the enclosing one. *)
     d.depth <- d.depth + 1;

@@ -35,7 +35,7 @@ type t = {
       (* NOrec has no lock conflicts to arbitrate (validation failures are
          self-aborts), so the manager only governs rollback back-off, the
          adaptive throttle and the escalation budget *)
-  descs : Txdesc.t array;
+  descs : Txdesc.t Runtime.Tid_table.t;
   eid : int;
   ser : Serial.t;
 }

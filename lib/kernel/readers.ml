@@ -60,7 +60,7 @@ let retract_all (rs : t) (d : Txdesc.t) =
 (* Abort or wait out every reader of [idx] other than ourselves, lowest
    tid first, each through the contention manager.  [rollback] is the
    engine's own (it releases the engine's locks, then unwinds). *)
-let drain (rs : t) ~ser ~cm ~(descs : Txdesc.t array) ~rollback
+let drain (rs : t) ~ser ~cm ~(descs : Txdesc.t Runtime.Tid_table.t) ~rollback
     (d : Txdesc.t) idx =
   let r = word rs idx in
   let mine = 1 lsl d.tid in
@@ -75,7 +75,7 @@ let drain (rs : t) ~ser ~cm ~(descs : Txdesc.t array) ~rollback
         let rec log2 n acc = if n = 1 then acc else log2 (n lsr 1) (acc + 1) in
         log2 b 0
       in
-      let victim = descs.(victim_tid).info in
+      let victim = (Runtime.Tid_table.get descs victim_tid).info in
       (match Hooks.cm_resolve ~ser ~cm d ~victim with
       | Cm.Cm_intf.Abort_self -> rollback d Tx_signal.Rw_validation
       | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim ->
@@ -89,11 +89,11 @@ let drain (rs : t) ~ser ~cm ~(descs : Txdesc.t array) ~rollback
 (* One CM-arbitrated wait on the stripe's [owner] (tid + 1): a visible
    read of an owned stripe, an eager freeze, or a w/w encounter.  The
    caller re-reads the owner word and loops. *)
-let cm_wait ~eid ~ser ~cm ~(descs : Txdesc.t array) ~rollback
+let cm_wait ~eid ~ser ~cm ~(descs : Txdesc.t Runtime.Tid_table.t) ~rollback
     (d : Txdesc.t) idx ~owner ~reason =
   if Hooks.kill_due ~ser d then rollback d Tx_signal.Killed;
   Hooks.stripe_conflict ~eid ~stripe:idx;
-  let victim = descs.(owner - 1).info in
+  let victim = (Runtime.Tid_table.get descs (owner - 1)).info in
   match Hooks.cm_resolve ~ser ~cm d ~victim with
   | Cm.Cm_intf.Abort_self -> rollback d reason
   | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim ->

@@ -26,7 +26,7 @@ type t = {
   locks : Runtime.Line_table.t;  (* per stripe one line: owner, readers *)
   readers : Readers.t;  (* the readers column of [locks] *)
   cm : Cm.Cm_intf.t;
-  descs : Txdesc.t array;
+  descs : Txdesc.t Runtime.Tid_table.t;
   eid : int;
   ser : Serial.t;
 }

@@ -26,12 +26,7 @@
 (* The reader set is a bitset over simulated thread ids: the low 63 tids
    live in one immediate [readers] word, tids >= 63 in a lazily allocated
    overflow array ([Topology.max_cores] needs 8 more 63-bit words).  Runs
-   that never exceed 63 threads never allocate the overflow, so the hot
-   paths of every existing gate are unchanged.  The pre-refactor code
-   masked the tid to six bits ([1 lsl (c land 63)]), silently aliasing
-   threads >= 64 onto the low bits — distinct threads shared reader bits
-   and were charged phantom hits, so >64-thread runs were *wrong*, not
-   just unscaled. *)
+   that never exceed 63 threads never allocate the overflow. *)
 
 let bits_per_word = 63
 let hi_words = (Topology.max_cores - bits_per_word + bits_per_word - 1) / bits_per_word
@@ -51,7 +46,14 @@ type line = {
       (** home socket (first-touch), or -1; only read multi-socket *)
 }
 
-type t = { v : int Atomic.t; line : line }
+(* One block per cell: the value is field 0 of the cell itself, not an
+   [int Atomic.t] box behind one more dependent load (in another major-heap
+   size class).  Every access to [v] goes through [atomic]: OCaml 5.1.1's
+   [%atomic_load], [%atomic_cas], [%atomic_exchange] and [%atomic_fetch_add]
+   act on field 0 of any block, as OCaml 5.4's atomic record fields do. *)
+type t = { mutable v : int; line : line } [@@warning "-69"]
+
+let[@inline] atomic (t : t) : int Atomic.t = Obj.magic t
 
 let fresh_line () =
   (* [last_miss] must be far in the past, with a magnitude small enough
@@ -165,10 +167,10 @@ let[@inline] miss_cost costs line c =
   if Topology.is_flat () then miss_cost_flat costs line
   else miss_cost_numa costs line c
 
-let make init = { v = Atomic.make init; line = fresh_line () }
+let make init = { v = init; line = fresh_line () }
 
 (** A cell placed on an existing cache line (adjacent metadata words). *)
-let make_shared line init = { v = Atomic.make init; line }
+let make_shared line init = { v = init; line }
 
 let[@inline] charge_read t =
   let c = !Exec.cur in
@@ -215,25 +217,22 @@ let[@inline] charge_write t ~rmw =
 
 let[@inline] get t =
   charge_read t;
-  Atomic.get t.v
+  Atomic.get (atomic t)
 
 let[@inline] set t x =
   charge_write t ~rmw:false;
-  Atomic.set t.v x
+  Atomic.set (atomic t) x
 
-(** Compare-and-swap; charges the full RMW cost whether or not it succeeds
-    (a failing CAS still acquires the line exclusively). *)
 let[@inline] cas t ~expect ~replace =
   charge_write t ~rmw:true;
-  Atomic.compare_and_set t.v expect replace
+  Atomic.compare_and_set (atomic t) expect replace
 
 let fetch_and_add t n =
   charge_write t ~rmw:true;
-  Atomic.fetch_and_add t.v n
+  Atomic.fetch_and_add (atomic t) n
 
-(** Atomically increment and return the new value. *)
 let incr_get t = fetch_and_add t 1 + 1
 
 (* Cost-free accessors for initialisation and for assertions in tests. *)
-let unsafe_get t = Atomic.get t.v
-let unsafe_set t x = Atomic.set t.v x
+let unsafe_get t = Atomic.get (atomic t)
+let unsafe_set t x = Atomic.set (atomic t) x

@@ -15,7 +15,9 @@
     reader set is exact up to [Topology.max_cores] threads. *)
 
 type line
+
 type t
+(** One heap block: the value word, then the modelled line. *)
 
 val fresh_line : unit -> line
 val make : int -> t
@@ -25,7 +27,8 @@ val get : t -> int
 val set : t -> int -> unit
 
 val cas : t -> expect:int -> replace:int -> bool
-(** Charges the full RMW cost whether or not it succeeds. *)
+(** Charges the full RMW cost whether or not it succeeds (a failing CAS
+    still acquires the line exclusively). *)
 
 val fetch_and_add : t -> int -> int
 (** Returns the previous value. *)

@@ -21,7 +21,7 @@ type t = {
   lock : Runtime.Tmatomic.t;
   ser : Serial.t;
   cm : Cm.Cm_intf.t;
-  descs : Txdesc.t array;
+  descs : Txdesc.t Runtime.Tid_table.t;
   eid : int;  (* observability engine id *)
 }
 

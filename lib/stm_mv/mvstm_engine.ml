@@ -49,7 +49,7 @@ type t = {
       (** per stripe: the versioned lock, the version-chain head (heap
           address or 0) and the chain length *)
   clock : Runtime.Tmatomic.t;
-  descs : Txdesc.t array;
+  descs : Txdesc.t Runtime.Tid_table.t;
   eid : int;  (* metrics-registry engine id *)
   cm : Cm.Cm_intf.t;
       (* rollback/throttle policy only: conflicts stay timid at commit-time

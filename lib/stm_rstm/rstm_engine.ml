@@ -50,7 +50,7 @@ type t = {
   cm : Cm.Cm_intf.t;
   acquire : acquire;
   visibility : visibility;
-  descs : Txdesc.t array;
+  descs : Txdesc.t Runtime.Tid_table.t;
   eid : int;  (* observability engine id *)
   ser : Serial.t;  (* irrevocability token (escalation / explicit) *)
 }
@@ -149,7 +149,7 @@ let validate t (d : Txdesc.t) =
         else begin
           check_kill t d;
           (if ov <> 0 then
-             let victim = (t.descs.(ov - 1)).info in
+             let victim = (Runtime.Tid_table.get t.descs (ov - 1)).info in
              match Hooks.cm_resolve ~ser:t.ser ~cm:t.cm d ~victim
              with
              | Cm.Cm_intf.Abort_self -> rollback t d Tx_signal.Rw_validation

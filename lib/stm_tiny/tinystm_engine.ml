@@ -27,7 +27,7 @@ type t = {
   stripe : Memory.Stripe.t;
   locks : Runtime.Line_table.t;  (* one versioned lock per stripe *)
   clock : Runtime.Tmatomic.t;
-  descs : Txdesc.t array;
+  descs : Txdesc.t Runtime.Tid_table.t;
   eid : int;  (* metrics-registry engine id *)
   cm : Cm.Cm_intf.t;
       (* rollback/throttle policy only: conflicts stay timid (TinySTM never

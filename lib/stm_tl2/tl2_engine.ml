@@ -30,7 +30,7 @@ type t = {
   stripe : Memory.Stripe.t;
   locks : Runtime.Line_table.t;  (* one versioned lock per stripe *)
   clock : Runtime.Tmatomic.t;
-  descs : Txdesc.t array;
+  descs : Txdesc.t Runtime.Tid_table.t;
   eid : int;  (* metrics-registry engine id *)
   cm : Cm.Cm_intf.t;
       (* rollback/throttle policy only: TL2 stays timid at commit-time

@@ -42,7 +42,7 @@ let rec dfs_first tx comp n i =
    cycles, and the walk's reads, writes and ticks are the same in number
    and order as with any other set. *)
 let dfs_composite model ~tid tx comp visit =
-  let set = Sb7_visited.for_tid model.visited tid in
+  let set = Runtime.Tid_table.get model.visited tid in
   Sb7_visited.start set;
   let n = read tx (comp + cp_nparts) in
   dfs_go tx set model.params.conns_per_part visit (dfs_first tx comp n 0)
@@ -70,33 +70,33 @@ let iter_reachable_composites model tx visit =
     neighbours' coordinates. *)
 let query_part model tx rng =
   let id = 1 + Runtime.Rng.int rng (Sb7_params.total_parts model.params) in
-  match Txds.Tx_hashmap.find model.part_index tx id with
-  | None -> 0
-  | Some part ->
-      let acc = ref (read tx (part + ap_x) + read tx (part + ap_y)) in
-      for c = 0 to model.params.conns_per_part - 1 do
-        let n = read tx (part + ap_conn + (2 * c)) in
-        if n <> 0 then acc := !acc + read tx (n + ap_x)
-      done;
-      work 10;
-      !acc
+  let part = Txds.Tx_hashmap.lookup model.part_index tx id in
+  if part = 0 then 0
+  else
+    let acc = ref (read tx (part + ap_x) + read tx (part + ap_y)) in
+    for c = 0 to model.params.conns_per_part - 1 do
+      let n = read tx (part + ap_conn + (2 * c)) in
+      if n <> 0 then acc := !acc + read tx (n + ap_x)
+    done;
+    work 10;
+    !acc
 
 (** ST4/Q4: find a composite by id and scan its document for a byte value
     (the original's "document contains" text search). *)
 let scan_document model tx rng =
   let cid = 1 + Runtime.Rng.int rng model.params.num_composites in
-  match Txds.Tx_hashmap.find model.comp_index tx cid with
-  | None -> 0
-  | Some comp ->
-      let d = read tx (comp + cp_doc) in
-      let size = read tx (d + doc_size) in
-      let needle = Runtime.Rng.int rng 256 in
-      let hits = ref 0 in
-      for i = 0 to size - 1 do
-        if read tx (d + doc_word + i) = needle then incr hits;
-        work 1
-      done;
-      !hits
+  let comp = Txds.Tx_hashmap.lookup model.comp_index tx cid in
+  if comp = 0 then 0
+  else
+    let d = read tx (comp + cp_doc) in
+    let size = read tx (d + doc_size) in
+    let needle = Runtime.Rng.int rng 256 in
+    let hits = ref 0 in
+    for i = 0 to size - 1 do
+      if read tx (d + doc_word + i) = needle then incr hits;
+      work 1
+    done;
+    !hits
 
 (** T6-ish medium traversal: DFS one random composite's part graph,
     summing coordinates. *)
@@ -128,27 +128,27 @@ let traversal_t1 model ~tid tx =
     bump the build date — the original's op15/op9 flavour). *)
 let update_part model tx rng =
   let id = 1 + Runtime.Rng.int rng (Sb7_params.total_parts model.params) in
-  match Txds.Tx_hashmap.find model.part_index tx id with
-  | None -> false
-  | Some part ->
-      let x = read tx (part + ap_x) and y = read tx (part + ap_y) in
-      write tx (part + ap_x) y;
-      write tx (part + ap_y) x;
-      write tx (part + ap_date) (read tx (part + ap_date) + 1);
-      work 8;
-      true
+  let part = Txds.Tx_hashmap.lookup model.part_index tx id in
+  if part = 0 then false
+  else
+    let x = read tx (part + ap_x) and y = read tx (part + ap_y) in
+    write tx (part + ap_x) y;
+    write tx (part + ap_y) x;
+    write tx (part + ap_date) (read tx (part + ap_date) + 1);
+    work 8;
+    true
 
 (** OP brand: overwrite one random word of one random document. *)
 let update_document model tx rng =
   let cid = 1 + Runtime.Rng.int rng model.params.num_composites in
-  match Txds.Tx_hashmap.find model.comp_index tx cid with
-  | None -> false
-  | Some comp ->
-      let d = read tx (comp + cp_doc) in
-      let size = read tx (d + doc_size) in
-      write tx (d + doc_word + Runtime.Rng.int rng size) (Runtime.Rng.int rng 256);
-      work 4;
-      true
+  let comp = Txds.Tx_hashmap.lookup model.comp_index tx cid in
+  if comp = 0 then false
+  else
+    let d = read tx (comp + cp_doc) in
+    let size = read tx (d + doc_size) in
+    write tx (d + doc_word + Runtime.Rng.int rng size) (Runtime.Rng.int rng 256);
+    work 4;
+    true
 
 (* --- medium update operation ------------------------------------------- *)
 
@@ -213,16 +213,14 @@ let create_part model tx rng =
     mirroring the original's lazy disconnection. *)
 let delete_part model tx rng =
   let id = 1 + Runtime.Rng.int rng (Sb7_params.total_parts model.params) in
-  match Txds.Tx_hashmap.find model.part_index tx id with
-  | None -> false
-  | Some part ->
-      if read tx (part + ap_alive) = 0 then false
-      else begin
-        write tx (part + ap_alive) 0;
-        ignore (Txds.Tx_hashmap.remove model.part_index tx id : bool);
-        work 12;
-        true
-      end
+  let part = Txds.Tx_hashmap.lookup model.part_index tx id in
+  if part = 0 || read tx (part + ap_alive) = 0 then false
+  else begin
+    write tx (part + ap_alive) 0;
+    ignore (Txds.Tx_hashmap.remove model.part_index tx id : bool);
+    work 12;
+    true
+  end
 
 (* ======================================================================
    Extended operation set.
@@ -236,13 +234,13 @@ let delete_part model tx rng =
 (** ST2: fetch a composite by id and read its header fields. *)
 let query_composite model tx rng =
   let cid = 1 + Runtime.Rng.int rng model.params.num_composites in
-  match Txds.Tx_hashmap.find model.comp_index tx cid with
-  | None -> 0
-  | Some comp ->
-      let date = read tx (comp + cp_date) in
-      let n = read tx (comp + cp_nparts) in
-      work 6;
-      date + n
+  let comp = Txds.Tx_hashmap.lookup model.comp_index tx cid in
+  if comp = 0 then 0
+  else
+    let date = read tx (comp + cp_date) in
+    let n = read tx (comp + cp_nparts) in
+    work 6;
+    date + n
 
 (** ST3: scan one random base assembly's composite headers. *)
 let scan_base_assembly model tx rng =
@@ -281,9 +279,8 @@ let query_part_range model tx rng ~span =
   let lo = 1 + Runtime.Rng.int rng (max 1 (total - span)) in
   let hits = ref 0 in
   for id = lo to lo + span - 1 do
-    match Txds.Tx_hashmap.find model.part_index tx id with
-    | Some part -> if read tx (part + ap_alive) = 1 then incr hits
-    | None -> ()
+    let part = Txds.Tx_hashmap.lookup model.part_index tx id in
+    if part <> 0 && read tx (part + ap_alive) = 1 then incr hits
   done;
   work span;
   !hits
@@ -307,16 +304,16 @@ let count_in_document model tx rng =
 (** T5: replace a document's whole text (medium update). *)
 let replace_document model tx rng =
   let cid = 1 + Runtime.Rng.int rng model.params.num_composites in
-  match Txds.Tx_hashmap.find model.comp_index tx cid with
-  | None -> false
-  | Some comp ->
-      let d = read tx (comp + cp_doc) in
-      let size = read tx (d + doc_size) in
-      for i = 0 to size - 1 do
-        write tx (d + doc_word + i) (Runtime.Rng.int rng 256);
-        work 1
-      done;
-      true
+  let comp = Txds.Tx_hashmap.lookup model.comp_index tx cid in
+  if comp = 0 then false
+  else
+    let d = read tx (comp + cp_doc) in
+    let size = read tx (d + doc_size) in
+    for i = 0 to size - 1 do
+      write tx (d + doc_word + i) (Runtime.Rng.int rng 256);
+      work 1
+    done;
+    true
 
 (** SM3: create a connection between two random live parts of a random
     composite (overwrites one of the source's connection slots). *)

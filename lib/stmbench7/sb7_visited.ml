@@ -67,19 +67,8 @@ let add t addr =
   end
   else false
 
-(* Per-thread table: one slot per logical thread, each holding the shared
-   sentinel [absent] until that thread's first walk builds its set (as
-   [Kernel.Driver] builds descriptors), so building a model costs the slot
-   array, not a set per thread.  A slot is written and read only by the
-   thread running as its tid. *)
+(* Per-thread sets, each built on its tid's first walk, so building a
+   model costs the slot array, not a set per thread.  A slot is written
+   and read only by the thread running as its tid. *)
 let absent = create ()
-let make_table () = Array.make Stm_intf.Stats.max_threads absent
-
-let build table tid =
-  let s = create () in
-  table.(tid) <- s;
-  s
-
-let[@inline] for_tid table tid =
-  let s = table.(tid) in
-  if s != absent then s else build table tid
+let table () = Runtime.Tid_table.create Stm_intf.Stats.max_threads ~absent (fun _ -> create ())

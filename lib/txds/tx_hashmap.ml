@@ -41,6 +41,12 @@ let find t tx k =
   let n = find_node tx (read tx (bucket_addr t k)) k in
   if n = 0 then None else Some (read tx (n + f_val))
 
+(** [lookup t tx k] is the value bound to [k], or 0 if none: [find]
+    without the option, for maps whose values are never 0. *)
+let lookup t tx k =
+  let n = find_node tx (read tx (bucket_addr t k)) k in
+  if n = 0 then 0 else read tx (n + f_val)
+
 let mem t tx k = find_node tx (read tx (bucket_addr t k)) k <> 0
 
 (** [add t tx k v] inserts or updates; returns [true] if [k] was new. *)

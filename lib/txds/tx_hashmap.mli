@@ -18,6 +18,12 @@ val bucket_addr : t -> int -> int
 (** Heap address of a key's bucket head word. *)
 
 val find : t -> Stm_intf.Engine.tx_ops -> int -> int option
+
+val lookup : t -> Stm_intf.Engine.tx_ops -> int -> int
+(** [lookup t tx k] is [k]'s value, or 0 if [k] is absent: the reads of
+    {!find} without its [Some], for maps whose values are never 0 (heap
+    addresses). *)
+
 val mem : t -> Stm_intf.Engine.tx_ops -> int -> bool
 
 val add : t -> Stm_intf.Engine.tx_ops -> int -> int -> bool

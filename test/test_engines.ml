@@ -353,6 +353,23 @@ let test_construction_no_descriptors name () =
     (Printf.sprintf "%s: construction %.0f words < 1300" name words)
     true (words < 1300.)
 
+(* A built stripe is one array of one-block cells plus its modelled
+   line: a SwissTM two-cell line is 3 + 2 * 3 + 8 = 17 words and a TL2
+   one-cell line 2 + 3 + 8 = 13, and [Obj.reachable_words] adds 1 for
+   the shared empty [readers_hi] array.  A cell that boxed its value in
+   an [int Atomic.t] again would add 2 words per cell (22 and 16). *)
+let test_stripe_footprint () =
+  let stripe = Memory.Stripe.create ~table_bits:4 () in
+  let words tbl =
+    Obj.reachable_words (Obj.repr (Runtime.Line_table.line tbl 0))
+  in
+  let swisstm = words (Swisstm.Lock_table.create stripe)
+  and tl2 = words (Kernel.Vlock.create_locks stripe) in
+  Alcotest.(check bool)
+    (Printf.sprintf "swisstm line %d words <= 18" swisstm)
+    true (swisstm <= 18);
+  Alcotest.(check bool) (Printf.sprintf "tl2 line %d words <= 14" tl2) true (tl2 <= 14)
+
 (* --- thread-id range ---------------------------------------------------- *)
 
 (* Every engine refuses a tid outside its range by name instead of
@@ -658,7 +675,8 @@ let suite =
             [
               "swisstm"; "tl2"; "tinystm"; "norec"; "tlrw"; "mvstm";
               "k-eager+vis+commit+redo"; "glock";
-            ] );
+            ]
+        @ [ Alcotest.test_case "stripe footprint" `Quick test_stripe_footprint ] );
       ( "tid-range",
         List.map
           (fun name -> Alcotest.test_case name `Quick (test_tid_range name))

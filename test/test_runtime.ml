@@ -251,6 +251,62 @@ let test_tmatomic_native_mode_uncharged () =
   Runtime.Tmatomic.set a 1;
   check Alcotest.int "native ops work" 1 (Runtime.Tmatomic.unsafe_get a)
 
+(* The one-block cell on 2 native domains: fetch-and-add and CAS loops
+   lose no increment, and each domain's set/get on its own cell (on the
+   same modelled line) reads back what it wrote, while minor collections
+   move the cells out of the minor heap mid-run. *)
+let test_tmatomic_native_exact () =
+  let n = 100_000 in
+  let line = Runtime.Tmatomic.fresh_line () in
+  let faa = Runtime.Tmatomic.make_shared line 0
+  and cas = Runtime.Tmatomic.make_shared line 0 in
+  let own = Array.init 2 (fun _ -> Runtime.Tmatomic.make_shared line 0) in
+  let rec cas_incr c =
+    let v = Runtime.Tmatomic.get c in
+    if not (Runtime.Tmatomic.cas c ~expect:v ~replace:(v + 1)) then cas_incr c
+  in
+  let worker d () =
+    let lost = ref 0 in
+    for i = 1 to n do
+      ignore (Runtime.Tmatomic.fetch_and_add faa 1 : int);
+      cas_incr cas;
+      Runtime.Tmatomic.set own.(d) i;
+      if Runtime.Tmatomic.get own.(d) <> i then incr lost;
+      if d = 0 && i land 16383 = 0 then Gc.minor ()
+    done;
+    !lost
+  in
+  let lost = List.map Domain.join (List.init 2 (fun d -> Domain.spawn (worker d))) in
+  check Alcotest.int "fetch_and_add total" (2 * n) (Runtime.Tmatomic.unsafe_get faa);
+  check Alcotest.int "cas total" (2 * n) (Runtime.Tmatomic.unsafe_get cas);
+  check Alcotest.(list int) "set/get round trips lost" [ 0; 0 ] lost;
+  check Alcotest.(pair int int) "own cells final" (n, n)
+    (Runtime.Tmatomic.unsafe_get own.(0), Runtime.Tmatomic.unsafe_get own.(1))
+
+(* --- Tid_table ------------------------------------------------------------- *)
+
+(* A slot is built once, by its first [get], and only then: [iter] and
+   [fold] see the built entries in slot order, never the sentinel. *)
+let test_tid_table () =
+  let built = ref [] in
+  let t =
+    Runtime.Tid_table.create 8 ~absent:(ref (-1)) (fun tid ->
+        built := tid :: !built;
+        ref tid)
+  in
+  let e5 = Runtime.Tid_table.get t 5 in
+  let e2 = Runtime.Tid_table.get t 2 in
+  Alcotest.(check bool) "same entry on re-access" true
+    (Runtime.Tid_table.get t 5 == e5 && Runtime.Tid_table.get t 2 == e2);
+  check Alcotest.(list int) "built once each, on first use" [ 2; 5 ] !built;
+  let seen = ref [] in
+  Runtime.Tid_table.iter (fun r -> seen := !r :: !seen) t;
+  check Alcotest.(list int) "iter: built slots in order" [ 5; 2 ] !seen;
+  check Alcotest.int "fold: built slots only" 7
+    (Runtime.Tid_table.fold (fun acc r -> acc + !r) 0 t);
+  Alcotest.check_raises "out of range" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (Runtime.Tid_table.get t 8 : int ref))
+
 (* --- Line_table ------------------------------------------------------------ *)
 
 (* A line built on first touch holds its initial values and is one
@@ -497,7 +553,9 @@ let suite =
         Alcotest.test_case "shared cache line" `Quick test_tmatomic_shared_line;
         Alcotest.test_case "cas/faa semantics" `Quick test_tmatomic_semantics;
         Alcotest.test_case "native mode" `Quick test_tmatomic_native_mode_uncharged;
+        Alcotest.test_case "native domains exact" `Quick test_tmatomic_native_exact;
       ] );
+    ("tid-table", [ Alcotest.test_case "built on first use" `Quick test_tid_table ]);
     ( "line-table",
       [
         Alcotest.test_case "first touch" `Quick test_line_table_first_touch;
