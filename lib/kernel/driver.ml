@@ -52,7 +52,7 @@ let seed = 0xC0FFEE
 let absent = Txdesc.create ~tid:(-1) ~seed
 
 let make_descs () =
-  Runtime.Tid_table.create Stats.max_threads ~absent (fun tid -> Txdesc.create ~tid ~seed)
+  Runtime.Tid_table.create ~absent (fun tid -> Txdesc.create ~tid ~seed)
 
 (* An engine's statistics: every built descriptor's counters, summed,
    with the back-offs its manager counted in [d.info]. *)

@@ -1,10 +1,10 @@
 (* Per-tid slots built on first use (tid_table.mli).  The sentinel is
-   the caller's, so entries need no option box and a built slot reads as
-   one load and one physical compare. *)
+   the caller's, so entries need no option box.  [get] loads [slots] and
+   [absent] from the record; ['a array] makes the slot read generic. *)
 
 type 'a t = { slots : 'a array; absent : 'a; build : int -> 'a }
 
-let create n ~absent build = { slots = Array.make n absent; absent; build }
+let create ~absent build = { slots = Array.make Topology.max_cores absent; absent; build }
 
 let fill t tid =
   let x = t.build tid in

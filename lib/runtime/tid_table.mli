@@ -1,8 +1,10 @@
 (** A table with one slot per logical thread, each built on first use.
 
     Every slot holds a shared sentinel until [get] first asks for it and
-    builds the entry; a later [get] of a built slot is one slot load and
-    one [!=] compare against the sentinel, inlined into the caller.
+    builds the entry.  A later [get] of a built slot is inlined into the
+    caller: it loads the slot array and the sentinel from the table, one
+    bounds-checked slot (a generic array read, which also tests the
+    array's tag), and compares the slot with the sentinel by [!=].
     Construction allocates the slot array only, so a run pays only for
     the tids it uses.
 
@@ -14,10 +16,11 @@
 
 type 'a t
 
-val create : int -> absent:'a -> (int -> 'a) -> 'a t
-(** [create n ~absent build] has slots [0 .. n-1], each [absent] until
-    [get] builds it with [build tid].  [absent] must be physically
-    distinct from every entry [build] returns. *)
+val create : absent:'a -> (int -> 'a) -> 'a t
+(** [create ~absent build] has one slot per tid below
+    {!Topology.max_cores}, each [absent] until [get] builds it with
+    [build tid].  [absent] must be physically distinct from every entry
+    [build] returns. *)
 
 val get : 'a t -> int -> 'a
 (** [get t tid] is slot [tid]'s entry, built on the first call.  Raises

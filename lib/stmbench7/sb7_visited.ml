@@ -71,4 +71,4 @@ let add t addr =
    model costs the slot array, not a set per thread.  A slot is written
    and read only by the thread running as its tid. *)
 let absent = create ()
-let table () = Runtime.Tid_table.create Stm_intf.Stats.max_threads ~absent (fun _ -> create ())
+let table () = Runtime.Tid_table.create ~absent (fun _ -> create ())

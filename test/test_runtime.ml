@@ -290,7 +290,7 @@ let test_tmatomic_native_exact () =
 let test_tid_table () =
   let built = ref [] in
   let t =
-    Runtime.Tid_table.create 8 ~absent:(ref (-1)) (fun tid ->
+    Runtime.Tid_table.create ~absent:(ref (-1)) (fun tid ->
         built := tid :: !built;
         ref tid)
   in
@@ -305,7 +305,7 @@ let test_tid_table () =
   check Alcotest.int "fold: built slots only" 7
     (Runtime.Tid_table.fold (fun acc r -> acc + !r) 0 t);
   Alcotest.check_raises "out of range" (Invalid_argument "index out of bounds")
-    (fun () -> ignore (Runtime.Tid_table.get t 8 : int ref))
+    (fun () -> ignore (Runtime.Tid_table.get t Runtime.Topology.max_cores : int ref))
 
 (* --- Line_table ------------------------------------------------------------ *)
 
