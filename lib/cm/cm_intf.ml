@@ -32,6 +32,8 @@ type txinfo = {
           ([Runtime.Steal]) since the txinfo was created: a migrated
           task already paid its cross-socket transfer, so priority-based
           managers credit it ({!steal_priority_bonus} accesses each) *)
+  obs : Obs.Metrics.thread;
+      (** the thread's metrics state: every [Obs.Metrics] hook takes it *)
 }
 
 (* Fixed-point scale of [contention]: 1024 = an abort on every attempt. *)
@@ -51,6 +53,7 @@ let make_txinfo ~tid ~seed =
     backoffs = 0;
     contention = 0;
     steals = 0;
+    obs = Obs.Metrics.make_thread ();
   }
 
 (** What the attacker should do about a write/write conflict. *)

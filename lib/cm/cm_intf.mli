@@ -25,6 +25,7 @@ type txinfo = {
   mutable steals : int;
       (** tasks stolen onto this thread ([Runtime.Steal]); priority
           managers credit {!steal_priority_bonus} accesses each *)
+  obs : Obs.Metrics.thread;  (** the thread's metrics state *)
 }
 
 val contention_scale : int

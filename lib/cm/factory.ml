@@ -9,10 +9,13 @@ open Cm_intf
    waiting thread's [txinfo], the only back-off counter: an engine's
    snapshot reports it as [s_backoffs] and its reset zeroes it.  The
    increment is unconditional (a plain field write, no RNG draw), so
-   schedules are unchanged. *)
+   schedules are unchanged; a non-zero wait is reported to the thread's
+   metrics before it is charged. *)
 let backoff_wait info policy ~attempt =
   info.backoffs <- info.backoffs + 1;
-  Runtime.Backoff.wait policy info.rng ~attempt
+  let cycles = Runtime.Backoff.delay policy info.rng ~attempt in
+  if cycles > 0 && !Obs.Metrics.on then Obs.Metrics.on_backoff info.obs ~cycles;
+  Runtime.Backoff.wait_cycles cycles
 
 (* Defaults for the managers that neither throttle nor escalate. *)
 let no_pre_attempt _ ~escalated:_ = ()
@@ -236,7 +239,7 @@ let two_phase ~wn ~backoff () =
       (fun info ~writes ->
         if info.cm_ts = max_int && writes = wn then begin
           info.cm_ts <- Runtime.Tmatomic.incr_get clock;
-          if !Obs.Metrics.on then Obs.Metrics.on_cm_phase_shift ~tid:info.tid
+          if !Obs.Metrics.on then Obs.Metrics.on_cm_phase_shift info.obs
         end);
     resolve =
       (fun ~attacker ~victim ->
@@ -287,7 +290,7 @@ let adaptive ~wn ~threshold ~escalate_after () =
   let release info = if holds info then Runtime.Tmatomic.set throttle 0 in
   let acquire info =
     if not (holds info) then begin
-      if !Obs.Metrics.on then Obs.Metrics.on_cm_throttle ~tid:info.tid;
+      if !Obs.Metrics.on then Obs.Metrics.on_cm_throttle info.obs;
       let rec go () =
         if Runtime.Tmatomic.get throttle <> 0 then begin
           Runtime.Exec.pause ();
@@ -310,7 +313,7 @@ let adaptive ~wn ~threshold ~escalate_after () =
       (fun info ~writes ->
         if info.cm_ts = max_int && writes = wn then begin
           info.cm_ts <- Runtime.Tmatomic.incr_get clock;
-          if !Obs.Metrics.on then Obs.Metrics.on_cm_phase_shift ~tid:info.tid
+          if !Obs.Metrics.on then Obs.Metrics.on_cm_phase_shift info.obs
         end);
     resolve =
       (fun ~attacker ~victim ->
@@ -362,9 +365,7 @@ let instrument t =
       if !Stm_intf.Trace.enabled then
         Stm_intf.Trace.on_cm_decision ~tid:attacker.tid ~victim:victim.tid
           ~decision;
-      if !Obs.Metrics.on then
-        Obs.Metrics.on_cm_decision ~tid:attacker.tid ~victim:victim.tid
-          ~decision
+      if !Obs.Metrics.on then Obs.Metrics.on_cm_decision attacker.obs ~decision
     end;
     d
   in

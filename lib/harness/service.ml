@@ -163,7 +163,6 @@ let run ?(obs = true) ?label spec c =
         Exec.idle_until arrival;
         let user = req_user.(i) in
         let started = Exec.now () in
-        Obs.Slo.request_start ~tid;
         let state = session.(user) in
         (if state = 0 then begin
            (* login: touch the session word, read one catalog page *)
@@ -209,7 +208,9 @@ let run ?(obs = true) ?label spec c =
          end);
         session.(user) <- (if state >= checkout_state then 0 else state + 1);
         done_ops.(tid) <- done_ops.(tid) + 1;
-        Obs.Slo.record ~tid ~arrival ~started ~finished:(Exec.now ())
+        (* The thread's current descriptor is the request's transaction's. *)
+        Obs.Slo.record Cm.Cm_intf.current.(tid).obs ~arrival ~started
+          ~finished:(Exec.now ())
       end
     done
   in

@@ -92,7 +92,7 @@ let rec attempt (o : ops) ~tid ~irrevocable (d : Txdesc.t) view f ~restart =
     (irrevocable || info.Cm.Cm_intf.succ_aborts >= o.cm.Cm.Cm_intf.escalate_after)
     && not (Serial.mine o.ser ~tid)
   then begin
-    if !Obs.Metrics.on then Obs.Metrics.on_escalation ~tid;
+    if !Obs.Metrics.on then Obs.Metrics.on_escalation info.obs;
     Serial.acquire o.ser ~tid;
     drain o.descs ~tid
   end;

@@ -90,7 +90,7 @@ let tx_begin ~eid (d : Txdesc.t) =
   if !Trace.enabled then Trace.on_begin ~tid:d.tid;
   phase_commit d.tid;
   d.start_cycles <- Runtime.Exec.now ();
-  if !Obs.Metrics.on then Obs.Metrics.on_tx_begin ~eid ~tid:d.tid;
+  if !Obs.Metrics.on then Obs.Metrics.on_tx_begin d.info.obs ~eid;
   Runtime.Exec.tick (Runtime.Costs.get ()).tx_begin;
   Txdesc.clear_logs d;
   (* Publish as the thread's current transaction so abstract-lock
@@ -120,7 +120,7 @@ let[@inline] commit_entry (d : Txdesc.t) =
 let commit_done ~(cm : Cm.Cm_intf.t) ~ser ~heap (d : Txdesc.t) =
   if !Trace.enabled then Trace.on_commit ~tid:d.tid;
   Stats.commit d.counters;
-  if !Obs.Metrics.on then Obs.Metrics.on_tx_commit ~tid:d.tid;
+  if !Obs.Metrics.on then Obs.Metrics.on_tx_commit d.info.obs ~start:d.start_cycles;
   (* The commit is now certain: execute the buffered transactional frees
      (epoch limbo when the reclaimer is armed, immediate recycling
      otherwise).  Cycle-free; the free-less case is one length check. *)
@@ -144,7 +144,8 @@ let rollback ~(cm : Cm.Cm_intf.t) (d : Txdesc.t) ~reason =
   if !Trace.enabled then Trace.on_abort ~tid:d.tid ~reason;
   Stats.abort d.counters reason;
   Stats.wasted d.counters ~cycles:(max 0 (Runtime.Exec.now () - d.start_cycles));
-  if !Obs.Metrics.on then Obs.Metrics.on_tx_abort ~tid:d.tid ~reason;
+  if !Obs.Metrics.on then
+    Obs.Metrics.on_tx_abort d.info.obs ~start:d.start_cycles ~reason;
   d.committing <- false;
   Txdesc.clear_logs d;
   Tx_signal.cleanup ~tid:d.tid;
@@ -181,7 +182,7 @@ let enter_update_commit ~(cm : Cm.Cm_intf.t) ~ser ?gate_check
         Serial.gate ser ~tid:d.tid ~check
   | None -> ());
   d.committing <- true;
-  if !Obs.Metrics.on then Obs.Metrics.on_commit_start ~tid:d.tid
+  if !Obs.Metrics.on then Obs.Metrics.on_commit_start d.info.obs
 
 (* Release everything engine-independent on a non-[Abort] exception
    escaping the body (the engine released its own locks first), so a user

@@ -9,9 +9,10 @@
    Engines register themselves by name once at construction time and get
    back a small integer [eid]; the hot-path hooks index a per-eid bundle
    of preallocated counters through that integer (no string hashing per
-   event).  Per-thread state (current engine, tx start time, commit start
-   time) lives in process-wide arrays indexed by [tid land 511]
-   ([Runtime.Topology.max_cores] slots), shared by every engine. *)
+   event).  Per-thread state (current engine, commit start time, the
+   request-attribution sums) is a [thread] record held by the thread's
+   transaction descriptor ([Cm.Cm_intf.txinfo.obs]), which every hook
+   takes as its first argument. *)
 
 (* --- per-engine bundles ------------------------------------------------ *)
 
@@ -36,52 +37,35 @@ type engine = {
 
 let on = ref false
 
-let max_threads = Runtime.Topology.max_cores
-let slot tid = tid land (max_threads - 1)
-
 let engines : engine list ref = ref [] (* newest first *)
 let by_eid : engine array ref = ref [||]
 
-(* Per-thread attribution state. *)
-let cur_eid = Array.make max_threads (-1)
-let tx_start = Array.make max_threads 0
-let commit_start = Array.make max_threads (-1)
+(* --- per-thread state --------------------------------------------------- *)
 
-(* Per-thread request attribution (PR 8): cumulative abort/retry cost
-   since the last [att_clear], harvested by [Obs.Slo] to attribute a slow
-   service request's response time to its causes.  Fed from the existing
-   hooks below — no new engine call sites, so the no-perturbation
-   contract is untouched. *)
-type attribution = {
-  a_retries : int;  (** aborted attempts *)
-  a_wasted_cycles : int;  (** cycles discarded by those attempts *)
-  a_backoff_cycles : int;  (** CM back-off waits *)
-  a_escalations : int;  (** serial-token escalations *)
-  a_throttles : int;  (** adaptive-CM throttle serializations *)
+(* One per transaction descriptor.  The five sums are the thread's
+   abort/retry cost since [Obs.Slo.record] last harvested them: they let
+   the service harness attribute a slow request's response time to its
+   causes, fed from the existing hooks below (no new engine call sites,
+   so the no-perturbation contract is untouched). *)
+type thread = {
+  mutable eid : int;
+  mutable commit_start : int;
+  mutable retries : int;
+  mutable wasted_cycles : int;
+  mutable backoff_cycles : int;
+  mutable escalations : int;
+  mutable throttles : int;
 }
 
-let att_retries = Array.make max_threads 0
-let att_wasted = Array.make max_threads 0
-let att_backoff = Array.make max_threads 0
-let att_escal = Array.make max_threads 0
-let att_throttle = Array.make max_threads 0
-
-let att_clear ~tid =
-  let s = slot tid in
-  att_retries.(s) <- 0;
-  att_wasted.(s) <- 0;
-  att_backoff.(s) <- 0;
-  att_escal.(s) <- 0;
-  att_throttle.(s) <- 0
-
-let att_read ~tid =
-  let s = slot tid in
+let make_thread () =
   {
-    a_retries = att_retries.(s);
-    a_wasted_cycles = att_wasted.(s);
-    a_backoff_cycles = att_backoff.(s);
-    a_escalations = att_escal.(s);
-    a_throttles = att_throttle.(s);
+    eid = -1;
+    commit_start = -1;
+    retries = 0;
+    wasted_cycles = 0;
+    backoff_cycles = 0;
+    escalations = 0;
+    throttles = 0;
   }
 
 (* Scheduler counters (fed by the Sim dispatch hook). *)
@@ -128,36 +112,32 @@ let registered () = List.rev_map (fun e -> e.name) !engines
 
 (* --- hooks (call sites guard with [if !Metrics.on]) -------------------- *)
 
-let on_tx_begin ~eid ~tid =
-  let s = slot tid in
-  cur_eid.(s) <- eid;
-  tx_start.(s) <- Runtime.Exec.now ();
-  commit_start.(s) <- -1
+let on_tx_begin (t : thread) ~eid =
+  t.eid <- eid;
+  t.commit_start <- -1
 
-let on_commit_start ~tid = commit_start.(slot tid) <- Runtime.Exec.now ()
+let on_commit_start (t : thread) = t.commit_start <- Runtime.Exec.now ()
 
-let on_tx_commit ~tid =
-  let s = slot tid in
-  match engine_of_eid cur_eid.(s) with
+let on_tx_commit (t : thread) ~start =
+  match engine_of_eid t.eid with
   | None -> ()
   | Some e ->
       let now = Runtime.Exec.now () in
-      Rhist.observe e.tx_h (now - tx_start.(s));
-      if commit_start.(s) >= 0 then
-        Rhist.observe e.commit_h (now - commit_start.(s))
+      Rhist.observe e.tx_h (now - start);
+      if t.commit_start >= 0 then Rhist.observe e.commit_h (now - t.commit_start)
 
-let on_tx_abort ~tid ~(reason : Stm_intf.Tx_signal.abort_reason) =
-  let s = slot tid in
-  att_retries.(s) <- att_retries.(s) + 1;
-  att_wasted.(s) <- att_wasted.(s) + (Runtime.Exec.now () - tx_start.(s));
-  match engine_of_eid cur_eid.(s) with
+let on_tx_abort (t : thread) ~start ~(reason : Stm_intf.Tx_signal.abort_reason) =
+  let wasted = Runtime.Exec.now () - start in
+  t.retries <- t.retries + 1;
+  t.wasted_cycles <- t.wasted_cycles + wasted;
+  match engine_of_eid t.eid with
   | None -> ()
   | Some e ->
       (match reason with
       | Ww_conflict -> e.ab_ww <- e.ab_ww + 1
       | Rw_validation -> e.ab_rw <- e.ab_rw + 1
       | Killed -> e.ab_killed <- e.ab_killed + 1);
-      Rhist.observe e.wasted_h (Runtime.Exec.now () - tx_start.(s))
+      Rhist.observe e.wasted_h wasted
 
 let on_stripe_conflict ~eid ~stripe =
   match engine_of_eid eid with
@@ -167,9 +147,8 @@ let on_stripe_conflict ~eid ~stripe =
       | Some r -> incr r
       | None -> Hashtbl.add e.heat stripe (ref 1))
 
-let on_cm_decision ~tid ~victim:_
-    ~(decision : Stm_intf.Trace.cm_decision) =
-  match engine_of_eid cur_eid.(slot tid) with
+let on_cm_decision (t : thread) ~(decision : Stm_intf.Trace.cm_decision) =
+  match engine_of_eid t.eid with
   | None -> ()
   | Some e -> (
       match decision with
@@ -177,31 +156,26 @@ let on_cm_decision ~tid ~victim:_
       | Cm_wait -> e.cm_wait <- e.cm_wait + 1
       | Cm_kill -> e.cm_kill <- e.cm_kill + 1)
 
-let on_cm_phase_shift ~tid =
-  match engine_of_eid cur_eid.(slot tid) with
+let on_cm_phase_shift (t : thread) =
+  match engine_of_eid t.eid with
   | None -> ()
   | Some e -> e.cm_shift <- e.cm_shift + 1
 
-let on_cm_throttle ~tid =
-  let s = slot tid in
-  att_throttle.(s) <- att_throttle.(s) + 1;
-  match engine_of_eid cur_eid.(s) with
+let on_cm_throttle (t : thread) =
+  t.throttles <- t.throttles + 1;
+  match engine_of_eid t.eid with
   | None -> ()
   | Some e -> e.cm_throttle <- e.cm_throttle + 1
 
-let on_escalation ~tid =
-  let s = slot tid in
-  att_escal.(s) <- att_escal.(s) + 1;
-  match engine_of_eid cur_eid.(s) with
+let on_escalation (t : thread) =
+  t.escalations <- t.escalations + 1;
+  match engine_of_eid t.eid with
   | None -> ()
   | Some e -> e.escalations <- e.escalations + 1
 
-(* Installed into [Runtime.Backoff.on_wait]: attribute the wait to the
-   engine the waiting thread is currently running under. *)
-let record_backoff ~cycles =
-  let s = slot (Runtime.Exec.self ()) in
-  att_backoff.(s) <- att_backoff.(s) + cycles;
-  match engine_of_eid cur_eid.(s) with
+let on_backoff (t : thread) ~cycles =
+  t.backoff_cycles <- t.backoff_cycles + cycles;
+  match engine_of_eid t.eid with
   | None -> ()
   | Some e -> Rhist.observe e.backoff_h cycles
 
@@ -241,19 +215,17 @@ let () =
 (* --- lifecycle --------------------------------------------------------- *)
 
 let enable () =
-  Runtime.Backoff.on_wait := record_backoff;
-  Runtime.Backoff.on_wait_enabled := true;
   Runtime.Sim.on_dispatch := record_dispatch;
   Runtime.Sim.on_dispatch_enabled := true;
   on := true
 
 let disable () =
   on := false;
-  Runtime.Backoff.on_wait_enabled := false;
   Runtime.Sim.on_dispatch_enabled := false
 
 (** Zero every counter/histogram/heat-map but keep the registrations:
-    eids handed out before a reset stay valid after it. *)
+    eids handed out before a reset stay valid after it.  Per-thread
+    records live in the descriptors and are left alone. *)
 let reset () =
   List.iter
     (fun e ->
@@ -272,14 +244,6 @@ let reset () =
       e.escalations <- 0;
       Hashtbl.reset e.heat)
     !engines;
-  Array.fill cur_eid 0 max_threads (-1);
-  Array.fill tx_start 0 max_threads 0;
-  Array.fill commit_start 0 max_threads (-1);
-  Array.fill att_retries 0 max_threads 0;
-  Array.fill att_wasted 0 max_threads 0;
-  Array.fill att_backoff 0 max_threads 0;
-  Array.fill att_escal 0 max_threads 0;
-  Array.fill att_throttle 0 max_threads 0;
   sched_dispatches := 0;
   sched_switches := 0;
   sched_last_tid := -1

@@ -7,7 +7,7 @@
 
 val on : bool ref
 (** The hook guard.  Use {!enable}/{!disable} rather than flipping it
-    directly so the runtime back-off/scheduler hooks stay in sync. *)
+    directly so the scheduler's dispatch hook stays in sync. *)
 
 val register_engine : string -> int
 (** Idempotent by name; the returned eid stays valid across {!reset}. *)
@@ -19,44 +19,49 @@ val enable : unit -> unit
 val disable : unit -> unit
 
 val reset : unit -> unit
-(** Zero all counters, histograms and heat maps; registrations survive. *)
+(** Zero all counters, histograms and heat maps; registrations survive.
+    {!thread} records are left alone. *)
 
-(** {2 Engine hooks} — guard with [if !Metrics.on]. *)
+(** {2 Per-thread state}
 
-val on_tx_begin : eid:int -> tid:int -> unit
-val on_commit_start : tid:int -> unit
-val on_tx_commit : tid:int -> unit
-val on_tx_abort : tid:int -> reason:Stm_intf.Tx_signal.abort_reason -> unit
-val on_stripe_conflict : eid:int -> stripe:int -> unit
+    One record per transaction descriptor ([Cm.Cm_intf.txinfo.obs]):
+    every hook but {!on_stripe_conflict} takes it, so no hook looks its
+    thread up.  The five sums accumulate the thread's abort/retry cost
+    from the hooks until [Obs.Slo.record] reads and clears them, which
+    attributes a service request's response time to its causes. *)
 
-val on_cm_decision :
-  tid:int -> victim:int -> decision:Stm_intf.Trace.cm_decision -> unit
-
-val on_cm_phase_shift : tid:int -> unit
-
-val on_cm_throttle : tid:int -> unit
-(** The adaptive manager serialized this thread behind its throttle. *)
-
-val on_escalation : tid:int -> unit
-(** An engine escalated this thread to irrevocable execution. *)
-
-(** {2 Per-request attribution} — harvested by [Obs.Slo].
-
-    Cumulative per-thread abort/retry cost since the last {!att_clear},
-    fed from the hooks above (no additional engine call sites).  The
-    service harness clears at request dispatch and reads at completion to
-    attribute the request's response time to its causes. *)
-
-type attribution = {
-  a_retries : int;  (** aborted attempts *)
-  a_wasted_cycles : int;  (** cycles discarded by those attempts *)
-  a_backoff_cycles : int;  (** CM back-off waits *)
-  a_escalations : int;  (** serial-token escalations *)
-  a_throttles : int;  (** adaptive-CM throttle serializations *)
+type thread = {
+  mutable eid : int;  (** engine of the thread's latest transaction; [-1] = none *)
+  mutable commit_start : int;  (** commit-phase entry cycle; [-1] = not reached *)
+  mutable retries : int;  (** aborted attempts *)
+  mutable wasted_cycles : int;  (** cycles discarded by those attempts *)
+  mutable backoff_cycles : int;  (** CM back-off waits *)
+  mutable escalations : int;  (** serial-token escalations *)
+  mutable throttles : int;  (** adaptive-CM throttle serializations *)
 }
 
-val att_clear : tid:int -> unit
-val att_read : tid:int -> attribution
+val make_thread : unit -> thread
+
+(** {2 Engine hooks} — guard with [if !Metrics.on].  [start] is the
+    transaction's begin cycle (the descriptor's [start_cycles]). *)
+
+val on_tx_begin : thread -> eid:int -> unit
+val on_commit_start : thread -> unit
+val on_tx_commit : thread -> start:int -> unit
+val on_tx_abort :
+  thread -> start:int -> reason:Stm_intf.Tx_signal.abort_reason -> unit
+val on_stripe_conflict : eid:int -> stripe:int -> unit
+val on_cm_decision : thread -> decision:Stm_intf.Trace.cm_decision -> unit
+val on_cm_phase_shift : thread -> unit
+
+val on_cm_throttle : thread -> unit
+(** The adaptive manager serialized this thread behind its throttle. *)
+
+val on_escalation : thread -> unit
+(** An engine escalated this thread to irrevocable execution. *)
+
+val on_backoff : thread -> cycles:int -> unit
+(** The thread's contention manager backs off for [cycles] (> 0). *)
 
 (** {2 Gauges} *)
 

@@ -3,9 +3,9 @@
    Follows the PR-3 collector discipline: OFF by default, armed around a
    run, and no hook charges simulated cycles — an SLO-metered service run
    takes a bit-identical schedule to an unmetered one.  The response-time
-   attribution piggybacks on [Metrics.att_*] (fed by the existing engine
-   hooks), so arming Slo requires [Metrics.enable] and adds zero new
-   engine call sites.
+   attribution reads the sums of the thread's [Metrics.thread] record
+   (fed by the existing engine hooks) and clears them, so arming Slo
+   requires [Metrics.enable] and adds zero new engine call sites.
 
    Percentile resolution: the service gate compares p99.9/p50 ratios
    *between* engines, which [Rhist]'s 32 sub-buckets per octave (~3 %
@@ -92,16 +92,12 @@ let note_arrival ~time =
     w.arrivals <- w.arrivals + 1
   end
 
-let request_start ~tid = if !on then Metrics.att_clear ~tid
-
-let record ~tid ~arrival ~started ~finished =
+let record (t : Metrics.thread) ~arrival ~started ~finished =
   if !on then begin
     let w = win_at finished in
     let resp = finished - arrival in
     let queue = if started > arrival then started - arrival else 0 in
-    let att = Metrics.att_read ~tid in
-    let wasted = att.Metrics.a_wasted_cycles in
-    let backoff = att.Metrics.a_backoff_cycles in
+    let wasted = t.wasted_cycles and backoff = t.backoff_cycles in
     let exec = max 0 (resp - queue - wasted - backoff) in
     w.completions <- w.completions + 1;
     Rhist.observe w.resp resp;
@@ -109,15 +105,20 @@ let record ~tid ~arrival ~started ~finished =
     w.abort_cycles <- w.abort_cycles + wasted;
     w.backoff_cycles <- w.backoff_cycles + backoff;
     w.exec_cycles <- w.exec_cycles + exec;
-    w.retries <- w.retries + att.Metrics.a_retries;
-    w.escalations <- w.escalations + att.Metrics.a_escalations;
-    w.throttles <- w.throttles + att.Metrics.a_throttles;
+    w.retries <- w.retries + t.retries;
+    w.escalations <- w.escalations + t.escalations;
+    w.throttles <- w.throttles + t.throttles;
     if resp >= !slow_cutoff then begin
       w.slow <- w.slow + 1;
       w.slow_queue <- w.slow_queue + queue;
       w.slow_abort <- w.slow_abort + wasted;
       w.slow_backoff <- w.slow_backoff + backoff
-    end
+    end;
+    t.retries <- 0;
+    t.wasted_cycles <- 0;
+    t.backoff_cycles <- 0;
+    t.escalations <- 0;
+    t.throttles <- 0
   end
 
 (* --- reporting ---------------------------------------------------------- *)

@@ -4,8 +4,8 @@
     queue wait + every aborted attempt + back-off + the committing
     attempt — over fixed windows of simulated time, and attributes each
     request's cycles to causes (queue / aborted work / back-off / commit)
-    using the per-thread accumulators {!Metrics.att_read} feeds from the
-    existing engine hooks.
+    using the sums the existing engine hooks accumulate in the thread's
+    {!Metrics.thread} record.
 
     Same contract as the rest of [Obs]: recording charges zero simulated
     cycles, so an SLO-metered run takes a bit-identical schedule to an
@@ -37,14 +37,13 @@ val note_arrival : time:int -> unit
     stream, so offered load is visible even for windows where the
     saturated server completed nothing). *)
 
-val request_start : tid:int -> unit
-(** Clear the per-thread attribution accumulators at request dispatch. *)
-
-val record : tid:int -> arrival:int -> started:int -> finished:int -> unit
-(** Record one completed request: response time [finished - arrival]
-    lands in the window containing [finished], queue wait is
-    [started - arrival], and the abort/back-off/serial attribution is
-    harvested from {!Metrics.att_read}. *)
+val record :
+  Metrics.thread -> arrival:int -> started:int -> finished:int -> unit
+(** Record one completed request of the thread whose record is given:
+    response time [finished - arrival] lands in the window containing
+    [finished], queue wait is [started - arrival], and the
+    abort/back-off/serial attribution is the record's sums, which are
+    then cleared, so the thread's next request starts from zero. *)
 
 (** {2 Reporting} *)
 

@@ -33,19 +33,10 @@ let delay policy rng ~attempt =
       let span = Int.min cap (base * (1 lsl Int.min attempt 20)) in
       Rng.int rng (span + 1)
 
-(* Observability hook (installed by lib/obs): called with every non-zero
-   back-off wait, before the cycles are charged.  The ref-pair pattern
-   keeps the hook-off fast path at one load + one predictable branch and
-   avoids a runtime -> obs dependency cycle.  The hook must charge no
-   cycles of its own or schedules would diverge when metrics are on. *)
-let on_wait : (cycles:int -> unit) ref = ref (fun ~cycles:_ -> ())
-let on_wait_enabled = ref false
-
 (** Wait for [cycles]: virtual time in a simulation, a bounded spin loop
     natively. *)
 let wait_cycles cycles =
   if cycles > 0 then begin
-    if !on_wait_enabled then !on_wait ~cycles;
     if Exec.in_sim () then Exec.tick_as Exec.ph_backoff cycles
     else
       (* Round up so short waits still yield the pipeline at least once;
@@ -55,5 +46,3 @@ let wait_cycles cycles =
         Domain.cpu_relax ()
       done
   end
-
-let wait policy rng ~attempt = wait_cycles (delay policy rng ~attempt)

@@ -19,12 +19,3 @@ val delay : policy -> Rng.t -> attempt:int -> int
 
 val wait_cycles : int -> unit
 (** Wait: virtual time in a simulation, bounded spinning natively. *)
-
-val wait : policy -> Rng.t -> attempt:int -> unit
-
-val on_wait : (cycles:int -> unit) ref
-(** Observability hook, fired with every non-zero back-off wait when
-    {!on_wait_enabled} is set (installed by [lib/obs]).  The hook must
-    charge no cycles of its own. *)
-
-val on_wait_enabled : bool ref

@@ -68,9 +68,10 @@ let test_registry_reset () =
   let eid = Obs.Metrics.register_engine "test-reset-engine" in
   check int "registration is idempotent by name" eid
     (Obs.Metrics.register_engine "test-reset-engine");
+  let t = Obs.Metrics.make_thread () in
   Obs.Metrics.enable ();
-  Obs.Metrics.on_tx_begin ~eid ~tid:0;
-  Obs.Metrics.on_tx_commit ~tid:0;
+  Obs.Metrics.on_tx_begin t ~eid;
+  Obs.Metrics.on_tx_commit t ~start:0;
   Obs.Metrics.on_stripe_conflict ~eid ~stripe:7;
   Obs.Metrics.disable ();
   Obs.Metrics.reset ();
@@ -81,10 +82,95 @@ let test_registry_reset () =
   check bool "name still listed" true
     (List.mem "test-reset-engine" (Obs.Metrics.registered ()));
   Obs.Metrics.enable ();
-  Obs.Metrics.on_tx_begin ~eid ~tid:1;
-  Obs.Metrics.on_tx_commit ~tid:1;
+  Obs.Metrics.on_tx_begin t ~eid;
+  Obs.Metrics.on_tx_commit t ~start:0;
   Obs.Metrics.disable ();
   Obs.Metrics.reset ()
+
+(* --- per-thread metrics state ------------------------------------------- *)
+
+(* Thread [tid]'s transaction on [engine]: [n] attempts the body aborts
+   (a body-raised [Retry] rolls back through the engine and its manager
+   backs off), then a commit. *)
+let tx_with_aborts engine ~tid n =
+  let attempts = ref 0 in
+  Stm_intf.Engine.atomic engine ~tid (fun _ ->
+      incr attempts;
+      if !attempts <= n then raise Stm_intf.Tx_signal.Retry)
+
+let metered f =
+  Obs.Metrics.reset ();
+  Obs.Slo.reset ();
+  Obs.Metrics.enable ();
+  Obs.Slo.enable ~window_cycles:1_000_000 ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Slo.disable ();
+      Obs.Metrics.disable ())
+    (fun () -> ignore (Runtime.Sim.run_threads ~threads:1 f : int))
+
+(* [Slo.record] reads the thread's sums and clears them: of consecutive
+   requests on one thread, each is charged only its own retries, aborted
+   work and back-off. *)
+let test_slo_request_sums () =
+  let engine = Engines.make Engines.swisstm (Memory.Heap.create ~words:(1 lsl 12)) in
+  let sums = ref [] in
+  metered (fun tid ->
+      List.iter
+        (fun n ->
+          let arrival = Runtime.Exec.now () in
+          tx_with_aborts engine ~tid n;
+          Obs.Slo.record Cm.Cm_intf.current.(tid).obs ~arrival ~started:arrival
+            ~finished:(Runtime.Exec.now ());
+          sums := Obs.Slo.summarize () :: !sums)
+        [ 3; 0; 1 ]);
+  Obs.Slo.reset ();
+  Obs.Metrics.reset ();
+  match List.rev !sums with
+  | [ s1; s2; s3 ] ->
+      let d f a b = f b - f a in
+      let retries (s : Obs.Slo.summary) = s.s_retries
+      and wasted (s : Obs.Slo.summary) = s.s_abort_cycles
+      and backoff (s : Obs.Slo.summary) = s.s_backoff_cycles in
+      check int "first request: its 3 retries" 3 (retries s1);
+      check bool "first request: its aborted work" true (wasted s1 > 0);
+      check bool "first request: its back-off" true (backoff s1 > 0);
+      check int "second request: no retry" 0 (d retries s1 s2);
+      check int "second request: no aborted work" 0 (d wasted s1 s2);
+      check int "second request: no back-off" 0 (d backoff s1 s2);
+      check int "third request: its 1 retry" 1 (d retries s2 s3);
+      check bool "third request: its aborted work" true (d wasted s2 s3 > 0)
+  | _ -> fail "three requests"
+
+(* The record belongs to the descriptor, hence to one engine: a thread
+   that runs under engine A, then B, then A again charges each hook to
+   the bundle of the engine it ran under. *)
+let test_hooks_follow_engine () =
+  let heap = Memory.Heap.create ~words:(1 lsl 12) in
+  let a = Engines.make Engines.swisstm heap and b = Engines.make Engines.tl2 heap in
+  metered (fun tid ->
+      tx_with_aborts a ~tid 1;
+      tx_with_aborts b ~tid 2;
+      tx_with_aborts a ~tid 0);
+  let tables = Obs.Metrics.tables () in
+  Obs.Metrics.reset ();
+  let table title = List.find (fun (t : Obs.Report.table) -> t.title = title) tables in
+  let cell title row col =
+    (* a latency row exists only once its histogram observed something *)
+    match Obs.Report.cell (table title) row col with
+    | v -> int_of_float v
+    | exception Not_found -> 0
+  in
+  let latency e what = cell "metrics: latency" (Stm_intf.Engine.name e ^ " " ^ what) "n" in
+  let killed e = cell "metrics: aborts and CM decisions" (Stm_intf.Engine.name e) "killed" in
+  check int "A: one abort" 1 (killed a);
+  check int "B: two aborts" 2 (killed b);
+  check int "A: two commits" 2 (latency a "tx");
+  check int "B: one commit" 1 (latency b "tx");
+  check int "A: one wasted attempt" 1 (latency a "wasted");
+  check int "B: two wasted attempts" 2 (latency b "wasted");
+  check bool "A: at most its one back-off" true (latency a "backoff" <= 1);
+  check bool "B: its back-offs" true (latency b "backoff" >= 1 && latency b "backoff" <= 2)
 
 (* --- JSON printer/parser round-trip -------------------------------------- *)
 
@@ -293,7 +379,11 @@ let suite =
       ] );
     ("obs:report", [ test_case "collector tables round-trip" `Quick test_collector_tables ]);
     ( "obs:registry",
-      [ test_case "reset keeps registrations" `Quick test_registry_reset ] );
+      [
+        test_case "reset keeps registrations" `Quick test_registry_reset;
+        test_case "slo charges each request its own sums" `Quick test_slo_request_sums;
+        test_case "hooks follow the thread's engine" `Quick test_hooks_follow_engine;
+      ] );
     ( "obs:json",
       [ test_case "print/parse round-trip" `Quick test_json_roundtrip ] );
     ( "obs:export",
