@@ -5,9 +5,9 @@
    Escalation protocol (before each attempt, outside any snapshot or
    lock):
 
-   - once [succ_aborts] reaches the manager's budget (or the caller asked
-     for irrevocability), acquire the token, drain in-flight commits, and
-     run with [cm_ts = 0] so every conflict resolves our way;
+   - once a retry's [succ_aborts] reaches the manager's budget (a first
+     attempt's is the previous transaction's), or on request, take the
+     token, drain in-flight commits, and run with [cm_ts = 0] to win all;
    - otherwise let the manager throttle us ([pre_attempt] may block) and
      defer to any irrevocable transaction at the start gate.  A thread
      parked there is idle — no locks, no published snapshot, kill flag
@@ -89,7 +89,7 @@ let drain descs ~tid =
 let rec attempt (o : ops) ~tid ~irrevocable (d : Txdesc.t) view f ~restart =
   let info = d.info in
   if
-    (irrevocable || info.Cm.Cm_intf.succ_aborts >= o.cm.Cm.Cm_intf.escalate_after)
+    (irrevocable || (restart && info.succ_aborts >= o.cm.escalate_after))
     && not (Serial.mine o.ser ~tid)
   then begin
     if !Obs.Metrics.on then Obs.Metrics.on_escalation info.obs;

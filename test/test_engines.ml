@@ -542,6 +542,43 @@ let test_escalation_bounds_storm () =
     (Printf.sprintf "timid worst run %d > K=%d" unbounded k)
     true (unbounded > k)
 
+(* Escalation comes before the next attempt of a transaction that
+   aborted K times in a row (DESIGN §9): the budget is that
+   transaction's.  Its conflict-free successor on the same thread must
+   run its first attempt unescalated, not inherit the spent budget. *)
+let test_escalation_per_transaction () =
+  let k =
+    match Cm.Cm_intf.default_adaptive with
+    | Cm.Cm_intf.Adaptive { escalate_after; _ } -> escalate_after
+    | _ -> assert false
+  in
+  let spec = Engines.with_cm Cm.Cm_intf.default_adaptive Engines.swisstm in
+  with_engine spec (fun _ e ->
+      let escalations () =
+        Obs.Report.cell
+          (List.find
+             (fun (t : Obs.Report.table) -> t.title = "metrics: aborts and CM decisions")
+             (Obs.Metrics.tables ()))
+          (Stm_intf.Engine.name e) "escalations"
+        |> int_of_float
+      in
+      Obs.Metrics.reset ();
+      Obs.Metrics.enable ();
+      let attempts = ref 0 in
+      let first, second =
+        Fun.protect ~finally:Obs.Metrics.disable (fun () ->
+            atomic e (fun _ ->
+                incr attempts;
+                if !attempts <= k then raise Stm_intf.Tx_signal.Retry);
+            let first = escalations () in
+            atomic e (fun _ -> ());
+            (first, escalations ()))
+      in
+      Obs.Metrics.reset ();
+      check Alcotest.int "K aborts, then one more attempt" (k + 1) !attempts;
+      check Alcotest.int "that attempt escalated" 1 first;
+      check Alcotest.int "the next transaction did not" 1 second)
+
 (* Every engine label, pinned to the values captured on the tree just
    before the flat [Engines.spec]: [Engines.name] keys
    [Obs.Metrics.register_engine] and every bench table, and
@@ -703,5 +740,7 @@ let suite =
         @ [
             Alcotest.test_case "escalation bounds abort storm" `Quick
               test_escalation_bounds_storm;
+            Alcotest.test_case "escalation budget is per transaction" `Quick
+              test_escalation_per_transaction;
           ] );
     ]
