@@ -84,7 +84,8 @@ let () =
   (* Injected faults are ordinary aborts/stalls from the engines' point of
      view, so every history must still pass the checker; the storm only
      drives the runs into rarer schedules (kill paths, long retry chains,
-     escalation). *)
+     escalation).  Every run restarts the fault streams from this seed
+     ([Check.Fuzz.run_once]), and a failure's replay line names it. *)
   if !inject then
     Runtime.Inject.arm ~seed:!inject_seed Runtime.Inject.abort_storm;
   (* Epoch announcements are plain atomics (no simulated cycles), so arming

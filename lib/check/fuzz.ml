@@ -22,7 +22,13 @@ let level_of_spec spec =
   | Engines.Opaque -> `Opacity
   | Engines.Serializable -> `Serializability
 
+(* An armed injector restarts its fault streams from its seed at every
+   run, so a run, each shrink step and each replay of a triple face the
+   same faults whatever ran before them. *)
 let run_once ~spec ~policy p =
+  Option.iter
+    (fun (seed, profile) -> Runtime.Inject.arm ~seed profile)
+    (Runtime.Inject.armed ());
   check_outcome ~level:(level_of_spec spec) (Program.run ~spec ~policy p)
 
 (* ---------- policy specs (replayable strings) ---------- *)
@@ -82,14 +88,20 @@ let shrink_failure ~spec ~policy (p : Program.t) : Program.t =
 type failure = {
   engine : string;
   policy_spec : string;
+  inject_seed : int option;
   program : Program.t;
   reason : string;
 }
 
 let pp_failure oc (f : failure) =
+  let inject =
+    match f.inject_seed with
+    | None -> ""
+    | Some s -> Printf.sprintf ", inject seed %d (--inject --inject-seed %d)" s s
+  in
   Printf.fprintf oc
-    "OPACITY VIOLATION: %s\n  replay: engine %s, policy %s\n%s\n" f.reason
-    f.engine f.policy_spec
+    "OPACITY VIOLATION: %s\n  replay: engine %s, policy %s%s\n%s\n" f.reason
+    f.engine f.policy_spec inject
     (String.concat "\n"
        (List.map (fun l -> "  " ^ l) (Program.to_lines f.program)))
 
@@ -138,6 +150,7 @@ let fuzz ~(spec : Engines.spec) ?name ?(cells = 8)
             {
               engine;
               policy_spec = spec_of_policy policy;
+              inject_seed = Option.map fst (Runtime.Inject.armed ());
               program = small;
               reason;
             }

@@ -11,7 +11,9 @@ val level_of_spec : Engines.spec -> [ `Opacity | `Serializability ]
 
 val run_once :
   spec:Engines.spec -> policy:Runtime.Sim.policy -> Program.t -> check_result
-(** Run and check at the engine's own contract level. *)
+(** Run and check at the engine's own contract level.  An armed
+    [Runtime.Inject] is re-armed from its seed first, so every run of a
+    triple faces the same faults. *)
 
 val policy_of_spec : string -> Runtime.Sim.policy option
 (** ["earliest"]; ["random:<seed>"] / ["random:<seed>:<window>:<quantum>"];
@@ -35,6 +37,7 @@ val shrink_failure :
 type failure = {
   engine : string;
   policy_spec : string;
+  inject_seed : int option;  (** the armed injector's seed, if any *)
   program : Program.t;
   reason : string;
 }

@@ -120,6 +120,8 @@ let of_lines (lines : string list) : (t, string) result =
         if line = "" || line.[0] = '#' then ()
         else
           match String.index_opt line ' ' with
+          (* an empty thread (the shrinker makes them) prints as "thread" *)
+          | None when line = "thread" -> threads := [] :: !threads
           | None -> raise (Parse ("bad line: " ^ line))
           | Some sp -> (
               let key = String.sub line 0 sp in

@@ -58,6 +58,7 @@ let exempt = ref (-1)
 
 let max_threads = Topology.max_cores
 let cfg = ref abort_storm
+let seed = ref 0
 let rngs = Array.init max_threads (fun tid -> Rng.for_thread ~seed:0 ~tid)
 
 (* Telemetry (plain sharded counters, zero simulated cycles). *)
@@ -70,10 +71,11 @@ let injected_aborts () = sum injected_aborts_a
 let injected_stalls () = sum injected_stalls_a
 let injected_stretches () = sum injected_stretches_a
 
-let arm ~seed profile =
+let arm ~seed:s profile =
   cfg := profile;
+  seed := s;
   for tid = 0 to max_threads - 1 do
-    rngs.(tid) <- Rng.for_thread ~seed ~tid
+    rngs.(tid) <- Rng.for_thread ~seed:s ~tid
   done;
   Array.fill injected_aborts_a 0 max_threads 0;
   Array.fill injected_stalls_a 0 max_threads 0;
@@ -84,6 +86,8 @@ let arm ~seed profile =
 let disarm () =
   on := false;
   exempt := -1
+
+let armed () = if !on then Some (!seed, !cfg) else None
 
 let slot tid = tid land (max_threads - 1)
 let hit tid ppm = ppm > 0 && Rng.int rngs.(slot tid) 1_000_000 < ppm

@@ -31,6 +31,10 @@ val arm : seed:int -> profile -> unit
 
 val disarm : unit -> unit
 
+val armed : unit -> (int * profile) option
+(** The seed and profile of the last {!arm} while armed, [None] while
+    disarmed: re-arming with them restarts the same fault streams. *)
+
 val spurious_abort : tid:int -> bool
 (** Condemn the calling transaction at this access?  Draws from the
     thread's fault stream; always false for the exempt thread. *)

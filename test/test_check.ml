@@ -181,7 +181,34 @@ let test_program_roundtrip () =
     match Check.Program.of_string (Check.Program.to_string p) with
     | Ok q -> Alcotest.(check bool) "program text round-trips" true (p = q)
     | Error m -> Alcotest.failf "seed %d: reparse failed: %s" seed m
-  done
+  done;
+  (* the shrinker empties threads; a printed counterexample must reparse *)
+  let p = Check.Program.generate ~cells:8 ~threads:3 ~seed:0 () in
+  let p = { p with threads = [| []; p.threads.(1); [] |] } in
+  match Check.Program.of_lines (Check.Program.to_lines p) with
+  | Ok q -> Alcotest.(check bool) "empty threads round-trip" true (p = q)
+  | Error m -> Alcotest.failf "empty threads: reparse failed: %s" m
+
+(* An armed injector restarts its fault streams at every [run_once], so
+   a failing triple replays under the faults it failed with: two runs of
+   one triple inject the same faults and reach the same verdict. *)
+let test_inject_replays () =
+  let p = Check.Program.generate ~cells:8 ~threads:3 ~seed:1 () in
+  let run () =
+    let r =
+      Check.Fuzz.run_once ~spec:Engines.tl2 ~policy:(Check.Fuzz.fuzz_random_policy 3) p
+    in
+    Runtime.Inject.(r, injected_aborts (), injected_stalls (), injected_stretches ())
+  in
+  Runtime.Inject.arm ~seed:7 Runtime.Inject.abort_storm;
+  let first, second =
+    Fun.protect ~finally:Runtime.Inject.disarm (fun () ->
+        let first = run () in
+        (first, run ()))
+  in
+  let _, aborts, _, _ = first in
+  Alcotest.(check bool) "the storm struck" true (aborts > 0);
+  Alcotest.(check bool) "same faults, same verdict" true (first = second)
 
 (* --- end-to-end teeth: the broken engine is caught ---------------------- *)
 
@@ -234,6 +261,7 @@ let suite =
           test_policy_deterministic;
         Alcotest.test_case "policy specs round-trip" `Quick
           test_policy_spec_roundtrip;
+        Alcotest.test_case "injected runs replay" `Quick test_inject_replays;
         Alcotest.test_case "program text round-trips" `Quick
           test_program_roundtrip;
         Alcotest.test_case "broken engine is caught" `Slow
