@@ -51,7 +51,7 @@ check: build
 ENGINE_FILES = lib/core/swisstm_engine.ml lib/stm_tl2/tl2_engine.ml \
                lib/stm_tiny/tinystm_engine.ml lib/stm_rstm/rstm_engine.ml \
                lib/stm_mv/mvstm_engine.ml
-ENGINE_BUDGET = 1456
+ENGINE_BUDGET = 1358
 
 kernel-smoke: build
 	dune exec bin/stm_run.exe -- rbtree --stm k-mixed+inv+counter+redo --threads 4
@@ -63,19 +63,19 @@ kernel-smoke: build
 	   echo "LoC budget ok: engine files total $$total lines (<= $(ENGINE_BUDGET))"; \
 	 fi
 	@fail=0; \
-	 for spec in lib/core/swisstm_engine.ml:462 lib/stm_tl2/tl2_engine.ml:153 \
-	             lib/stm_tiny/tinystm_engine.ml:181 lib/stm_rstm/rstm_engine.ml:361 \
-	             lib/stm_mv/mvstm_engine.ml:299 \
-	             lib/kernel/norec.ml:180 lib/kernel/tlrw.ml:185 \
-	             lib/stm_glock/glock_engine.ml:107 \
-	             lib/kernel/compose.ml:430 lib/kernel/readers.ml:101 \
+	 for spec in lib/core/swisstm_engine.ml:436 lib/stm_tl2/tl2_engine.ml:139 \
+	             lib/stm_tiny/tinystm_engine.ml:165 lib/stm_rstm/rstm_engine.ml:336 \
+	             lib/stm_mv/mvstm_engine.ml:282 \
+	             lib/kernel/norec.ml:162 lib/kernel/tlrw.ml:163 \
+	             lib/stm_glock/glock_engine.ml:90 \
+	             lib/kernel/compose.ml:407 lib/kernel/readers.ml:100 \
 	             lib/kernel/seqlock.ml:40 lib/stm_intf/vset.ml:21 \
 	             lib/stm_intf/serial.ml:67 lib/runtime/sim.ml:369 \
 	             lib/runtime/tmatomic.ml:239 lib/runtime/topology.ml:130 \
 	             lib/runtime/line_table.ml:61 lib/runtime/tid_table.ml:21 \
-	             lib/kernel/txdesc.ml:132 \
-	             lib/kernel/driver.ml:140 lib/kernel/package.ml:81 \
-	             lib/kernel/hooks.ml:196 lib/stm_intf/stats.ml:117 \
+	             lib/kernel/txdesc.ml:194 \
+	             lib/kernel/driver.ml:129 lib/kernel/package.ml:81 \
+	             lib/kernel/hooks.ml:194 lib/stm_intf/stats.ml:117 \
 	             lib/kernel/vlock.ml:182 lib/stm_intf/wlog.ml:197 \
 	             lib/stm_intf/rset.ml:161 lib/obs/metrics.ml:314 \
 	             lib/obs/slo.ml:210 lib/runtime/backoff.ml:48; do \

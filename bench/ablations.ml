@@ -51,7 +51,7 @@ let nesting_workload ~nested ~threads =
     Runtime.Sim.run_threads ~cap_cycles:1_000_000_000_000 ~threads (fun tid ->
         body tid ())
   in
-  (makespan, Kernel.Driver.snapshot t.descs)
+  (makespan, Kernel.Driver.snapshot t.core)
 
 let run_nesting () =
   section "Ablation: closed nesting vs flattening (paper §6)";

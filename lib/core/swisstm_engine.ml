@@ -27,9 +27,7 @@ type t = {
   locks : Runtime.Line_table.t;  (** one (r-lock, w-lock) line per stripe *)
   stripe : Memory.Stripe.t;  (** address to lock-table index *)
   commit_ts : Runtime.Tmatomic.t;
-  cm : Cm.Cm_intf.t;
-  descs : Txdesc.t Runtime.Tid_table.t;
-  eid : int;  (** metrics-registry engine id *)
+  core : Txdesc.core;
   privatization_safe : bool;
       (** §6 extension: quiescence at commit — every committing update
           transaction waits until all transactions that started before its
@@ -41,10 +39,6 @@ type t = {
           exists so the fuzzer's checker can prove it catches a broken
           engine ([stm_fuzz --self-check]). *)
   active : Runtime.Tmatomic.t array;  (** §6 quiescence table, [quiesce_slots] *)
-  ser : Serial.t;
-      (** irrevocability token, held by a transaction escalated after
-          [cm.escalate_after] consecutive aborts (or [atomic_irrevocable]);
-          everyone else defers at the start and commit gates *)
 }
 
 let name = "swisstm"
@@ -62,14 +56,11 @@ let create ~cm ~granularity_words ~table_bits ~privatization_safe
     locks = Lock_table.create stripe;
     stripe;
     commit_ts = Runtime.Tmatomic.make 0;
-    cm = Cm.Factory.make cm;
-    descs = Driver.make_descs ();
-    eid = Obs.Metrics.register_engine name;
+    core = Txdesc.core ~name cm;
     privatization_safe;
     debug_no_validation;
     active =
       Array.init (if privatization_safe then quiesce_slots else 0) (fun _ -> Runtime.Tmatomic.make max_int);
-    ser = Serial.create ();
   }
 
 (* The lock pair of stripe [idx], built on first access. *)
@@ -80,17 +71,21 @@ let[@inline] w_lock t idx = Array.unsafe_get (entry t idx) Lock_table.w_col
 
 (* --- rollback ------------------------------------------------------- *)
 
-let release_w_locks t (d : Txdesc.t) =
+(* Withdraw our snapshot from the §6 quiescence table. *)
+let leave_quiescence_slot t (d : Txdesc.t) =
+  if t.privatization_safe then Runtime.Tmatomic.set t.active.(d.tid) max_int
+
+(* Release held w-locks and withdraw the published snapshot: on abort,
+   and on a foreign exception, where a still-published snapshot would
+   stall every later committer's quiescence wait. *)
+let release t (d : Txdesc.t) =
   let n = Ivec.length d.acq_stripes in
   for i = 0 to n - 1 do
     Runtime.Tmatomic.set
       (w_lock t (Ivec.unsafe_get d.acq_stripes i))
       Lock_table.w_unlocked
-  done
-
-(* Withdraw our snapshot from the §6 quiescence table. *)
-let leave_quiescence_slot t (d : Txdesc.t) =
-  if t.privatization_safe then Runtime.Tmatomic.set t.active.(d.tid) max_int
+  done;
+  leave_quiescence_slot t d
 
 (** Roll back: release held w-locks, withdraw the published snapshot and
     unwind through [Hooks.rollback].  R-locks are only held inside
@@ -122,15 +117,14 @@ let rollback t (d : Txdesc.t) reason =
       if !Trace.enabled then Trace.on_scope_abort ~tid:d.tid;
       Stats.abort d.counters reason;
       Runtime.Exec.tick (Runtime.Costs.get ()).tx_end;
-      t.cm.on_rollback d.info;
+      d.core.cm.on_rollback d.info;
       raise Tx_signal.Inner_abort
   | _ ->
-      release_w_locks t d;
-      leave_quiescence_slot t d;
-      Hooks.rollback ~cm:t.cm d ~reason
+      release t d;
+      Hooks.rollback d ~reason
 
 let check_kill t (d : Txdesc.t) =
-  if Hooks.kill_due ~ser:t.ser d then rollback t d Tx_signal.Killed
+  if Hooks.kill_due d then rollback t d Tx_signal.Killed
 
 (* --- validation ----------------------------------------------------- *)
 
@@ -272,9 +266,9 @@ let record_undo (d : Txdesc.t) addr =
 let rec acquire t (d : Txdesc.t) w_lock idx ~mine wv =
   if wv <> Lock_table.w_unlocked then begin
     check_kill t d;
-    Hooks.stripe_conflict ~eid:t.eid ~stripe:idx;
-    let victim = (Runtime.Tid_table.get t.descs (Lock_table.w_owner_of wv)).info in
-    match Hooks.cm_resolve ~ser:t.ser ~cm:t.cm d ~victim with
+    Hooks.stripe_conflict d ~stripe:idx;
+    let victim = (Txdesc.get d.core (Lock_table.w_owner_of wv)).info in
+    match Hooks.cm_resolve d ~victim with
     | Cm.Cm_intf.Abort_self -> rollback t d Tx_signal.Ww_conflict
     | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim ->
         Stats.wait d.counters;
@@ -314,7 +308,7 @@ let write_word t (d : Txdesc.t) addr value =
       && Lock_table.version_of rv > d.valid_ts
       && not (extend t d)
     then rollback t d Tx_signal.Rw_validation;
-    t.cm.on_write d.info ~writes:(Ivec.length d.acq_stripes)
+    d.core.cm.on_write d.info ~writes:(Ivec.length d.acq_stripes)
   end
 
 (* --- commit ------------------------------------------------------------ *)
@@ -323,15 +317,13 @@ let commit t (d : Txdesc.t) =
   Hooks.commit_entry d;
   if Txdesc.is_read_only d then begin
     leave_quiescence_slot t d;
-    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~heap:t.heap d
   end
   else begin
     (* Commit gate: while an irrevocable transaction runs, update commits
        must not advance [commit_ts].  The waiter still holds w-locks, so
        it polls its kill flag (the token holder can abort it out). *)
-    Hooks.enter_update_commit ~cm:t.cm ~ser:t.ser
-      ~gate_check:(fun () -> check_kill t d)
-      d;
+    Hooks.enter_update_commit ~gate_check:(fun () -> check_kill t d) d;
     check_kill t d;
     (* Lock the r-locks of every written stripe to freeze readers. *)
     let n_acq = Ivec.length d.acq_stripes in
@@ -368,7 +360,7 @@ let commit t (d : Txdesc.t) =
     leave_quiescence_slot t d;
     (* The token drops inside [commit_done], before quiescing: gated
        threads are idle (active = max_int) so quiesce cannot hang on them. *)
-    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d;
+    Hooks.commit_done ~heap:t.heap d;
     (* an update commit may have privatized data: wait out older readers *)
     quiesce t d ~ts
   end
@@ -378,38 +370,20 @@ let commit t (d : Txdesc.t) =
 (* SwissTM samples its snapshot (and publishes it in the quiescence table)
    before the manager's [on_start]. *)
 let start t (d : Txdesc.t) ~restart =
-  Hooks.tx_begin ~eid:t.eid d;
+  Hooks.tx_begin d;
   d.valid_ts <- Runtime.Tmatomic.get t.commit_ts;
   if t.privatization_safe then
     Runtime.Tmatomic.set t.active.(d.tid) d.valid_ts;
-  t.cm.on_start d.info ~restart;
+  d.core.cm.on_start d.info ~restart;
   Hooks.phase_other d.tid
 
-(** Release everything on a non-[Abort] exception escaping the body, so a
-    user bug cannot wedge locks, the token, the CM throttle — or, through
-    a still-published snapshot, every later committer's quiescence wait. *)
-let emergency_release t (d : Txdesc.t) =
-  release_w_locks t d;
-  leave_quiescence_slot t d;
-  Hooks.emergency ~cm:t.cm ~ser:t.ser d
-
-let driver_ops t : Driver.ops =
-  {
-    Driver.ser = t.ser;
-    cm = t.cm;
-    descs = t.descs;
-    start = (fun d ~restart -> start t d ~restart);
-    commit = (fun d -> commit t d);
-    emergency = (fun d -> emergency_release t d);
-    user_abort =
-      (fun d ->
-        d.savepoint <- None;
-        rollback t d Tx_signal.Killed);
-  }
+let ops t =
+  Driver.ops ~release:(release t) ~start:(start t) ~commit:(commit t)
+    ~rollback:(rollback t) t.core
 
 (* Direct entry for callers that drive [read_word]/[write_word] and
    [atomic_closed] themselves (closed-nesting tests and ablations). *)
-let atomic t ~tid f = Driver.run (driver_ops t) ~tid ~irrevocable:false f
+let atomic t ~tid f = Driver.run (ops t) ~tid ~irrevocable:false f
 
 (* --- closed nesting (paper §6 extension) -------------------------------- *)
 
@@ -453,10 +427,10 @@ let engine ~cm ~granularity_words ~table_bits ~privatization_safe
      arity closures: each access calls [read_word]/[write_word] directly
      instead of going through a partial application's curry stub,
      measurable on SwissTM's per-access path. *)
-  Package.make ~name ~heap
+  Package.make ~heap
     ?cap:
       (if privatization_safe then Some ("swisstm-priv", quiesce_slots)
        else None)
-    (driver_ops t)
     ~read:(fun d addr -> read_word t d addr)
     ~write:(fun d addr v -> write_word t d addr v)
+    (ops t)

@@ -64,10 +64,7 @@ type t = {
   readers : Readers.t;  (* the readers column of [locks] *)
   clock : Runtime.Tmatomic.t;
   point : Axes.point;
-  cm : Cm.Cm_intf.t;
-  descs : Txdesc.t Runtime.Tid_table.t;
-  eid : int;
-  ser : Serial.t;
+  core : Txdesc.core;
 }
 
 let name_of_point point = "k-" ^ Axes.point_name point
@@ -104,10 +101,7 @@ let create ~cm ~granularity_words ~table_bits point heap =
     readers = Readers.create locks ~col:2;
     clock = Runtime.Tmatomic.make 0;
     point;
-    cm = Cm.Factory.make cm;
-    descs = Driver.make_descs ();
-    eid = Obs.Metrics.register_engine (name_of_point point);
-    ser = Serial.create ();
+    core = Txdesc.core ~name:(name_of_point point) cm;
   }
 
 (* --- rollback --------------------------------------------------------- *)
@@ -115,23 +109,22 @@ let create ~cm ~granularity_words ~table_bits point heap =
 (* [acq_saved] holds the pre-freeze r-lock values, aligned with the
    frozen prefix of [acq_stripes] (all of it for Eager, none of it before
    commit for Mixed/Lazy). *)
-let release_locks t (d : Txdesc.t) =
+let release t (d : Txdesc.t) =
   let frozen = Ivec.length d.acq_saved in
   for i = 0 to frozen - 1 do
     Runtime.Tmatomic.set
       (r_lock t (Ivec.unsafe_get d.acq_stripes i))
       (Ivec.unsafe_get d.acq_saved i)
   done;
-  Ivec.iter (fun idx -> Runtime.Tmatomic.set (w_lock t idx) 0) d.acq_stripes
+  Ivec.iter (fun idx -> Runtime.Tmatomic.set (w_lock t idx) 0) d.acq_stripes;
+  Readers.retract_all t.readers d
 
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
-  release_locks t d;
-  Readers.retract_all t.readers d;
-  Hooks.rollback ~cm:t.cm d ~reason
+  release t d;
+  Hooks.rollback d ~reason
 
-let check_kill t d =
-  if Hooks.kill_due ~ser:t.ser d then rollback t d Tx_signal.Killed
+let check_kill t d = if Hooks.kill_due d then rollback t d Tx_signal.Killed
 
 (* --- validation (Invisible only) --------------------------------------- *)
 
@@ -192,8 +185,7 @@ let settle_version t (d : Txdesc.t) version =
 (* CM-arbitrated wait on the owner of [idx] (long-lived conflicts:
    Eager freeze, Visible read of an owned stripe, w/w encounters). *)
 let cm_wait t d idx ~owner ~reason =
-  Readers.cm_wait ~eid:t.eid ~ser:t.ser ~cm:t.cm ~descs:t.descs
-    ~rollback:(rollback t) d idx ~owner ~reason
+  Readers.cm_wait ~rollback:(rollback t) d idx ~owner ~reason
 
 let rec read_invisible t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
   let rv = Runtime.Tmatomic.get (r_lock t idx) in
@@ -303,8 +295,7 @@ let freeze_stripe t (d : Txdesc.t) idx =
   Wlog.replace d.acq_version idx (version_of rv);
   Runtime.Tmatomic.set (r_lock t idx) r_frozen;
   if t.point.Axes.visibility = Axes.Visible then
-    Readers.drain t.readers ~ser:t.ser ~cm:t.cm ~descs:t.descs
-      ~rollback:(rollback t) d idx;
+    Readers.drain t.readers ~rollback:(rollback t) d idx;
   version_of rv
 
 (* CM-arbitrated w-lock acquisition (Eager/Mixed at encounter, Lazy at
@@ -323,7 +314,7 @@ let acquire_w t (d : Txdesc.t) idx =
   go ();
   Hooks.inject_stall d;
   Ivec.push d.acq_stripes idx;
-  t.cm.on_write d.info ~writes:(Ivec.length d.acq_stripes)
+  d.core.cm.on_write d.info ~writes:(Ivec.length d.acq_stripes)
 
 let write_word t (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
@@ -362,15 +353,13 @@ let commit t (d : Txdesc.t) =
   in
   if ro then begin
     Readers.retract_all t.readers d;
-    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~heap:t.heap d
   end
   else begin
     (* Eager/Mixed waiters hold encounter-time locks, so the commit gate
        polls the kill flag (the irrevocable transaction can abort them
        out); a Lazy waiter holds nothing but polling is harmless. *)
-    Hooks.enter_update_commit ~cm:t.cm ~ser:t.ser
-      ~gate_check:(fun () -> check_kill t d)
-      d;
+    Hooks.enter_update_commit ~gate_check:(fun () -> check_kill t d) d;
     Hooks.inject_stretch d;
     (match t.point.Axes.acquisition with
     | Axes.Seqlock | Axes.Bytelock -> assert false (* rejected by [create] *)
@@ -397,34 +386,22 @@ let commit t (d : Txdesc.t) =
         Runtime.Tmatomic.set (w_lock t idx) 0)
       d.acq_stripes;
     Readers.retract_all t.readers d;
-    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~heap:t.heap d
   end
 
 let start t (d : Txdesc.t) ~restart =
-  Hooks.tx_begin ~eid:t.eid d;
-  t.cm.on_start d.info ~restart;
+  Hooks.tx_begin d;
+  d.core.cm.on_start d.info ~restart;
   d.valid_ts <- Runtime.Tmatomic.get t.clock;
   Hooks.phase_other d.tid
 
-let emergency_release t (d : Txdesc.t) =
-  release_locks t d;
-  Readers.retract_all t.readers d;
-  Hooks.emergency ~cm:t.cm ~ser:t.ser d
-
 let engine ~cm ~granularity_words ~table_bits point heap : Engine.t =
   let t = create ~cm ~granularity_words ~table_bits point heap in
-  Package.make ~name:(name_of_point point) ~heap
+  Package.make ~heap
     ?cap:
       (if point.Axes.visibility = Axes.Visible then
          Some ("kernel-compose-visible", Readers.cap)
        else None)
-    {
-      Driver.ser = t.ser;
-      cm = t.cm;
-      descs = t.descs;
-      start = (fun d ~restart -> start t d ~restart);
-      commit = (fun d -> commit t d);
-      emergency = (fun d -> emergency_release t d);
-      user_abort = (fun d -> rollback t d Tx_signal.Killed);
-    }
     ~read:(read_word t) ~write:(write_word t)
+    (Driver.ops ~release:(release t) ~start:(start t) ~commit:(commit t)
+       ~rollback:(rollback t) t.core)

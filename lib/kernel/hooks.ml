@@ -1,5 +1,7 @@
 (* Every Trace/Metrics/Profile/Inject call-site the engines share, plus
    the common begin/commit/abort bookkeeping sequences, in one place.
+   Every helper takes the running transaction's descriptor and reads the
+   engine's manager, token and metrics id from its core ([d.core]).
 
    The helpers are written so that an engine built on them charges the
    exact same simulated cycles in the exact same order as the hand-rolled
@@ -54,16 +56,14 @@ let[@inline] inject_stretch (d : Txdesc.t) =
    the fault injector rolled one.  [Serial.mine] is only consulted behind
    the kill flag, so the no-kill fast path is two flag loads.  Called on
    every read and write. *)
-let[@inline] kill_due ~ser (d : Txdesc.t) =
-  (Cm.Cm_intf.kill_requested d.info && not (Serial.mine ser ~tid:d.tid))
+let[@inline] kill_due (d : Txdesc.t) =
+  (Cm.Cm_intf.kill_requested d.info && not (Serial.mine d.core.ser ~tid:d.tid))
   || inject_abort d
 
-(* --- engine ids and stripe conflicts ---------------------------------- *)
+(* --- stripe conflicts ------------------------------------------------- *)
 
-let register_engine name = Obs.Metrics.register_engine name
-
-let[@inline] stripe_conflict ~eid ~stripe =
-  if !Obs.Metrics.on then Obs.Metrics.on_stripe_conflict ~eid ~stripe
+let[@inline] stripe_conflict (d : Txdesc.t) ~stripe =
+  if !Obs.Metrics.on then Obs.Metrics.on_stripe_conflict ~eid:d.core.eid ~stripe
 
 (* --- contention-manager bridging -------------------------------------- *)
 
@@ -71,12 +71,12 @@ let[@inline] stripe_conflict ~eid ~stripe =
    token holder wins every conflict regardless of the manager's policy
    (under timid-style managers Abort_self would deadlock against a victim
    parked at the commit gate on a lock the holder needs). *)
-let cm_resolve ~ser ~(cm : Cm.Cm_intf.t) (d : Txdesc.t) ~victim =
-  if Serial.mine ser ~tid:d.tid then begin
+let cm_resolve (d : Txdesc.t) ~victim =
+  if Serial.mine d.core.ser ~tid:d.tid then begin
     Cm.Cm_intf.request_kill victim;
     Cm.Cm_intf.Killed_victim
   end
-  else cm.resolve ~attacker:d.info ~victim
+  else d.core.cm.resolve ~attacker:d.info ~victim
 
 (* --- transaction begin ------------------------------------------------ *)
 
@@ -85,12 +85,12 @@ let cm_resolve ~ser ~(cm : Cm.Cm_intf.t) (d : Txdesc.t) ~victim =
    finishes with its own ordering of [cm.on_start] vs the snapshot sample
    (SwissTM samples *before* [on_start], the others after) and then
    [phase_other]. *)
-let tx_begin ~eid (d : Txdesc.t) =
+let tx_begin (d : Txdesc.t) =
   (* Begin is recorded BEFORE the snapshot is taken (Trace contract). *)
   if !Trace.enabled then Trace.on_begin ~tid:d.tid;
   phase_commit d.tid;
   d.start_cycles <- Runtime.Exec.now ();
-  if !Obs.Metrics.on then Obs.Metrics.on_tx_begin d.info.obs ~eid;
+  if !Obs.Metrics.on then Obs.Metrics.on_tx_begin d.info.obs ~eid:d.core.eid;
   Runtime.Exec.tick (Runtime.Costs.get ()).tx_begin;
   Txdesc.clear_logs d;
   (* Publish as the thread's current transaction so abstract-lock
@@ -117,7 +117,7 @@ let[@inline] commit_entry (d : Txdesc.t) =
    that never entered the commit section is free and harmless.
    [allow_snapshot] is MVSTM's "may serve old versions again" latch;
    setting it is a dead store for every other engine. *)
-let commit_done ~(cm : Cm.Cm_intf.t) ~ser ~heap (d : Txdesc.t) =
+let commit_done ~heap (d : Txdesc.t) =
   if !Trace.enabled then Trace.on_commit ~tid:d.tid;
   Stats.commit d.counters;
   if !Obs.Metrics.on then Obs.Metrics.on_tx_commit d.info.obs ~start:d.start_cycles;
@@ -126,9 +126,9 @@ let commit_done ~(cm : Cm.Cm_intf.t) ~ser ~heap (d : Txdesc.t) =
      otherwise).  Cycle-free; the free-less case is one length check. *)
   Txdesc.flush_frees ~heap d;
   d.allow_snapshot <- true;
-  cm.on_commit d.info;
+  d.core.cm.on_commit d.info;
   d.committing <- false;
-  Serial.release ser ~tid:d.tid;
+  Serial.release d.core.ser ~tid:d.tid;
   if !Memory.Heap.epoch_on then Memory.Epoch.quiescent ~tid:d.tid
 
 (* --- abort ------------------------------------------------------------ *)
@@ -140,7 +140,7 @@ let commit_done ~(cm : Cm.Cm_intf.t) ~ser ~heap (d : Txdesc.t) =
    before the CM back-off, so abstract locks never stay held across a
    sleep), the end tick, the manager's backoff, and the unwind.  Never
    returns. *)
-let rollback ~(cm : Cm.Cm_intf.t) (d : Txdesc.t) ~reason =
+let rollback (d : Txdesc.t) ~reason =
   if !Trace.enabled then Trace.on_abort ~tid:d.tid ~reason;
   Stats.abort d.counters reason;
   Stats.wasted d.counters ~cycles:(max 0 (Runtime.Exec.now () - d.start_cycles));
@@ -150,7 +150,7 @@ let rollback ~(cm : Cm.Cm_intf.t) (d : Txdesc.t) ~reason =
   Txdesc.clear_logs d;
   Tx_signal.cleanup ~tid:d.tid;
   Runtime.Exec.tick (Runtime.Costs.get ()).tx_end;
-  cm.on_rollback d.info;
+  d.core.cm.on_rollback d.info;
   if !Memory.Heap.epoch_on then Memory.Epoch.quiescent ~tid:d.tid;
   Tx_signal.abort ()
 
@@ -166,20 +166,19 @@ let rollback ~(cm : Cm.Cm_intf.t) (d : Txdesc.t) ~reason =
    requests for threads flagged in [Tx_signal.boost_busy] — otherwise a
    spinning abstract-lock acquirer could never dislodge a parked waiter
    (livelock). *)
-let enter_update_commit ~(cm : Cm.Cm_intf.t) ~ser ?gate_check
-    (d : Txdesc.t) =
+let enter_update_commit ?gate_check (d : Txdesc.t) =
   (match gate_check with
   | Some check ->
-      if Serial.held_by_other ser ~tid:d.tid then
+      if Serial.held_by_other d.core.ser ~tid:d.tid then
         let check () =
           check ();
           if
             !Tx_signal.cleanup_on
             && Tx_signal.boost_busy.(d.tid)
             && Cm.Cm_intf.kill_requested d.info
-          then rollback ~cm d ~reason:Tx_signal.Killed
+          then rollback d ~reason:Tx_signal.Killed
         in
-        Serial.gate ser ~tid:d.tid ~check
+        Serial.gate d.core.ser ~tid:d.tid ~check
   | None -> ());
   d.committing <- true;
   if !Obs.Metrics.on then Obs.Metrics.on_commit_start d.info.obs
@@ -187,9 +186,9 @@ let enter_update_commit ~(cm : Cm.Cm_intf.t) ~ser ?gate_check
 (* Release everything engine-independent on a non-[Abort] exception
    escaping the body (the engine released its own locks first), so a user
    bug cannot wedge the irrevocability token or the manager's throttle. *)
-let emergency ~(cm : Cm.Cm_intf.t) ~ser (d : Txdesc.t) =
+let emergency (d : Txdesc.t) =
   d.committing <- false;
-  Serial.release ser ~tid:d.tid;
-  cm.on_quit d.info;
+  Serial.release d.core.ser ~tid:d.tid;
+  d.core.cm.on_quit d.info;
   Txdesc.clear_logs d;
   d.depth <- 0

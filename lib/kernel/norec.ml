@@ -31,13 +31,10 @@ open Stm_intf
 type t = {
   heap : Memory.Heap.t;
   seqlock : Seqlock.t;
-  cm : Cm.Cm_intf.t;
+  core : Txdesc.core;
       (* NOrec has no lock conflicts to arbitrate (validation failures are
-         self-aborts), so the manager only governs rollback back-off, the
+         self-aborts), so its manager only governs rollback back-off, the
          adaptive throttle and the escalation budget *)
-  descs : Txdesc.t Runtime.Tid_table.t;
-  eid : int;
-  ser : Serial.t;
 }
 
 let name = "norec"
@@ -46,25 +43,21 @@ let create ~cm heap =
   {
     heap;
     seqlock = Seqlock.create ();
-    cm = Cm.Factory.make cm;
-    descs = Driver.make_descs ();
-    eid = Obs.Metrics.register_engine name;
-    ser = Serial.create ();
+    core = Txdesc.core ~name cm;
   }
 
 (* A NOrec transaction holds nothing mid-flight (the sequence lock is
    only held across the non-aborting write-back), so rollback releases
    nothing of its own. *)
-let rollback t (d : Txdesc.t) reason =
+let rollback (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
-  Hooks.rollback ~cm:t.cm d ~reason
+  Hooks.rollback d ~reason
 
-let check_kill t d =
-  if Hooks.kill_due ~ser:t.ser d then rollback t d Tx_signal.Killed
+let check_kill d = if Hooks.kill_due d then rollback d Tx_signal.Killed
 
-let[@inline] spin_wait t (d : Txdesc.t) () =
+let[@inline] spin_wait (d : Txdesc.t) () =
   Stats.wait d.counters;
-  check_kill t d
+  check_kill d
 
 (* Re-read the whole value journal against a stable, unlocked sequence;
    abort on any value mismatch, retry if the sequence moved mid-scan,
@@ -72,7 +65,7 @@ let[@inline] spin_wait t (d : Txdesc.t) () =
    (the caller's new snapshot). *)
 let rec validate t (d : Txdesc.t) =
   let prof_prev = Hooks.phase_enter_validate d.tid in
-  let s = Seqlock.snapshot t.seqlock ~on_spin:(spin_wait t d) in
+  let s = Seqlock.snapshot t.seqlock ~on_spin:(spin_wait d) in
   let costs = Runtime.Costs.get () in
   let ok =
     Vset.revalidate
@@ -82,13 +75,13 @@ let rec validate t (d : Txdesc.t) =
       d.rset
   in
   Hooks.phase_restore d.tid prof_prev;
-  if not ok then rollback t d Tx_signal.Rw_validation;
+  if not ok then rollback d Tx_signal.Rw_validation;
   if Seqlock.moved t.seqlock ~since:s then validate t d else s
 
 let read_word t (d : Txdesc.t) addr =
   let costs = Runtime.Costs.get () in
   Stats.read d.counters;
-  check_kill t d;
+  check_kill d;
   let s =
     if Wlog.is_empty d.wset then -1
     else begin
@@ -115,14 +108,14 @@ let read_word t (d : Txdesc.t) addr =
     !value
   end
 
-let write_word t (d : Txdesc.t) addr value =
+let write_word (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
   Stats.write d.counters;
-  check_kill t d;
+  check_kill d;
   (* First write: tell the manager this attempt is an update (priority
      bookkeeping only — there is no lock conflict to resolve, ever). *)
   if Wlog.is_empty d.wset then begin
-    t.cm.on_write d.info ~writes:1;
+    d.core.cm.on_write d.info ~writes:1;
     d.info.accesses <- d.info.accesses + 1
   end;
   Runtime.Exec.tick costs.log_append;
@@ -130,17 +123,15 @@ let write_word t (d : Txdesc.t) addr value =
 
 let commit t (d : Txdesc.t) =
   Hooks.commit_entry d;
-  check_kill t d;
+  check_kill d;
   if Wlog.is_empty d.wset then
     (* Read-only: the journal was proven consistent at [d.valid_ts];
        nothing to publish, nothing to release. *)
-    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~heap:t.heap d
   else begin
     (* A waiter at the irrevocability gate holds nothing, but polling
        the kill flag while parked is harmless and keeps storms moving. *)
-    Hooks.enter_update_commit ~cm:t.cm ~ser:t.ser
-      ~gate_check:(fun () -> check_kill t d)
-      d;
+    Hooks.enter_update_commit ~gate_check:(fun () -> check_kill d) d;
     Hooks.inject_stretch d;
     (* The CAS from the validated snapshot is the entire conflict check:
        it fails iff a commit (or in-flight write-back) moved the
@@ -152,14 +143,14 @@ let commit t (d : Txdesc.t) =
     Hooks.inject_stall d;
     Vlock.write_back ~heap:t.heap d;
     Seqlock.release t.seqlock ~snapshot:d.valid_ts;
-    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~heap:t.heap d
   end
 
 (* The begin-time spin carries no kill poll: a pending kill is honored
    at the first read/write/commit instead. *)
 let start t (d : Txdesc.t) ~restart =
-  Hooks.tx_begin ~eid:t.eid d;
-  t.cm.on_start d.info ~restart;
+  Hooks.tx_begin d;
+  d.core.cm.on_start d.info ~restart;
   d.valid_ts <-
     Seqlock.snapshot t.seqlock ~on_spin:(fun () ->
         Stats.wait d.counters);
@@ -167,14 +158,5 @@ let start t (d : Txdesc.t) ~restart =
 
 let engine ~cm heap : Engine.t =
   let t = create ~cm heap in
-  Package.make ~name ~heap
-    {
-      Driver.ser = t.ser;
-      cm = t.cm;
-      descs = t.descs;
-      start = (fun d ~restart -> start t d ~restart);
-      commit = (fun d -> commit t d);
-      emergency = (fun d -> Hooks.emergency ~cm:t.cm ~ser:t.ser d);
-      user_abort = (fun d -> rollback t d Tx_signal.Killed);
-    }
-    ~read:(read_word t) ~write:(write_word t)
+  Package.make ~heap ~read:(read_word t) ~write:write_word
+    (Driver.ops ~start:(start t) ~commit:(commit t) ~rollback t.core)

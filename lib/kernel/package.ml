@@ -1,10 +1,10 @@
 (* Packaging a policy core as a uniform [Engine.t]: the one call every
-   engine ends with.  An engine hands over its [Driver.ops] (retry driver
-   entry points), its full-arity [read]/[write], and — if its metadata
-   packs per-thread state into machine words — a thread cap
-   [(label, limit)], by default [(name, Stats.max_threads)]; a tid
+   engine ends with.  An engine hands over its [Driver.ops] (its core and
+   its policy entry points), its full-arity [read]/[write], and — if its
+   metadata packs per-thread state into machine words — a thread cap
+   [(label, limit)], by default [(core.name, Stats.max_threads)]; a tid
    outside [0, limit) raises [Engine.Unsupported_thread_count] with that
-   label.
+   label.  The engine's name and statistics are its core's.
 
    [read] and [write] are called only on addresses inside the heap: the
    wrappers check [0 <= addr < capacity] once, so an engine's unchecked
@@ -19,9 +19,9 @@
 
 open Stm_intf
 
-let make ~name ~heap ?(cap = (name, Stats.max_threads))
-    (o : Driver.ops) ~(read : Txdesc.t -> int -> int)
-    ~(write : Txdesc.t -> int -> int -> unit) : Engine.t =
+let make ~heap ?cap ~(read : Txdesc.t -> int -> int)
+    ~(write : Txdesc.t -> int -> int -> unit) (o : Driver.ops) : Engine.t =
+  let name = o.core.name in
   let capacity = Memory.Heap.capacity heap in
   let build (d : Txdesc.t) =
     let tid = d.tid in
@@ -64,7 +64,7 @@ let make ~name ~heap ?(cap = (name, Stats.max_threads))
     if d.ops == Txdesc.unbuilt_ops then d.ops <- build d;
     d.ops
   in
-  let engine, limit = cap in
+  let engine, limit = Option.value cap ~default:(name, Stats.max_threads) in
   {
     Engine.name;
     heap;
@@ -76,6 +76,6 @@ let make ~name ~heap ?(cap = (name, Stats.max_threads))
       (fun ~tid f ->
         Engine.check_tid_limit ~engine ~limit tid;
         Driver.run_view o ~tid ~irrevocable:true ops_of f);
-    stats = (fun () -> Driver.snapshot o.descs);
-    reset_stats = (fun () -> Driver.reset o.descs);
+    stats = (fun () -> Driver.snapshot o.core);
+    reset_stats = (fun () -> Driver.reset o.core);
   }

@@ -11,7 +11,8 @@
 
    The bitmap is one OCaml int per stripe, so thread ids stop at [cap]:
    engines pass [(label, cap)] to [Package.make], which refuses larger
-   tids by name instead of corrupting the bitmap. *)
+   tids by name instead of corrupting the bitmap.  Victims come from the
+   attacker's core ([d.core]): its descriptor table and its manager. *)
 
 open Stm_intf
 
@@ -60,23 +61,22 @@ let retract_all (rs : t) (d : Txdesc.t) =
 (* Abort or wait out every reader of [idx] other than ourselves, lowest
    tid first, each through the contention manager.  [rollback] is the
    engine's own (it releases the engine's locks, then unwinds). *)
-let drain (rs : t) ~ser ~cm ~(descs : Txdesc.t Runtime.Tid_table.t) ~rollback
-    (d : Txdesc.t) idx =
+let drain (rs : t) ~rollback (d : Txdesc.t) idx =
   let r = word rs idx in
   let mine = 1 lsl d.tid in
   let rec go () =
     let cur = Runtime.Tmatomic.get r in
     let others = cur land lnot mine in
     if others <> 0 then begin
-      if Hooks.kill_due ~ser d then rollback d Tx_signal.Killed;
+      if Hooks.kill_due d then rollback d Tx_signal.Killed;
       let victim_tid =
         (* lowest set bit *)
         let b = others land -others in
         let rec log2 n acc = if n = 1 then acc else log2 (n lsr 1) (acc + 1) in
         log2 b 0
       in
-      let victim = (Runtime.Tid_table.get descs victim_tid).info in
-      (match Hooks.cm_resolve ~ser ~cm d ~victim with
+      let victim = (Txdesc.get d.core victim_tid).info in
+      (match Hooks.cm_resolve d ~victim with
       | Cm.Cm_intf.Abort_self -> rollback d Tx_signal.Rw_validation
       | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim ->
           Stats.wait d.counters;
@@ -89,12 +89,11 @@ let drain (rs : t) ~ser ~cm ~(descs : Txdesc.t Runtime.Tid_table.t) ~rollback
 (* One CM-arbitrated wait on the stripe's [owner] (tid + 1): a visible
    read of an owned stripe, an eager freeze, or a w/w encounter.  The
    caller re-reads the owner word and loops. *)
-let cm_wait ~eid ~ser ~cm ~(descs : Txdesc.t Runtime.Tid_table.t) ~rollback
-    (d : Txdesc.t) idx ~owner ~reason =
-  if Hooks.kill_due ~ser d then rollback d Tx_signal.Killed;
-  Hooks.stripe_conflict ~eid ~stripe:idx;
-  let victim = (Runtime.Tid_table.get descs (owner - 1)).info in
-  match Hooks.cm_resolve ~ser ~cm d ~victim with
+let cm_wait ~rollback (d : Txdesc.t) idx ~owner ~reason =
+  if Hooks.kill_due d then rollback d Tx_signal.Killed;
+  Hooks.stripe_conflict d ~stripe:idx;
+  let victim = (Txdesc.get d.core (owner - 1)).info in
+  match Hooks.cm_resolve d ~victim with
   | Cm.Cm_intf.Abort_self -> rollback d reason
   | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim ->
       Stats.wait d.counters;

@@ -25,10 +25,7 @@ type t = {
   stripe : Memory.Stripe.t;
   locks : Runtime.Line_table.t;  (* per stripe one line: owner, readers *)
   readers : Readers.t;  (* the readers column of [locks] *)
-  cm : Cm.Cm_intf.t;
-  descs : Txdesc.t Runtime.Tid_table.t;
-  eid : int;
-  ser : Serial.t;
+  core : Txdesc.core;
 }
 
 let name = "tlrw"
@@ -44,30 +41,27 @@ let create ~cm ~granularity_words ~table_bits heap =
     stripe;
     locks;
     readers = Readers.create locks ~col:1;
-    cm = Cm.Factory.make cm;
-    descs = Driver.make_descs ();
-    eid = Obs.Metrics.register_engine name;
-    ser = Serial.create ();
+    core = Txdesc.core ~name cm;
   }
 
 (* --- rollback ---------------------------------------------------------- *)
 
-let release_owners t (d : Txdesc.t) =
-  Ivec.iter (fun idx -> Runtime.Tmatomic.set (owner t idx) 0) d.acq_stripes
+(* Drop our owner words, then our reader slots (commit, abort and
+   foreign-exception paths alike). *)
+let release t (d : Txdesc.t) =
+  Ivec.iter (fun idx -> Runtime.Tmatomic.set (owner t idx) 0) d.acq_stripes;
+  Readers.retract_all t.readers d
 
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
-  release_owners t d;
-  Readers.retract_all t.readers d;
-  Hooks.rollback ~cm:t.cm d ~reason
+  release t d;
+  Hooks.rollback d ~reason
 
-let check_kill t d =
-  if Hooks.kill_due ~ser:t.ser d then rollback t d Tx_signal.Killed
+let check_kill t d = if Hooks.kill_due d then rollback t d Tx_signal.Killed
 
 (* CM-arbitrated wait on the owner of [idx]. *)
 let cm_wait t d idx ~owner ~reason =
-  Readers.cm_wait ~eid:t.eid ~ser:t.ser ~cm:t.cm ~descs:t.descs
-    ~rollback:(rollback t) d idx ~owner ~reason
+  Readers.cm_wait ~rollback:(rollback t) d idx ~owner ~reason
 
 (* --- read -------------------------------------------------------------- *)
 
@@ -127,12 +121,11 @@ let write_word t (d : Txdesc.t) addr value =
     go ();
     Hooks.inject_stall d;
     Ivec.push d.acq_stripes idx;
-    t.cm.on_write d.info ~writes:(Ivec.length d.acq_stripes);
+    d.core.cm.on_write d.info ~writes:(Ivec.length d.acq_stripes);
     (* Encounter-time drain: once we own the stripe and the slots are
        empty, no reader can observe it again until we release (they
        arbitrate against the owner word instead). *)
-    Readers.drain t.readers ~ser:t.ser ~cm:t.cm ~descs:t.descs
-      ~rollback:(rollback t) d idx;
+    Readers.drain t.readers ~rollback:(rollback t) d idx;
     d.info.accesses <- d.info.accesses + 1
   end;
   Runtime.Exec.tick costs.log_append;
@@ -145,41 +138,26 @@ let commit t (d : Txdesc.t) =
   check_kill t d;
   if Txdesc.is_read_only d then begin
     Readers.retract_all t.readers d;
-    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~heap:t.heap d
   end
   else begin
     (* Waiters hold reader slots and owner words, so the commit gate
        polls the kill flag (the irrevocable transaction aborts them out). *)
-    Hooks.enter_update_commit ~cm:t.cm ~ser:t.ser
-      ~gate_check:(fun () -> check_kill t d)
-      d;
+    Hooks.enter_update_commit ~gate_check:(fun () -> check_kill t d) d;
     Hooks.inject_stretch d;
     Vlock.write_back ~heap:t.heap d;
-    release_owners t d;
-    Readers.retract_all t.readers d;
-    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    release t d;
+    Hooks.commit_done ~heap:t.heap d
   end
 
-let start t (d : Txdesc.t) ~restart =
-  Hooks.tx_begin ~eid:t.eid d;
-  t.cm.on_start d.info ~restart;
+let start (d : Txdesc.t) ~restart =
+  Hooks.tx_begin d;
+  d.core.cm.on_start d.info ~restart;
   Hooks.phase_other d.tid
-
-let emergency_release t (d : Txdesc.t) =
-  release_owners t d;
-  Readers.retract_all t.readers d;
-  Hooks.emergency ~cm:t.cm ~ser:t.ser d
 
 let engine ~cm ~granularity_words ~table_bits heap : Engine.t =
   let t = create ~cm ~granularity_words ~table_bits heap in
-  Package.make ~name ~heap ~cap:(name, Readers.cap)
-    {
-      Driver.ser = t.ser;
-      cm = t.cm;
-      descs = t.descs;
-      start = (fun d ~restart -> start t d ~restart);
-      commit = (fun d -> commit t d);
-      emergency = (fun d -> emergency_release t d);
-      user_abort = (fun d -> rollback t d Tx_signal.Killed);
-    }
-    ~read:(read_word t) ~write:(write_word t)
+  Package.make ~heap ~cap:(name, Readers.cap) ~read:(read_word t)
+    ~write:(write_word t)
+    (Driver.ops ~release:(release t) ~start ~commit:(commit t)
+       ~rollback:(rollback t) t.core)

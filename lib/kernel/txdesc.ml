@@ -1,10 +1,15 @@
 (* The one transaction descriptor shared by every engine (the union of
-   the per-engine descriptors the kernel refactor replaced).
+   the per-engine descriptors the kernel refactor replaced), and the
+   engine core every descriptor points to.
 
    Engines use the subset of fields their policies need; unused sets
    stay empty and their [clear] is O(1), so the union costs nothing on
    the fast path.  Field roles by engine:
 
+   - [core]: the engine instance's kernel state — its label, manager,
+     irrevocability token, metrics id and descriptor table — built once
+     per instance by [core], so [Hooks], [Readers] and [Driver] take the
+     running transaction alone, and two engines share none of it.
    - [valid_ts]: SwissTM/TinySTM validation timestamp; TL2/MVSTM read
      version [rv]; RSTM commit-counter snapshot [snap].
    - [rset]: invisible-read journal of (stripe, version) pairs (TL2 and
@@ -23,10 +28,10 @@
    - [committing]: inside an update commit; [Hooks] sets and clears it,
      and an irrevocable transaction's [Driver.drain] waits for it to clear.
 
-   A descriptor belongs to one engine instance and one thread: the
-   engine's table ([Driver.make_descs]) builds it with [create] when that
-   thread runs its first transaction, and it is never reset or shared
-   afterwards, so [create] alone defines the initial state. *)
+   A descriptor belongs to one core and one thread: [get] builds it with
+   [create] when that thread runs its first transaction, and it is never
+   reset or shared afterwards, so [create] alone defines the initial
+   state. *)
 
 type savepoint = { sp_read_len : int; sp_acq_len : int }
 
@@ -37,6 +42,7 @@ let unbuilt_ops : Stm_intf.Engine.tx_ops =
 type t = {
   tid : int;
   info : Cm.Cm_intf.txinfo;
+  core : core;
   mutable valid_ts : int;
   rset : Stm_intf.Rset.t;
   acq_stripes : Stm_intf.Ivec.t;
@@ -61,10 +67,26 @@ type t = {
   mutable committing : bool;
 }
 
-let create ~tid ~seed =
+and core = {
+  name : string;  (** [Engine.name], and the metrics bundle's name *)
+  cm : Cm.Cm_intf.t;
+  ser : Stm_intf.Serial.t;
+      (** irrevocability token: held by a transaction escalated after
+          [cm.escalate_after] consecutive aborts (or [atomic_irrevocable]);
+          everyone else defers at the start and commit gates *)
+  eid : int;  (** metrics-registry engine id *)
+  descs : t array;  (** per tid, [absent] until its first transaction *)
+}
+
+(* Seed of every descriptor's contention-manager randomness (back-off
+   jitter); one constant for all engines, so runs replay exactly. *)
+let seed = 0xC0FFEE
+
+let create core ~tid =
   {
     tid;
     info = Cm.Cm_intf.make_txinfo ~tid ~seed;
+    core;
     valid_ts = 0;
     rset = Stm_intf.Rset.create ();
     acq_stripes = Stm_intf.Ivec.create ();
@@ -130,3 +152,43 @@ let clear_logs d =
   d.snapshot <- false
 
 let is_read_only d = Stm_intf.Ivec.length d.acq_stripes = 0
+
+(* Descriptor table: a thread's descriptor is built on its first
+   transaction, so a core costs the slot array, not 512 descriptors.  A
+   thread publishes its tid (a lock owner word, a reader bit) only after
+   that, so a victim lookup of the tid always finds a built descriptor.
+   Building one charges no cycles, so simulated schedules do not depend
+   on when a thread first ran.  Every table shares one sentinel, whose
+   own core (never read) has an empty table and eid -1.  A plain array,
+   not a [Runtime.Tid_table]: a table is built around its sentinel, and
+   this sentinel needs a core, which needs a table. *)
+let absent =
+  let cm = Cm.Factory.make Cm.Cm_intf.Timid and ser = Stm_intf.Serial.create () in
+  create { name = "absent"; cm; ser; eid = -1; descs = [||] } ~tid:(-1)
+
+(* An engine instance's core; registering [name] (idempotent by name)
+   here keeps the registry in engine-creation order. *)
+let core ~name spec =
+  {
+    name;
+    cm = Cm.Factory.make spec;
+    ser = Stm_intf.Serial.create ();
+    eid = Obs.Metrics.register_engine name;
+    descs = Array.make Runtime.Topology.max_cores absent;
+  }
+
+let fill core tid =
+  let d = create core ~tid in
+  core.descs.(tid) <- d;
+  d
+
+(* [tid]'s descriptor, built on its first call. *)
+let[@inline] get core tid =
+  let d = core.descs.(tid) in
+  if d != absent then d else fill core tid
+
+(* Over the built descriptors, in tid order. *)
+let fold f acc core =
+  Array.fold_left (fun acc d -> if d == absent then acc else f acc d) acc core.descs
+
+let iter f core = fold (fun () d -> f d) () core

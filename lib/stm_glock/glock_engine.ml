@@ -19,10 +19,7 @@ open Kernel
 type t = {
   heap : Memory.Heap.t;
   lock : Runtime.Tmatomic.t;
-  ser : Serial.t;
-  cm : Cm.Cm_intf.t;
-  descs : Txdesc.t Runtime.Tid_table.t;
-  eid : int;  (* observability engine id *)
+  core : Txdesc.core;
 }
 
 let name = "glock"
@@ -31,10 +28,7 @@ let create heap =
   {
     heap;
     lock = Runtime.Tmatomic.make 0;
-    ser = Serial.create ();
-    cm = Cm.Factory.make Cm.Cm_intf.Timid;
-    descs = Driver.make_descs ();
-    eid = Hooks.register_engine name;
+    core = Txdesc.core ~name Cm.Cm_intf.Timid;
   }
 
 let acquire t (d : Txdesc.t) =
@@ -50,19 +44,19 @@ let acquire t (d : Txdesc.t) =
   in
   go ()
 
-let release t = Runtime.Tmatomic.set t.lock 0
+let release t _ = Runtime.Tmatomic.set t.lock 0
 
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
-  release t;
-  Hooks.rollback ~cm:t.cm d ~reason
+  release t d;
+  Hooks.rollback d ~reason
 
 (* Begin is recorded before the lock (= snapshot) is taken.  A spurious
    abort models losing the CPU to a fault just after acquisition: nothing
    was executed or written yet, so recovery is release-and-retry. *)
 let start t (d : Txdesc.t) ~restart =
-  Hooks.tx_begin ~eid:t.eid d;
-  t.cm.on_start d.info ~restart;
+  Hooks.tx_begin d;
+  d.core.cm.on_start d.info ~restart;
   acquire t d;
   Hooks.inject_stall d;
   if Hooks.inject_abort d then rollback t d Tx_signal.Killed;
@@ -72,10 +66,10 @@ let start t (d : Txdesc.t) ~restart =
    the stretch lands inside the critical section, where it delays every
    waiter on the global lock. *)
 let commit t (d : Txdesc.t) =
-  Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d;
+  Hooks.commit_done ~heap:t.heap d;
   Hooks.phase_commit d.tid;
   Hooks.inject_stretch d;
-  release t;
+  release t d;
   Runtime.Exec.tick (Runtime.Costs.get ()).tx_end;
   Hooks.phase_other d.tid
 
@@ -91,17 +85,6 @@ let write_word t (d : Txdesc.t) addr v =
 
 let engine heap : Engine.t =
   let t = create heap in
-  Package.make ~name ~heap
-    {
-      Driver.ser = t.ser;
-      cm = t.cm;
-      descs = t.descs;
-      start = (fun d ~restart -> start t d ~restart);
-      commit = (fun d -> commit t d);
-      emergency =
-        (fun d ->
-          release t;
-          Hooks.emergency ~cm:t.cm ~ser:t.ser d);
-      user_abort = (fun d -> rollback t d Tx_signal.Killed);
-    }
-    ~read:(read_word t) ~write:(write_word t)
+  Package.make ~heap ~read:(read_word t) ~write:(write_word t)
+    (Driver.ops ~release:(release t) ~start:(start t) ~commit:(commit t)
+       ~rollback:(rollback t) t.core)

@@ -49,13 +49,10 @@ type t = {
       (** per stripe: the versioned lock, the version-chain head (heap
           address or 0) and the chain length *)
   clock : Runtime.Tmatomic.t;
-  descs : Txdesc.t Runtime.Tid_table.t;
-  eid : int;  (* metrics-registry engine id *)
-  cm : Cm.Cm_intf.t;
-      (* rollback/throttle policy only: conflicts stay timid at commit-time
-         acquisition, but the manager owns the retry back-off, the adaptive
-         throttle and the escalation budget *)
-  ser : Serial.t;  (* irrevocability token (escalation / explicit) *)
+  core : Txdesc.core;
+      (* its manager is rollback/throttle policy only: conflicts stay timid
+         at commit-time acquisition, but the manager owns the retry
+         back-off, the adaptive throttle and the escalation budget *)
   max_chain : int;
   snapshot_reads : Runtime.Tmatomic.t;  (** telemetry: old-version serves *)
 }
@@ -70,10 +67,7 @@ let create ~cm ~granularity_words ~table_bits ~max_chain heap =
     stripe;
     locks = Runtime.Line_table.create n ~init:[| Vlock.unlocked_of_version 0; 0; 0 |];
     clock = Runtime.Tmatomic.make 0;
-    descs = Driver.make_descs ();
-    eid = Obs.Metrics.register_engine name;
-    cm = Cm.Factory.make cm;
-    ser = Serial.create ();
+    core = Txdesc.core ~name cm;
     max_chain;
     snapshot_reads = Runtime.Tmatomic.make 0;
   }
@@ -86,9 +80,9 @@ let set_hist t idx v = Runtime.Tmatomic.unsafe_set (chain_word t idx 1) v
 let chain_len t idx = Runtime.Tmatomic.unsafe_get (chain_word t idx 2)
 let set_chain_len t idx v = Runtime.Tmatomic.unsafe_set (chain_word t idx 2) v
 
-let rollback t (d : Txdesc.t) reason =
+let rollback (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
-  Hooks.rollback ~cm:t.cm d ~reason
+  Hooks.rollback d ~reason
 
 (* Reconstruct the value [addr] had at the snapshot by walking the
    stripe's version chain newest-to-oldest; every record newer than the
@@ -114,7 +108,7 @@ let snapshot_read t (d : Txdesc.t) addr idx =
       let rec walk rec_addr =
         if rec_addr = -1 then
           (* truncated before reaching the snapshot: the old value is gone *)
-          rollback t d Tx_signal.Rw_validation
+          rollback d Tx_signal.Rw_validation
         else if rec_addr <> 0 then begin
           Runtime.Exec.tick (costs.mem * 2);
           let v = Memory.Heap.unsafe_read t.heap (rec_addr + vr_version) in
@@ -149,7 +143,7 @@ let snapshot_read t (d : Txdesc.t) addr idx =
 let read_word t (d : Txdesc.t) addr =
   let costs = Runtime.Costs.get () in
   Stats.read d.counters;
-  if Hooks.inject_abort d then rollback t d Tx_signal.Killed;
+  if Hooks.inject_abort d then rollback d Tx_signal.Killed;
   let idx = Memory.Stripe.index t.stripe addr in
   let s =
     if Wlog.is_empty d.wset then -1
@@ -175,7 +169,7 @@ let read_word t (d : Txdesc.t) addr =
         d.snapshot <- true;
         snapshot_read t d addr idx
       end
-      else rollback t d Tx_signal.Rw_validation
+      else rollback d Tx_signal.Rw_validation
     end
     else begin
       Runtime.Exec.tick costs.log_append;
@@ -187,12 +181,12 @@ let read_word t (d : Txdesc.t) addr =
 let write_word t (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
   Stats.write d.counters;
-  if Hooks.inject_abort d then rollback t d Tx_signal.Killed;
+  if Hooks.inject_abort d then rollback d Tx_signal.Killed;
   if d.snapshot then begin
     (* writes are incompatible with serving old versions: restart as a
        plain update transaction *)
     d.allow_snapshot <- false;
-    rollback t d Tx_signal.Rw_validation
+    rollback d Tx_signal.Rw_validation
   end;
   Runtime.Exec.tick costs.log_append;
   Wlog.replace d.wset addr value;
@@ -240,22 +234,22 @@ let push_version_record t (d : Txdesc.t) idx ~new_version =
 let commit t (d : Txdesc.t) =
   Hooks.commit_entry d;
   if Wlog.is_empty d.wset then
-    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~heap:t.heap d
   else begin
     (* Commit gate: freeze the clock while an irrevocable transaction
        runs; the waiter holds no locks yet (lazy acquisition). *)
-    Hooks.enter_update_commit ~cm:t.cm ~ser:t.ser ~gate_check:Driver.nop_gate_check d;
+    Hooks.enter_update_commit ~gate_check:Driver.nop_gate_check d;
     Hooks.inject_stretch d;
     let conflict = Vlock.acquire_wstripes ~locks:t.locks d in
     if conflict >= 0 then begin
-      Hooks.stripe_conflict ~eid:t.eid ~stripe:conflict;
-      rollback t d Tx_signal.Ww_conflict
+      Hooks.stripe_conflict d ~stripe:conflict;
+      rollback d Tx_signal.Ww_conflict
     end;
     let wv, quiescent = Vlock.gv4_bump ~clock:t.clock ~rv:d.valid_ts in
     if (not quiescent) && not (Vlock.validate_rv ~locks:t.locks d) then begin
       Vlock.release_wstripes ~locks:t.locks d.wstripes d.acq_saved
         ~upto:(Rset.length d.wstripes);
-      rollback t d Tx_signal.Rw_validation
+      rollback d Tx_signal.Rw_validation
     end;
     (* preserve the overwritten values, then write back *)
     Rset.iter
@@ -263,12 +257,12 @@ let commit t (d : Txdesc.t) =
       d.wstripes;
     Vlock.write_back ~heap:t.heap d;
     Vlock.publish_wstripes ~locks:t.locks d.wstripes ~version:wv;
-    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~heap:t.heap d
   end
 
 let start t (d : Txdesc.t) ~restart =
-  Hooks.tx_begin ~eid:t.eid d;
-  t.cm.on_start d.info ~restart;
+  Hooks.tx_begin d;
+  d.core.cm.on_start d.info ~restart;
   if not restart then d.allow_snapshot <- true;
   d.valid_ts <- Runtime.Tmatomic.get t.clock;
   Hooks.phase_other d.tid
@@ -276,24 +270,13 @@ let start t (d : Txdesc.t) ~restart =
 (* Retry driver with graceful degradation: see [Kernel.Driver] for the
    escalation protocol.  Like TL2, the commit gate freezes the clock under
    the token, so an escalated attempt cannot fail in a simulated run. *)
-let driver_ops t : Driver.ops =
-  {
-    Driver.ser = t.ser;
-    cm = t.cm;
-    descs = t.descs;
-    start = (fun d ~restart -> start t d ~restart);
-    commit = (fun d -> commit t d);
-    emergency = (fun d -> Hooks.emergency ~cm:t.cm ~ser:t.ser d);
-    user_abort = (fun d -> rollback t d Tx_signal.Killed);
-  }
-
-let atomic t ~tid f = Driver.run (driver_ops t) ~tid ~irrevocable:false f
-let atomic_irrevocable t ~tid f = Driver.run (driver_ops t) ~tid ~irrevocable:true f
+let ops t = Driver.ops ~start:(start t) ~commit:(commit t) ~rollback t.core
+let atomic t ~tid f = Driver.run (ops t) ~tid ~irrevocable:false f
+let atomic_irrevocable t ~tid f = Driver.run (ops t) ~tid ~irrevocable:true f
 
 (** Old-version reads served so far (ablation telemetry). *)
 let snapshot_reads t = Runtime.Tmatomic.unsafe_get t.snapshot_reads
 
 let engine ~cm ~granularity_words ~table_bits ~max_chain heap : Engine.t =
   let t = create ~cm ~granularity_words ~table_bits ~max_chain heap in
-  Package.make ~name ~heap (driver_ops t) ~read:(read_word t)
-    ~write:(write_word t)
+  Package.make ~heap ~read:(read_word t) ~write:(write_word t) (ops t)

@@ -47,12 +47,9 @@ type t = {
   orecs : Runtime.Line_table.t;  (* per stripe: owner, version, readers *)
   readers : Readers.t;  (* the readers column of [orecs] *)
   counter : Runtime.Tmatomic.t;  (* global commit counter *)
-  cm : Cm.Cm_intf.t;
   acquire : acquire;
   visibility : visibility;
-  descs : Txdesc.t Runtime.Tid_table.t;
-  eid : int;  (* observability engine id *)
-  ser : Serial.t;  (* irrevocability token (escalation / explicit) *)
+  core : Txdesc.core;
 }
 
 (* RSTM's label always names its manager: the paper sweeps RSTM's CMs. *)
@@ -80,15 +77,12 @@ let create ~acquire ~visibility ~cm ~granularity_words ~table_bits heap =
     orecs;
     readers = Readers.create orecs ~col:2;
     counter = Runtime.Tmatomic.make 0;
-    cm = Cm.Factory.make cm;
     acquire;
     visibility;
-    descs = Driver.make_descs ();
-    eid = Obs.Metrics.register_engine (name ~acquire ~visibility cm);
-    ser = Serial.create ();
+    core = Txdesc.core ~name:(name ~acquire ~visibility cm) cm;
   }
 
-let release_owned t (d : Txdesc.t) =
+let release t (d : Txdesc.t) =
   Ivec.iter
     (fun idx ->
       (* A rollback can land mid-commit (remote kill noticed while
@@ -98,16 +92,15 @@ let release_owned t (d : Txdesc.t) =
       let lv = Runtime.Tmatomic.unsafe_get v in
       if busy lv then Runtime.Tmatomic.set v (lv land lnot 1);
       Runtime.Tmatomic.set (owner t idx) 0)
-    d.acq_stripes
+    d.acq_stripes;
+  Readers.retract_all t.readers d
 
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
-  release_owned t d;
-  Readers.retract_all t.readers d;
-  Hooks.rollback ~cm:t.cm d ~reason
+  release t d;
+  Hooks.rollback d ~reason
 
-let check_kill t d =
-  if Hooks.kill_due ~ser:t.ser d then rollback t d Tx_signal.Killed
+let check_kill t d = if Hooks.kill_due d then rollback t d Tx_signal.Killed
 
 (* Spin until a stripe stops being busy (a committer is writing back). *)
 let wait_unbusy t (d : Txdesc.t) idx =
@@ -149,9 +142,8 @@ let validate t (d : Txdesc.t) =
         else begin
           check_kill t d;
           (if ov <> 0 then
-             let victim = (Runtime.Tid_table.get t.descs (ov - 1)).info in
-             match Hooks.cm_resolve ~ser:t.ser ~cm:t.cm d ~victim
-             with
+             let victim = (Txdesc.get d.core (ov - 1)).info in
+             match Hooks.cm_resolve d ~victim with
              | Cm.Cm_intf.Abort_self -> rollback t d Tx_signal.Rw_validation
              | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim -> ());
           Stats.wait d.counters;
@@ -183,8 +175,7 @@ let maybe_validate t (d : Txdesc.t) =
 let rec contend t (d : Txdesc.t) idx ~reason =
   let ov = Runtime.Tmatomic.get (owner t idx) in
   if ov <> 0 && ov <> d.tid + 1 then begin
-    Readers.cm_wait ~eid:t.eid ~ser:t.ser ~cm:t.cm
-      ~descs:t.descs ~rollback:(rollback t) d idx ~owner:ov ~reason;
+    Readers.cm_wait ~rollback:(rollback t) d idx ~owner:ov ~reason;
     contend t d idx ~reason
   end
 
@@ -255,10 +246,9 @@ let acquire_stripe t (d : Txdesc.t) idx =
   (* Clone the object into the speculative copy. *)
   Runtime.Exec.tick (costs.mem * Memory.Stripe.granularity_words t.stripe);
   if t.visibility = Visible then
-    Readers.drain t.readers ~ser:t.ser ~cm:t.cm ~descs:t.descs
-      ~rollback:(rollback t) d idx;
+    Readers.drain t.readers ~rollback:(rollback t) d idx;
   d.info.accesses <- d.info.accesses + 1;
-  t.cm.on_write d.info ~writes:(Ivec.length d.acq_stripes)
+  d.core.cm.on_write d.info ~writes:(Ivec.length d.acq_stripes)
 
 let write_word t (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
@@ -280,16 +270,14 @@ let commit t (d : Txdesc.t) =
     (* Read-only commit: every read was validated by the counter heuristic;
        retract visible-reader bits and finish. *)
     Readers.retract_all t.readers d;
-    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~heap:t.heap d
   end
   else begin
     (* Commit gate: while an irrevocable transaction runs, updates must not
        advance the commit counter.  The waiter may hold eagerly-acquired
        objects, so it polls its kill flag — the irrevocable transaction can
        abort it out of the wait. *)
-    Hooks.enter_update_commit ~cm:t.cm ~ser:t.ser
-      ~gate_check:(fun () -> check_kill t d)
-      d;
+    Hooks.enter_update_commit ~gate_check:(fun () -> check_kill t d) d;
     Hooks.inject_stretch d;
     (* Lazy mode acquires its whole write set now. *)
     if t.acquire = Lazy then
@@ -326,19 +314,14 @@ let commit t (d : Txdesc.t) =
         Runtime.Tmatomic.set (owner t idx) 0)
       d.acq_stripes;
     Readers.retract_all t.readers d;
-    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~heap:t.heap d
   end
 
 let start t (d : Txdesc.t) ~restart =
-  Hooks.tx_begin ~eid:t.eid d;
-  t.cm.on_start d.info ~restart;
+  Hooks.tx_begin d;
+  d.core.cm.on_start d.info ~restart;
   d.valid_ts <- Runtime.Tmatomic.get t.counter;
   Hooks.phase_other d.tid
-
-let emergency_release t (d : Txdesc.t) =
-  release_owned t d;
-  Readers.retract_all t.readers d;
-  Hooks.emergency ~cm:t.cm ~ser:t.ser d
 
 (* Retry driver with graceful degradation: see [Kernel.Driver] for the
    escalation protocol.  RSTM's managers can kill, so the token holder
@@ -347,15 +330,7 @@ let emergency_release t (d : Txdesc.t) =
 let engine ~acquire ~visibility ~cm ~granularity_words ~table_bits heap :
     Engine.t =
   let t = create ~acquire ~visibility ~cm ~granularity_words ~table_bits heap in
-  Package.make ~name:(name ~acquire ~visibility cm) ~heap
-    ~cap:("rstm", Readers.cap)
-    {
-      Driver.ser = t.ser;
-      cm = t.cm;
-      descs = t.descs;
-      start = (fun d ~restart -> start t d ~restart);
-      commit = (fun d -> commit t d);
-      emergency = (fun d -> emergency_release t d);
-      user_abort = (fun d -> rollback t d Tx_signal.Killed);
-    }
-    ~read:(read_word t) ~write:(write_word t)
+  Package.make ~heap ~cap:("rstm", Readers.cap) ~read:(read_word t)
+    ~write:(write_word t)
+    (Driver.ops ~release:(release t) ~start:(start t) ~commit:(commit t)
+       ~rollback:(rollback t) t.core)

@@ -27,13 +27,10 @@ type t = {
   stripe : Memory.Stripe.t;
   locks : Runtime.Line_table.t;  (* one versioned lock per stripe *)
   clock : Runtime.Tmatomic.t;
-  descs : Txdesc.t Runtime.Tid_table.t;
-  eid : int;  (* metrics-registry engine id *)
-  cm : Cm.Cm_intf.t;
-      (* rollback/throttle policy only: conflicts stay timid (TinySTM never
-         kills), but the manager owns the retry back-off, the adaptive
-         throttle and the escalation budget *)
-  ser : Serial.t;  (* irrevocability token (escalation / explicit) *)
+  core : Txdesc.core;
+      (* its manager is rollback/throttle policy only: conflicts stay
+         timid (TinySTM never kills), but the manager owns the retry
+         back-off, the adaptive throttle and the escalation budget *)
 }
 
 let name = "tinystm"
@@ -45,19 +42,19 @@ let create ~cm ~granularity_words ~table_bits heap =
     stripe;
     locks = Vlock.create_locks stripe;
     clock = Runtime.Tmatomic.make 0;
-    descs = Driver.make_descs ();
-    eid = Obs.Metrics.register_engine name;
-    cm = Cm.Factory.make cm;
-    ser = Serial.create ();
+    core = Txdesc.core ~name cm;
   }
 
-(* Abort path: restore the pre-acquisition version into every lock we
-   own (encounter-time acquisition — [acq_stripes] tracks them all). *)
+(* Restore the pre-acquisition version into every lock we own
+   (encounter-time acquisition — [acq_stripes] tracks them all). *)
+let release t (d : Txdesc.t) =
+  Vlock.release_restoring ~locks:t.locks d.acq_stripes d.acq_saved
+    ~upto:(Ivec.length d.acq_stripes)
+
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
-  Vlock.release_restoring ~locks:t.locks d.acq_stripes d.acq_saved
-    ~upto:(Ivec.length d.acq_stripes);
-  Hooks.rollback ~cm:t.cm d ~reason
+  release t d;
+  Hooks.rollback d ~reason
 
 let extend t d = Vlock.extend_exact ~locks:t.locks ~clock:t.clock d
 
@@ -82,7 +79,7 @@ let read_word t (d : Txdesc.t) addr =
     end
     else begin
       (* Encounter-time r/w conflict: timid — the reader aborts at once. *)
-      Hooks.stripe_conflict ~eid:t.eid ~stripe:idx;
+      Hooks.stripe_conflict d ~stripe:idx;
       rollback t d Tx_signal.Rw_validation
     end
   end
@@ -105,7 +102,7 @@ let read_word t (d : Txdesc.t) addr =
 let rec acquire t (d : Txdesc.t) lock idx ~mine lv =
   if Vlock.is_locked lv then begin
     (* Encounter-time w/w conflict: timid — abort the attacker. *)
-    Hooks.stripe_conflict ~eid:t.eid ~stripe:idx;
+    Hooks.stripe_conflict d ~stripe:idx;
     rollback t d Tx_signal.Ww_conflict
   end
   else if not (Runtime.Tmatomic.cas lock ~expect:lv ~replace:mine) then
@@ -134,7 +131,7 @@ let write_word t (d : Txdesc.t) addr value =
 let commit t (d : Txdesc.t) =
   Hooks.commit_entry d;
   if Txdesc.is_read_only d then
-    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~heap:t.heap d
   else begin
     (* No commit gate here: the waiter would hold encounter-time locks the
        irrevocable transaction may need, a deadlock TinySTM cannot break
@@ -142,40 +139,27 @@ let commit t (d : Txdesc.t) =
        in-flight competitors can still commit, but each parks at the start
        gate after its current transaction, so the escalated attempt soon
        runs alone. *)
-    Hooks.enter_update_commit ~cm:t.cm ~ser:t.ser d;
+    Hooks.enter_update_commit d;
     Hooks.inject_stretch d;
     let ts = Runtime.Tmatomic.incr_get t.clock in
     if ts > d.valid_ts + 1 && not (Vlock.validate_exact ~locks:t.locks d) then
       rollback t d Tx_signal.Rw_validation;
     Vlock.write_back ~heap:t.heap d;
     Vlock.publish ~locks:t.locks d.acq_stripes ~version:ts;
-    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~heap:t.heap d
   end
 
 let start t (d : Txdesc.t) ~restart =
-  Hooks.tx_begin ~eid:t.eid d;
-  t.cm.on_start d.info ~restart;
+  Hooks.tx_begin d;
+  d.core.cm.on_start d.info ~restart;
   d.valid_ts <- Runtime.Tmatomic.get t.clock;
   Hooks.phase_other d.tid
-
-let emergency_release t (d : Txdesc.t) =
-  Vlock.release_restoring ~locks:t.locks d.acq_stripes d.acq_saved
-    ~upto:(Ivec.length d.acq_stripes);
-  Hooks.emergency ~cm:t.cm ~ser:t.ser d
 
 (* Retry driver with graceful degradation: see [Kernel.Driver] for the
    escalation protocol.  TinySTM only has the start gate (see [commit]), so
    the consecutive-abort bound under the token is soft rather than exact. *)
 let engine ~cm ~granularity_words ~table_bits heap : Engine.t =
   let t = create ~cm ~granularity_words ~table_bits heap in
-  Package.make ~name ~heap
-    {
-      Driver.ser = t.ser;
-      cm = t.cm;
-      descs = t.descs;
-      start = (fun d ~restart -> start t d ~restart);
-      commit = (fun d -> commit t d);
-      emergency = (fun d -> emergency_release t d);
-      user_abort = (fun d -> rollback t d Tx_signal.Killed);
-    }
-    ~read:(read_word t) ~write:(write_word t)
+  Package.make ~heap ~read:(read_word t) ~write:(write_word t)
+    (Driver.ops ~release:(release t) ~start:(start t) ~commit:(commit t)
+       ~rollback:(rollback t) t.core)

@@ -30,13 +30,11 @@ type t = {
   stripe : Memory.Stripe.t;
   locks : Runtime.Line_table.t;  (* one versioned lock per stripe *)
   clock : Runtime.Tmatomic.t;
-  descs : Txdesc.t Runtime.Tid_table.t;
-  eid : int;  (* metrics-registry engine id *)
-  cm : Cm.Cm_intf.t;
-      (* rollback/throttle policy only: TL2 stays timid at commit-time
-         acquisition (it never kills), but the manager owns the retry
-         back-off, the adaptive throttle and the escalation budget *)
-  ser : Serial.t;  (* irrevocability token (escalation / explicit) *)
+  core : Txdesc.core;
+      (* its manager is rollback/throttle policy only: TL2 stays timid at
+         commit-time acquisition (it never kills), but the manager owns
+         the retry back-off, the adaptive throttle and the escalation
+         budget *)
 }
 
 let name = "tl2"
@@ -48,20 +46,17 @@ let create ~cm ~granularity_words ~table_bits heap =
     stripe;
     locks = Vlock.create_locks stripe;
     clock = Runtime.Tmatomic.make 0;
-    descs = Driver.make_descs ();
-    eid = Obs.Metrics.register_engine name;
-    cm = Cm.Factory.make cm;
-    ser = Serial.create ();
+    core = Txdesc.core ~name cm;
   }
 
-let rollback t (d : Txdesc.t) reason =
+let rollback (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
-  Hooks.rollback ~cm:t.cm d ~reason
+  Hooks.rollback d ~reason
 
 let read_word t (d : Txdesc.t) addr =
   let costs = Runtime.Costs.get () in
   Stats.read d.counters;
-  if Hooks.inject_abort d then rollback t d Tx_signal.Killed;
+  if Hooks.inject_abort d then rollback d Tx_signal.Killed;
   let idx = Memory.Stripe.index t.stripe addr in
   (* Redo-log lookup; free for read-only transactions, and [Wlog]'s bloom
      filter makes the common miss cheap for update ones (TL2's own
@@ -83,7 +78,7 @@ let read_word t (d : Txdesc.t) addr =
     if Vlock.is_locked lv1 || lv1 <> lv2 || Vlock.version_of lv1 > d.valid_ts
     then
       (* Locked or moved past our snapshot: TL2 aborts (no extension). *)
-      rollback t d Tx_signal.Rw_validation;
+      rollback d Tx_signal.Rw_validation;
     (Runtime.Exec.tick [@inlined]) costs.log_append;
     (Rset.push [@inlined]) d.rset idx 0;
     value
@@ -92,7 +87,7 @@ let read_word t (d : Txdesc.t) addr =
 let write_word t (d : Txdesc.t) addr value =
   let costs = Runtime.Costs.get () in
   Stats.write d.counters;
-  if Hooks.inject_abort d then rollback t d Tx_signal.Killed;
+  if Hooks.inject_abort d then rollback d Tx_signal.Killed;
   (Runtime.Exec.tick [@inlined]) costs.log_append;
   Wlog.replace d.wset addr value;
   let idx = Memory.Stripe.index t.stripe addr in
@@ -102,34 +97,34 @@ let commit t (d : Txdesc.t) =
   Hooks.commit_entry d;
   if Wlog.is_empty d.wset then
     (* Read-only: every read was validated against the snapshot. *)
-    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~heap:t.heap d
   else begin
     (* Commit gate: an irrevocable transaction must see a frozen clock.
        The waiter holds no locks yet (lazy acquisition), so a plain spin
        is deadlock-free and needs no kill polling. *)
-    Hooks.enter_update_commit ~cm:t.cm ~ser:t.ser ~gate_check:Driver.nop_gate_check d;
+    Hooks.enter_update_commit ~gate_check:Driver.nop_gate_check d;
     Hooks.inject_stretch d;
     (* Acquire every write lock; any conflict aborts (timid). *)
     let conflict = Vlock.acquire_wstripes ~locks:t.locks d in
     if conflict >= 0 then begin
-      Hooks.stripe_conflict ~eid:t.eid ~stripe:conflict;
-      rollback t d Tx_signal.Ww_conflict
+      Hooks.stripe_conflict d ~stripe:conflict;
+      rollback d Tx_signal.Ww_conflict
     end;
     let wv, quiescent = Vlock.gv4_bump ~clock:t.clock ~rv:d.valid_ts in
     (* Validate the read set unless nobody else committed since start. *)
     if (not quiescent) && not (Vlock.validate_rv ~locks:t.locks d) then begin
       Vlock.release_wstripes ~locks:t.locks d.wstripes d.acq_saved
         ~upto:(Rset.length d.wstripes);
-      rollback t d Tx_signal.Rw_validation
+      rollback d Tx_signal.Rw_validation
     end;
     Vlock.write_back ~heap:t.heap d;
     Vlock.publish_wstripes ~locks:t.locks d.wstripes ~version:wv;
-    Hooks.commit_done ~cm:t.cm ~ser:t.ser ~heap:t.heap d
+    Hooks.commit_done ~heap:t.heap d
   end
 
 let start t (d : Txdesc.t) ~restart =
-  Hooks.tx_begin ~eid:t.eid d;
-  t.cm.on_start d.info ~restart;
+  Hooks.tx_begin d;
+  d.core.cm.on_start d.info ~restart;
   d.valid_ts <- Runtime.Tmatomic.get t.clock;
   Hooks.phase_other d.tid
 
@@ -140,14 +135,5 @@ let start t (d : Txdesc.t) ~restart =
    can be held by anyone else once in-flight commits drained. *)
 let engine ~cm ~granularity_words ~table_bits heap : Engine.t =
   let t = create ~cm ~granularity_words ~table_bits heap in
-  Package.make ~name ~heap
-    {
-      Driver.ser = t.ser;
-      cm = t.cm;
-      descs = t.descs;
-      start = (fun d ~restart -> start t d ~restart);
-      commit = (fun d -> commit t d);
-      emergency = (fun d -> Hooks.emergency ~cm:t.cm ~ser:t.ser d);
-      user_abort = (fun d -> rollback t d Tx_signal.Killed);
-    }
-    ~read:(read_word t) ~write:(write_word t)
+  Package.make ~heap ~read:(read_word t) ~write:(write_word t)
+    (Driver.ops ~start:(start t) ~commit:(commit t) ~rollback t.core)

@@ -494,6 +494,39 @@ let test_irrevocable_concurrent spec () =
       check Alcotest.int "no lost updates" (3 * per_thread)
         (Memory.Heap.read heap cell))
 
+(* Two engines of one family hold separate cores: while thread 0 keeps
+   engine A's irrevocability token for a long body, thread 1's update
+   commits on engine B pass B's gates, so all of them land inside A's
+   body.  A shared token would park thread 1 at B's start gate until A's
+   body gave up waiting. *)
+let test_irrevocable_separate_cores spec () =
+  let heap_a = Memory.Heap.create ~words:(1 lsl 16)
+  and heap_b = Memory.Heap.create ~words:(1 lsl 16) in
+  let ea = Engines.make spec heap_a and eb = Engines.make spec heap_b in
+  let a = Memory.Heap.alloc heap_a 1 and b = Memory.Heap.alloc heap_b 1 in
+  let b_commits = ref 0 and during = ref (-1) and n = 20 in
+  ignore
+    (Runtime.Sim.run ~cap_cycles:1_000_000_000_000
+       [|
+         (fun () ->
+           Stm_intf.Engine.atomic_irrevocable ea ~tid:0 (fun tx ->
+               tx.write a 1;
+               let spins = ref 0 in
+               while !b_commits < n && !spins < 100_000 do
+                 incr spins;
+                 Runtime.Exec.pause ()
+               done;
+               during := !b_commits));
+         (fun () ->
+           for _ = 1 to n do
+             Stm_intf.Engine.atomic eb ~tid:1 (fun tx ->
+                 tx.write b (tx.read b + 1));
+             incr b_commits
+           done);
+       |]);
+  check Alcotest.int "B commits inside A's irrevocable body" n !during;
+  check Alcotest.int "B committed" n (Memory.Heap.read heap_b b)
+
 (* The bound [make fault-smoke] enforces at scale, in miniature: under the
    abort storm the adaptive manager's escalation keeps every thread's
    worst consecutive-abort run within its budget K; timid does not. *)
@@ -735,6 +768,8 @@ let suite =
                 (test_irrevocable_basic spec);
               Alcotest.test_case (name ^ " concurrent") `Quick
                 (test_irrevocable_concurrent spec);
+              Alcotest.test_case (name ^ " separate cores") `Quick
+                (test_irrevocable_separate_cores spec);
             ])
           all_specs
         @ [

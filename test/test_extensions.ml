@@ -79,8 +79,31 @@ let test_nesting_undo_restores_redo_log () =
         (Swisstm.Swisstm_engine.read_word t d a));
   check Alcotest.int "committed" 99 (Memory.Heap.read heap a)
 
+let test_nesting_retry_restarts_transaction () =
+  (* A body-raised [Retry] inside a scope is not a scope-level conflict:
+     it rolls back and retries the whole transaction, once. *)
+  let heap = Memory.Heap.create ~words:4096 in
+  let a = Memory.Heap.alloc heap 1 and b = Memory.Heap.alloc heap 8 in
+  let t = swisstm_create heap in
+  let attempts = ref 0 in
+  Swisstm.Swisstm_engine.atomic t ~tid:0 (fun d ->
+      incr attempts;
+      let v = Swisstm.Swisstm_engine.read_word t d a in
+      Swisstm.Swisstm_engine.write_word t d a (v + 1);
+      Swisstm.Swisstm_engine.atomic_closed d (fun d ->
+          Swisstm.Swisstm_engine.write_word t d b !attempts;
+          if !attempts = 1 then raise Stm_intf.Tx_signal.Retry));
+  let s = Kernel.Driver.snapshot t.core in
+  check Alcotest.int "attempts" 2 !attempts;
+  check Alcotest.int "killed aborts" 1 s.s_aborts_killed;
+  check Alcotest.int "aborts" 1 (Stm_intf.Stats.total_aborts s);
+  check Alcotest.int "commits" 1 s.s_commits;
+  check Alcotest.int "outer write applied once" 1 (Memory.Heap.read heap a);
+  check Alcotest.int "scope write from the second attempt" 2
+    (Memory.Heap.read heap b)
+
 let test_nesting_outside_tx_rejected () =
-  let d = Kernel.Txdesc.create ~tid:0 ~seed:0 in
+  let d = Kernel.Txdesc.create Kernel.Txdesc.absent.core ~tid:0 in
   Alcotest.(check bool) "rejected outside atomic" true
     (try
        ignore (Swisstm.Swisstm_engine.atomic_closed d (fun _ -> ()));
@@ -132,8 +155,8 @@ let test_mvstm_snapshot_serves_old_values () =
                   alloc = (fun n -> Memory.Heap.alloc heap n);
                   free = (fun a n -> Kernel.Txdesc.buffer_free d a n);
                 }));
-      stats = (fun () -> Kernel.Driver.snapshot t.descs);
-      reset_stats = (fun () -> Kernel.Driver.reset t.descs);
+      stats = (fun () -> Kernel.Driver.snapshot t.core);
+      reset_stats = (fun () -> Kernel.Driver.reset t.core);
     }
   in
   let bad = ref 0 in
@@ -336,6 +359,8 @@ let suite =
           test_nesting_undo_restores_redo_log;
         Alcotest.test_case "rejected outside tx" `Quick
           test_nesting_outside_tx_rejected;
+        Alcotest.test_case "body retry restarts the transaction" `Quick
+          test_nesting_retry_restarts_transaction;
       ] );
     ( "mvstm",
       [
