@@ -17,18 +17,28 @@ let backoff_wait info policy ~attempt =
   if cycles > 0 && !Obs.Metrics.on then Obs.Metrics.on_backoff info.obs ~cycles;
   Runtime.Backoff.wait_cycles cycles
 
-(* Defaults for the managers that neither throttle nor escalate. *)
-let no_pre_attempt _ ~escalated:_ = ()
-let no_quit _ = ()
+(* What most managers leave alone: no write or commit hook, no throttle,
+   no escalation, nothing to drop on quit.  Each manager overrides its
+   name, its conflict policy and its back-off. *)
+let default =
+  {
+    name = "";
+    on_start = note_start;
+    on_write = (fun _ ~writes:_ -> ());
+    resolve = (fun ~attacker:_ ~victim:_ -> Abort_self);
+    on_rollback = note_rollback;
+    on_commit = (fun _ -> ());
+    pre_attempt = (fun _ ~escalated:_ -> ());
+    escalate_after = max_int;
+    on_quit = (fun _ -> ());
+  }
 
 (* --- Timid: always abort the attacker, optionally after a tiny random
    back-off (the TL2 / TinySTM default behaviour). --- *)
 let timid () =
   {
+    default with
     name = spec_name Timid;
-    on_start = (fun info ~restart -> note_start info ~restart);
-    on_write = (fun _ ~writes:_ -> ());
-    resolve = (fun ~attacker:_ ~victim:_ -> Abort_self);
     on_rollback =
       (fun info ->
         note_rollback info;
@@ -37,55 +47,25 @@ let timid () =
            thrashing (TL2/TinySTM ship comparable back-off escalation) *)
         backoff_wait info Runtime.Backoff.default_linear
           ~attempt:info.succ_aborts);
-    on_commit = (fun _ -> ());
-    pre_attempt = no_pre_attempt;
-    escalate_after = max_int;
-    on_quit = no_quit;
   }
 
 (* --- Greedy: a unique monotonically increasing timestamp at transaction
    start; kept across restarts; the lower (older) timestamp always wins.
    The shared [clock] increment on *every* transaction start is the cache
    hot spot the paper blames for Greedy's poor small-transaction
-   performance (Figure 10). --- *)
-let greedy () =
-  let clock = Runtime.Tmatomic.make 0 in
-  {
-    name = spec_name Greedy;
-    on_start =
-      (fun info ~restart ->
-        note_start info ~restart;
-        if not restart then info.cm_ts <- Runtime.Tmatomic.incr_get clock);
-    on_write = (fun _ ~writes:_ -> ());
-    resolve =
-      (fun ~attacker ~victim ->
-        if attacker.cm_ts < victim.cm_ts then begin
-          request_kill victim;
-          Killed_victim
-        end
-        else Abort_self);
-    on_rollback =
-      (fun info ->
-        note_rollback info;
-        backoff_wait info Runtime.Backoff.default_linear
-          ~attempt:(min info.succ_aborts 4));
-    on_commit = (fun _ -> ());
-    pre_attempt = no_pre_attempt;
-    escalate_after = max_int;
-    on_quit = no_quit;
-  }
-
-(* --- Serializer: Greedy re-timestamped on every restart; loses Greedy's
+   performance (Figure 10).  Serializer ([~restamp:true]) is Greedy
+   re-timestamped on every restart, which loses Greedy's
    starvation-freedom (paper §2.1). --- *)
-let serializer () =
+let greedy ~restamp () =
   let clock = Runtime.Tmatomic.make 0 in
   {
-    name = spec_name Serializer;
+    default with
+    name = spec_name (if restamp then Serializer else Greedy);
     on_start =
       (fun info ~restart ->
         note_start info ~restart;
-        info.cm_ts <- Runtime.Tmatomic.incr_get clock);
-    on_write = (fun _ ~writes:_ -> ());
+        if restamp || not restart then
+          info.cm_ts <- Runtime.Tmatomic.incr_get clock);
     resolve =
       (fun ~attacker ~victim ->
         if attacker.cm_ts < victim.cm_ts then begin
@@ -98,10 +78,6 @@ let serializer () =
         note_rollback info;
         backoff_wait info Runtime.Backoff.default_linear
           ~attempt:(min info.succ_aborts 4));
-    on_commit = (fun _ -> ());
-    pre_attempt = no_pre_attempt;
-    escalate_after = max_int;
-    on_quit = no_quit;
   }
 
 (* --- Polka: priority = number of locations accessed so far; on conflict
@@ -110,9 +86,8 @@ let serializer () =
    victim's priority, the victim is aborted. --- *)
 let polka () =
   {
+    default with
     name = spec_name Polka;
-    on_start = (fun info ~restart -> note_start info ~restart);
-    on_write = (fun _ ~writes:_ -> ());
     resolve =
       (fun ~attacker ~victim ->
         (* a migrated (stolen) task carries pre-paid transfer work *)
@@ -137,10 +112,6 @@ let polka () =
            breaks mutual-kill livelocks between equal-priority giants. *)
         backoff_wait info Runtime.Backoff.default_exponential
           ~attempt:info.succ_aborts);
-    on_commit = (fun _ -> ());
-    pre_attempt = no_pre_attempt;
-    escalate_after = max_int;
-    on_quit = no_quit;
   }
 
 (* --- Karma (Scherer & Scott, CSJP'04): like Polka but the priority is
@@ -148,6 +119,7 @@ let polka () =
    transaction that keeps losing gains enough karma to win eventually. --- *)
 let karma () =
   {
+    default with
     name = spec_name Karma;
     on_start =
       (fun info ~restart ->
@@ -155,7 +127,6 @@ let karma () =
         if restart then info.karma <- info.karma + info.accesses
         else info.karma <- 0;
         note_start info ~restart);
-    on_write = (fun _ ~writes:_ -> ());
     resolve =
       (fun ~attacker ~victim ->
         let prio i =
@@ -177,23 +148,17 @@ let karma () =
         backoff_wait info Runtime.Backoff.default_exponential
           ~attempt:info.succ_aborts);
     on_commit = (fun info -> info.karma <- 0);
-    pre_attempt = no_pre_attempt;
-    escalate_after = max_int;
-    on_quit = no_quit;
   }
 
 (* --- Timestamp (Scherer & Scott): the older transaction wins, but the
-   attacker grants the victim a bounded grace period first. --- *)
+   attacker grants the victim a bounded grace period first.  Its
+   timestamps are Greedy's: drawn at first start, kept across
+   restarts. --- *)
 let timestamp () =
-  let clock = Runtime.Tmatomic.make 0 in
   let grace = 8 in
   {
+    (greedy ~restamp:false ()) with
     name = spec_name Timestamp;
-    on_start =
-      (fun info ~restart ->
-        note_start info ~restart;
-        if not restart then info.cm_ts <- Runtime.Tmatomic.incr_get clock);
-    on_write = (fun _ ~writes:_ -> ());
     resolve =
       (fun ~attacker ~victim ->
         if attacker.cm_ts >= victim.cm_ts then Abort_self
@@ -212,10 +177,6 @@ let timestamp () =
         note_rollback info;
         backoff_wait info Runtime.Backoff.default_linear
           ~attempt:(min info.succ_aborts 6));
-    on_commit = (fun _ -> ());
-    pre_attempt = no_pre_attempt;
-    escalate_after = max_int;
-    on_quit = no_quit;
   }
 
 (* --- The paper's two-phase manager (Algorithm 2).
@@ -230,6 +191,7 @@ let timestamp () =
 let two_phase ~wn ~backoff () =
   let clock = Runtime.Tmatomic.make 0 in
   {
+    default with
     name = spec_name (Two_phase { wn; backoff });
     on_start =
       (fun info ~restart ->
@@ -255,10 +217,6 @@ let two_phase ~wn ~backoff () =
         if backoff then
           backoff_wait info Runtime.Backoff.default_linear
             ~attempt:info.succ_aborts);
-    on_commit = (fun _ -> ());
-    pre_attempt = no_pre_attempt;
-    escalate_after = max_int;
-    on_quit = no_quit;
   }
 
 (* --- Adaptive: two-phase conflict resolution plus contention throttling
@@ -283,7 +241,6 @@ let two_phase ~wn ~backoff () =
    deadlock against a throttled thread parked at the engine's start gate
    waiting for the irrevocability token. *)
 let adaptive ~wn ~threshold ~escalate_after () =
-  let clock = Runtime.Tmatomic.make 0 in
   let throttle = Runtime.Tmatomic.make 0 in
   (* 0 = free, tid + 1 = throttled offender *)
   let holds info = Runtime.Tmatomic.unsafe_get throttle = info.tid + 1 in
@@ -303,18 +260,10 @@ let adaptive ~wn ~threshold ~escalate_after () =
       go ()
     end
   in
+  (* two-phase's start and phase shift, on a clock of its own *)
   {
+    (two_phase ~wn ~backoff:true ()) with
     name = spec_name (Adaptive { wn; threshold; escalate_after });
-    on_start =
-      (fun info ~restart ->
-        note_start info ~restart;
-        if not restart then info.cm_ts <- max_int);
-    on_write =
-      (fun info ~writes ->
-        if info.cm_ts = max_int && writes = wn then begin
-          info.cm_ts <- Runtime.Tmatomic.incr_get clock;
-          if !Obs.Metrics.on then Obs.Metrics.on_cm_phase_shift info.obs
-        end);
     resolve =
       (fun ~attacker ~victim ->
         if victim.cm_ts = 0 then Abort_self
@@ -375,8 +324,8 @@ let make spec =
   instrument
     (match spec with
     | Timid -> timid ()
-    | Greedy -> greedy ()
-    | Serializer -> serializer ()
+    | Greedy -> greedy ~restamp:false ()
+    | Serializer -> greedy ~restamp:true ()
     | Polka -> polka ()
     | Karma -> karma ()
     | Timestamp -> timestamp ()
