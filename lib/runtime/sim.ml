@@ -43,8 +43,6 @@ type policy =
   | Random of { seed : int; window : int; quantum : int }
   | Pct of { seed : int; depth : int; horizon : int }
 
-let default_policy = Earliest_first
-
 let random_policy ?(window = 5_000) ?(quantum = 2_000) seed =
   Random { seed; window; quantum }
 

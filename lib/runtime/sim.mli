@@ -31,9 +31,6 @@ type policy =
           abort-retry duel that never blocks) — are demoted so lock
           owners run. *)
 
-val default_policy : policy
-(** {!Earliest_first}. *)
-
 val random_policy : ?window:int -> ?quantum:int -> int -> policy
 (** [random_policy seed] with defaults window = 5000, quantum = 2000. *)
 

@@ -52,31 +52,10 @@ type event =
       time : int;
     }
 
-let event_tid = function
-  | Begin { tid; _ }
-  | Read { tid; _ }
-  | Write { tid; _ }
-  | Commit { tid; _ }
-  | Abort { tid; _ }
-  | CmDecision { tid; _ } -> tid
-
 let cm_decision_label = function
   | Cm_abort_self -> "abort-self"
   | Cm_wait -> "wait"
   | Cm_kill -> "kill"
-
-let pp_event ppf = function
-  | Begin { tid; time } -> Format.fprintf ppf "B(t%d@%d)" tid time
-  | Read { tid; addr; value; time } ->
-      Format.fprintf ppf "R(t%d,%d=%d@%d)" tid addr value time
-  | Write { tid; addr; value; time } ->
-      Format.fprintf ppf "W(t%d,%d:=%d@%d)" tid addr value time
-  | Commit { tid; time } -> Format.fprintf ppf "C(t%d@%d)" tid time
-  | Abort { tid; reason; time } ->
-      Format.fprintf ppf "A(t%d,%s@%d)" tid (Tx_signal.reason_label reason) time
-  | CmDecision { tid; victim; decision; time } ->
-      Format.fprintf ppf "CM(t%d->t%d,%s@%d)" tid victim
-        (cm_decision_label decision) time
 
 (* The flag is dereferenced directly by engine call sites:
      if !Trace.enabled then Trace.on_read ~tid ~addr ~value

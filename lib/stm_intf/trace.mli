@@ -23,8 +23,6 @@ type event =
       time : int;
     }
 
-val event_tid : event -> int
-val pp_event : Format.formatter -> event -> unit
 val cm_decision_label : cm_decision -> string
 
 val enabled : bool ref

@@ -297,10 +297,6 @@ let update_dates model ~tid tx rng =
       work 2);
   !count
 
-(** T4: count occurrences of a byte in a document (short read-only). *)
-let count_in_document model tx rng =
-  scan_document model tx rng
-
 (** T5: replace a document's whole text (medium update). *)
 let replace_document model tx rng =
   let cid = 1 + Runtime.Rng.int rng model.params.num_composites in

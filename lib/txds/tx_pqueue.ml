@@ -337,5 +337,3 @@ let to_sorted_list_quiescent t heap =
     acc := go (Memory.Heap.read heap (t.subs + s)) !acc
   done;
   List.sort compare !acc
-
-let size_quiescent t heap = List.length (to_sorted_list_quiescent t heap)
