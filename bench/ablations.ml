@@ -136,7 +136,7 @@ let run_cms () =
   Printf.printf "%-12s %18s %18s\n" "manager" "sb7-rw [ktx/s]" "rbtree [Mtx/s]";
   List.iter
     (fun (name, cm) ->
-      let spec = Engines.swisstm_with ~cm () in
+      let spec = Engines.with_cm cm Engines.swisstm in
       let sb7 =
         ktps
           (Stmbench7.Sb7_bench.run ~spec ~workload:Stmbench7.Sb7_bench.Read_write
@@ -152,32 +152,25 @@ let run_cms () =
 
 (* --- composed kernel design points ------------------------------------ *)
 
-(* `bench ablations --list`: the full design-point registry, one row per
-   named engine the testbed can run, located in kernel axis space. *)
+(* `bench ablations --list`: the engine catalogue, one row per named
+   engine the testbed can run, located in kernel axis space. *)
 let list () =
-  section "Kernel design-point registry (lib/kernel/registry.ml)";
+  section "Kernel design-point catalogue (lib/engines/engines.ml)";
   Printf.printf "%-26s %-9s %-13s %-30s %s\n" "name" "kind" "contract" "axes"
     "summary";
   List.iter
-    (fun (e : Kernel.Registry.entry) ->
+    (fun (name, summary) ->
+      let spec = Option.get (Engines.of_string name) in
       let kind =
-        match e.kind with
-        | Kernel.Registry.Classic _ -> "classic"
-        | Kernel.Registry.Composed -> "composed"
-      in
-      let contract =
-        match Kernel.Registry.contract e with
-        | Kernel.Axes.Opaque -> "opaque"
-        | Kernel.Axes.Serializable -> "serializable"
+        if List.mem name Engines.kernel_names then "composed" else "classic"
       in
       let axes =
-        match e.point with
-        | Some p -> Kernel.Axes.point_name p
-        | None -> "-"
+        Option.fold ~none:"-" ~some:Kernel.Axes.point_name (Engines.point spec)
       in
-      Printf.printf "%-26s %-9s %-13s %-30s %s\n" e.name kind contract axes
-        e.summary)
-    Kernel.Registry.entries
+      Printf.printf "%-26s %-9s %-13s %-30s %s\n" name kind
+        (Kernel.Axes.contract_name (Engines.contract spec))
+        axes summary)
+    Engines.catalogue
 
 (* Red-black-tree throughput across every composed point next to the
    classic engine sharing its acquisition axis, so a new combination's

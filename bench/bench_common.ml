@@ -77,4 +77,4 @@ let swisstm = Engines.swisstm
 let tl2 = Engines.tl2
 let tinystm = Engines.tinystm
 let rstm_polka = Engines.rstm
-let rstm_serializer = Engines.rstm_with ~cm:Cm.Cm_intf.Serializer ()
+let rstm_serializer = Engines.with_cm Cm.Cm_intf.Serializer Engines.rstm

@@ -36,10 +36,11 @@ let tbl1_combos =
   [
     ("lazy    invisible any (TL2)", tl2);
     ("eager   visible   any (RSTM-vis)",
-      Engines.rstm_with ~visibility:Rstm.Rstm_engine.Visible ~cm:Cm.Cm_intf.Serializer ());
+      Engines.with_cm Cm.Cm_intf.Serializer
+        (Engines.rstm_with ~visibility:Rstm.Rstm_engine.Visible ()));
     ("eager   invisible Polka (RSTM)", rstm_polka);
     ("eager   invisible timid (TinySTM)", tinystm);
-    ("mixed   invisible timid (SwissTM-)", Engines.swisstm_with ~cm:Cm.Cm_intf.Timid ());
+    ("mixed   invisible timid (SwissTM-)", Engines.with_cm Cm.Cm_intf.Timid swisstm);
     ("mixed   invisible 2-phase (SwissTM)", swisstm);
   ]
 
@@ -175,7 +176,9 @@ let fig6 () =
 (* Figure 7: the eager schemes outperform the lazy ones; both RSTM
    variants sit between TinySTM and TL2. *)
 let fig7 () =
-  let rstm acquire = Engines.rstm_with ~acquire ~cm:Cm.Cm_intf.Serializer () in
+  let rstm acquire =
+    Engines.with_cm Cm.Cm_intf.Serializer (Engines.rstm_with ~acquire ())
+  in
   grid
     [
       ("TinySTM (eager)", tinystm);
@@ -209,8 +212,8 @@ let fig8 () =
 let fig9 () =
   grid
     [
-      ("RSTM Greedy", Engines.rstm_with ~cm:Cm.Cm_intf.Greedy ());
-      ("RSTM Polka", Engines.rstm_with ~cm:Cm.Cm_intf.Polka ());
+      ("RSTM Greedy", Engines.with_cm Cm.Cm_intf.Greedy Engines.rstm);
+      ("RSTM Polka", Engines.with_cm Cm.Cm_intf.Polka Engines.rstm);
     ]
     (sb7 Sb7.Read_dominated)
     [ ("STMBench7 read-dominated", "10^3 tx/s", ktps) ]
@@ -220,7 +223,7 @@ let fig9 () =
    two-phase keeps short transactions off it and scales. *)
 let fig10 () =
   grid
-    [ ("Two-phase", swisstm); ("Greedy", Engines.swisstm_with ~cm:Cm.Cm_intf.Greedy ()) ]
+    [ ("Two-phase", swisstm); ("Greedy", Engines.with_cm Cm.Cm_intf.Greedy swisstm) ]
     rbtree [ (rbtree_title, "10^6 tx/s", mtps) ]
 
 (* Figure 11: restarting immediately after a rollback collapses
@@ -230,7 +233,8 @@ let fig11 () =
   grid
     [
       ( "No backoff",
-        Engines.swisstm_with ~cm:(Cm.Cm_intf.Two_phase { wn = 10; backoff = false }) () );
+        Engines.with_cm (Cm.Cm_intf.Two_phase { wn = 10; backoff = false }) swisstm
+      );
       ("Linear backoff", swisstm);
     ]
     (fun spec t -> fst (Stamp.Intruder.run ~spec ~threads:t ()))
@@ -241,7 +245,7 @@ let fig11 () =
    transactions are rare: the doubled window keeps cell noise below the
    measured effect. *)
 let fig12 () =
-  let timid = Engines.swisstm_with ~cm:Cm.Cm_intf.Timid () in
+  let timid = Engines.with_cm Cm.Cm_intf.Timid swisstm in
   grid
     (List.map (fun w -> (Sb7.workload_name w, w)) sb7_mixes)
     (fun w t ->

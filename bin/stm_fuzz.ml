@@ -67,15 +67,10 @@ let fuzz_engine ?stop_after ~name spec =
       ~make_policy:(make_policy_of_family !policy_arg)
       ~seeds ~progs:!progs ~threads:!threads ~verbose:!verbose ?stop_after ()
   in
-  let level =
-    match Engines.contract spec with
-    | Engines.Opaque -> "opacity"
-    | Engines.Serializable -> "serializability"
-  in
   Printf.printf "%-16s %4d runs, %d undecided, %d violation(s)  [%s]\n%!"
     name st.runs st.undecided
     (List.length st.failures)
-    level;
+    (Kernel.Axes.contract_name (Engines.contract spec));
   List.iter (Check.Fuzz.pp_failure stdout) st.failures;
   st
 

@@ -4,7 +4,7 @@
 
 type check_result = Pass | Undecided of string | Fail of string
 
-let check_outcome ?(level = `Opacity) (o : Program.outcome) : check_result =
+let check_outcome ?(level = Kernel.Axes.Opaque) (o : Program.outcome) : check_result =
   if o.timed_out then Undecided "simulation timeout"
   else
     match
@@ -15,21 +15,16 @@ let check_outcome ?(level = `Opacity) (o : Program.outcome) : check_result =
     | Gave_up m -> Undecided m
     | Violation m -> Fail m
 
-(* Each engine is held to exactly what it promises: invisible-read RSTM
-   only guarantees that committed transactions serialize. *)
-let level_of_spec spec =
-  match Engines.contract spec with
-  | Engines.Opaque -> `Opacity
-  | Engines.Serializable -> `Serializability
-
 (* An armed injector restarts its fault streams from its seed at every
    run, so a run, each shrink step and each replay of a triple face the
-   same faults whatever ran before them. *)
+   same faults whatever ran before them.  Each engine is held to exactly
+   what it promises: invisible-read RSTM only guarantees that committed
+   transactions serialize. *)
 let run_once ~spec ~policy p =
   Option.iter
     (fun (seed, profile) -> Runtime.Inject.arm ~seed profile)
     (Runtime.Inject.armed ());
-  check_outcome ~level:(level_of_spec spec) (Program.run ~spec ~policy p)
+  check_outcome ~level:(Engines.contract spec) (Program.run ~spec ~policy p)
 
 (* ---------- policy specs (replayable strings) ---------- *)
 

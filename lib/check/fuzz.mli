@@ -4,14 +4,11 @@
 type check_result = Pass | Undecided of string | Fail of string
 
 val check_outcome :
-  ?level:[ `Opacity | `Serializability ] -> Program.outcome -> check_result
-
-val level_of_spec : Engines.spec -> [ `Opacity | `Serializability ]
-(** From {!Engines.contract}: what the engine actually promises. *)
+  ?level:Kernel.Axes.contract -> Program.outcome -> check_result
 
 val run_once :
   spec:Engines.spec -> policy:Runtime.Sim.policy -> Program.t -> check_result
-(** Run and check at the engine's own contract level.  An armed
+(** Run and check at the engine's own contract ({!Engines.contract}).  An armed
     [Runtime.Inject] is re-armed from its seed first, so every run of a
     triple faces the same faults. *)
 

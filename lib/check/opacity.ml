@@ -119,7 +119,7 @@ let find_witness ~budget ~init ~final ~leaf_ok (views : History.view array)
     if go 0 then Some (Array.to_list order_buf) else None
   end
 
-let check ?(budget = 200_000) ?(level = `Opacity)
+let check ?(budget = 200_000) ?(level = Kernel.Axes.Opaque)
     ~(events : Stm_intf.Trace.event array) ~(scope_aborts : int)
     ~(init : (int * int) list) ~(final : (int * int) list) () : verdict =
   if scope_aborts > 0 then
@@ -135,8 +135,8 @@ let check ?(budget = 200_000) ?(level = `Opacity)
              unconstrained: drop them before any view checking. *)
           let all =
             match level with
-            | `Opacity -> all
-            | `Serializability ->
+            | Kernel.Axes.Opaque -> all
+            | Serializable ->
                 List.filter
                   (fun (a : History.attempt) -> a.outcome = Committed)
                   all

@@ -11,7 +11,7 @@ type verdict =
 
 val check :
   ?budget:int ->
-  ?level:[ `Opacity | `Serializability ] ->
+  ?level:Kernel.Axes.contract ->
   events:Stm_intf.Trace.event array ->
   scope_aborts:int ->
   init:(int * int) list ->
@@ -23,6 +23,6 @@ val check :
     tracked address (unlisted addresses default to 0); [final] is the heap
     actually observed after the run and must be matched by the witness.
     [budget] caps backtracking nodes in the witness search (default 200k).
-    [level] defaults to [`Opacity]; at [`Serializability] aborted attempts
+    [level] defaults to [Opaque]; at [Serializable] aborted attempts
     are unconstrained (the contract of invisible-read RSTM) and only the
     committed transactions must serialize. *)

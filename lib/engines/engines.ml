@@ -1,11 +1,13 @@
-(* Registry: build any engine from a declarative spec.
+(* The engine catalogue: build any engine from a declarative spec, and
+   place it in the design space of [Kernel.Axes].
 
    Benchmarks and the CLI manipulate [spec] values; [make] instantiates a
    fresh engine over a heap.  Every experiment in the paper is a choice of
    (benchmark, spec list, thread counts).  The paper sweeps the contention
    manager and the stripe granularity across all engines alike (§5), so
    those knobs sit on the spec itself; a family carries only what is its
-   own. *)
+   own.  A spec's axis point ([point]) is written here once, and its
+   contract is derived from it. *)
 
 type family =
   | Swisstm of { privatization_safe : bool; debug_no_validation : bool }
@@ -55,9 +57,8 @@ let tinystm = of_family Tinystm
 (* RSTM as configured in the paper (§4): eager conflict detection,
    invisible reads + commit-counter heuristic, Polka. *)
 let rstm_with ?(acquire = Rstm.Rstm_engine.Eager)
-    ?(visibility = Rstm.Rstm_engine.Invisible) ?cm () =
-  let s = of_family (Rstm { acquire; visibility }) in
-  match cm with Some cm -> { s with cm } | None -> s
+    ?(visibility = Rstm.Rstm_engine.Invisible) () =
+  of_family (Rstm { acquire; visibility })
 
 let rstm = rstm_with ()
 
@@ -79,11 +80,6 @@ let swisstm_priv_safe =
    from [known_names] so no benchmark picks it up by accident. *)
 let swisstm_broken =
   of_family (Swisstm { privatization_safe = false; debug_no_validation = true })
-
-let swisstm_with ?(cm = swisstm.cm)
-    ?(granularity_words = swisstm.granularity_words)
-    ?(table_bits = swisstm.table_bits) () =
-  { swisstm with cm; granularity_words; table_bits }
 
 (* Adaptive contention control on every engine family.  For TL2, TinySTM
    and MVSTM the manager only owns rollback back-off, the throttle and the
@@ -122,30 +118,37 @@ let name s =
   | Tlrw -> Kernel.Tlrw.name ^ cm
   | Kernel p -> Kernel.Compose.name_of_point p ^ cm
 
-(* What each engine promises about the reads of *aborted* transactions.
-   Timestamp-validated engines (SwissTM, TL2, TinySTM), multi-version
-   reads, visible readers and the global lock give every attempt a
-   consistent snapshot (opacity).  RSTM's invisible-read mode only
-   validates lazily — a read of an own eagerly-acquired stripe skips the
-   commit-counter heuristic entirely — so doomed transactions can observe
-   inconsistent state before commit-time validation aborts them; it
-   promises serializability of committed transactions only.  The checker
-   holds each engine to exactly its contract. *)
-type contract = Opaque | Serializable
-
-let contract s =
+(* Where the spec sits in axis space (DESIGN.md §10's table).  RSTM's
+   own acquisition and visibility map onto the axes and it always
+   validates by the commit counter; NOrec is the metadata-free corner
+   (one global sequence lock, value-based revalidation); TLRW's readers
+   are lock-protected, so no validation runs and its coordinate is the
+   vacuous [Commit_time].  The global lock sits outside the space. *)
+let point s =
+  let open Kernel.Axes in
+  let at acquisition visibility validation versioning =
+    Some { acquisition; visibility; validation; versioning }
+  in
   match s.family with
-  | Rstm { visibility = Rstm.Rstm_engine.Invisible; _ } -> Serializable
-  (* Both PR-7 engines are opaque (the wildcard would already say so;
-     spelled out because it is their contract's load-bearing claim):
-     norec admits a read only while the whole value journal is proven
-     consistent with one snapshot; tlrw reads are lock-protected. *)
-  | Norec | Tlrw -> Opaque
-  | Kernel p -> (
-      match Kernel.Axes.contract_of p with
-      | Kernel.Axes.Opaque -> Opaque
-      | Kernel.Axes.Serializable -> Serializable)
-  | _ -> Opaque
+  | Swisstm _ -> at Mixed Invisible Incremental Redo
+  | Tl2 -> at Lazy Invisible Commit_time Redo
+  | Tinystm -> at Eager Invisible Incremental Redo
+  | Rstm { acquire; visibility } ->
+      at
+        (match acquire with Rstm.Rstm_engine.Eager -> Eager | Lazy -> Lazy)
+        (match visibility with
+        | Rstm.Rstm_engine.Visible -> Visible
+        | Invisible -> Invisible)
+        Counter Redo
+  | Mvstm _ -> at Lazy Invisible Commit_time Multi
+  | Glock -> None
+  | Norec -> at Seqlock Invisible Value Redo
+  | Tlrw -> at Bytelock Visible Commit_time Redo
+  | Kernel p -> Some p
+
+(* The global lock runs one transaction at a time: trivially opaque. *)
+let contract s =
+  Option.fold ~none:Kernel.Axes.Opaque ~some:Kernel.Axes.contract_of (point s)
 
 let make s heap : Stm_intf.Engine.t =
   let { cm; granularity_words; table_bits; _ } = s in
@@ -168,15 +171,6 @@ let make s heap : Stm_intf.Engine.t =
   | Kernel p ->
       Kernel.Compose.engine ~cm ~granularity_words ~table_bits p heap
 
-(* Composed design points resolve through the kernel registry, so a name
-   like "k-eager-visible" is runnable everywhere a classic name is. *)
-let of_registry name =
-  match Kernel.Registry.find name with
-  | Some { Kernel.Registry.kind = Kernel.Registry.Composed; point = Some p; _ }
-    ->
-      Some (of_family (Kernel p))
-  | _ -> None
-
 let adaptive = with_cm Cm.Cm_intf.default_adaptive
 
 (* Every classic engine by name, in listing order ([swisstm_broken]
@@ -189,12 +183,12 @@ let named =
     ("rstm", rstm);
     ("rstm-lazy", rstm_with ~acquire:Rstm.Rstm_engine.Lazy ());
     ("rstm-visible", rstm_with ~visibility:Rstm.Rstm_engine.Visible ());
-    ("rstm-serializer", rstm_with ~cm:Cm.Cm_intf.Serializer ());
-    ("rstm-greedy", rstm_with ~cm:Cm.Cm_intf.Greedy ());
-    ("rstm-karma", rstm_with ~cm:Cm.Cm_intf.Karma ());
-    ("rstm-timestamp", rstm_with ~cm:Cm.Cm_intf.Timestamp ());
-    ("swisstm-timid", swisstm_with ~cm:Cm.Cm_intf.Timid ());
-    ("swisstm-greedy", swisstm_with ~cm:Cm.Cm_intf.Greedy ());
+    ("rstm-serializer", with_cm Cm.Cm_intf.Serializer rstm);
+    ("rstm-greedy", with_cm Cm.Cm_intf.Greedy rstm);
+    ("rstm-karma", with_cm Cm.Cm_intf.Karma rstm);
+    ("rstm-timestamp", with_cm Cm.Cm_intf.Timestamp rstm);
+    ("swisstm-timid", with_cm Cm.Cm_intf.Timid swisstm);
+    ("swisstm-greedy", with_cm Cm.Cm_intf.Greedy swisstm);
     ("swisstm-priv", swisstm_priv_safe);
     ("mvstm", mvstm);
     ("swisstm-adaptive", adaptive swisstm);
@@ -209,15 +203,56 @@ let named =
     ("tlrw-adaptive", adaptive tlrw);
   ]
 
+(* The composed design points: axis combinations that none of the
+   dedicated engines implements, run by [Kernel.Compose] under their
+   ["k-<axes>"] names, each with its summary. *)
+let composed =
+  let k acquisition visibility validation =
+    Kernel.Axes.{ acquisition; visibility; validation; versioning = Redo }
+  in
+  Kernel.Axes.
+    [
+      ( k Eager Invisible Commit_time,
+        "TinySTM's locking under TL2's validation: eager w/w, no extension" );
+      ( k Lazy Invisible Incremental,
+        "TL2's locking with SwissTM's timestamp extension" );
+      ( k Mixed Invisible Commit_time,
+        "SwissTM's two-lock split without extension" );
+      ( k Eager Visible Commit_time,
+        "eager locking with visible readers: no validation, drain on write" );
+      ( k Mixed Invisible Counter,
+        "SwissTM's locking under RSTM's commit-counter heuristic" );
+      ( k Mixed Invisible Incremental,
+        "SwissTM's own point on the composed kernel engine" );
+    ]
+
+let composed_named =
+  List.map
+    (fun (p, _) -> (Kernel.Compose.name_of_point p, of_family (Kernel p)))
+    composed
+
 let of_string name =
-  match List.assoc_opt name (("swisstm-broken", swisstm_broken) :: named) with
-  | Some _ as s -> s
-  | None -> of_registry name
+  List.assoc_opt name
+    (("swisstm-broken", swisstm_broken) :: named @ composed_named)
 
-let kernel_names =
-  List.filter_map
-    (fun (e : Kernel.Registry.entry) ->
-      match e.kind with Kernel.Registry.Composed -> Some e.name | _ -> None)
-    Kernel.Registry.entries
-
+let kernel_names = List.map fst composed_named
 let known_names = List.map fst named @ kernel_names
+
+(* The engines of the paper's comparison (§5), the global-lock control,
+   the metadata-free corner and its blocking dual, then the composed
+   points: `bench ablations --list`'s rows. *)
+let catalogue =
+  [
+    ("swisstm", "the paper's design: mixed acquisition, incremental validation");
+    ("tl2", "lazy acquisition, commit-time validation, no extension");
+    ("tinystm", "eager acquisition, incremental (LSA) validation");
+    ("rstm", "eager acquisition, commit-counter heuristic validation");
+    ("mvstm", "lazy acquisition, multi-versioned reads (classic engine only)");
+    ("glock", "single global lock, no speculation (control)");
+    ( "norec",
+      "metadata-free: one global sequence lock, value-based revalidation" );
+    ( "tlrw",
+      "read-write bytelocks: blocking visible reads, no clock, no validation" );
+  ]
+  @ List.map (fun (p, summary) -> (Kernel.Compose.name_of_point p, summary))
+      composed

@@ -1,4 +1,5 @@
-(** Engine registry: build any STM engine from a declarative spec.
+(** The engine catalogue: build any STM engine from a declarative spec,
+    and place it in the design space of {!Kernel.Axes}.
 
     Every experiment in the paper is a choice of
     (benchmark, spec list, thread counts). *)
@@ -19,9 +20,9 @@ type family =
   | Norec
   | Tlrw
   | Kernel of Kernel.Axes.point
-      (** A composed design point from {!Kernel.Registry}: an axis
-          combination (acquisition × visibility × validation) that none of
-          the dedicated engines implements, run by {!Kernel.Compose}. *)
+      (** A composed design point: an axis combination (acquisition ×
+          visibility × validation) that none of the dedicated engines
+          implements, run by {!Kernel.Compose}. *)
 
 type spec = {
   family : family;
@@ -84,14 +85,6 @@ val swisstm_broken : spec
 val rstm_with :
   ?acquire:Rstm.Rstm_engine.acquire ->
   ?visibility:Rstm.Rstm_engine.visibility ->
-  ?cm:Cm.Cm_intf.spec ->
-  unit ->
-  spec
-
-val swisstm_with :
-  ?cm:Cm.Cm_intf.spec ->
-  ?granularity_words:int ->
-  ?table_bits:int ->
   unit ->
   spec
 
@@ -105,15 +98,15 @@ val name : spec -> string
 
 val make : spec -> Memory.Heap.t -> Stm_intf.Engine.t
 
-type contract = Opaque | Serializable
+val point : spec -> Kernel.Axes.point option
+(** The spec's place in axis space; [None] for [Glock], which sits
+    outside it. *)
 
-val contract : spec -> contract
-(** What the engine guarantees about aborted transactions' reads:
-    [Opaque] engines give every attempt a consistent snapshot; RSTM's
-    invisible-read mode is [Serializable] — committed transactions
-    serialize, but doomed ones may observe inconsistent state before
-    validation aborts them (the motivating weakness for timestamp-based
-    designs). *)
+val contract : spec -> Kernel.Axes.contract
+(** {!Kernel.Axes.contract_of} the spec's {!point}; [Opaque] for [Glock].
+    RSTM's invisible-read mode is the one [Serializable] classic engine:
+    committed transactions serialize, but doomed ones may observe
+    inconsistent state before validation aborts them. *)
 
 val with_granularity : int -> spec -> spec
 (** [{ spec with granularity_words }] (Figure 13 / Table 2 sweeps). *)
@@ -124,10 +117,15 @@ val with_table_bits : int -> spec -> spec
     conflicts. *)
 
 val of_string : string -> spec option
-(** Resolves the classic names plus every composed point registered in
-    {!Kernel.Registry} (the ["k-..."] names). *)
+(** Resolves the classic names plus every composed point (the ["k-..."]
+    names). *)
 
 val kernel_names : string list
-(** Names of the composed (kernel-only) design points, in registry order. *)
+(** Names of the composed (kernel-only) design points, in listing order. *)
 
 val known_names : string list
+
+val catalogue : (string * string) list
+(** Each name [bench ablations --list] prints, with its one-line summary:
+    the paper's five engines, the global lock, NOrec, TLRW and the
+    composed points. *)

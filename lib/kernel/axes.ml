@@ -38,7 +38,8 @@
    The contention manager, stripe granularity and table size are not
    axes of a point: the paper sweeps them across every engine alike
    (§5, Figures 10–13), so they sit on the flat [Engines.spec] next to
-   the engine family, and every engine takes them the same way. *)
+   the engine family, and every engine takes them the same way.
+   [Engines.point] places every engine on these axes. *)
 
 type acquisition = Eager | Mixed | Lazy | Seqlock | Bytelock
 type visibility = Invisible | Visible
@@ -90,67 +91,4 @@ let contract_of p =
   | Invisible, Counter -> Serializable
   | _ -> Opaque
 
-(* The five classic engines, placed on the axes (DESIGN.md §10's table). *)
-let swisstm_point =
-  {
-    acquisition = Mixed;
-    visibility = Invisible;
-    validation = Incremental;
-    versioning = Redo;
-  }
-
-let tl2_point =
-  {
-    acquisition = Lazy;
-    visibility = Invisible;
-    validation = Commit_time;
-    versioning = Redo;
-  }
-
-let tinystm_point =
-  {
-    acquisition = Eager;
-    visibility = Invisible;
-    validation = Incremental;
-    versioning = Redo;
-  }
-
-let rstm_point =
-  {
-    acquisition = Eager;
-    visibility = Invisible;
-    validation = Counter;
-    versioning = Redo;
-  }
-
-let mvstm_point =
-  {
-    acquisition = Lazy;
-    visibility = Invisible;
-    validation = Commit_time;
-    versioning = Multi;
-  }
-
-(* The metadata-free corner (NOrec, PPoPP 2010): reads are invisible but
-   validated by value, and the only lock in the system is the global
-   sequence lock.  Opaque — every read is admitted only while the whole
-   value journal is consistent with one snapshot. *)
-let norec_point =
-  {
-    acquisition = Seqlock;
-    visibility = Invisible;
-    validation = Value;
-    versioning = Redo;
-  }
-
-(* TLRW-style read-write bytelocks: reads are visible (blocking reader
-   slots), writers drain them at encounter time, so no validation ever
-   runs — the validation coordinate is moot and recorded as
-   [Commit_time] (the vacuous policy for a lock-protected read set). *)
-let tlrw_point =
-  {
-    acquisition = Bytelock;
-    visibility = Visible;
-    validation = Commit_time;
-    versioning = Redo;
-  }
+let contract_name = function Opaque -> "opaque" | Serializable -> "serializable"

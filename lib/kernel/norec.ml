@@ -1,5 +1,5 @@
 (* NOrec (Dalessandro/Spear/Scott, PPoPP 2010): the metadata-free corner
-   of the design grid — [Axes.norec_point] = seqlock acquisition,
+   of the design grid — its point in [Axes] is seqlock acquisition,
    invisible reads, value validation, redo versioning.
 
    No per-stripe locks, no version clock: the only shared metadata is

@@ -1,4 +1,4 @@
-(* TLRW-style read-write bytelocks ([Axes.tlrw_point] = bytelock
+(* TLRW-style read-write bytelocks (its point in [Axes]: bytelock
    acquisition, visible reads, redo versioning): every stripe carries an
    owner word plus a reader bitmap sharing one modelled cache line — the
    simulator's stand-in for TLRW's byte-per-slot lock array.  Readers

@@ -8,19 +8,19 @@ let check = Alcotest.check
 let all_specs =
   [
     ("swisstm", Engines.swisstm);
-    ("swisstm-timid", Engines.swisstm_with ~cm:Cm.Cm_intf.Timid ());
-    ("swisstm-greedy", Engines.swisstm_with ~cm:Cm.Cm_intf.Greedy ());
-    ("swisstm-serializer", Engines.swisstm_with ~cm:Cm.Cm_intf.Serializer ());
-    ("swisstm-polka", Engines.swisstm_with ~cm:Cm.Cm_intf.Polka ());
+    ("swisstm-timid", Engines.with_cm Cm.Cm_intf.Timid Engines.swisstm);
+    ("swisstm-greedy", Engines.with_cm Cm.Cm_intf.Greedy Engines.swisstm);
+    ("swisstm-serializer", Engines.with_cm Cm.Cm_intf.Serializer Engines.swisstm);
+    ("swisstm-polka", Engines.with_cm Cm.Cm_intf.Polka Engines.swisstm);
     ("tl2", Engines.tl2);
     ("tinystm", Engines.tinystm);
     ("rstm-eager-inv", Engines.rstm);
     ("rstm-lazy-inv", Engines.rstm_with ~acquire:Rstm.Rstm_engine.Lazy ());
     ("rstm-eager-vis", Engines.rstm_with ~visibility:Rstm.Rstm_engine.Visible ());
-    ("rstm-greedy", Engines.rstm_with ~cm:Cm.Cm_intf.Greedy ());
-    ("rstm-serializer", Engines.rstm_with ~cm:Cm.Cm_intf.Serializer ());
-    ("rstm-karma", Engines.rstm_with ~cm:Cm.Cm_intf.Karma ());
-    ("rstm-timestamp", Engines.rstm_with ~cm:Cm.Cm_intf.Timestamp ());
+    ("rstm-greedy", Engines.with_cm Cm.Cm_intf.Greedy Engines.rstm);
+    ("rstm-serializer", Engines.with_cm Cm.Cm_intf.Serializer Engines.rstm);
+    ("rstm-karma", Engines.with_cm Cm.Cm_intf.Karma Engines.rstm);
+    ("rstm-timestamp", Engines.with_cm Cm.Cm_intf.Timestamp Engines.rstm);
     ("mvstm", Engines.mvstm);
     ("swisstm-priv", Engines.swisstm_priv_safe);
     ("norec", Engines.norec);
@@ -166,7 +166,7 @@ let policy_matrix =
 let sched_specs =
   [
     ("swisstm", Engines.swisstm);
-    ("swisstm-timid", Engines.swisstm_with ~cm:Cm.Cm_intf.Timid ());
+    ("swisstm-timid", Engines.with_cm Cm.Cm_intf.Timid Engines.swisstm);
     ("tl2", Engines.tl2);
     ("tinystm", Engines.tinystm);
     ("rstm-eager-inv", Engines.rstm);

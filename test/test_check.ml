@@ -73,7 +73,7 @@ let test_write_skew () =
   and final = [ (0, 1); (1, 1) ] in
   expect "write skew (opacity)" violation (verdict ~init ~final evs);
   expect "write skew (serializability)" violation
-    (verdict ~level:`Serializability ~init ~final evs)
+    (verdict ~level:Kernel.Axes.Serializable ~init ~final evs)
 
 let test_real_time_order_enforced () =
   (* T1 begins strictly after T0 committed x:=1 but read x = 0.  Without
@@ -111,7 +111,7 @@ let test_stale_read_then_abort () =
   and final = [ (0, 1) ] in
   expect "zombie read (opacity)" violation (verdict ~init ~final evs);
   expect "zombie read (serializability)" opaque
-    (verdict ~level:`Serializability ~init ~final evs)
+    (verdict ~level:Kernel.Axes.Serializable ~init ~final evs)
 
 let test_torn_abort_snapshot () =
   (* Writer atomically moves (x, y) from (0, 0) to (1, 1); the aborted

@@ -7,8 +7,8 @@ let check = Alcotest.check
 let all_specs =
   [
     ("swisstm", Engines.swisstm);
-    ("swisstm-timid", Engines.swisstm_with ~cm:Cm.Cm_intf.Timid ());
-    ("swisstm-greedy", Engines.swisstm_with ~cm:Cm.Cm_intf.Greedy ());
+    ("swisstm-timid", Engines.with_cm Cm.Cm_intf.Timid Engines.swisstm);
+    ("swisstm-greedy", Engines.with_cm Cm.Cm_intf.Greedy Engines.swisstm);
     ("tl2", Engines.tl2);
     ("tinystm", Engines.tinystm);
     ("rstm-eager-inv", Engines.rstm);
@@ -17,8 +17,8 @@ let all_specs =
     ( "rstm-lazy-vis",
       Engines.rstm_with ~acquire:Rstm.Rstm_engine.Lazy
         ~visibility:Rstm.Rstm_engine.Visible () );
-    ("rstm-greedy", Engines.rstm_with ~cm:Cm.Cm_intf.Greedy ());
-    ("rstm-serializer", Engines.rstm_with ~cm:Cm.Cm_intf.Serializer ());
+    ("rstm-greedy", Engines.with_cm Cm.Cm_intf.Greedy Engines.rstm);
+    ("rstm-serializer", Engines.with_cm Cm.Cm_intf.Serializer Engines.rstm);
     ("mvstm", Engines.mvstm);
     ("swisstm-priv", Engines.swisstm_priv_safe);
     ("swisstm-adaptive", Engines.with_cm Cm.Cm_intf.default_adaptive Engines.swisstm);

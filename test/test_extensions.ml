@@ -381,8 +381,8 @@ let suite =
         Alcotest.test_case "karma accumulates" `Quick test_karma_accumulates;
         Alcotest.test_case "timestamp grace" `Quick test_timestamp_grace_period;
         Alcotest.test_case "karma engine smoke" `Quick
-          (concurrency_smoke (Engines.rstm_with ~cm:Cm.Cm_intf.Karma ()));
+          (concurrency_smoke (Engines.with_cm Cm.Cm_intf.Karma Engines.rstm));
         Alcotest.test_case "timestamp engine smoke" `Quick
-          (concurrency_smoke (Engines.rstm_with ~cm:Cm.Cm_intf.Timestamp ()));
+          (concurrency_smoke (Engines.with_cm Cm.Cm_intf.Timestamp Engines.rstm));
       ] );
   ]

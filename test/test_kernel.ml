@@ -15,8 +15,8 @@
 
    Rows added later were captured on the parent of the change they guard
    (each says which).  The second half holds the composed design points
-   of [Kernel.Registry] to their contracts: each must run, commit all its
-   work, and survive the schedule fuzzer. *)
+   of the [Engines] catalogue to their contracts: each must run, commit
+   all its work, and survive the schedule fuzzer. *)
 
 let summary ~commits ~ww ~rw ~killed ~waits ~backoffs ~reads ~writes ~wasted
     ~elapsed =
@@ -174,25 +174,15 @@ let test_trace name expect () =
 (* --- composed design points -------------------------------------------- *)
 
 (* Every composed point must be resolvable by name, complete the snapshot
-   workload with all 480 commits, and carry the contract its axes imply. *)
+   workload with all 480 commits, and sit at the point its name spells. *)
 let test_composed_runs name () =
   let spec = spec_of name in
   let s = Check.Snapshot.stats_run spec in
   Alcotest.(check int) (name ^ " commits all its work") 480 s.commits;
-  let entry =
-    match Kernel.Registry.find name with
-    | Some e -> e
-    | None -> Alcotest.failf "%s missing from Kernel.Registry" name
-  in
-  let expect =
-    match Kernel.Registry.contract entry with
-    | Kernel.Axes.Opaque -> Engines.Opaque
-    | Kernel.Axes.Serializable -> Engines.Serializable
-  in
-  Alcotest.(check bool)
-    (name ^ " contract matches its axes")
-    true
-    (Engines.contract spec = expect)
+  Alcotest.(check (option string))
+    (name ^ " placed at its named point")
+    (Some name)
+    (Option.map Kernel.Compose.name_of_point (Engines.point spec))
 
 let test_composed_fuzz name () =
   let spec = spec_of name in
@@ -203,34 +193,100 @@ let test_composed_fuzz name () =
   in
   Alcotest.(check int) (name ^ " fuzz violations") 0 (List.length st.failures)
 
-let test_registry_coverage () =
-  (* At least 3 composed points beyond the classic five, every registry
+let test_catalogue_coverage () =
+  (* At least 3 composed points beyond the classic five, every listed
      name resolvable, every composed name advertised to the CLI tools. *)
-  let composed = Kernel.Registry.composed_entries in
+  let composed = Engines.kernel_names in
   Alcotest.(check bool) "at least 3 composed points" true
     (List.length composed >= 3);
   List.iter
-    (fun (e : Kernel.Registry.entry) ->
+    (fun (name, _) ->
       Alcotest.(check bool)
-        (e.name ^ " resolvable via Engines.of_string")
+        (name ^ " resolvable via Engines.of_string")
         true
-        (Engines.of_string e.name <> None))
-    Kernel.Registry.entries;
+        (Engines.of_string name <> None))
+    Engines.catalogue;
   List.iter
-    (fun (e : Kernel.Registry.entry) ->
+    (fun name ->
       Alcotest.(check bool)
-        (e.name ^ " in Engines.known_names")
+        (name ^ " in Engines.known_names")
         true
-        (List.mem e.name Engines.known_names))
+        (List.mem name Engines.known_names);
+      Alcotest.(check bool)
+        (name ^ " listed in the catalogue")
+        true
+        (List.mem_assoc name Engines.catalogue))
     composed;
   (* swisstm's own point is listed twice: the dedicated engine (with its
      quiescence slots and closed nesting) and its composed twin. *)
   Alcotest.(check bool)
     "composed twin at swisstm's point" true
     (List.exists
-       (fun (e : Kernel.Registry.entry) ->
-         e.point = Some Kernel.Axes.swisstm_point)
+       (fun name -> Engines.point (spec_of name) = Engines.point Engines.swisstm)
        composed)
+
+(* Every named engine's [Engines.contract] and every `bench ablations
+   --list` row's axes, captured on the tree before the points moved into
+   [Engines] and the contracts became derived from them (commit 7c16e1b).
+   The derivation must keep each one. *)
+let pinned_contracts =
+  Kernel.Axes.
+    [
+      ("swisstm", Opaque); ("tl2", Opaque); ("tinystm", Opaque);
+      ("rstm", Serializable); ("rstm-lazy", Serializable);
+      ("rstm-visible", Opaque); ("rstm-serializer", Serializable);
+      ("rstm-greedy", Serializable); ("rstm-karma", Serializable);
+      ("rstm-timestamp", Serializable); ("swisstm-timid", Opaque);
+      ("swisstm-greedy", Opaque); ("swisstm-priv", Opaque); ("mvstm", Opaque);
+      ("swisstm-adaptive", Opaque); ("tl2-adaptive", Opaque);
+      ("tinystm-adaptive", Opaque); ("rstm-adaptive", Serializable);
+      ("mvstm-adaptive", Opaque); ("glock", Opaque); ("norec", Opaque);
+      ("tlrw", Opaque); ("norec-adaptive", Opaque); ("tlrw-adaptive", Opaque);
+      ("k-eager+inv+commit+redo", Opaque); ("k-lazy+inv+incr+redo", Opaque);
+      ("k-mixed+inv+commit+redo", Opaque); ("k-eager+vis+commit+redo", Opaque);
+      ("k-mixed+inv+counter+redo", Serializable);
+      ("k-mixed+inv+incr+redo", Opaque); ("swisstm-broken", Opaque);
+    ]
+
+let pinned_axes =
+  [
+    ("swisstm", "mixed+inv+incr+redo");
+    ("tl2", "lazy+inv+commit+redo");
+    ("tinystm", "eager+inv+incr+redo");
+    ("rstm", "eager+inv+counter+redo");
+    ("mvstm", "lazy+inv+commit+multi");
+    ("glock", "-");
+    ("norec", "seqlock+inv+value+redo");
+    ("tlrw", "bytelock+vis+commit+redo");
+    ("k-eager+inv+commit+redo", "eager+inv+commit+redo");
+    ("k-lazy+inv+incr+redo", "lazy+inv+incr+redo");
+    ("k-mixed+inv+commit+redo", "mixed+inv+commit+redo");
+    ("k-eager+vis+commit+redo", "eager+vis+commit+redo");
+    ("k-mixed+inv+counter+redo", "mixed+inv+counter+redo");
+    ("k-mixed+inv+incr+redo", "mixed+inv+incr+redo");
+  ]
+
+let test_catalogue_pinned () =
+  Alcotest.(check (list string))
+    "every named engine pinned"
+    (Engines.known_names @ [ "swisstm-broken" ])
+    (List.map fst pinned_contracts);
+  List.iter
+    (fun (name, contract) ->
+      Alcotest.(check string)
+        (name ^ " contract")
+        (Kernel.Axes.contract_name contract)
+        (Kernel.Axes.contract_name (Engines.contract (spec_of name))))
+    pinned_contracts;
+  Alcotest.(check (list string))
+    "every listed row pinned" (List.map fst pinned_axes)
+    (List.map fst Engines.catalogue);
+  List.iter
+    (fun (name, axes) ->
+      Alcotest.(check string) (name ^ " axes") axes
+        (Option.fold ~none:"-" ~some:Kernel.Axes.point_name
+           (Engines.point (spec_of name))))
+    pinned_axes
 
 (* Axis combinations [Kernel.Compose] cannot run must fail by NAME —
    a named exception whose message says which point was refused and which
@@ -248,18 +304,17 @@ let test_unreachable_points () =
              (Engines.of_family (Engines.Kernel point))
              (Memory.Heap.create ~words:1024)))
   in
+  let point_of spec = Option.get (Engines.point spec) in
+  let tl2_point = point_of Engines.tl2 in
   check_refused "Multi versioning rejected"
-    { Kernel.Axes.tl2_point with Kernel.Axes.versioning = Kernel.Axes.Multi }
+    { tl2_point with Kernel.Axes.versioning = Kernel.Axes.Multi }
     "Multi versioning is the dedicated mvstm engine only";
-  check_refused "Seqlock acquisition rejected" Kernel.Axes.norec_point
+  check_refused "Seqlock acquisition rejected" (point_of Engines.norec)
     "the global sequence lock is the dedicated norec engine only";
-  check_refused "Bytelock acquisition rejected" Kernel.Axes.tlrw_point
+  check_refused "Bytelock acquisition rejected" (point_of Engines.tlrw)
     "read-write bytelocks are the dedicated tlrw engine only";
   check_refused "Value validation rejected"
-    {
-      Kernel.Axes.tl2_point with
-      Kernel.Axes.validation = Kernel.Axes.Value;
-    }
+    { tl2_point with Kernel.Axes.validation = Kernel.Axes.Value }
     "value-based validation needs the global sequence lock (norec only)"
 
 let suite =
@@ -283,8 +338,9 @@ let suite =
           ])
         Engines.kernel_names
       @ [
-          Alcotest.test_case "registry coverage" `Quick
-            test_registry_coverage;
+          Alcotest.test_case "catalogue coverage" `Quick
+            test_catalogue_coverage;
+          Alcotest.test_case "catalogue pinned" `Quick test_catalogue_pinned;
           Alcotest.test_case "unreachable points rejected" `Quick
             test_unreachable_points;
         ] );
