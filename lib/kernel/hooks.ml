@@ -1,7 +1,7 @@
 (* Every Trace/Metrics/Profile/Inject call-site the engines share, plus
    the common begin/commit/abort bookkeeping sequences, in one place.
    Every helper takes the running transaction's descriptor and reads the
-   engine's manager, token and metrics id from its core ([d.core]).
+   engine's manager, token and metrics bundle from its core ([d.core]).
 
    The helpers are written so that an engine built on them charges the
    exact same simulated cycles in the exact same order as the hand-rolled
@@ -63,7 +63,7 @@ let[@inline] kill_due (d : Txdesc.t) =
 (* --- stripe conflicts ------------------------------------------------- *)
 
 let[@inline] stripe_conflict (d : Txdesc.t) ~stripe =
-  if !Obs.Metrics.on then Obs.Metrics.on_stripe_conflict ~eid:d.core.eid ~stripe
+  if !Obs.Metrics.on then Obs.Metrics.on_stripe_conflict d.core.metrics ~stripe
 
 (* --- contention-manager bridging -------------------------------------- *)
 
@@ -90,7 +90,7 @@ let tx_begin (d : Txdesc.t) =
   if !Trace.enabled then Trace.on_begin ~tid:d.tid;
   phase_commit d.tid;
   d.start_cycles <- Runtime.Exec.now ();
-  if !Obs.Metrics.on then Obs.Metrics.on_tx_begin d.info.obs ~eid:d.core.eid;
+  if !Obs.Metrics.on then Obs.Metrics.on_tx_begin d.info.obs d.core.metrics;
   Runtime.Exec.tick (Runtime.Costs.get ()).tx_begin;
   Txdesc.clear_logs d;
   (* Publish as the thread's current transaction so abstract-lock

@@ -7,7 +7,7 @@
    the fast path.  Field roles by engine:
 
    - [core]: the engine instance's kernel state — its label, manager,
-     irrevocability token, metrics id and descriptor table — built once
+     irrevocability token, metrics bundle and descriptor table — built once
      per instance by [core], so [Hooks], [Readers] and [Driver] take the
      running transaction alone, and two engines share none of it.
    - [valid_ts]: SwissTM/TinySTM validation timestamp; TL2/MVSTM read
@@ -29,9 +29,8 @@
      and an irrevocable transaction's [Driver.drain] waits for it to clear.
 
    A descriptor belongs to one core and one thread: [get] builds it with
-   [create] when that thread runs its first transaction, and it is never
-   reset or shared afterwards, so [create] alone defines the initial
-   state. *)
+   [create] on that thread's first transaction, and it is never reset or
+   shared afterwards, so [create] alone defines the initial state. *)
 
 type savepoint = { sp_read_len : int; sp_acq_len : int }
 
@@ -74,7 +73,7 @@ and core = {
       (** irrevocability token: held by a transaction escalated after
           [cm.escalate_after] consecutive aborts (or [atomic_irrevocable]);
           everyone else defers at the start and commit gates *)
-  eid : int;  (** metrics-registry engine id *)
+  metrics : Obs.Metrics.engine;  (** the label's metrics bundle *)
   descs : t array;  (** per tid, [absent] until its first transaction *)
 }
 
@@ -159,12 +158,13 @@ let is_read_only d = Stm_intf.Ivec.length d.acq_stripes = 0
    that, so a victim lookup of the tid always finds a built descriptor.
    Building one charges no cycles, so simulated schedules do not depend
    on when a thread first ran.  Every table shares one sentinel, whose
-   own core (never read) has an empty table and eid -1.  A plain array,
-   not a [Runtime.Tid_table]: a table is built around its sentinel, and
-   this sentinel needs a core, which needs a table. *)
+   own core (never read) has an empty table and an unregistered metrics
+   bundle.  A plain array, not a [Runtime.Tid_table]: a table is built
+   around its sentinel, and this sentinel needs a core, which needs a table. *)
 let absent =
   let cm = Cm.Factory.make Cm.Cm_intf.Timid and ser = Stm_intf.Serial.create () in
-  create { name = "absent"; cm; ser; eid = -1; descs = [||] } ~tid:(-1)
+  let metrics = (Obs.Metrics.make_thread ()).engine in
+  create { name = "absent"; cm; ser; metrics; descs = [||] } ~tid:(-1)
 
 (* An engine instance's core; registering [name] (idempotent by name)
    here keeps the registry in engine-creation order. *)
@@ -173,7 +173,7 @@ let core ~name spec =
     name;
     cm = Cm.Factory.make spec;
     ser = Stm_intf.Serial.create ();
-    eid = Obs.Metrics.register_engine name;
+    metrics = Obs.Metrics.register_engine name;
     descs = Array.make Runtime.Topology.max_cores absent;
   }
 

@@ -7,9 +7,9 @@
    costs one load + one predictable branch per site.
 
    Engines register themselves by name once at construction time and get
-   back a small integer [eid]; the hot-path hooks index a per-eid bundle
-   of preallocated counters through that integer (no string hashing per
-   event).  Per-thread state (current engine, commit start time, the
+   back their bundle of preallocated counters, which the hot-path hooks
+   update directly (no string hashing or lookup per event).  Per-thread
+   state (current engine's bundle, commit start time, the
    request-attribution sums) is a [thread] record held by the thread's
    transaction descriptor ([Cm.Cm_intf.txinfo.obs]), which every hook
    takes as its first argument. *)
@@ -18,7 +18,6 @@
 
 type engine = {
   name : string;
-  eid : int;
   tx_h : Rhist.t;  (* committed transaction duration, cycles *)
   commit_h : Rhist.t;  (* commit-phase length, cycles *)
   wasted_h : Rhist.t;  (* cycles discarded per aborted attempt *)
@@ -38,45 +37,10 @@ type engine = {
 let on = ref false
 
 let engines : engine list ref = ref [] (* newest first *)
-let by_eid : engine array ref = ref [||]
 
-(* --- per-thread state --------------------------------------------------- *)
-
-(* One per transaction descriptor.  The five sums are the thread's
-   abort/retry cost since [Obs.Slo.record] last harvested them: they let
-   the service harness attribute a slow request's response time to its
-   causes, fed from the existing hooks below (no new engine call sites,
-   so the no-perturbation contract is untouched). *)
-type thread = {
-  mutable eid : int;
-  mutable commit_start : int;
-  mutable retries : int;
-  mutable wasted_cycles : int;
-  mutable backoff_cycles : int;
-  mutable escalations : int;
-  mutable throttles : int;
-}
-
-let make_thread () =
-  {
-    eid = -1;
-    commit_start = -1;
-    retries = 0;
-    wasted_cycles = 0;
-    backoff_cycles = 0;
-    escalations = 0;
-    throttles = 0;
-  }
-
-(* Scheduler counters (fed by the Sim dispatch hook). *)
-let sched_dispatches = ref 0
-let sched_switches = ref 0
-let sched_last_tid = ref (-1)
-
-let new_engine name eid =
+let new_engine name =
   {
     name;
-    eid;
     tx_h = Rhist.create ();
     commit_h = Rhist.create ();
     wasted_h = Rhist.create ();
@@ -93,91 +57,104 @@ let new_engine name eid =
     heat = Hashtbl.create 64;
   }
 
+(* --- per-thread state --------------------------------------------------- *)
+
+(* One per transaction descriptor.  The five sums are the thread's
+   abort/retry cost since [Obs.Slo.record] last harvested them: they let
+   the service harness attribute a slow request's response time to its
+   causes, fed from the existing hooks below (no new engine call sites,
+   so the no-perturbation contract is untouched). *)
+type thread = {
+  mutable engine : engine;
+  mutable commit_start : int;
+  mutable retries : int;
+  mutable wasted_cycles : int;
+  mutable backoff_cycles : int;
+  mutable escalations : int;
+  mutable throttles : int;
+}
+
+(* What a thread's hooks feed before its first begin: a bundle outside
+   the registry, so nothing reports it. *)
+let unregistered = new_engine "unregistered"
+
+let make_thread () =
+  {
+    engine = unregistered;
+    commit_start = -1;
+    retries = 0;
+    wasted_cycles = 0;
+    backoff_cycles = 0;
+    escalations = 0;
+    throttles = 0;
+  }
+
+(* Scheduler counters (fed by the Sim dispatch hook). *)
+let sched_dispatches = ref 0
+let sched_switches = ref 0
+let sched_last_tid = ref (-1)
+
 (** Idempotent by name: registering ["swisstm"] twice returns the same
-    eid, so re-created engines accumulate into one bundle. *)
+    bundle, so re-created engines accumulate into one. *)
 let register_engine name =
   match List.find_opt (fun e -> e.name = name) !engines with
-  | Some e -> e.eid
+  | Some e -> e
   | None ->
-      let eid = Array.length !by_eid in
-      let e = new_engine name eid in
+      let e = new_engine name in
       engines := e :: !engines;
-      by_eid := Array.append !by_eid [| e |];
-      eid
-
-let engine_of_eid eid =
-  if eid >= 0 && eid < Array.length !by_eid then Some (!by_eid).(eid) else None
+      e
 
 let registered () = List.rev_map (fun e -> e.name) !engines
 
 (* --- hooks (call sites guard with [if !Metrics.on]) -------------------- *)
 
-let on_tx_begin (t : thread) ~eid =
-  t.eid <- eid;
+let on_tx_begin (t : thread) engine =
+  t.engine <- engine;
   t.commit_start <- -1
 
 let on_commit_start (t : thread) = t.commit_start <- Runtime.Exec.now ()
 
 let on_tx_commit (t : thread) ~start =
-  match engine_of_eid t.eid with
-  | None -> ()
-  | Some e ->
-      let now = Runtime.Exec.now () in
-      Rhist.observe e.tx_h (now - start);
-      if t.commit_start >= 0 then Rhist.observe e.commit_h (now - t.commit_start)
+  let e = t.engine and now = Runtime.Exec.now () in
+  Rhist.observe e.tx_h (now - start);
+  if t.commit_start >= 0 then Rhist.observe e.commit_h (now - t.commit_start)
 
 let on_tx_abort (t : thread) ~start ~(reason : Stm_intf.Tx_signal.abort_reason) =
   let wasted = Runtime.Exec.now () - start in
   t.retries <- t.retries + 1;
   t.wasted_cycles <- t.wasted_cycles + wasted;
-  match engine_of_eid t.eid with
-  | None -> ()
-  | Some e ->
-      (match reason with
-      | Ww_conflict -> e.ab_ww <- e.ab_ww + 1
-      | Rw_validation -> e.ab_rw <- e.ab_rw + 1
-      | Killed -> e.ab_killed <- e.ab_killed + 1);
-      Rhist.observe e.wasted_h wasted
+  let e = t.engine in
+  (match reason with
+  | Ww_conflict -> e.ab_ww <- e.ab_ww + 1
+  | Rw_validation -> e.ab_rw <- e.ab_rw + 1
+  | Killed -> e.ab_killed <- e.ab_killed + 1);
+  Rhist.observe e.wasted_h wasted
 
-let on_stripe_conflict ~eid ~stripe =
-  match engine_of_eid eid with
-  | None -> ()
-  | Some e -> (
-      match Hashtbl.find_opt e.heat stripe with
-      | Some r -> incr r
-      | None -> Hashtbl.add e.heat stripe (ref 1))
+let on_stripe_conflict e ~stripe =
+  match Hashtbl.find_opt e.heat stripe with
+  | Some r -> incr r
+  | None -> Hashtbl.add e.heat stripe (ref 1)
 
 let on_cm_decision (t : thread) ~(decision : Stm_intf.Trace.cm_decision) =
-  match engine_of_eid t.eid with
-  | None -> ()
-  | Some e -> (
-      match decision with
-      | Cm_abort_self -> e.cm_self <- e.cm_self + 1
-      | Cm_wait -> e.cm_wait <- e.cm_wait + 1
-      | Cm_kill -> e.cm_kill <- e.cm_kill + 1)
+  let e = t.engine in
+  match decision with
+  | Cm_abort_self -> e.cm_self <- e.cm_self + 1
+  | Cm_wait -> e.cm_wait <- e.cm_wait + 1
+  | Cm_kill -> e.cm_kill <- e.cm_kill + 1
 
-let on_cm_phase_shift (t : thread) =
-  match engine_of_eid t.eid with
-  | None -> ()
-  | Some e -> e.cm_shift <- e.cm_shift + 1
+let on_cm_phase_shift (t : thread) = t.engine.cm_shift <- t.engine.cm_shift + 1
 
 let on_cm_throttle (t : thread) =
   t.throttles <- t.throttles + 1;
-  match engine_of_eid t.eid with
-  | None -> ()
-  | Some e -> e.cm_throttle <- e.cm_throttle + 1
+  t.engine.cm_throttle <- t.engine.cm_throttle + 1
 
 let on_escalation (t : thread) =
   t.escalations <- t.escalations + 1;
-  match engine_of_eid t.eid with
-  | None -> ()
-  | Some e -> e.escalations <- e.escalations + 1
+  t.engine.escalations <- t.engine.escalations + 1
 
 let on_backoff (t : thread) ~cycles =
   t.backoff_cycles <- t.backoff_cycles + cycles;
-  match engine_of_eid t.eid with
-  | None -> ()
-  | Some e -> Rhist.observe e.backoff_h cycles
+  Rhist.observe t.engine.backoff_h cycles
 
 let record_dispatch tid =
   incr sched_dispatches;
@@ -224,8 +201,8 @@ let disable () =
   Runtime.Sim.on_dispatch_enabled := false
 
 (** Zero every counter/histogram/heat-map but keep the registrations:
-    eids handed out before a reset stay valid after it.  Per-thread
-    records live in the descriptors and are left alone. *)
+    bundles handed out before a reset stay registered after it.
+    Per-thread records live in the descriptors and are left alone. *)
 let reset () =
   List.iter
     (fun e ->

@@ -9,8 +9,12 @@ val on : bool ref
 (** The hook guard.  Use {!enable}/{!disable} rather than flipping it
     directly so the scheduler's dispatch hook stays in sync. *)
 
-val register_engine : string -> int
-(** Idempotent by name; the returned eid stays valid across {!reset}. *)
+type engine
+(** One engine's bundle of counters, histograms and stripe heat map. *)
+
+val register_engine : string -> engine
+(** Idempotent by name; the returned bundle stays registered across
+    {!reset}. *)
 
 val registered : unit -> string list
 (** Registered engine names, oldest first. *)
@@ -31,7 +35,9 @@ val reset : unit -> unit
     attributes a service request's response time to its causes. *)
 
 type thread = {
-  mutable eid : int;  (** engine of the thread's latest transaction; [-1] = none *)
+  mutable engine : engine;
+      (** bundle of the thread's latest transaction's engine; before its
+          first begin, a shared sentinel outside the registry *)
   mutable commit_start : int;  (** commit-phase entry cycle; [-1] = not reached *)
   mutable retries : int;  (** aborted attempts *)
   mutable wasted_cycles : int;  (** cycles discarded by those attempts *)
@@ -45,12 +51,12 @@ val make_thread : unit -> thread
 (** {2 Engine hooks} — guard with [if !Metrics.on].  [start] is the
     transaction's begin cycle (the descriptor's [start_cycles]). *)
 
-val on_tx_begin : thread -> eid:int -> unit
+val on_tx_begin : thread -> engine -> unit
 val on_commit_start : thread -> unit
 val on_tx_commit : thread -> start:int -> unit
 val on_tx_abort :
   thread -> start:int -> reason:Stm_intf.Tx_signal.abort_reason -> unit
-val on_stripe_conflict : eid:int -> stripe:int -> unit
+val on_stripe_conflict : engine -> stripe:int -> unit
 val on_cm_decision : thread -> decision:Stm_intf.Trace.cm_decision -> unit
 val on_cm_phase_shift : thread -> unit
 

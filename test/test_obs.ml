@@ -65,24 +65,24 @@ let test_hist_merge () =
 (* --- registry reset semantics ------------------------------------------- *)
 
 let test_registry_reset () =
-  let eid = Obs.Metrics.register_engine "test-reset-engine" in
-  check int "registration is idempotent by name" eid
-    (Obs.Metrics.register_engine "test-reset-engine");
+  let e = Obs.Metrics.register_engine "test-reset-engine" in
+  check bool "registration is idempotent by name" true
+    (e == Obs.Metrics.register_engine "test-reset-engine");
   let t = Obs.Metrics.make_thread () in
   Obs.Metrics.enable ();
-  Obs.Metrics.on_tx_begin t ~eid;
+  Obs.Metrics.on_tx_begin t e;
   Obs.Metrics.on_tx_commit t ~start:0;
-  Obs.Metrics.on_stripe_conflict ~eid ~stripe:7;
+  Obs.Metrics.on_stripe_conflict e ~stripe:7;
   Obs.Metrics.disable ();
   Obs.Metrics.reset ();
-  (* registrations survive reset: the same name maps to the same eid and
-     hooks still work without re-registering *)
-  check int "eid survives reset" eid
-    (Obs.Metrics.register_engine "test-reset-engine");
+  (* registrations survive reset: the same name maps to the same bundle
+     and hooks still work without re-registering *)
+  check bool "bundle survives reset" true
+    (e == Obs.Metrics.register_engine "test-reset-engine");
   check bool "name still listed" true
     (List.mem "test-reset-engine" (Obs.Metrics.registered ()));
   Obs.Metrics.enable ();
-  Obs.Metrics.on_tx_begin t ~eid;
+  Obs.Metrics.on_tx_begin t e;
   Obs.Metrics.on_tx_commit t ~start:0;
   Obs.Metrics.disable ();
   Obs.Metrics.reset ()
