@@ -22,7 +22,7 @@ let all : (string * (unit -> unit)) list =
 
 let () =
   (* `bench ablations --list` (or just `bench --list`): enumerate the
-     kernel design-point registry instead of running anything. *)
+     engine catalogue ([Engines.catalogue]) instead of running anything. *)
   if Array.exists (( = ) "--list") Sys.argv then begin
     Ablations.list ();
     exit 0

@@ -269,7 +269,7 @@ let stamp_cmd =
 
 (* --- demo (default command) ---------------------------------------------- *)
 
-(* Every registered engine, by registry name — including the -adaptive
+(* Every named engine, by catalogue name — including the -adaptive
    CM variants, norec/tlrw and the composed kernel points — so the demo
    (and obs-check below) can never silently drop a newly added engine. *)
 let demo_specs =

@@ -113,7 +113,7 @@ type stats = {
 let fuzz ~(spec : Engines.spec) ?name ?(cells = 8)
     ~(make_policy : int -> Runtime.Sim.policy) ~(seeds : int) ~(progs : int)
     ~(threads : int) ?(verbose = false) ?(stop_after = max_int) () : stats =
-  (* [name] should be the registry key ([Engines.of_string]-compatible) so
+  (* [name] should be the catalogue name ([Engines.of_string]-compatible) so
      recorded failures replay; the display name is only a fallback. *)
   let engine = Option.value name ~default:(Engines.name spec) in
   let st = { runs = 0; undecided = 0; failures = [] } in

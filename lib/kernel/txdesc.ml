@@ -158,12 +158,12 @@ let is_read_only d = Stm_intf.Ivec.length d.acq_stripes = 0
    that, so a victim lookup of the tid always finds a built descriptor.
    Building one charges no cycles, so simulated schedules do not depend
    on when a thread first ran.  Every table shares one sentinel, whose
-   own core (never read) has an empty table and an unregistered metrics
-   bundle.  A plain array, not a [Runtime.Tid_table]: a table is built
-   around its sentinel, and this sentinel needs a core, which needs a table. *)
+   own core (never read) has an empty table and [Obs.Metrics.unregistered].
+   A plain array, not a [Runtime.Tid_table]: a table is built around its
+   sentinel, and this sentinel needs a core, which needs a table. *)
 let absent =
   let cm = Cm.Factory.make Cm.Cm_intf.Timid and ser = Stm_intf.Serial.create () in
-  let metrics = (Obs.Metrics.make_thread ()).engine in
+  let metrics = Obs.Metrics.unregistered in
   create { name = "absent"; cm; ser; metrics; descs = [||] } ~tid:(-1)
 
 (* An engine instance's core; registering [name] (idempotent by name)

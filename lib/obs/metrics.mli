@@ -16,6 +16,10 @@ val register_engine : string -> engine
 (** Idempotent by name; the returned bundle stays registered across
     {!reset}. *)
 
+val unregistered : engine
+(** A bundle outside the registry, so nothing reports it: a {!thread}'s
+    before its first begin, and the descriptor-table sentinel's. *)
+
 val registered : unit -> string list
 (** Registered engine names, oldest first. *)
 
@@ -36,8 +40,8 @@ val reset : unit -> unit
 
 type thread = {
   mutable engine : engine;
-      (** bundle of the thread's latest transaction's engine; before its
-          first begin, a shared sentinel outside the registry *)
+      (** bundle of the thread's latest transaction's engine;
+          {!unregistered} before its first begin *)
   mutable commit_start : int;  (** commit-phase entry cycle; [-1] = not reached *)
   mutable retries : int;  (** aborted attempts *)
   mutable wasted_cycles : int;  (** cycles discarded by those attempts *)
