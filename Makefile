@@ -72,7 +72,7 @@ kernel-smoke: build
 	             lib/stm_glock/glock_engine.ml:90 \
 	             lib/kernel/compose.ml:407 lib/kernel/readers.ml:100 \
 	             lib/kernel/seqlock.ml:40 lib/stm_intf/vset.ml:21 \
-	             lib/stm_intf/serial.ml:67 lib/runtime/sim.ml:367 \
+	             lib/stm_intf/serial.ml:67 lib/runtime/sim.ml:350 \
 	             lib/runtime/tmatomic.ml:239 lib/runtime/topology.ml:130 \
 	             lib/runtime/line_table.ml:61 lib/runtime/tid_table.ml:21 \
 	             lib/kernel/txdesc.ml:194 \

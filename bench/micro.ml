@@ -117,7 +117,10 @@ let time label test =
    spends it: a bare effect round trip (perform, park the continuation,
    resume it) is the floor under every switch; [Exec.tick 1] among
    equal clocks switches on every call, so it prices one [Sim] dispatch
-   at 2, 8 and 64 fibers; a [Tmatomic] charge inside a 1-fiber
+   at 2, 8 and 64 fibers; those clocks advance round-robin, so every
+   dispatch decision is predictable.  [tick (1 + Rng.int rng 64)] at 8
+   fibers makes the earliest thread change unpredictably, as it does in
+   a simulated benchmark.  A [Tmatomic] charge inside a 1-fiber
    simulation, which never switches, prices the coherence model. *)
 
 type _ Effect.t += Bare : unit Effect.t
@@ -162,6 +165,16 @@ let in_sim ~fibers f () =
          done)
       : int)
 
+let uneven_ticks ~fibers () =
+  let calls = sim_calls / fibers in
+  ignore
+    (Runtime.Sim.run_threads ~threads:fibers (fun tid ->
+         let rng = Runtime.Rng.for_thread ~seed:1 ~tid in
+         for _ = 1 to calls do
+           Runtime.Exec.tick (1 + Runtime.Rng.int rng 64)
+         done)
+      : int)
+
 let sim_table () =
   Bench_common.section
     "Micro (Bechamel, real time): simulator host cost per operation";
@@ -181,6 +194,7 @@ let sim_table () =
       ("switch, 2 fibers", in_sim ~fibers:2 (fun () -> Runtime.Exec.tick 1));
       ("switch, 8 fibers", in_sim ~fibers:8 (fun () -> Runtime.Exec.tick 1));
       ("switch, 64 fibers", in_sim ~fibers:64 (fun () -> Runtime.Exec.tick 1));
+      ("uneven ticks, 8 fibers", uneven_ticks ~fibers:8);
       ( "tmatomic get, 1 fiber",
         in_sim ~fibers:1 (fun () ->
             ignore (Runtime.Tmatomic.get cell : int)) );

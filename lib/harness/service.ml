@@ -95,11 +95,15 @@ let validate c =
   if c.users <= 0 then invalid_arg "Service: users <= 0";
   if c.keys < 2 then invalid_arg "Service: keys < 2";
   if c.browse_len < 0 then invalid_arg "Service: browse_len < 0";
+  if c.browse_len > 254 then
+    invalid_arg "Service: browse_len > 254 (a session state is one byte)";
   if c.duration_cycles <= 0 then invalid_arg "Service: duration <= 0";
   if c.window_cycles <= 0 then invalid_arg "Service: window <= 0"
 
 (* Session state machine: 0 = logged out (next request: login),
-   1..browse_len = browsing, browse_len + 1 = ready to check out. *)
+   1..browse_len = browsing, browse_len + 1 = ready to check out.  A
+   user's state is one byte of [session], so building it for a large
+   population costs one byte store per user. *)
 
 let run ?(obs = true) ?label spec c =
   validate c;
@@ -122,9 +126,11 @@ let run ?(obs = true) ?label spec c =
      once per run, and an all-logged-out start would mean nothing but
      login traffic — the stationary state mix is the realistic one. *)
   let srng = Rng.for_thread ~seed:c.seed ~tid:stream_sessions in
-  let session =
-    Array.init c.users (fun _ -> Rng.int srng (c.browse_len + 2))
-  in
+  let session = Bytes.create c.users in
+  for u = 0 to c.users - 1 do
+    Bytes.unsafe_set session u
+      (Char.unsafe_chr (Rng.int srng (c.browse_len + 2)))
+  done;
   let tctl =
     Option.map
       (fun w ->
@@ -163,7 +169,7 @@ let run ?(obs = true) ?label spec c =
         Exec.idle_until arrival;
         let user = req_user.(i) in
         let started = Exec.now () in
-        let state = session.(user) in
+        let state = Char.code (Bytes.get session user) in
         (if state = 0 then begin
            (* login: touch the session word, read one catalog page *)
            let k = Zipf.next z in
@@ -206,7 +212,8 @@ let run ?(obs = true) ?label spec c =
                let v = Stm_intf.Engine.read ops (ubase + user) in
                Stm_intf.Engine.write ops (ubase + user) (v + 100))
          end);
-        session.(user) <- (if state >= checkout_state then 0 else state + 1);
+        Bytes.set session user
+          (Char.unsafe_chr (if state >= checkout_state then 0 else state + 1));
         done_ops.(tid) <- done_ops.(tid) + 1;
         (* The thread's current descriptor is the request's transaction's. *)
         Obs.Slo.record Cm.Cm_intf.current.(tid).obs ~arrival ~started

@@ -27,7 +27,9 @@ type config = {
   users : int;  (** simulated user population *)
   keys : int;  (** inventory size (words) *)
   theta : float;  (** Zipf skew of key popularity *)
-  browse_len : int;  (** browse requests per session before checkout *)
+  browse_len : int;
+      (** browse requests per session before checkout, at most 254 (a
+          session's state is one byte) *)
   demand_cycles : int;  (** base service demand ticked inside each tx *)
   arrivals : Arrival.spec;
   duration_cycles : int;  (** arrivals are generated in [0, duration) *)

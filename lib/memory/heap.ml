@@ -26,8 +26,9 @@
 
    [free] recycles privatized blocks through per-thread exact-size free
    lists (sizes 1..[max_free_words]; larger blocks are leaked and
-   counted).  A freed block's first word threads the list, so the lists
-   cost no storage.  When the epoch reclaimer is armed ([epoch_on],
+   counted).  A freed block's first word threads the list, and a thread's
+   row of list heads is built on its first [free], so a heap that is
+   never freed into costs no list storage.  When the epoch reclaimer is armed ([epoch_on],
    installed by [Epoch.arm] — a hook reference, since [Epoch] sits above
    this module), [free] defers the block to the caller's limbo list
    instead and it reaches [free_now] only after a grace period. *)
@@ -37,7 +38,7 @@ type t = {
   brk : Runtime.Tmatomic.t;  (* next unshared word *)
   chunk_next : int array;  (* per-thread bump pointer *)
   chunk_limit : int array;  (* per-thread chunk end *)
-  free_heads : int array;  (* per-thread size-class free lists *)
+  free_heads : int array array;  (* per-thread size-class free lists *)
   guard_tbl : (int, unit) Hashtbl.t;  (* addresses currently freed *)
 }
 
@@ -55,6 +56,10 @@ let[@inline] set_word t addr v = set64 t.words (addr lsl 3) (Int64.of_int v)
 
 let null = 0
 
+(* Every thread's free-list row until its first [free]: all lists empty.
+   Only a non-empty list is ever written, so this row never is. *)
+let no_frees = Array.make max_free_words 0
+
 let create ~words =
   if words < 1 then invalid_arg "Heap.create";
   let buf = Bytes.create (words lsl 3) in
@@ -64,7 +69,7 @@ let create ~words =
     brk = Runtime.Tmatomic.make 1 (* skip the null word *);
     chunk_next = Array.make max_threads 0;
     chunk_limit = Array.make max_threads 0;
-    free_heads = Array.make (max_threads * max_free_words) 0;
+    free_heads = Array.make max_threads no_frees;
     guard_tbl = Hashtbl.create 64;
   }
 
@@ -138,9 +143,17 @@ let epoch_defer : (t -> int -> int -> unit) ref = ref (fun _ _ _ -> ())
 let free_now t addr n =
   if n >= 1 && n <= max_free_words then begin
     let tid = Runtime.Exec.self () land (max_threads - 1) in
-    let s = (tid * max_free_words) + (n - 1) in
-    set_word t addr (Array.unsafe_get t.free_heads s);
-    Array.unsafe_set t.free_heads s addr
+    let row = Array.unsafe_get t.free_heads tid in
+    let row =
+      if row != no_frees then row
+      else begin
+        let row = Array.make max_free_words 0 in
+        Array.unsafe_set t.free_heads tid row;
+        row
+      end
+    in
+    set_word t addr (Array.unsafe_get row (n - 1));
+    Array.unsafe_set row (n - 1) addr
   end
   else incr leaked_frees
 
@@ -167,10 +180,10 @@ let rec alloc t n =
   if n <= 0 then invalid_arg "Heap.alloc: size must be positive";
   let tid = Runtime.Exec.self () land (max_threads - 1) in
   if n <= max_free_words then begin
-    let s = (tid * max_free_words) + (n - 1) in
-    let head = Array.unsafe_get t.free_heads s in
+    let row = Array.unsafe_get t.free_heads tid in
+    let head = Array.unsafe_get row (n - 1) in
     if head <> 0 then begin
-      Array.unsafe_set t.free_heads s (word t head);
+      Array.unsafe_set row (n - 1) (word t head);
       Bytes.fill t.words (head lsl 3) (n lsl 3) '\000';
       incr reuses;
       if !guard_on then Hashtbl.remove t.guard_tbl head;

@@ -51,7 +51,8 @@ let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
     Rejection sampling: a draw landing in the final partial block of size
     [n] at the top of the 62-bit range is discarded, otherwise the result
     would be biased towards small residues.  At most one extra draw is
-    needed in expectation even for the worst bound. *)
+    needed in expectation even for the worst bound.  [int] inlines the
+    draw that is accepted; only a rejection calls out to [draw]. *)
 let rec draw t n =
   let x = bits t in
   let r = x mod n in
@@ -59,9 +60,11 @@ let rec draw t n =
      containing it fits below 2^62: x - r + (n-1) must not overflow. *)
   if x - r + (n - 1) < 0 then draw t n else r
 
-let int t n =
+let[@inline] int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  draw t n
+  let x = bits t in
+  let r = x mod n in
+  if x - r + (n - 1) < 0 then draw t n else r
 
 (** [float t x] is uniform in [0, x). *)
 let float t x =

@@ -59,6 +59,8 @@ type state = {
       (* the last continuation a thread parked; [None] until it starts *)
   finished : bool array;
   vtimes : int array;
+  bits : int;  (* width of the tid field of a packed key *)
+  clock_max : int;  (* a larger clock saturates to it in a key *)
 }
 
 (* [park] is built once per thread (the [Exec.Yield] match fixes [a =
@@ -99,88 +101,94 @@ let step st bodies alive tid =
   Exec.cur := -1;
   if st.finished.(tid) then decr alive
 
-(* --- indexed heap ------------------------------------------------------ *)
+(* --- dispatch tree -------------------------------------------------------
 
-(* Indexed binary heap over thread ids, ordered by [(key.(tid), tid)]
-   over a caller-owned [int array] (clocks, or PCT's negated priorities)
-   with an inlined compare.  It replaced O(n) per-dispatch linear
-   searches, which at 512 simulated threads made every policy loop
-   quadratic in the schedule length.  Only the just-stepped thread's key
-   ever changes (its clock moved, or PCT demoted it), so each dispatch
-   costs one O(log n) [fix] plus O(1) reads — and the order is exactly
-   the linear searches' tie-break, so schedules are bit-identical to
-   theirs (pinned by the dispatch suite's frozen digests and the frozen
-   sb7 matrix). *)
-module Iheap = struct
-  type t = {
-    heap : int array;  (* position -> tid *)
-    pos : int array;  (* tid -> position, -1 once removed *)
-    key : int array;  (* tid -> key, written by the caller *)
-    mutable size : int;
-  }
+   A winner (tournament) tree over thread ids.  Thread [tid]'s leaf holds
+   one packed key, [(k lsl bits) lor tid], so comparing keys compares
+   [(k, tid)] pairs: the key is a clock, or a PCT priority rank, with the
+   tid as tie-break.  Each internal node holds the min of its children,
+   so the root is the earliest [(k, tid)].  [bmin] takes that min without
+   a branch: the compares it replaces depend on clocks, mispredict, and
+   were most of the cost of the indexed heap this tree replaced (a linear
+   search over the same keys cost as much).  Keys are non-negative so
+   [a - b] cannot overflow; finished threads and the padding leaves of a
+   thread count that is not a power of two hold [empty].  Only the
+   stepped thread's key changes per dispatch, and its path is rewritten
+   in place, so dispatch allocates nothing.  The order is the heap's and
+   the old linear searches' exactly: the dispatch suite pins it. *)
 
-  let[@inline] less h a b =
-    let ka = h.key.(a) and kb = h.key.(b) in
-    ka < kb || (ka = kb && a < b)
+let empty = max_int
 
-  let swap h i j =
-    let a = h.heap.(i) and b = h.heap.(j) in
-    h.heap.(i) <- b;
-    h.heap.(j) <- a;
-    h.pos.(b) <- i;
-    h.pos.(a) <- j
+let[@inline] bmin a b =
+  let d = a - b in
+  b + (d land (d asr 62))
 
-  let rec sift_up h i =
-    if i > 0 then begin
-      let p = (i - 1) / 2 in
-      if less h h.heap.(i) h.heap.(p) then begin
-        swap h i p;
-        sift_up h p
-      end
-    end
+let[@inline] pack st k tid = (k lsl st.bits) lor tid
 
-  let rec sift_down h i =
-    let l = (2 * i) + 1 in
-    if l < h.size then begin
-      let m =
-        if l + 1 < h.size && less h h.heap.(l + 1) h.heap.(l) then l + 1
-        else l
-      in
-      if less h h.heap.(m) h.heap.(i) then begin
-        swap h i m;
-        sift_down h m
-      end
-    end
+(* A clock past [clock_max] is past the cap and every random window, so
+   its key saturates rather than overflows. *)
+let[@inline] clock_key st tid =
+  pack st (bmin st.vtimes.(tid) st.clock_max) tid
 
-  let make key =
-    let n = Array.length key in
-    let h =
-      { heap = Array.init n Fun.id; pos = Array.init n Fun.id; key; size = n }
-    in
-    for i = (n / 2) - 1 downto 0 do
-      sift_down h i
+module Tree = struct
+  (* [node.(1)] is the root, [node.(leaves + tid)] tid's leaf and
+     [node.(i)] the min of [node.(2i)] and [node.(2i + 1)]; walks index
+     the array unchecked, within [1, 2 * leaves). *)
+  type t = { node : int array; leaves : int }
+
+  let make st n key =
+    let leaves = 1 lsl st.bits in
+    let node = Array.make (2 * leaves) empty in
+    for tid = 0 to n - 1 do
+      node.(leaves + tid) <- key tid
     done;
-    h
+    for i = leaves - 1 downto 1 do
+      node.(i) <- bmin node.(2 * i) node.((2 * i) + 1)
+    done;
+    { node; leaves }
 
-  let min h = h.heap.(0)
+  let[@inline] root t = Array.unsafe_get t.node 1
+  let[@inline] tid t key = key land (t.leaves - 1)
 
-  (* Restore the invariant after tid's key changed in either direction. *)
-  let fix h tid =
-    sift_down h h.pos.(tid);
-    sift_up h h.pos.(tid)
+  (* The smallest key but [tid]'s: the min over the siblings on its path. *)
+  let rest t tid =
+    let i = ref (t.leaves + tid) and m = ref empty in
+    while !i > 1 do
+      m := bmin !m (Array.unsafe_get t.node (!i lxor 1));
+      i := !i lsr 1
+    done;
+    !m
 
-  let remove h tid =
-    let i = h.pos.(tid) in
-    let last = h.size - 1 in
-    h.size <- last;
-    h.pos.(tid) <- -1;
-    if i <> last then begin
-      let moved = h.heap.(last) in
-      h.heap.(i) <- moved;
-      h.pos.(moved) <- i;
-      fix h moved
+  (* Set [tid]'s leaf to [k], carrying a running min up its path: one
+     sibling load per level. *)
+  let set t tid k =
+    let i = ref (t.leaves + tid) and m = ref k in
+    Array.unsafe_set t.node !i k;
+    while !i > 1 do
+      m := bmin !m (Array.unsafe_get t.node (!i lxor 1));
+      i := !i lsr 1;
+      Array.unsafe_set t.node !i !m
+    done
+
+  (* Append to [cand] every tid whose key is at most [limit], in tid
+     order: a left-to-right descent from node [i] that prunes subtrees
+     whose min passes [limit].  Returns the new count. *)
+  let rec collect t limit cand count i =
+    if Array.unsafe_get t.node i > limit then count
+    else if i >= t.leaves then begin
+      cand.(count) <- i - t.leaves;
+      count + 1
     end
+    else collect t limit cand (collect t limit cand count (2 * i)) ((2 * i) + 1)
 end
+
+(* The [Timeout] payload: the smallest live clock (a key may saturate). *)
+let timeout st =
+  let m = ref max_int in
+  Array.iteri
+    (fun tid v -> if not st.finished.(tid) then m := Int.min !m v)
+    st.vtimes;
+  raise (Timeout !m)
 
 (* --- policy loops ------------------------------------------------------- *)
 
@@ -188,65 +196,33 @@ end
    ticks past the second-earliest clock (clamped to the cap, so even a lone
    runaway thread yields back and the timeout check fires). *)
 let run_earliest st bodies alive cap_cycles =
-  let h = Iheap.make st.vtimes in
+  let t = Tree.make st (Array.length bodies) (clock_key st) in
   while !alive > 0 do
-    let best = Iheap.min h in
-    let best_t = st.vtimes.(best) in
-    if best_t > cap_cycles then raise (Timeout best_t);
-    (* The second-smallest element under the heap's total order is one of
-       the root's children, and — the order being vtime-major — carries
-       the second-smallest vtime. *)
-    let second = ref max_int in
-    if h.Iheap.size > 1 then second := st.vtimes.(h.Iheap.heap.(1));
-    if h.Iheap.size > 2 then
-      second := Int.min !second st.vtimes.(h.Iheap.heap.(2));
-    Exec.next_deadline := Int.min !second cap_cycles;
-    step st bodies alive best;
-    if st.finished.(best) then Iheap.remove h best else Iheap.fix h best
+    let best = Tree.root t in
+    if best asr st.bits > cap_cycles then timeout st;
+    let tid = Tree.tid t best in
+    Exec.next_deadline := bmin (Tree.rest t tid asr st.bits) cap_cycles;
+    step st bodies alive tid;
+    Tree.set t tid (if st.finished.(tid) then empty else clock_key st tid)
   done
 
 (* Seeded perturbation: pick uniformly among live threads within [window]
-   cycles of the minimum clock, run the winner for a random quantum. *)
+   cycles of the minimum clock, in tid order, and run the winner for a
+   random quantum. *)
 let run_random st bodies alive n cap_cycles ~seed ~window ~quantum =
   let rng = Rng.create seed in
-  let h = Iheap.make st.vtimes in
+  let t = Tree.make st n (clock_key st) in
   let cand = Array.make n 0 in
   while !alive > 0 do
-    let min_t = st.vtimes.(Iheap.min h) in
-    if min_t > cap_cycles then raise (Timeout min_t);
-    let limit = min_t + window in
-    (* Collect the candidate set by descending the heap and pruning where
-       the clock passes [limit] (clocks are nondecreasing along any
-       root-to-leaf path), then sort by tid so the pick index enumerates
-       the candidates in ascending tid order. *)
-    let count = ref 0 in
-    let rec visit i =
-      if i < h.Iheap.size then begin
-        let tid = h.Iheap.heap.(i) in
-        if st.vtimes.(tid) <= limit then begin
-          cand.(!count) <- tid;
-          incr count;
-          visit ((2 * i) + 1);
-          visit ((2 * i) + 2)
-        end
-      end
-    in
-    visit 0;
-    for i = 1 to !count - 1 do
-      let x = cand.(i) in
-      let j = ref i in
-      while !j > 0 && cand.(!j - 1) > x do
-        cand.(!j) <- cand.(!j - 1);
-        decr j
-      done;
-      cand.(!j) <- x
-    done;
-    let pick = Rng.int rng !count in
-    let tid = cand.(pick) in
+    let min_t = Tree.root t asr st.bits in
+    if min_t > cap_cycles then timeout st;
+    let limit = pack st (min_t + window) (t.Tree.leaves - 1) in
+    let count = Tree.collect t limit cand 0 1 in
+    let tid = cand.(Rng.int rng count) in
     Exec.next_deadline :=
       Int.min (st.vtimes.(tid) + 1 + Rng.int rng quantum) cap_cycles;
     step st bodies alive tid;
-    if st.finished.(tid) then Iheap.remove h tid else Iheap.fix h tid
+    Tree.set t tid (if st.finished.(tid) then empty else clock_key st tid)
   done
 
 (* PCT: random static priorities, [depth - 1] change points over [horizon]
@@ -263,10 +239,8 @@ let run_random st bodies alive n cap_cycles ~seed ~window ~quantum =
    schedule deterministic. *)
 let run_pct st bodies alive n cap_cycles ~seed ~depth ~horizon =
   let rng = Rng.create seed in
-  let neg_prio = Array.init n (fun i -> i) in
-  Rng.shuffle rng neg_prio;
-  Array.map_inplace Int.neg neg_prio;
-  let floor_neg = ref 1 in
+  let perm = Array.init n Fun.id in
+  Rng.shuffle rng perm;
   let change_points =
     Array.init (Int.max 0 (depth - 1)) (fun _ -> Rng.int rng horizon)
   in
@@ -274,16 +248,17 @@ let run_pct st bodies alive n cap_cycles ~seed ~depth ~horizon =
   let next_change = ref 0 in
   let progressed = ref 0 in
   let lag = 4 * horizon in
-  (* Two heaps: clocks for the timeout/lag minimum, negated priorities
-     for the selection.  Priorities are unique (a permutation, then each
-     demotion a fresh value below all), so the tid tie-break never fires
-     and the min-heap runs exactly the highest priority. *)
-  let vh = Iheap.make st.vtimes in
-  let ph = Iheap.make neg_prio in
+  (* Two trees: clocks for the timeout/lag minimum, priority ranks for the
+     selection.  Rank [n - 1 - perm.(tid)] puts the highest static
+     priority first, and each demotion takes a fresh rank below all
+     ([floor]), so ranks are unique and the tid tie-break never fires. *)
+  let vt = Tree.make st n (clock_key st) in
+  let pt = Tree.make st n (fun tid -> pack st (n - 1 - perm.(tid)) tid) in
+  let floor = ref n in
   while !alive > 0 do
-    let min_t = st.vtimes.(Iheap.min vh) in
-    if min_t > cap_cycles then raise (Timeout min_t);
-    let tid = Iheap.min ph in
+    let min_t = Tree.root vt asr st.bits in
+    if min_t > cap_cycles then timeout st;
+    let tid = Tree.tid pt (Tree.root pt) in
     let until_change =
       if !next_change < Array.length change_points then
         Int.max 1 (change_points.(!next_change) - !progressed)
@@ -299,27 +274,21 @@ let run_pct st bodies alive n cap_cycles ~seed ~depth ~horizon =
     step st bodies alive tid;
     progressed := !progressed + (st.vtimes.(tid) - before);
     let fin = st.finished.(tid) in
-    if fin then begin
-      Iheap.remove vh tid;
-      Iheap.remove ph tid
-    end
-    else Iheap.fix vh tid;
-    if
-      !next_change < Array.length change_points
-      && !progressed >= change_points.(!next_change)
-    then begin
-      neg_prio.(tid) <- !floor_neg;
-      incr floor_neg;
-      incr next_change;
-      if not fin then Iheap.fix ph tid
-    end
-    else if
-      (not fin) && (!Exec.blocked_yield || st.vtimes.(tid) >= lag_deadline)
-    then begin
-      neg_prio.(tid) <- !floor_neg;
-      incr floor_neg;
-      Iheap.fix ph tid
-    end
+    Tree.set vt tid (if fin then empty else clock_key st tid);
+    let demote =
+      if
+        !next_change < Array.length change_points
+        && !progressed >= change_points.(!next_change)
+      then begin
+        incr next_change;
+        true
+      end
+      else
+        (not fin) && (!Exec.blocked_yield || st.vtimes.(tid) >= lag_deadline)
+    in
+    if fin then Tree.set pt tid empty
+    else if demote then Tree.set pt tid (pack st !floor tid);
+    if demote then incr floor
   done
 
 (** [run bodies] executes all thread bodies to completion under the
@@ -333,11 +302,25 @@ let run ?(cap_cycles = 1_000_000_000_000) ?(policy = Earliest_first)
   let n = Array.length bodies in
   if n = 0 then [||]
   else begin
+    let rec tid_bits b = if 1 lsl b >= n then b else tid_bits (b + 1) in
+    let bits = tid_bits 0 in
+    let clock_max = (max_int asr bits) - 1 in
+    (* Every clock a decision compares, up to the cap plus the random
+       window, must pack exactly beside a tid. *)
+    let window = match policy with Random r -> Int.max 0 r.window | _ -> 0 in
+    if cap_cycles >= clock_max - window then
+      invalid_arg
+        (Printf.sprintf
+           "Sim.run: cap_cycles %d + window %d does not pack beside %d \
+            thread ids (max %d)"
+           cap_cycles window n (clock_max - window - 1));
     let st =
       {
         conts = Array.make n None;
         finished = Array.make n false;
         vtimes = Array.make n 0;
+        bits;
+        clock_max;
       }
     in
     let saved_vtimes = !Exec.vtimes and saved_deadline = !Exec.next_deadline in

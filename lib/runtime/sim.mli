@@ -48,7 +48,10 @@ val run :
 (** [run bodies] executes all bodies to completion and returns final
     per-thread virtual times (cycles).  [cap_cycles] defaults to 10^12;
     [policy] defaults to {!Earliest_first}.  Every policy dispatches
-    through an indexed heap, O(log n) per decision. *)
+    through a tournament tree over packed (clock, tid) keys, O(log n)
+    branch-free steps per decision.  Raises [Invalid_argument] when
+    [cap_cycles] (plus a {!Random} window) is too large to pack beside
+    the thread ids. *)
 
 val run_threads :
   ?cap_cycles:int ->

@@ -402,6 +402,33 @@ let test_service_deterministic () =
         && s.Obs.Slo.s_p95 <= s.Obs.Slo.s_p999
         && s.Obs.Slo.s_p999 <= s.Obs.Slo.s_max)
 
+(* A session's state is one byte, so [run] refuses a browse length whose
+   states do not fit, by name, and runs the longest one that does. *)
+let test_service_browse_len_bound () =
+  let cfg browse_len =
+    {
+      Harness.Service.default with
+      threads = 2;
+      users = 100;
+      keys = 8;
+      browse_len;
+      duration_cycles = 100_000;
+      window_cycles = 50_000;
+      seed = 3;
+    }
+  in
+  (match Harness.Service.run ~obs:false Engines.swisstm (cfg 255) with
+  | _ -> Alcotest.fail "browse_len 255 accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "refusal names browse_len: %s" msg)
+        true
+        (String.starts_with ~prefix:"Service: browse_len" msg));
+  let r = Harness.Service.run ~obs:false Engines.swisstm (cfg 254) in
+  Alcotest.(check bool) "browse_len 254 runs" true
+    (r.Harness.Service.offered > 0
+    && r.Harness.Service.completed = r.Harness.Service.offered)
+
 let suite =
   [
     ( "harness",
@@ -430,5 +457,7 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_zipf_props;
         Alcotest.test_case "service run deterministic" `Quick
           test_service_deterministic;
+        Alcotest.test_case "service browse_len bound" `Quick
+          test_service_browse_len_bound;
       ] );
   ]

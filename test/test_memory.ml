@@ -218,6 +218,19 @@ let test_epoch_counters_concurrent () =
   Alcotest.(check bool) "frees were deferred" true
     (Memory.Epoch.deferred () >= domains * frees)
 
+(* Building a heap allocates no free-list storage: a thread's row of 64
+   list heads is built on its first [free], so a 16-word heap is the
+   buffer and a few per-thread words, not 512 x 64 list heads. *)
+let test_heap_create_small () =
+  let h = Memory.Heap.create ~words:16 in
+  let words = Obj.reachable_words (Obj.repr h) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words reachable <= 2000" words)
+    true (words <= 2000);
+  let a = Memory.Heap.alloc h 3 in
+  Memory.Heap.free h a 3;
+  check Alcotest.int "freed block recycled" a (Memory.Heap.alloc h 3)
+
 let suite =
   [
     ( "heap",
@@ -233,6 +246,8 @@ let suite =
         Alcotest.test_case "alloc zeroes" `Quick test_heap_alloc_zeroes;
         Alcotest.test_case "per-thread sharding" `Quick
           test_heap_alloc_per_thread_sharded;
+        Alcotest.test_case "create allocates no free lists" `Quick
+          test_heap_create_small;
       ] );
     ( "epoch",
       [

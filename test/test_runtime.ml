@@ -89,6 +89,30 @@ let test_rng_rejection_accepts_large_bounds () =
     Alcotest.(check bool) "in bounds" true (x >= 0 && x < n)
   done
 
+(* [Rng.int] draws, reduces and returns inline, calling out only to
+   reject.  Its stream is pinned by the digest of the first 10,000 draws
+   at four bounds, captured from the out-of-line rejection loop it
+   replaced.  The last bound, 2^61 + 1, rejects almost half its draws. *)
+let test_rng_int_stream_frozen () =
+  List.iter
+    (fun (n, digest) ->
+      let rng = Runtime.Rng.create 5 in
+      let buf = Buffer.create 65_536 in
+      for _ = 1 to 10_000 do
+        Buffer.add_string buf (string_of_int (Runtime.Rng.int rng n));
+        Buffer.add_char buf ';'
+      done;
+      check Alcotest.string
+        (Printf.sprintf "bound %d" n)
+        digest
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    [
+      (1, "94dd72db4df2142ff937437d55f0e375");
+      (3, "e2caa2a15020931fa8c169f61f647606");
+      (97, "77b6e60b2a9dda00c58ddf59006a7983");
+      ((1 lsl 61) + 1, "fdda4b8df361f7eaa4c296a7c5be4613");
+    ]
+
 let test_rng_shuffle_permutation () =
   let rng = Runtime.Rng.create 3 in
   let arr = Array.init 100 Fun.id in
@@ -527,6 +551,7 @@ let suite =
         Alcotest.test_case "rejection at large bounds" `Quick
           test_rng_rejection_accepts_large_bounds;
         Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
+        Alcotest.test_case "int stream frozen" `Quick test_rng_int_stream_frozen;
         qtest prop_rng_bounds;
         qtest prop_rng_float_bounds;
       ] );
@@ -880,6 +905,148 @@ let test_sim_dispatch_frozen () =
       ("pct", Runtime.Sim.pct_policy 5, "9396edb3d289edecec7ffca5a83b49f5");
     ]
 
+(* The same pinning over thread counts that leave the dispatch tree's
+   leaf row partly empty (3, 5, 13), a single thread and 64, with bodies
+   of unequal length so threads finish, and leave the tree, while others
+   still run.  PCT's short horizon makes its change points and lag
+   demotions fire; the random policy's narrow window varies the
+   candidate set.  Digests of the dispatch sequence and of the final
+   vtimes were captured from the indexed-heap dispatcher. *)
+let uneven_trace ~threads ~policy =
+  let buf = Buffer.create 4096 in
+  with_dispatch_hook
+    (fun tid -> Buffer.add_string buf (string_of_int tid ^ ";"))
+    (fun () ->
+      let body tid () =
+        let rng = Runtime.Rng.for_thread ~seed:23 ~tid in
+        for _ = 1 to 4 + (tid * 7 mod 19) do
+          Runtime.Exec.tick (1 + Runtime.Rng.int rng 600);
+          if Runtime.Rng.int rng 5 = 0 then Runtime.Exec.pause ()
+        done
+      in
+      let vts = Runtime.Sim.run ~policy (Array.init threads body) in
+      let hex s = Digest.to_hex (Digest.string s) in
+      ( hex (Buffer.contents buf),
+        hex (String.concat ";" (Array.to_list (Array.map string_of_int vts))) ))
+
+let uneven_policies =
+  [
+    ("earliest", Runtime.Sim.Earliest_first);
+    ("random", Runtime.Sim.random_policy ~window:600 ~quantum:300 7);
+    ("pct", Runtime.Sim.pct_policy ~depth:6 ~horizon:3_000 9);
+  ]
+
+let test_sim_dispatch_uneven_frozen () =
+  List.iter
+    (fun (threads, name, digest, vtimes) ->
+      let policy = List.assoc name uneven_policies in
+      let got_digest, got_vtimes = uneven_trace ~threads ~policy in
+      let label what = Printf.sprintf "%s, %d threads: %s" name threads what in
+      check Alcotest.string (label "dispatch sequence") digest got_digest;
+      check Alcotest.string (label "final vtimes") vtimes got_vtimes)
+    [
+      (1, "earliest", "1fd16a9acfe1ff5a7f2fb1e287d49f94",
+        "a9078e8653368c9c291ae2f8b74012e7");
+      (1, "random", "d4449deec8bad4cd52a0f0a51310bbb6",
+        "a9078e8653368c9c291ae2f8b74012e7");
+      (1, "pct", "d4449deec8bad4cd52a0f0a51310bbb6",
+        "a9078e8653368c9c291ae2f8b74012e7");
+      (3, "earliest", "97b9c5c17bebcca680b1fbd7210678fb",
+        "df10596f0b55eca64431eeff2839cfc4");
+      (3, "random", "b29cd8af2c65a75da2094ef5ddf897f4",
+        "df10596f0b55eca64431eeff2839cfc4");
+      (3, "pct", "e9e75329d0057bacaeceb9981d2c243d",
+        "df10596f0b55eca64431eeff2839cfc4");
+      (5, "earliest", "e9761d605535227076c3dcf075b6e508",
+        "4399924def8a468ba6c64260bb569754");
+      (5, "random", "4178bc4e8cab83962b4272fb26eb42c9",
+        "4399924def8a468ba6c64260bb569754");
+      (5, "pct", "8c6e28fa6029de4c8bccf7b22cdb50a9",
+        "4399924def8a468ba6c64260bb569754");
+      (13, "earliest", "0ad3d5a63f3932b2f15b8132f4f0ece6",
+        "cc5914419b7a7e0b1ea8ba5afdea1c91");
+      (13, "random", "4f828beb0ce2be26344cd649598fbae0",
+        "cc5914419b7a7e0b1ea8ba5afdea1c91");
+      (13, "pct", "6c97b3cd0a3049075414d2dfc691789a",
+        "cc5914419b7a7e0b1ea8ba5afdea1c91");
+      (64, "earliest", "7f07b83098e590fea4da5709265ddaec",
+        "69f6f7c216c814b41db54d6e940ecc27");
+      (64, "random", "e3d301426e8eecdaf16187283333072d",
+        "69f6f7c216c814b41db54d6e940ecc27");
+      (64, "pct", "17b0348ce437cdf44e73096d87ec0495",
+        "69f6f7c216c814b41db54d6e940ecc27");
+    ]
+
+(* Every live thread spins past [cap_cycles]: the [Timeout] payload is
+   the smallest live clock at the decision that gives up, pinned per
+   policy and thread count. *)
+let test_sim_timeout_frozen () =
+  let payload ~threads ~policy =
+    let body tid () =
+      let rng = Runtime.Rng.for_thread ~seed:31 ~tid in
+      while true do
+        Runtime.Exec.tick (1 + Runtime.Rng.int rng 900);
+        if Runtime.Rng.int rng 6 = 0 then Runtime.Exec.pause ()
+      done
+    in
+    match Runtime.Sim.run ~cap_cycles:40_000 ~policy (Array.init threads body) with
+    | _ -> -1
+    | exception Runtime.Sim.Timeout t -> t
+  in
+  List.iter
+    (fun (threads, name, expected) ->
+      check Alcotest.int
+        (Printf.sprintf "%s, %d threads" name threads)
+        expected
+        (payload ~threads ~policy:(List.assoc name uneven_policies)))
+    [
+      (1, "earliest", 40183);
+      (1, "random", 40183);
+      (1, "pct", 40183);
+      (5, "earliest", 40175);
+      (5, "random", 40183);
+      (5, "pct", 40302);
+      (13, "earliest", 40094);
+      (13, "random", 40094);
+      (13, "pct", 40314);
+    ]
+
+(* A dispatch key packs a clock above a tid field, so the cap (plus the
+   random policy's window) must leave room for the tid bits: [run]
+   refuses by name, before any thread starts, a cap that does not pack,
+   and runs the largest one that does. *)
+let test_sim_pack_refusal () =
+  let refused ?policy ~threads cap =
+    let started = ref false in
+    match
+      Runtime.Sim.run ?policy ~cap_cycles:cap
+        (Array.make threads (fun () -> started := true))
+    with
+    | _ -> false
+    | exception Invalid_argument msg ->
+        String.starts_with ~prefix:"Sim.run: cap_cycles" msg && not !started
+  in
+  let fits ?policy ~threads cap =
+    let vts = Runtime.Sim.run ?policy ~cap_cycles:cap (Array.make threads ignore) in
+    Array.length vts = threads
+  in
+  Alcotest.(check bool) "max_int cap, 1 thread" true
+    (refused ~threads:1 max_int);
+  (* 64 threads take 6 tid bits: clocks up to 2^56 - 2 pack. *)
+  Alcotest.(check bool) "2^56 cap, 64 threads" true
+    (refused ~threads:64 (1 lsl 56));
+  Alcotest.(check bool) "2^56 - 3 cap, 64 threads" true
+    (fits ~threads:64 ((1 lsl 56) - 3));
+  Alcotest.(check bool) "2^56 cap, 1 thread" true (fits ~threads:1 (1 lsl 56));
+  (* 65 threads take 7. *)
+  Alcotest.(check bool) "2^55 cap, 65 threads" true
+    (refused ~threads:65 (1 lsl 55));
+  let policy = Runtime.Sim.random_policy ~window:1_000 1 in
+  Alcotest.(check bool) "random window counts" true
+    (refused ~policy ~threads:64 ((1 lsl 56) - 1_002));
+  Alcotest.(check bool) "random window fits" true
+    (fits ~policy ~threads:64 ((1 lsl 56) - 1_003))
+
 (* A yield allocates only the continuation it parks: on an 8-fiber
    [tick 1] loop (every tick a switch), after a warm-up run, a dispatch
    costs at most 4 minor words.  A handler that builds its park closure
@@ -1022,6 +1189,12 @@ let suite =
         [
           Alcotest.test_case "frozen schedules under all policies" `Quick
             test_sim_dispatch_frozen;
+          Alcotest.test_case "frozen schedules, uneven bodies" `Quick
+            test_sim_dispatch_uneven_frozen;
+          Alcotest.test_case "frozen timeout payloads" `Quick
+            test_sim_timeout_frozen;
+          Alcotest.test_case "unpackable cap refused by name" `Quick
+            test_sim_pack_refusal;
           Alcotest.test_case "yields allocate <= 4 words per dispatch" `Quick
             test_sim_dispatch_alloc;
         ] );
